@@ -34,7 +34,7 @@ from .scanner import (
     verify_lemma_inequalities,
     verify_majorization,
 )
-from .series import Exponent, TruncatedSeries, binomial_factor, constant_one, indexed_product, mul
+from .series import Exponent, TruncatedSeries, constant_one, mul
 from .surfaces import (
     StructuralClass,
     SurfaceInvariants,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from itertools import groupby
+from math import comb, prod
 from typing import Any, Mapping
 
 from .errors import DataError, DimensionMismatchError
@@ -73,8 +74,9 @@ RULE_STATEMENTS: dict[str, str] = {
     ),
     "diff-length-min-parts": (
         "partitions of different lengths with every part > 1: the products' "
-        "low-degree Betti data (b0 if disconnected, else b1 if b1 > 0, else "
-        "b2) differs strictly"
+        "low-degree Betti data differs strictly (b1 if b1 > 0, else b2, on a "
+        "connected base; on a disconnected base b0, and only fired where it "
+        "differs)"
     ),
     "diff-length-ones-margin": (
         "partitions of different lengths r < s with k resp. l unit parts: "
@@ -82,8 +84,9 @@ RULE_STATEMENTS: dict[str, str] = {
         "l - k != (s - r) * (b2 + 1)"
     ),
     "same-length-disconnected": (
-        "disconnected base (b0 > 1): distinct same-length partitions give "
-        "strictly different products of zeroth Betti binomials"
+        "disconnected base (b0 > 1), same-length partitions whose zeroth Betti "
+        "binomial products prod C(n_i + b0 - 1, b0 - 1) differ (they can "
+        "coincide, e.g. (1,5,5) vs (2,2,7) at b0 = 2): the b0 differ strictly"
     ),
     "same-length-first-betti": (
         "connected base with b1 >= 2 * (min of the first differing parts + 1): "
@@ -196,18 +199,21 @@ def _annotate_rules(
     so this is cheap and independent of the series machinery.
     """
     fired: list[FiredRule] = []
+    # zeroth Betti numbers: on a disconnected base the b0 rules claim they differ
+    b0_a = b0_b = 1
+    if s.b0 > 1:
+        b0_a, b0_b = (prod(comb(part + s.b0 - 1, s.b0 - 1) for part in p.parts) for p in (a, b))
+    b0_detail = f"b0 = {s.b0} > 1, zeroth Betti numbers {b0_a} vs {b0_b}"
     if s.structural_class is StructuralClass.K3:
         fired.append(FiredRule("k3-product-rigidity", "base surface is K3"))
     if a.length != b.length:
         short, long_ = (a, b) if a.length < b.length else (b, a)
         r, s_len = short.length, long_.length
-        if short.parts[0] > 1 and long_.parts[0] > 1:
-            fired.append(
-                FiredRule(
-                    "diff-length-min-parts",
-                    f"lengths {r} < {s_len}, all parts > 1",
-                )
-            )
+        if short.parts[0] > 1 and long_.parts[0] > 1 and (s.b0 == 1 or b0_a != b0_b):
+            detail = f"lengths {r} < {s_len}, all parts > 1"
+            if s.b0 > 1:
+                detail += f"; {b0_detail}"
+            fired.append(FiredRule("diff-length-min-parts", detail))
         k, l = _unit_parts(short), _unit_parts(long_)
         margin = (s_len - r) * (s.b2 + 1)
         if k >= l:
@@ -226,10 +232,8 @@ def _annotate_rules(
                 )
             fired.append(FiredRule("diff-length-ones-margin", detail))
     else:
-        if s.b0 > 1:
-            fired.append(
-                FiredRule("same-length-disconnected", f"b0 = {s.b0} > 1")
-            )
+        if b0_a != b0_b:
+            fired.append(FiredRule("same-length-disconnected", b0_detail))
         j = _first_difference(a, b)
         least = min(a.parts[j], b.parts[j])
         if s.b0 == 1 and s.b1 >= 2 * (least + 1):

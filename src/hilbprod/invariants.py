@@ -1,7 +1,7 @@
 """Betti, Hodge and Euler invariants of Hilbert schemes of points and their products.
 
-Everything is read off infinite-product generating functions, truncated
-exactly:
+Everything is read off specializations of Goettsche's infinite product,
+computed exactly by the grow-only tables of ``hilbprod.series``:
 
 * the two-variable Betti product whose coefficient of ``z^k t^n`` is the k-th
   Betti number of the n-point Hilbert scheme of the surface (Goettsche's
@@ -20,19 +20,11 @@ data refuse when h10/h20 are absent instead of inventing values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .errors import DataError, UsageError
-from .partitions import Partition, colored_count, colored_count_tuple
-from .series import (
-    Exponent,
-    TruncatedSeries,
-    binomial_factor,
-    constant_one,
-    indexed_product,
-    mul,
-)
+from .partitions import Partition, colored_count_tuple
+from .series import TruncatedSeries, betti_table, euler_table, hodge_p0_table, hodge_table
 from .surfaces import SurfaceInvariants
 
 __all__ = [
@@ -58,35 +50,6 @@ __all__ = [
 # -- Poincare side -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _poincare_series(
-    b0: int, b1: int, b2: int, truncation: int, z_cap: int | None
-) -> TruncatedSeries:
-    def factor_at(m: int) -> TruncatedSeries:
-        pieces = (
-            (2 * m - 1, 1, b1),
-            (2 * m + 1, 1, b1),
-            (2 * m - 2, -1, -b0),
-            (2 * m, -1, -b2),
-            (2 * m + 2, -1, -b0),
-        )
-        result = None
-        for z_deg, sign, exponent in pieces:
-            if exponent == 0:
-                continue
-            if z_cap is not None and z_deg > z_cap:
-                continue  # only contributes above the cap
-            piece = binomial_factor(
-                Exponent(m, (z_deg,)), sign, exponent, truncation, 1, aux_cap=z_cap
-            )
-            result = piece if result is None else mul(result, piece, aux_cap=z_cap)
-        if result is None:
-            return constant_one(truncation, 1)
-        return result
-
-    return indexed_product(factor_at, truncation, 1, aux_cap=z_cap)
-
-
 def poincare_series(
     s: SurfaceInvariants, truncation: int, *, z_cap: int | None = None
 ) -> TruncatedSeries:
@@ -94,32 +57,27 @@ def poincare_series(
 
     The coefficient of ``z^k t^n`` is the k-th Betti number of the n-point
     Hilbert scheme, for every n up to the truncation order.  ``z_cap``
-    optionally drops all z-degrees above the cap; because every factor has
-    nonnegative exponents this is exact for the surviving coefficients and
-    much cheaper when only low cohomological degrees are needed.
+    optionally drops all z-degrees above the cap from the returned terms;
+    the surviving coefficients are exact.
     """
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
-    return _poincare_series(s.b0, s.b1, s.b2, truncation, z_cap)
+    return betti_table(s.b0, s.b1, s.b2).series(truncation, cap=z_cap)
 
 
 def euler_series(chi: int, truncation: int) -> TruncatedSeries:
     """Euler-characteristic generating series ``prod_m (1 - q^m)^-chi``."""
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
-    return indexed_product(
-        lambda m: binomial_factor(Exponent(m), -1, -chi, truncation, 0),
-        truncation,
-        0,
-    )
+    return euler_table(chi).series(truncation)
 
 
 def betti_from_series(s: SurfaceInvariants, n: int, k: int) -> int:
     """k-th Betti number of the n-point Hilbert scheme, from the product."""
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    cap = k if k <= 2 else None
-    return poincare_series(s, n, z_cap=cap).coeff(Exponent(n, (k,)))
+    row = betti_table(s.b0, s.b1, s.b2).rows_upto(n)[n][0]
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def betti_closed(s: SurfaceInvariants, n: int, k: int) -> int | None:
@@ -182,18 +140,8 @@ def _poly_mul(u: list[int], v: list[int]) -> list[int]:
     return out
 
 
-def _betti_vectors(s: SurfaceInvariants, n_max: int) -> dict[int, list[int]]:
-    """Betti vector of the n-point Hilbert scheme for each n <= n_max."""
-    series = poincare_series(s, n_max)
-    vectors = {n: [0] * (4 * n + 1) for n in range(1, n_max + 1)}
-    for exp, coeff in series.terms():
-        n = exp.t_deg
-        if n == 0:
-            continue
-        k = exp.aux_degs[0]
-        if k <= 4 * n:
-            vectors[n][k] = coeff
-    return vectors
+def _padded(row: list[int], width: int) -> list[int]:
+    return row if len(row) == width else (row + [0] * width)[:width]
 
 
 def poincare_polynomial(s: SurfaceInvariants, n: int) -> PoincarePolynomial:
@@ -211,25 +159,21 @@ def poincare_polynomial_tuple(
         raise UsageError(
             f"largest part {max(a.parts)} exceeds the guard {max_part_guard}"
         )
-    vectors = _betti_vectors(s, max(a.parts))
+    rows = betti_table(s.b0, s.b1, s.b2).rows_upto(max(a.parts))
     product = [1]
     for part in a.parts:
-        product = _poly_mul(product, vectors[part])
+        product = _poly_mul(product, _padded(rows[part][0], 4 * part + 1))
     return PoincarePolynomial(tuple(product))
 
 
 # -- Hodge side ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def hodge_p0_series(h10: int, h20: int, truncation: int) -> TruncatedSeries:
     """Series whose coefficient of ``x^p t^n`` is ``h^{p,0}`` of the n-point scheme."""
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
-    series = binomial_factor(Exponent(1, (1,)), 1, h10, truncation, 1)
-    series = mul(series, binomial_factor(Exponent(1, (0,)), -1, -1, truncation, 1))
-    series = mul(series, binomial_factor(Exponent(1, (2,)), -1, -h20, truncation, 1))
-    return series
+    return hodge_p0_table(h10, h20).series(truncation)
 
 
 def _require_hodge_data(s: SurfaceInvariants) -> tuple[int, int]:
@@ -253,12 +197,11 @@ def hodge_p0(s: SurfaceInvariants, n: int, p: int) -> int:
         raise UsageError(f"n must be >= 1, got {n}")
     if not 0 <= p <= 2 * n:
         raise UsageError(f"p must be in 0..{2 * n}, got {p}")
-    return hodge_p0_series(h10, h20, n).coeff(Exponent(n, (p,)))
+    return _hodge_vector(h10, h20, n)[p]
 
 
 def _hodge_vector(h10: int, h20: int, n: int) -> list[int]:
-    series = hodge_p0_series(h10, h20, n)
-    return [series.coeff(Exponent(n, (p,))) for p in range(2 * n + 1)]
+    return hodge_p0_table(h10, h20).rows_upto(n)[n][0]
 
 
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
@@ -366,10 +309,11 @@ def surface_diamond(s: SurfaceInvariants) -> HodgeDiamond:
 def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
     """Full Hodge diamond of the n-point Hilbert scheme from the surface diamond.
 
-    Expands the two-variable infinite product whose ``t^n`` coefficient is the
-    Hodge polynomial of the n-point scheme: for each k >= 1 and each (p, q),
-    a factor ``(1 + x^{p+k-1} y^{q+k-1} t^k)^{h^{p,q}}`` when p+q is odd and
-    ``(1 - x^{p+k-1} y^{q+k-1} t^k)^{-h^{p,q}}`` when p+q is even.
+    Reads row n of the two-variable infinite product whose ``t^n``
+    coefficient is the Hodge polynomial of the n-point scheme: for each
+    k >= 1 and each (p, q), a factor ``(1 + x^{p+k-1} y^{q+k-1} t^k)^{h^{p,q}}``
+    when p+q is odd and ``(1 - x^{p+k-1} y^{q+k-1} t^k)^{-h^{p,q}}`` when p+q
+    is even.
     """
     if d.size != 2:
         raise DataError(f"expected a surface diamond (size 2), got size {d.size}")
@@ -380,28 +324,7 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
 
-    def factor_at(k: int) -> TruncatedSeries:
-        result = None
-        for p in range(3):
-            for q in range(3):
-                hpq = d.h(p, q)
-                if hpq == 0:
-                    continue
-                monomial = Exponent(k, (p + k - 1, q + k - 1))
-                if (p + q) % 2 == 1:
-                    piece = binomial_factor(monomial, 1, hpq, n, 2)
-                else:
-                    piece = binomial_factor(monomial, -1, -hpq, n, 2)
-                result = piece if result is None else mul(result, piece)
-        assert result is not None  # h[0,0] = 1 guarantees at least one factor
-        return result
-
-    series = indexed_product(factor_at, n, 2)
-    entries: dict[tuple[int, int], int] = {}
-    for exp, coeff in series.terms():
-        if exp.t_deg == n:
-            x_deg, y_deg = exp.aux_degs
-            entries[(x_deg, y_deg)] = coeff
+    entries = hodge_table(tuple(d.entries())).terms(n)
     return HodgeDiamond(2 * n, entries)
 
 
@@ -412,9 +335,3 @@ def euler_char_tuple(s: SurfaceInvariants, a: Partition) -> int:
     """Euler characteristic of the product: chi-coloured partition counts."""
     return colored_count_tuple(s.chi, a)
 
-
-def euler_char(s: SurfaceInvariants, n: int) -> int:
-    """Euler characteristic of the n-point Hilbert scheme."""
-    if n < 0:
-        raise UsageError(f"n must be nonnegative, got {n}")
-    return colored_count(s.chi, n)

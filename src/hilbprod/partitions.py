@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import UsageError
-from .series import Exponent, binomial_factor, indexed_product
+from .series import euler_rows
 
 __all__ = [
     "Partition",
@@ -177,34 +177,17 @@ def majorizes(b: Partition, a: Partition) -> Majorization:
 
 # -- k-coloured partition counts ---------------------------------------------
 
-# table cache per colour count k: list of coefficients up to the largest
-# truncation requested so far.  Population is idempotent, so concurrent
-# readers under the GIL are safe.
-_COLOR_TABLES: dict[int, list[int]] = {}
-
-
-def _colored_table(k: int, n_max: int) -> list[int]:
-    table = _COLOR_TABLES.get(k)
-    if table is None or len(table) <= n_max:
-        series = indexed_product(
-            lambda m: binomial_factor(Exponent(m), -1, -k, n_max, 0),
-            n_max,
-            0,
-        )
-        table = [series.coeff(Exponent(i)) for i in range(n_max + 1)]
-        _COLOR_TABLES[k] = table
-    return table
-
 
 def colored_count(k: int, n: int) -> int:
     """Coefficient of q^n in ``prod_m (1 - q^m)^-k``, exact.
 
     For k >= 1 this counts the k-coloured partitions of n; k <= 0 is defined
-    by the same series and may give zero or negative values.
+    by the same series and may give zero or negative values.  Read from the
+    grow-only Euler table of ``hilbprod.series``.
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")
-    return _colored_table(k, n)[n]
+    return euler_rows(k, n)[n][0][0]
 
 
 def colored_count_tuple(k: int, a: Partition) -> int:

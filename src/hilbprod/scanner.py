@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -354,9 +355,15 @@ def _dispatch_bucket(task: tuple) -> tuple[int, list[Violation]]:
     return _BUCKET_WORKERS[task[0]](task)
 
 
+def _clamp_workers(request: int, tasks: list[tuple]) -> int:
+    """Worker processes worth starting: never more than tasks or CPUs."""
+    return min(request, len(tasks), os.cpu_count() or 1)
+
+
 def _run_buckets(
     tasks: list[tuple], workers: int
 ) -> tuple[int, list[Violation]]:
+    workers = _clamp_workers(workers, tasks)
     if workers <= 1:
         results = [_dispatch_bucket(task) for task in tasks]
     else:

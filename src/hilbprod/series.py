@@ -1,19 +1,31 @@
-"""Exact truncated power series over Python integers.
+"""Exact truncated power series and Goettsche's product over Python integers.
 
-A series lives in Z[[t]] truncated at a fixed order in t, optionally with one
-auxiliary variable (z, tracking cohomological degree) or two (x and y,
-tracking Hodge bidegree).  Auxiliary degrees are not truncated: every factor
-we ever expand couples its auxiliary degree to its t-degree, so only finitely
-many terms survive the t-truncation.
+A ``TruncatedSeries`` lives in Z[[t]] truncated at a fixed order in t,
+optionally with one auxiliary variable (z, tracking cohomological degree) or
+two (x and y, tracking Hodge bidegree).  Auxiliary degrees are not truncated:
+every series here couples its auxiliary degree to its t-degree, so only
+finitely many terms survive the t-truncation.
+
+Every generating function of the package specializes Goettsche's product
+``F = prod_{m >= 1} prod_j (1 + sign_j u^{slope_j m + offset_j} t^m)^{e_j}``,
+with u = z (Betti), nothing (Euler) or (x, y) (Hodge diamond).  Its rows
+``F_n``, polynomials in u held as dense lists of ints, follow from the
+log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
+``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r u^{r (slope m + offset)}``: G is
+sparse and the division by n is exact.  The ``h^{p,0}`` series (y = 0) is a
+running sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
+(b0, b1, b2), chi, (h10, h20) and diamond: a table at N answers every n <= N,
+and a larger request extends it from its last row.
 
 Coefficients are arbitrary-precision signed integers; there is no floating
 point anywhere.  Series are immutable and canonical (no zero coefficients, no
 terms beyond the truncation order), so equality is plain structural equality
-and values can be shared freely across threads.
+and values, like table rows, can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import threading
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
@@ -22,9 +34,12 @@ __all__ = [
     "TruncatedSeries",
     "constant_one",
     "mul",
-    "binomial_factor",
-    "indexed_product",
-    "aux_variable_names",
+    "GrowOnlyTable",
+    "betti_table",
+    "euler_table",
+    "euler_rows",
+    "hodge_p0_table",
+    "hodge_table",
 ]
 
 
@@ -36,11 +51,6 @@ class Exponent(NamedTuple):
 
 
 _AUX_NAMES = {0: (), 1: ("z",), 2: ("x", "y")}
-
-
-def aux_variable_names(aux_count: int) -> tuple[str, ...]:
-    """Variable names used in the dump format for a given auxiliary count."""
-    return _AUX_NAMES[aux_count]
 
 
 class TruncatedSeries:
@@ -78,6 +88,17 @@ class TruncatedSeries:
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "aux_count", aux_count)
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def _canonical(
+        cls, truncation: int, aux_count: int, terms: dict[tuple[int, tuple[int, ...]], int]
+    ) -> "TruncatedSeries":
+        """Wrap a term map that is already canonical, without re-checking it."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "truncation", truncation)
+        object.__setattr__(series, "aux_count", aux_count)
+        object.__setattr__(series, "_terms", terms)
+        return series
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedSeries is immutable")
@@ -163,19 +184,8 @@ def constant_one(truncation: int, aux_count: int) -> TruncatedSeries:
     return TruncatedSeries(truncation, aux_count, {zero: 1})
 
 
-def mul(
-    a: TruncatedSeries,
-    b: TruncatedSeries,
-    *,
-    aux_cap: int | None = None,
-) -> TruncatedSeries:
-    """Convolution product; terms beyond the t-truncation are discarded.
-
-    ``aux_cap`` additionally discards product terms whose total auxiliary
-    degree exceeds the cap.  All expanded factors have nonnegative exponents,
-    so degrees only add and the cap is exact for coefficients of auxiliary
-    degree <= cap.
-    """
+def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Convolution product; terms beyond the t-truncation are discarded."""
     if a.truncation != b.truncation:
         raise ValueError(
             f"truncation mismatch: {a.truncation} vs {b.truncation}"
@@ -191,10 +201,7 @@ def mul(
             t_deg = t1 + t2
             if t_deg > trunc:
                 continue
-            aux = tuple(x + y for x, y in zip(aux1, aux2))
-            if aux_cap is not None and sum(aux) > aux_cap:
-                continue
-            key = (t_deg, aux)
+            key = (t_deg, tuple(x + y for x, y in zip(aux1, aux2)))
             c = out.get(key, 0) + c1 * c2
             if c:
                 out[key] = c
@@ -203,83 +210,156 @@ def mul(
     return TruncatedSeries(trunc, a.aux_count, out)
 
 
-def binomial_factor(
-    monomial: Exponent,
-    sign: int,
-    exponent: int,
-    truncation: int,
-    aux_count: int,
-    *,
-    aux_cap: int | None = None,
-) -> TruncatedSeries:
-    """Expansion of ``(1 + sign * M)^exponent`` for a monomial ``M``.
+# -- grow-only tables ------------------------------------------------------
 
-    ``M`` must have t-degree >= 1 so that only finitely many powers survive
-    the truncation.  Negative exponents use the generalized binomial series:
-    ``(1 - M)^-e = sum_j C(e+j-1, j) M^j``.
+_GROW_LOCK = threading.Lock()
+Row = list[list[int]]
+
+
+class GrowOnlyTable:
+    """Rows ``F_0, F_1, ...`` of a series in t, appended on demand and never changed.
+
+    Row n is a small 2-D list of ints, ``row[i][j]`` the coefficient of
+    ``x^i y^j``.  A series in one variable keeps it in the last slot
+    (``row[0][j]``), one in none has the single entry ``row[0][0]``.
+    ``next_row(rows, n)`` computes row n from rows 0..n-1.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if monomial.t_deg < 1:
-        raise ValueError(
-            "monomial must have t-degree >= 1 (otherwise the expansion does "
-            "not terminate under truncation)"
-        )
-    if len(monomial.aux_degs) != aux_count:
-        raise ValueError("monomial auxiliary degrees do not match aux_count")
 
-    j_max = truncation // monomial.t_deg
-    if aux_cap is not None:
-        total_aux = sum(monomial.aux_degs)
-        if total_aux > 0:
-            j_max = min(j_max, aux_cap // total_aux)
-    if exponent >= 0:
-        j_max = min(j_max, exponent)
+    def __init__(self, aux_count: int, next_row: Callable[[list[Row], int], Row]) -> None:
+        self.aux_count = aux_count
+        self.rows: list[Row] = [[[1]]]
+        self._next_row = next_row
 
-    terms: dict[tuple[int, tuple[int, ...]], int] = {}
-    for j in range(j_max + 1):
-        if exponent >= 0:
-            c = comb(exponent, j) * sign**j
-        else:
-            c = comb(-exponent + j - 1, j) * (-sign) ** j
-        if c == 0:
-            continue
-        key = (
-            j * monomial.t_deg,
-            tuple(j * d for d in monomial.aux_degs),
-        )
-        terms[key] = c
-    return TruncatedSeries(truncation, aux_count, terms)
+    def rows_upto(self, n: int) -> list[Row]:
+        """The row list, grown so that it holds rows 0..n (callers only read it)."""
+        rows = self.rows
+        if len(rows) <= n:
+            with _GROW_LOCK:
+                while len(rows) <= n:
+                    rows.append(self._next_row(rows, len(rows)))
+        return rows
+
+    def terms(self, n: int) -> dict[tuple[int, ...], int]:
+        """Nonzero coefficients of row n keyed by their auxiliary degrees."""
+        return {
+            (i, j)[2 - self.aux_count:]: c
+            for i, line in enumerate(self.rows_upto(n)[n])
+            for j, c in enumerate(line)
+            if c
+        }
+
+    def series(self, truncation: int, *, cap: int | None = None) -> TruncatedSeries:
+        """Rows 0..truncation as a series; ``cap`` drops total auxiliary degrees above it."""
+        out: dict[tuple[int, tuple[int, ...]], int] = {}
+        for n in range(truncation + 1):
+            for degs, c in self.terms(n).items():
+                if cap is None or sum(degs) <= cap:
+                    out[(n, degs)] = c
+        return TruncatedSeries._canonical(truncation, self.aux_count, out)
 
 
-def indexed_product(
-    factor_at: Callable[[int], TruncatedSeries],
-    truncation: int,
-    aux_count: int,
-    *,
-    aux_cap: int | None = None,
-) -> TruncatedSeries:
-    """Truncated product of ``factor_at(m)`` over ``m = 1..truncation``.
+def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, int]]]):
+    """``next_row`` of ``prod_m prod_j (1 + sign_j u^{slope_j m + offset_j} t^m)^{e_j}``.
 
-    Each factor must be normalized (constant term 1) and contribute nothing
-    below t-degree ``m`` beyond that constant, so factors with m beyond the
-    truncation order are identically 1 modulo the truncation and can be
-    skipped.
+    Each factor is ``(sign, e, slope, offset)`` with sign in {+1, -1} and
+    slope, offset pairs of (x, y)-degrees (leading zeros for fewer
+    variables); every u-degree must be nonnegative.
     """
-    result = constant_one(truncation, aux_count)
-    zero = Exponent(0, (0,) * aux_count)
-    for m in range(1, truncation + 1):
-        factor = factor_at(m)
-        if factor.truncation != truncation or factor.aux_count != aux_count:
-            raise ValueError(f"factor at index {m} has a mismatched series context")
-        if factor.coeff(zero) != 1:
-            raise ValueError(
-                f"factor at index {m} is not normalized (constant term != 1)"
-            )
-        for exp, _ in factor.terms():
-            if 0 < exp.t_deg < m:
-                raise ValueError(
-                    f"factor at index {m} has a term of t-degree {exp.t_deg} < {m}"
-                )
-        result = mul(result, factor, aux_cap=aux_cap)
-    return result
+    factors = [f for f in factors if f[1]]
+    # the (x, y)-degrees of row n are at most bound * n
+    bx, by = (max((f[2][i] + max(f[3][i], 0) for f in factors), default=0) for i in (0, 1))
+    g: list[list[tuple[int, int, int]]] = [[]]  # G_k as (x-degree, y-degree, coefficient)
+
+    def log_derivative(k: int) -> list[tuple[int, int, int]]:
+        terms: dict[tuple[int, int], int] = {}
+        for m in range(1, k + 1):
+            if k % m == 0:
+                r = k // m
+                for sign, e, slope, offset in factors:
+                    degs = (slope[0] * k + offset[0] * r, slope[1] * k + offset[1] * r)
+                    c = -m * e if sign < 0 or r % 2 == 0 else m * e
+                    terms[degs] = terms.get(degs, 0) + c
+        return [(dx, dy, c) for (dx, dy), c in sorted(terms.items()) if c]
+
+    def next_row(rows: list[Row], n: int) -> Row:
+        while len(g) <= n:
+            g.append(log_derivative(len(g)))
+        acc = [[0] * (by * n + 1) for _ in range(bx * n + 1)]
+        for k in range(1, n + 1):
+            prev = rows[n - k]
+            width = len(prev[0])
+            for dx, dy, c in g[k]:
+                end = dy + width
+                for line, target in zip(prev, acc[dx:]):
+                    target[dy:end] = [a + c * v for a, v in zip(target[dy:end], line)]
+        return [[v // n for v in line] for line in acc]
+
+    return next_row
+
+
+def _hodge_p0_rows(h10: int, h20: int):
+    """``next_row`` of ``(1-t)^-1 (1+xt)^h10 (1-x^2 t)^-h20``, the y = 0 Hodge product.
+
+    Row n adds to row n - 1 the t^n coefficient of the last two factors,
+    ``sum_i C(h10, n - i) C(h20 + i - 1, i) x^{n + i}`` (at most h10 + 1 terms).
+    """
+
+    def next_row(rows: list[Row], n: int) -> Row:
+        line = rows[n - 1][0] + [0, 0]
+        for i in range(max(0, n - h10), n + 1):
+            line[n + i] += comb(h10, n - i) * (comb(h20 + i - 1, i) if i else 1)
+        return [line]
+
+    return next_row
+
+
+_BETTI_TABLES: dict[tuple[int, int, int], GrowOnlyTable] = {}
+_EULER_TABLES: dict[int, GrowOnlyTable] = {}
+_HODGE_P0_TABLES: dict[tuple[int, int], GrowOnlyTable] = {}
+_HODGE_TABLES: dict[tuple[tuple[int, int, int], ...], GrowOnlyTable] = {}
+
+
+def _table(registry: dict, key, aux_count: int, make_next_row) -> GrowOnlyTable:
+    table = registry.get(key)
+    if table is None:
+        table = registry.setdefault(key, GrowOnlyTable(aux_count, make_next_row()))
+    return table
+
+
+def betti_table(b0: int, b1: int, b2: int) -> GrowOnlyTable:
+    """Rows in z of Goettsche's Betti product for Betti numbers b0, b1, b2.
+
+    Factor m is ``(1 + z^{2m-1} t^m)^b1 (1 + z^{2m+1} t^m)^b1
+    (1 - z^{2m-2} t^m)^-b0 (1 - z^{2m} t^m)^-b2 (1 - z^{2m+2} t^m)^-b0``.
+    """
+    return _table(_BETTI_TABLES, (b0, b1, b2), 1, lambda: _goettsche_rows(
+        [(1, b1, (0, 2), (0, -1)), (1, b1, (0, 2), (0, 1))]
+        + [(-1, -b, (0, 2), (0, o)) for b, o in ((b0, -2), (b2, 0), (b0, 2))]
+    ))
+
+
+def euler_table(chi: int) -> GrowOnlyTable:
+    """Rows (one coefficient each) of ``prod_m (1 - t^m)^-chi``."""
+    return _table(_EULER_TABLES, chi, 0, lambda: _goettsche_rows([(-1, -chi, (0, 0), (0, 0))]))
+
+
+def euler_rows(chi: int, n: int) -> list[Row]:
+    """Rows 0..n (at least) of the Euler table: the fast path of ``colored_count``."""
+    table = _EULER_TABLES.get(chi) or euler_table(chi)
+    return table.rows if len(table.rows) > n else table.rows_upto(n)
+
+
+def hodge_p0_table(h10: int, h20: int) -> GrowOnlyTable:
+    """Rows in x of the ``h^{p,0}`` series of a connected surface."""
+    return _table(_HODGE_P0_TABLES, (h10, h20), 1, lambda: _hodge_p0_rows(h10, h20))
+
+
+def hodge_table(diamond: tuple[tuple[int, int, int], ...]) -> GrowOnlyTable:
+    """Rows in (x, y) of Goettsche's Hodge product for ``(p, q, h^{p,q})`` entries.
+
+    Factor m is ``(1 - (-1)^{p+q} x^{p+m-1} y^{q+m-1} t^m)^{-(-1)^{p+q} h^{p,q}}``.
+    """
+    return _table(_HODGE_TABLES, diamond, 2, lambda: _goettsche_rows([
+        (1, h, (1, 1), (p - 1, q - 1)) if (p + q) % 2 else (-1, -h, (1, 1), (p - 1, q - 1))
+        for p, q, h in diamond
+    ]))

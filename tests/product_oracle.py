@@ -1,0 +1,188 @@
+"""Test-only oracle: Goettsche's products expanded factor by factor.
+
+This is the direct expansion the engine used before its log-derivative
+kernel: every factor ``(1 + sign * M)^e`` is expanded by the (generalized)
+binomial theorem and the factors are multiplied one at a time as
+``TruncatedSeries``.  It shares no code with ``hilbprod.series`` beyond the
+series container, so agreement at small truncation is an independent check
+of the kernel.
+"""
+
+from __future__ import annotations
+
+from math import comb
+from typing import Callable
+
+from hilbprod.series import Exponent, TruncatedSeries, constant_one
+
+
+def _term_map(s: TruncatedSeries) -> dict[tuple[int, tuple[int, ...]], int]:
+    return {(e.t_deg, e.aux_degs): c for e, c in s.terms()}
+
+
+def mul(
+    a: TruncatedSeries,
+    b: TruncatedSeries,
+    *,
+    aux_cap: int | None = None,
+) -> TruncatedSeries:
+    """Convolution product; terms beyond the t-truncation are discarded.
+
+    ``aux_cap`` additionally discards product terms whose total auxiliary
+    degree exceeds the cap.  All expanded factors have nonnegative exponents,
+    so degrees only add and the cap is exact for coefficients of auxiliary
+    degree <= cap.
+    """
+    if a.truncation != b.truncation:
+        raise ValueError(f"truncation mismatch: {a.truncation} vs {b.truncation}")
+    if a.aux_count != b.aux_count:
+        raise ValueError(f"aux_count mismatch: {a.aux_count} vs {b.aux_count}")
+    trunc = a.truncation
+    out: dict[tuple[int, tuple[int, ...]], int] = {}
+    for (t1, aux1), c1 in _term_map(a).items():
+        for (t2, aux2), c2 in _term_map(b).items():
+            t_deg = t1 + t2
+            if t_deg > trunc:
+                continue
+            aux = tuple(x + y for x, y in zip(aux1, aux2))
+            if aux_cap is not None and sum(aux) > aux_cap:
+                continue
+            out[(t_deg, aux)] = out.get((t_deg, aux), 0) + c1 * c2
+    return TruncatedSeries(trunc, a.aux_count, out)
+
+
+def binomial_factor(
+    monomial: Exponent,
+    sign: int,
+    exponent: int,
+    truncation: int,
+    aux_count: int,
+    *,
+    aux_cap: int | None = None,
+) -> TruncatedSeries:
+    """Expansion of ``(1 + sign * M)^exponent`` for a monomial ``M``.
+
+    ``M`` must have t-degree >= 1 so that only finitely many powers survive
+    the truncation.  Negative exponents use the generalized binomial series:
+    ``(1 - M)^-e = sum_j C(e+j-1, j) M^j``.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if monomial.t_deg < 1:
+        raise ValueError(
+            "monomial must have t-degree >= 1 (otherwise the expansion does "
+            "not terminate under truncation)"
+        )
+    if len(monomial.aux_degs) != aux_count:
+        raise ValueError("monomial auxiliary degrees do not match aux_count")
+
+    j_max = truncation // monomial.t_deg
+    if aux_cap is not None:
+        total_aux = sum(monomial.aux_degs)
+        if total_aux > 0:
+            j_max = min(j_max, aux_cap // total_aux)
+    if exponent >= 0:
+        j_max = min(j_max, exponent)
+
+    terms: dict[tuple[int, tuple[int, ...]], int] = {}
+    for j in range(j_max + 1):
+        if exponent >= 0:
+            c = comb(exponent, j) * sign**j
+        else:
+            c = comb(-exponent + j - 1, j) * (-sign) ** j
+        key = (j * monomial.t_deg, tuple(j * d for d in monomial.aux_degs))
+        terms[key] = c
+    return TruncatedSeries(truncation, aux_count, terms)
+
+
+def indexed_product(
+    factor_at: Callable[[int], TruncatedSeries],
+    truncation: int,
+    aux_count: int,
+    *,
+    aux_cap: int | None = None,
+) -> TruncatedSeries:
+    """Truncated product of ``factor_at(m)`` over ``m = 1..truncation``.
+
+    Each factor must be normalized (constant term 1) and contribute nothing
+    below t-degree ``m`` beyond that constant.
+    """
+    result = constant_one(truncation, aux_count)
+    zero = Exponent(0, (0,) * aux_count)
+    for m in range(1, truncation + 1):
+        factor = factor_at(m)
+        if factor.truncation != truncation or factor.aux_count != aux_count:
+            raise ValueError(f"factor at index {m} has a mismatched series context")
+        if factor.coeff(zero) != 1:
+            raise ValueError(
+                f"factor at index {m} is not normalized (constant term != 1)"
+            )
+        for exp, _ in factor.terms():
+            if 0 < exp.t_deg < m:
+                raise ValueError(
+                    f"factor at index {m} has a term of t-degree {exp.t_deg} < {m}"
+                )
+        result = mul(result, factor, aux_cap=aux_cap)
+    return result
+
+
+# -- the package's generating functions, expanded directly -----------------------
+
+
+def poincare_product(
+    b0: int, b1: int, b2: int, truncation: int, z_cap: int | None = None
+) -> TruncatedSeries:
+    """Goettsche's Betti product in z and t."""
+
+    def factor_at(m: int) -> TruncatedSeries:
+        result = constant_one(truncation, 1)
+        pieces = (
+            (2 * m - 1, 1, b1),
+            (2 * m + 1, 1, b1),
+            (2 * m - 2, -1, -b0),
+            (2 * m, -1, -b2),
+            (2 * m + 2, -1, -b0),
+        )
+        for z_deg, sign, exponent in pieces:
+            piece = binomial_factor(
+                Exponent(m, (z_deg,)), sign, exponent, truncation, 1, aux_cap=z_cap
+            )
+            result = mul(result, piece, aux_cap=z_cap)
+        return result
+
+    return indexed_product(factor_at, truncation, 1, aux_cap=z_cap)
+
+
+def euler_product(chi: int, truncation: int) -> TruncatedSeries:
+    """``prod_m (1 - t^m)^-chi``."""
+    return indexed_product(
+        lambda m: binomial_factor(Exponent(m), -1, -chi, truncation, 0),
+        truncation,
+        0,
+    )
+
+
+def hodge_p0_product(h10: int, h20: int, truncation: int) -> TruncatedSeries:
+    """``(1+xt)^h10 (1-t)^-1 (1-x^2 t)^-h20`` in x and t."""
+    series = binomial_factor(Exponent(1, (1,)), 1, h10, truncation, 1)
+    series = mul(series, binomial_factor(Exponent(1, (0,)), -1, -1, truncation, 1))
+    return mul(series, binomial_factor(Exponent(1, (2,)), -1, -h20, truncation, 1))
+
+
+def hodge_product(
+    diamond: list[tuple[int, int, int]], truncation: int
+) -> TruncatedSeries:
+    """Goettsche's Hodge product in x, y and t for ``(p, q, h^{p,q})`` entries."""
+
+    def factor_at(k: int) -> TruncatedSeries:
+        result = constant_one(truncation, 2)
+        for p, q, hpq in diamond:
+            monomial = Exponent(k, (p + k - 1, q + k - 1))
+            if (p + q) % 2 == 1:
+                piece = binomial_factor(monomial, 1, hpq, truncation, 2)
+            else:
+                piece = binomial_factor(monomial, -1, -hpq, truncation, 2)
+            result = mul(result, piece)
+        return result
+
+    return indexed_product(factor_at, truncation, 2)

@@ -309,6 +309,33 @@ def test_installed_console_script():
     assert version.stdout.strip() == hilbprod.__version__
 
 
+def test_broken_pipe_exits_quietly():
+    """A reader that closes the pipe early (as ``| head -1`` does) gets no
+    traceback.  Structured output (about 850 kB) overflows the pipe buffer,
+    so the child is still writing when the pipe closes."""
+    import hilbprod
+
+    source_root = str(Path(hilbprod.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hilbprod", "scan", "--kind", "lemma-diff-length",
+         "--n-max", "12", "--output-format", "structured"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline().strip() == b"{"
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    child.stderr.close()
+    code = child.wait(timeout=120)
+    assert "Traceback" not in stderr, stderr
+    assert code == 1
+
+
 def test_custom_catalog_flag(tmp_path, capsys):
     catalog = {
         "version": 1,

@@ -301,3 +301,46 @@ def test_aut_shape_factor_invariants():
             values = [v for v, _ in shape.factors]
             assert values == sorted(set(values))
             assert sum(v * m for v, m in shape.factors) == n
+
+
+def test_b0_rules_fire_only_where_zeroth_betti_numbers_differ():
+    # both b0 rules claim that the products' zeroth Betti numbers
+    # prod C(part + b0 - 1, b0 - 1) differ on a disconnected base; these
+    # pairs collide, so neither rule may fire on them
+    collisions = {
+        2: {((1, 5, 5), (2, 2, 7)), ((5, 6, 8), (2, 2, 2, 13))},
+        3: {((1, 4, 7), (2, 2, 8))},
+        4: {((1, 3, 3, 4), (2, 2, 2, 5))},
+    }
+    for b0, expected in collisions.items():
+        s = SurfaceInvariants(f"{b0}_copies", b0, 0, 2 * b0, 4 * b0)
+
+        def zeroth(p: Partition) -> int:
+            return prod(comb(part + b0 - 1, b0 - 1) for part in p.parts)
+
+        seen = set()
+        for n in range(2, 20):
+            partitions = enumerate_partitions(n)
+            pairs = [
+                (a, b)
+                for a, b in itertools.combinations(partitions, 2)
+                if (a.length == b.length and n <= 12)
+                or (a.length != b.length and a.parts[0] > 1 and b.parts[0] > 1)
+            ]
+            for a, b in pairs:
+                fired = {r.rule_id for r in decision._annotate_rules(s, a, b)}
+                rule = (
+                    "same-length-disconnected"
+                    if a.length == b.length
+                    else "diff-length-min-parts"
+                )
+                differ = zeroth(a) != zeroth(b)
+                assert (rule in fired) == differ, (b0, a, b)
+                if not differ:
+                    seen.add((a.parts, b.parts))
+                    seen.add((b.parts, a.parts))
+        assert expected <= seen
+        for a, b in expected:
+            pa = poincare_polynomial_tuple(s, Partition(a))
+            pb = poincare_polynomial_tuple(s, Partition(b))
+            assert pa.betti(0) == pb.betti(0) == zeroth(Partition(a))

@@ -1,0 +1,154 @@
+"""The log-derivative Goettsche kernel: oracle equality, specializations, growth."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import hilbprod.series as series
+from hilbprod.invariants import (
+    euler_series,
+    hodge_p0,
+    hodge_p0_series,
+    hodge_polynomial_full,
+    poincare_series,
+    surface_diamond,
+)
+from hilbprod.partitions import colored_count
+from hilbprod.series import Exponent
+from hilbprod.surfaces import SurfaceInvariants, load_catalog
+from product_oracle import (
+    euler_product,
+    hodge_p0_product,
+    hodge_product,
+    poincare_product,
+)
+
+CATALOG = load_catalog().representatives()
+HODGE_SURFACES = [s for s in CATALOG if s.h10 is not None and s.h20 is not None]
+
+
+def synthetic(b0: int, b1: int, b2: int) -> SurfaceInvariants:
+    return SurfaceInvariants(f"synthetic({b0},{b1},{b2})", b0, b1, b2, 0)
+
+
+def fresh_tables(monkeypatch) -> list[dict]:
+    """Empty table registries, so that every table grows from row 0 again."""
+    registries = []
+    for name in ("_BETTI_TABLES", "_EULER_TABLES", "_HODGE_P0_TABLES", "_HODGE_TABLES"):
+        registries.append({})
+        monkeypatch.setattr(series, name, registries[-1])
+    return registries
+
+
+def all_rows(registries: list[dict]) -> list[dict]:
+    return [{key: t.rows for key, t in registry.items()} for registry in registries]
+
+
+# -- kernel against the direct expansion ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "b0, b1, b2",
+    [(1, 0, 22), (1, 4, 6), (1, 2, 2), (1, 0, 0), (2, 0, 4), (3, 2, 5), (4, 1, 0)],
+)
+def test_betti_kernel_matches_oracle(b0, b1, b2):
+    s = synthetic(b0, b1, b2)
+    assert poincare_series(s, 6) == poincare_product(b0, b1, b2, 6)
+    for cap in (0, 2, 5):
+        assert poincare_series(s, 6, z_cap=cap) == poincare_product(b0, b1, b2, 6, cap)
+
+
+@pytest.mark.parametrize("chi", [-6, -4, -1, 0, 1, 2, 3, 12, 24])
+def test_euler_kernel_matches_oracle(chi):
+    assert euler_series(chi, 14) == euler_product(chi, 14)
+
+
+@pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
+def test_hodge_kernel_matches_oracle(s):
+    diamond = surface_diamond(s)
+    product = hodge_product(diamond.entries(), 4)
+    for n in range(1, 5):
+        expected = {
+            tuple(e.aux_degs): c for e, c in product.terms() if e.t_deg == n
+        }
+        got = hodge_polynomial_full(diamond, n)
+        assert {(p, q): v for p, q, v in got.entries()} == expected
+
+
+@pytest.mark.parametrize("h10, h20", [(0, 0), (0, 1), (1, 0), (2, 1), (4, 6)])
+def test_hodge_p0_table_matches_oracle(h10, h20):
+    assert hodge_p0_series(h10, h20, 9) == hodge_p0_product(h10, h20, 9)
+
+
+# -- specialization identities ---------------------------------------------------
+
+
+@pytest.mark.parametrize("s", CATALOG, ids=lambda s: s.name)
+def test_betti_rows_at_z_minus_one_are_coloured_counts(s):
+    betti = poincare_series(s, 30)
+    rows: dict[int, int] = {}
+    for e, c in betti.terms():
+        rows[e.t_deg] = rows.get(e.t_deg, 0) + (-1) ** e.aux_degs[0] * c
+    for n in range(31):
+        assert rows.get(n, 0) == colored_count(s.chi, n), (s.name, n)
+
+
+@pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
+def test_hodge_diamond_at_y_zero_is_hodge_p0(s):
+    diamond = surface_diamond(s)
+    for n in range(1, 9):
+        full = hodge_polynomial_full(diamond, n)
+        assert [full.h(p, 0) for p in range(2 * n + 1)] == [
+            hodge_p0(s, n, p) for p in range(2 * n + 1)
+        ]
+
+
+# -- grow-only tables ------------------------------------------------------------
+
+
+def _outputs(order, s, diamond):
+    out = {}
+    for n in order:
+        out[n] = (
+            poincare_series(s, n),
+            euler_series(s.chi, n),
+            colored_count(s.chi, n),
+            hodge_p0_series(s.h10, s.h20, n),
+            hodge_polynomial_full(diamond, n).entries(),
+            poincare_series(s, n, z_cap=3),
+        )
+    return out
+
+
+def test_shuffled_truncations_match_one_ascending_build(monkeypatch):
+    s = next(s for s in CATALOG if s.name == "abelian")
+    diamond = surface_diamond(s)
+    order = list(range(1, 13))
+    random.Random(5).shuffle(order)
+    registries = fresh_tables(monkeypatch)
+    shuffled = _outputs(order, s, diamond)
+    shuffled_rows = all_rows(registries)
+    registries = fresh_tables(monkeypatch)
+    ascending = _outputs(range(1, 13), s, diamond)
+    assert shuffled == ascending
+    assert all_rows(registries) == shuffled_rows
+
+
+def test_tables_only_grow(monkeypatch):
+    fresh_tables(monkeypatch)
+    s = synthetic(2, 2, 3)
+    table = series.betti_table(s.b0, s.b1, s.b2)
+    assert series.betti_table(s.b0, s.b1, s.b2) is table
+    first = poincare_series(s, 10)
+    early_rows = list(table.rows)
+    assert len(early_rows) == 11
+    poincare_series(s, 4)  # a smaller request reads the table, never rebuilds it
+    assert len(table.rows) == 11
+    poincare_series(s, 16)  # a larger one appends rows and keeps the old ones
+    assert len(table.rows) == 17
+    assert all(old is new for old, new in zip(early_rows, table.rows))
+    longer = poincare_series(s, 16)
+    for e, c in first.terms():
+        assert longer.coeff(Exponent(e.t_deg, e.aux_degs)) == c

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import hilbprod.scanner as scanner
 from hilbprod.errors import UsageError
 from hilbprod.partitions import Partition, colored_count_tuple, partitions_by_length
 from hilbprod.scanner import (
@@ -174,6 +175,32 @@ def test_reports_are_deterministic_across_worker_counts():
     m1 = verify_majorization({3}, 9, workers=1)
     m2 = verify_majorization({3}, 9, workers=3)
     assert m1.fingerprint() == m2.fingerprint()
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    # pure arithmetic: no pool is started here, whatever the request
+    monkeypatch.setattr(scanner.os, "cpu_count", lambda: 2)
+    tasks = [("lemma", n, 6, "diff_length") for n in range(1, 5)]
+    assert scanner._clamp_workers(10**6, tasks) == 2
+    assert scanner._clamp_workers(10**6, tasks[:1]) == 1
+    assert scanner._clamp_workers(3, tasks) == 2
+    assert scanner._clamp_workers(1, tasks) == 1
+    assert scanner._clamp_workers(0, tasks) == 0
+    monkeypatch.setattr(scanner.os, "cpu_count", lambda: None)
+    assert scanner._clamp_workers(10**6, tasks) == 1
+    monkeypatch.setattr(scanner.os, "cpu_count", lambda: 64)
+    assert scanner._clamp_workers(10**6, tasks) == len(tasks)
+
+
+def test_scans_apply_the_worker_clamp(monkeypatch):
+    # with one CPU a huge request runs serially: starting a pool is an error
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(scanner.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(scanner, "ProcessPoolExecutor", no_pool)
+    report = verify_majorization({3}, 9, workers=10**6)
+    assert report.fingerprint() == verify_majorization({3}, 9).fingerprint()
 
 
 def test_report_round_trip():

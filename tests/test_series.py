@@ -1,4 +1,4 @@
-"""Series core: ring laws, binomial expansions, truncated products."""
+"""Series core: ring laws; binomial expansions and truncated products of the test oracle."""
 
 from __future__ import annotations
 
@@ -9,14 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbprod.series import (
-    Exponent,
-    TruncatedSeries,
-    binomial_factor,
-    constant_one,
-    indexed_product,
-    mul,
-)
+from hilbprod.series import Exponent, TruncatedSeries, constant_one, mul
+from product_oracle import binomial_factor, indexed_product
 
 
 # -- independent oracles -------------------------------------------------------
