@@ -34,7 +34,7 @@ from .scanner import (
     verify_lemma_inequalities,
     verify_majorization,
 )
-from .series import Exponent, TruncatedSeries, constant_one, mul
+from .series import Exponent, TruncatedSeries
 from .surfaces import (
     StructuralClass,
     SurfaceInvariants,

@@ -149,16 +149,8 @@ def poincare_polynomial(s: SurfaceInvariants, n: int) -> PoincarePolynomial:
     return poincare_polynomial_tuple(s, Partition((n,)))
 
 
-def poincare_polynomial_tuple(
-    s: SurfaceInvariants,
-    a: Partition,
-    max_part_guard: int | None = None,
-) -> PoincarePolynomial:
+def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePolynomial:
     """Poincare polynomial of the product over the parts of ``a`` (Kuenneth)."""
-    if max_part_guard is not None and max(a.parts) > max_part_guard:
-        raise UsageError(
-            f"largest part {max(a.parts)} exceeds the guard {max_part_guard}"
-        )
     rows = betti_table(s.b0, s.b1, s.b2).rows_upto(max(a.parts))
     product = [1]
     for part in a.parts:

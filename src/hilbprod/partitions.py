@@ -105,33 +105,11 @@ def _ascending_partitions(n: int, min_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_partitions(
-    n: int,
-    length_filter: int | None = None,
-    *,
-    allow_empty: bool = False,
-) -> list[Partition]:
-    """All partitions of ``n`` in ascending lexicographic order.
-
-    ``length_filter`` keeps only partitions of exactly that length.  ``n = 0``
-    is rejected unless ``allow_empty`` is set, in which case the single empty
-    partition is returned (bypassing the nonempty invariant).
-    """
-    if n == 0:
-        if not allow_empty:
-            raise UsageError("n = 0 has no nonempty partition (pass allow_empty)")
-        empty = object.__new__(Partition)
-        object.__setattr__(empty, "parts", ())
-        return [] if length_filter else [empty]
-    if n < 0:
-        raise UsageError(f"n must be nonnegative, got {n}")
-    if length_filter is not None and not (1 <= length_filter <= n):
-        raise UsageError(f"length filter {length_filter} out of range for n = {n}")
-    result = []
-    for parts in _ascending_partitions(n, 1):
-        if length_filter is None or len(parts) == length_filter:
-            result.append(Partition(parts))
-    return result
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of ``n >= 1`` in ascending lexicographic order."""
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n}")
+    return [Partition(parts) for parts in _ascending_partitions(n, 1)]
 
 
 def partitions_by_length(n: int) -> dict[int, list[Partition]]:

@@ -22,10 +22,10 @@ Three scan families:
   distinct same-length pairs.  It reports and never asserts: a collision
   would be a finding, not a test failure.
 
-Reports are deterministic for fixed parameters and engine version: work is
-bucketed by n, buckets are merged in sorted order, and the worker count never
-affects the output (``wall_time_ms`` is the one volatile field and is
-excluded from the fingerprint).
+Reports are deterministic for fixed parameters and engine version: each scan
+runs one bucket function per n through ``_scan``, which merges the buckets in
+order of n, and the worker count never affects the output (``wall_time_ms``
+is the one volatile field and is excluded from the fingerprint).
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sized
 
 from ._version import __version__
 from .errors import UsageError
@@ -228,7 +229,7 @@ def _same_length_pairs(n: int) -> Iterable[tuple[Partition, Partition]]:
                 yield a, b
 
 
-# -- bucket workers --------------------------------------------------------
+# -- buckets: one function of n per scan ------------------------------------
 
 
 def _shift_products(parts: tuple[int, ...], p_max: int) -> tuple[list[int], list[int]]:
@@ -246,8 +247,7 @@ def _shift_products(parts: tuple[int, ...], p_max: int) -> tuple[list[int], list
     return shift, binom
 
 
-def _lemma_bucket(task: tuple) -> tuple[int, list[Violation]]:
-    _, n, p_max, mode = task
+def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation]]:
     scan_kind = f"lemma_{mode}"
     violations: list[Violation] = []
     pairs = 0
@@ -299,8 +299,7 @@ def _lemma_bucket(task: tuple) -> tuple[int, list[Violation]]:
     return pairs, violations
 
 
-def _majorization_bucket(task: tuple) -> tuple[int, list[Violation]]:
-    _, n, k_tuple = task
+def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
     violations: list[Violation] = []
     pairs = 0
     for a, b in _same_length_pairs(n):
@@ -325,8 +324,7 @@ def _majorization_bucket(task: tuple) -> tuple[int, list[Violation]]:
     return pairs, violations
 
 
-def _conjecture_bucket(task: tuple) -> tuple[int, list[Violation]]:
-    _, n, k_tuple = task
+def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
     violations: list[Violation] = []
     pairs = 0
     for a, b in _same_length_pairs(n):
@@ -344,39 +342,52 @@ def _conjecture_bucket(task: tuple) -> tuple[int, list[Violation]]:
     return pairs, violations
 
 
-_BUCKET_WORKERS = {
-    "lemma": _lemma_bucket,
-    "majorization": _majorization_bucket,
-    "conjecture": _conjecture_bucket,
-}
+# -- the driver ------------------------------------------------------------
 
 
-def _dispatch_bucket(task: tuple) -> tuple[int, list[Violation]]:
-    return _BUCKET_WORKERS[task[0]](task)
-
-
-def _clamp_workers(request: int, tasks: list[tuple]) -> int:
+def _clamp_workers(request: int, tasks: Sized) -> int:
     """Worker processes worth starting: never more than tasks or CPUs."""
     return min(request, len(tasks), os.cpu_count() or 1)
 
 
-def _run_buckets(
-    tasks: list[tuple], workers: int
-) -> tuple[int, list[Violation]]:
-    workers = _clamp_workers(workers, tasks)
+def _k_tuple(k_set: Iterable[int]) -> tuple[int, ...]:
+    k_tuple = tuple(sorted(set(k_set)))
+    if not k_tuple:
+        raise UsageError("k_set must be nonempty")
+    return k_tuple
+
+
+def _scan(
+    scan_kind: str,
+    parameters: tuple[tuple[str, Any], ...],
+    bucket: Callable[[int], tuple[int, list[Violation]]],
+    n_max: int,
+    workers: int,
+) -> ScanReport:
+    """Run ``bucket`` on every n in 1..n_max and merge the buckets in order of n.
+
+    ``executor.map`` keeps that order, so the report is byte-identical for
+    any worker count; ``bucket`` must pickle (a ``partial`` of a module-level
+    function does).
+    """
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    start = time.perf_counter()
+    ns = range(1, n_max + 1)
+    workers = _clamp_workers(workers, ns)
     if workers <= 1:
-        results = [_dispatch_bucket(task) for task in tasks]
+        results = list(map(bucket, ns))
     else:
-        # bucketed map with a deterministic merge: executor.map preserves
-        # task order, so the report is byte-identical for any worker count
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_dispatch_bucket, tasks))
-    pairs = 0
-    violations: list[Violation] = []
-    for bucket_pairs, bucket_violations in results:
-        pairs += bucket_pairs
-        violations.extend(bucket_violations)
-    return pairs, violations
+            results = list(executor.map(bucket, ns))
+    return ScanReport(
+        scan_kind=scan_kind,
+        parameters=parameters,
+        pairs_checked=sum(pairs for pairs, _ in results),
+        violations=tuple(v for _, found in results for v in found),
+        wall_time_ms=int((time.perf_counter() - start) * 1000),
+        engine_version=__version__,
+    )
 
 
 # -- public scans ----------------------------------------------------------
@@ -406,16 +417,12 @@ def verify_lemma_inequalities(
         raise UsageError(f"n_max must be >= 4, got {n_max}")
     if p_max < 1:
         raise UsageError(f"p_max must be >= 1, got {p_max}")
-    start = time.perf_counter()
-    tasks = [("lemma", n, p_max, mode) for n in range(1, n_max + 1)]
-    pairs, violations = _run_buckets(tasks, workers)
-    return ScanReport(
-        scan_kind=f"lemma_{mode}",
-        parameters=(("n_max", n_max), ("p_max", p_max)),
-        pairs_checked=pairs,
-        violations=tuple(violations),
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-        engine_version=__version__,
+    return _scan(
+        f"lemma_{mode}",
+        (("n_max", n_max), ("p_max", p_max)),
+        partial(_lemma_bucket, p_max=p_max, mode=mode),
+        n_max,
+        workers,
     )
 
 
@@ -431,25 +438,19 @@ def verify_majorization(
     ``pairs_checked`` counts); the inequality is asserted on the strictly
     comparable ones.
     """
-    k_tuple = tuple(sorted(set(k_set)))
-    if not k_tuple:
-        raise UsageError("k_set must be nonempty")
+    k_tuple = _k_tuple(k_set)
     if min(k_tuple) < 3:
         raise UsageError(
             f"majorization monotonicity needs k >= 3, got {min(k_tuple)}"
         )
     if n_max < 1:
         raise UsageError(f"n_max must be >= 1, got {n_max}")
-    start = time.perf_counter()
-    tasks = [("majorization", n, k_tuple) for n in range(1, n_max + 1)]
-    pairs, violations = _run_buckets(tasks, workers)
-    return ScanReport(
-        scan_kind="majorization",
-        parameters=(("k_set", list(k_tuple)), ("n_max", n_max)),
-        pairs_checked=pairs,
-        violations=tuple(violations),
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-        engine_version=__version__,
+    return _scan(
+        "majorization",
+        (("k_set", list(k_tuple)), ("n_max", n_max)),
+        partial(_majorization_bucket, k_tuple=k_tuple),
+        n_max,
+        workers,
     )
 
 
@@ -464,19 +465,13 @@ def scan_conjecture(
     Purely exploratory: any k (including 1, 2, 3) is accepted and collisions
     are reported as findings with full witnesses, never raised.
     """
-    k_tuple = tuple(sorted(set(k_set)))
-    if not k_tuple:
-        raise UsageError("k_set must be nonempty")
+    k_tuple = _k_tuple(k_set)
     if n_max < 1:
         raise UsageError(f"n_max must be >= 1, got {n_max}")
-    start = time.perf_counter()
-    tasks = [("conjecture", n, k_tuple) for n in range(1, n_max + 1)]
-    pairs, violations = _run_buckets(tasks, workers)
-    return ScanReport(
-        scan_kind="conjecture",
-        parameters=(("k_set", list(k_tuple)), ("n_max", n_max)),
-        pairs_checked=pairs,
-        violations=tuple(violations),
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-        engine_version=__version__,
+    return _scan(
+        "conjecture",
+        (("k_set", list(k_tuple)), ("n_max", n_max)),
+        partial(_conjecture_bucket, k_tuple=k_tuple),
+        n_max,
+        workers,
     )

@@ -1,10 +1,4 @@
-"""Exact truncated power series and Goettsche's product over Python integers.
-
-A ``TruncatedSeries`` lives in Z[[t]] truncated at a fixed order in t,
-optionally with one auxiliary variable (z, tracking cohomological degree) or
-two (x and y, tracking Hodge bidegree).  Auxiliary degrees are not truncated:
-every series here couples its auxiliary degree to its t-degree, so only
-finitely many terms survive the t-truncation.
+"""Goettsche's product over Python integers: one kernel, grow-only tables.
 
 Every generating function of the package specializes Goettsche's product
 ``F = prod_{m >= 1} prod_j (1 + sign_j u^{slope_j m + offset_j} t^m)^{e_j}``,
@@ -16,6 +10,12 @@ sparse and the division by n is exact.  The ``h^{p,0}`` series (y = 0) is a
 running sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
 (b0, b1, b2), chi, (h10, h20) and diamond: a table at N answers every n <= N,
 and a larger request extends it from its last row.
+
+``GrowOnlyTable.series`` wraps rows 0..N as a ``TruncatedSeries``, the
+read-only result of ``poincare_series``, ``euler_series`` and
+``hodge_p0_series``: a term map in t and zero, one (z) or two (x, y)
+auxiliary variables, truncated in t only (every row bounds its auxiliary
+degrees).  The package never multiplies series; the test oracle does.
 
 Coefficients are arbitrary-precision signed integers; there is no floating
 point anywhere.  Series are immutable and canonical (no zero coefficients, no
@@ -32,8 +32,6 @@ from typing import Callable, Iterator, NamedTuple
 __all__ = [
     "Exponent",
     "TruncatedSeries",
-    "constant_one",
-    "mul",
     "GrowOnlyTable",
     "betti_table",
     "euler_table",
@@ -158,56 +156,6 @@ class TruncatedSeries:
             f"TruncatedSeries(truncation={self.truncation}, "
             f"aux_count={self.aux_count}, nterms={len(self._terms)})"
         )
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return mul(self, other)
-
-    def __pow__(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError("negative powers are not defined on truncated series")
-        result = constant_one(self.truncation, self.aux_count)
-        base = self
-        while k:
-            if k & 1:
-                result = mul(result, base)
-            k >>= 1
-            if k:
-                base = mul(base, base)
-        return result
-
-
-def constant_one(truncation: int, aux_count: int) -> TruncatedSeries:
-    """The multiplicative identity in the given series context."""
-    zero = (0, (0,) * aux_count)
-    return TruncatedSeries(truncation, aux_count, {zero: 1})
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Convolution product; terms beyond the t-truncation are discarded."""
-    if a.truncation != b.truncation:
-        raise ValueError(
-            f"truncation mismatch: {a.truncation} vs {b.truncation}"
-        )
-    if a.aux_count != b.aux_count:
-        raise ValueError(f"aux_count mismatch: {a.aux_count} vs {b.aux_count}")
-    trunc = a.truncation
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    # iterate the smaller operand on the outside
-    small, large = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)
-    for (t1, aux1), c1 in small.items():
-        for (t2, aux2), c2 in large.items():
-            t_deg = t1 + t2
-            if t_deg > trunc:
-                continue
-            key = (t_deg, tuple(x + y for x, y in zip(aux1, aux2)))
-            c = out.get(key, 0) + c1 * c2
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return TruncatedSeries(trunc, a.aux_count, out)
 
 
 # -- grow-only tables ------------------------------------------------------

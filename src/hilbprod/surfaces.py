@@ -82,7 +82,7 @@ class SurfaceInvariants:
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "SurfaceInvariants":
         try:
-            return cls(
+            surface = cls(
                 name=record["name"],
                 b0=record["b0"],
                 b1=record["b1"],
@@ -98,8 +98,16 @@ class SurfaceInvariants:
                 ),
                 provenance=record.get("provenance", ""),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise CatalogError(f"malformed surface record: {exc}") from exc
+        hodge = [h for h in (surface.h10, surface.h20) if h is not None]
+        numbers = [surface.b0, surface.b1, surface.b2, surface.chi, *hodge]
+        if any(type(v) is not int for v in numbers):  # JSON true/false are not numbers
+            raise CatalogError(
+                f"malformed surface record {surface.name!r}: b0, b1, b2, chi, h10 "
+                "and h20 must be integers"
+            )
+        return surface
 
     def describe(self) -> str:
         hodge = ""
@@ -378,12 +386,16 @@ def _catalog_from_dict(data: dict[str, Any], source: str) -> Catalog:
         raise CatalogError(f"malformed catalog {source}: {exc}") from exc
     seen = set()
     for record in records:
+        if not isinstance(record, dict):
+            raise CatalogError(f"catalog {source} has a non-object record {record!r}")
         name = record.get("name")
         if not name:
             raise CatalogError(f"catalog {source} has a record without a name")
         if name in seen:
             raise CatalogError(f"catalog {source} has duplicate surface {name!r}")
         seen.add(name)
+        if not record.get("family_params"):
+            SurfaceInvariants.from_record(record)  # a malformed literal row fails here
     return Catalog(version=version, records=records)
 
 
@@ -399,7 +411,11 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     p = Path(path)
     if not p.exists():
         raise CatalogError(f"catalog file not found: {p}")
-    return _catalog_from_dict(json.loads(p.read_text()), str(p))
+    try:
+        data = json.loads(p.read_text())
+    except ValueError as exc:
+        raise CatalogError(f"catalog {p} is not valid JSON: {exc}") from exc
+    return _catalog_from_dict(data, str(p))
 
 
 def catalog_lookup(

@@ -5,7 +5,7 @@ kernel: every factor ``(1 + sign * M)^e`` is expanded by the (generalized)
 binomial theorem and the factors are multiplied one at a time as
 ``TruncatedSeries``.  It shares no code with ``hilbprod.series`` beyond the
 series container, so agreement at small truncation is an independent check
-of the kernel.
+of the kernel.  It is also the only place where series are multiplied.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ from __future__ import annotations
 from math import comb
 from typing import Callable
 
-from hilbprod.series import Exponent, TruncatedSeries, constant_one
+from hilbprod.series import Exponent, TruncatedSeries
+
+
+def constant_one(truncation: int, aux_count: int) -> TruncatedSeries:
+    """The multiplicative identity in the given series context."""
+    return TruncatedSeries(truncation, aux_count, {(0, (0,) * aux_count): 1})
 
 
 def _term_map(s: TruncatedSeries) -> dict[tuple[int, tuple[int, ...]], int]:

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 try:
     import tomllib
 except ModuleNotFoundError:  # Python 3.10: no tomllib in the standard library
@@ -231,6 +233,15 @@ def test_scan_bad_k_set_exit_1(capsys):
     assert code == 1
 
 
+def test_scan_zero_workers_exit_1(capsys):
+    code, _, err = run(
+        capsys, "scan", "--kind", "majorization", "--n-max", "6", "--k-set", "3",
+        "--workers", "0",
+    )
+    assert code == 1
+    assert err.startswith("error:") and "workers" in err
+
+
 # -- aut ---------------------------------------------------------------------------
 
 
@@ -334,6 +345,27 @@ def test_broken_pipe_exits_quietly():
     code = child.wait(timeout=120)
     assert "Traceback" not in stderr, stderr
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"version": 1, "surfaces": [',
+        '{"version": 1, "surfaces": [1]}',
+        '{"version": 1, "surfaces": [{"name": "s", "family_params": [],'
+        ' "b0": "1", "b1": 0, "b2": 22, "chi": 24}]}',
+    ],
+    ids=["truncated-json", "record-not-an-object", "non-integer-invariant"],
+)
+def test_malformed_catalog_exit_2(tmp_path, capsys, monkeypatch, text):
+    # a traceback would be an exception escaping main(), which fails the test
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "catalog", "--catalog", str(path))
+    assert code == 2 and err.startswith("error:"), err
+    monkeypatch.setenv("HILBPROD_CATALOG", str(path))
+    code, _, err = run(capsys, "decide", "--surface", "s", "--a", "1,1", "--b", "2")
+    assert code == 2 and err.startswith("error:"), err
 
 
 def test_custom_catalog_flag(tmp_path, capsys):

@@ -125,8 +125,6 @@ def test_single_part_is_the_surface():
 def test_tuple_length_and_guard():
     poly = poincare_polynomial_tuple(ENRIQUES, Partition((1, 2, 3)))
     assert len(poly.coefficients) == 4 * 6 + 1
-    with pytest.raises(UsageError):
-        poincare_polynomial_tuple(ENRIQUES, Partition((1, 9)), max_part_guard=5)
 
 
 def test_alternating_sum_matches_euler_identity():

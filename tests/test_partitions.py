@@ -64,7 +64,7 @@ def test_enumerate_partitions_of_four():
 
 
 def test_enumerate_length_filter():
-    got = [p.parts for p in enumerate_partitions(4, 2)]
+    got = [p.parts for p in partitions_by_length(4)[2]]
     assert got == [(1, 3), (2, 2)]
 
 
@@ -82,13 +82,6 @@ def test_enumerate_no_duplicates_and_sorted():
 def test_enumerate_zero_needs_flag():
     with pytest.raises(UsageError):
         enumerate_partitions(0)
-    empty = enumerate_partitions(0, allow_empty=True)
-    assert len(empty) == 1 and empty[0].parts == () and empty[0].n == 0
-
-
-def test_enumerate_bad_filter():
-    with pytest.raises(UsageError):
-        enumerate_partitions(4, 5)
 
 
 def test_partitions_by_length_buckets():

@@ -175,6 +175,16 @@ def test_reports_are_deterministic_across_worker_counts():
     m1 = verify_majorization({3}, 9, workers=1)
     m2 = verify_majorization({3}, 9, workers=3)
     assert m1.fingerprint() == m2.fingerprint()
+    for mode in ("diff_length", "same_length"):
+        l1 = verify_lemma_inequalities(9, 6, mode, workers=1)
+        l2 = verify_lemma_inequalities(9, 6, mode, workers=2)
+        assert l1.fingerprint() == l2.fingerprint()
+
+
+def test_scans_refuse_fewer_than_one_worker():
+    for workers in (0, -3):
+        with pytest.raises(UsageError):
+            verify_majorization({3}, 6, workers=workers)
 
 
 def test_worker_count_is_clamped(monkeypatch):
