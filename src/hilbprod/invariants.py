@@ -13,14 +13,17 @@ computed exactly by the grow-only tables of ``hilbprod.series``:
 * the Euler product ``prod (1-q^m)^-chi``, i.e. chi-coloured partition counts.
 
 Products of Hilbert schemes are handled through the Kuenneth rule: multiply
-the factors' Poincare (or Hodge) polynomials.  Invariants that need Hodge
-data refuse when h10/h20 are absent instead of inventing values.
+the factors' Poincare (or ``h^{p,0}``) polynomials, as one big-integer
+product by Kronecker substitution (their coefficients are nonnegative).
+Invariants that need Hodge data refuse when h10/h20 are absent instead of
+inventing values.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .errors import DataError, UsageError
 from .partitions import Partition, colored_count_tuple
@@ -130,18 +133,35 @@ class PoincarePolynomial:
         return self.coefficients == self.coefficients[::-1]
 
 
-def _poly_mul(u: list[int], v: list[int]) -> list[int]:
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            out[i + j] += a * b
-    return out
+def _kuenneth(vectors: list[list[int]], length: int) -> list[int]:
+    """Coefficients 0..length-1 of the product of nonnegative integer polynomials.
 
-
-def _padded(row: list[int], width: int) -> list[int]:
-    return row if len(row) == width else (row + [0] * width)[:width]
+    Kronecker substitution: no coefficient of the product exceeds the product
+    of the factors' coefficient sums, so a slot of ``w`` bytes that holds
+    that bound cannot carry into the next.  Each factor is packed into one
+    int with a coefficient per slot, the ints are multiplied, and the slots
+    of the product are read back (native byte order, which ``cast`` reads).
+    A negative coefficient (Betti data of an invalid surface) is a DataError.
+    """
+    bound = prod(sum(v) for v in vectors)
+    w = 1
+    while bound.bit_length() > 8 * w:
+        w *= 2
+    order = sys.byteorder
+    product = 1
+    try:
+        for v in vectors:
+            packed = b"".join([c.to_bytes(w, order) for c in v])
+            product *= int.from_bytes(packed, order)
+    except OverflowError:  # with nonnegative coefficients every slot holds its value
+        raise DataError(
+            "Kuenneth product of vectors with a negative coefficient; "
+            "Betti and h^(p,0) numbers of a valid surface are nonnegative"
+        ) from None
+    buf = product.to_bytes(length * w, order)
+    if w <= 8:
+        return memoryview(buf).cast("BHIQ"[w.bit_length() - 1]).tolist()
+    return [int.from_bytes(buf[i:i + w], order) for i in range(0, len(buf), w)]
 
 
 def poincare_polynomial(s: SurfaceInvariants, n: int) -> PoincarePolynomial:
@@ -152,10 +172,8 @@ def poincare_polynomial(s: SurfaceInvariants, n: int) -> PoincarePolynomial:
 def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePolynomial:
     """Poincare polynomial of the product over the parts of ``a`` (Kuenneth)."""
     rows = betti_table(s.b0, s.b1, s.b2).rows_upto(max(a.parts))
-    product = [1]
-    for part in a.parts:
-        product = _poly_mul(product, _padded(rows[part][0], 4 * part + 1))
-    return PoincarePolynomial(tuple(product))
+    vectors = [rows[part][0] for part in a.parts]
+    return PoincarePolynomial(tuple(_kuenneth(vectors, 4 * a.n + 1)))
 
 
 # -- Hodge side ----------------------------------------------------------------
@@ -197,12 +215,9 @@ def _hodge_vector(h10: int, h20: int, n: int) -> list[int]:
 
 
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
-    """All ``h^{p,0}`` of the product, p = 0..2n, via Kuenneth convolution."""
+    """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product."""
     h10, h20 = _require_hodge_data(s)
-    product = [1]
-    for part in a.parts:
-        product = _poly_mul(product, _hodge_vector(h10, h20, part))
-    return product
+    return _kuenneth([_hodge_vector(h10, h20, part) for part in a.parts], 2 * a.n + 1)
 
 
 def hodge_p0_tuple(s: SurfaceInvariants, a: Partition, p: int) -> int:

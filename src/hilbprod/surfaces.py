@@ -2,9 +2,9 @@
 
 Each surface record carries the Betti numbers (b0, b1, b2), the topological
 Euler characteristic chi, and optionally the Hodge numbers h^{1,0} and
-h^{2,0}.  For connected surfaces (b0 = 1) Poincare duality forces
-``chi = 2 - 2*b1 + b2``, and Hodge theory forces ``b1 = 2*h10``; both are
-enforced by :func:`validate`.
+h^{2,0}.  Poincare duality on each component gives b3 = b1 and b4 = b0, so
+every surface, connected or not, has ``chi = 2*b0 - 2*b1 + b2``; Hodge
+theory forces ``b1 = 2*h10``.  Both are enforced by :func:`validate`.
 
 h^{2,0} cannot be recovered from Betti numbers alone, so the shipped catalog
 carries it only where the value is standard for the surface class; rows
@@ -128,10 +128,10 @@ def validate(s: SurfaceInvariants) -> list[str]:
         diagnostics.append(f"b1 must be nonnegative, got {s.b1}")
     if s.b2 < 1:
         diagnostics.append(f"b2 must be positive, got {s.b2}")
-    if s.b0 == 1 and s.chi != 2 - 2 * s.b1 + s.b2:
+    if s.chi != 2 * s.b0 - 2 * s.b1 + s.b2:
         diagnostics.append(
-            f"chi mismatch: chi={s.chi} but 2 - 2*b1 + b2 = {2 - 2 * s.b1 + s.b2} "
-            "(Poincare duality for a connected surface)"
+            f"chi mismatch: chi={s.chi} but 2*b0 - 2*b1 + b2 = "
+            f"{2 * s.b0 - 2 * s.b1 + s.b2} (Poincare duality, b3 = b1 and b4 = b0)"
         )
     if s.h10 is not None and s.b1 != 2 * s.h10:
         diagnostics.append(f"b1 != 2*h10: b1={s.b1}, h10={s.h10}")

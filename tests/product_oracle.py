@@ -191,3 +191,18 @@ def hodge_product(
         return result
 
     return indexed_product(factor_at, truncation, 2)
+
+
+# -- Kuenneth products, by schoolbook convolution ------------------------------
+
+
+def dense_kuenneth(vectors: list[list[int]]) -> list[int]:
+    """Product of polynomials given as coefficient lists, one convolution per factor."""
+    product = [1]
+    for vector in vectors:
+        out = [0] * (len(product) + len(vector) - 1)
+        for i, x in enumerate(product):
+            for j, y in enumerate(vector):
+                out[i + j] += x * y
+        product = out
+    return product

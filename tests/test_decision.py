@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 from math import comb, prod
 
@@ -18,7 +19,14 @@ from hilbprod.decision import (
 from hilbprod.errors import DataError, DimensionMismatchError
 from hilbprod.invariants import poincare_polynomial_tuple
 from hilbprod.partitions import Partition, enumerate_partitions, partitions_by_length
-from hilbprod.surfaces import StructuralClass, SurfaceInvariants, catalog_lookup
+from hilbprod.series import betti_table, hodge_p0_table
+from hilbprod.surfaces import (
+    StructuralClass,
+    SurfaceInvariants,
+    catalog_lookup,
+    load_catalog,
+)
+from product_oracle import dense_kuenneth
 
 K3 = catalog_lookup("k3")
 QUINTIC = catalog_lookup("quintic")
@@ -74,6 +82,15 @@ def test_invalid_surface_is_a_data_error():
     broken = SurfaceInvariants("broken", 1, 0, 22, 25)
     with pytest.raises(DataError):
         decide(broken, Partition((1,)), Partition((1,)))
+
+
+def test_inconsistent_disconnected_surface_is_a_data_error():
+    # duality on each component forces chi = 2*b0 - 2*b1 + b2 = 8, not 5; with
+    # chi = 5 the engine would report an Euler witness 25 vs 20 at (1,1) vs (2)
+    # that the surface's own Betti vectors refute (z = -1 gives 64 at (1,1))
+    inconsistent = SurfaceInvariants("pair", 2, 0, 4, 5)
+    with pytest.raises(DataError):
+        decide(inconsistent, Partition((1, 1)), Partition((2,)))
 
 
 def test_quintic_euler_witness_and_majorization_rule():
@@ -238,6 +255,57 @@ def test_unknown_notes_hodge_skip(monkeypatch):
     v = decide(surface, Partition((1, 1)), Partition((2,)))
     assert v.outcome is Outcome.UNKNOWN
     assert any("Hodge comparison skipped" in note for note in v.notes)
+
+
+def oracle_witness(
+    s: SurfaceInvariants, a: Partition, b: Partition
+) -> decision.Witness | None:
+    """First difference of dense-convolution oracle vectors, in the engine's order:
+    Euler (the alternating Betti sum), then Betti degree by degree, then h^{p,0}
+    where the surface carries Hodge data."""
+
+    def product(table) -> tuple[list[int], list[int]]:
+        rows = table.rows_upto(a.n)
+        return tuple(
+            dense_kuenneth([rows[part][0] for part in p.parts]) for p in (a, b)
+        )
+
+    betti_a, betti_b = product(betti_table(s.b0, s.b1, s.b2))
+    euler_a, euler_b = (
+        sum((-1) ** i * c for i, c in enumerate(v)) for v in (betti_a, betti_b)
+    )
+    if euler_a != euler_b:
+        return decision.Witness("euler_characteristic", None, euler_a, euler_b)
+    tiers = [("betti", betti_a, betti_b)]
+    if s.b0 == 1 and s.h10 is not None and s.h20 is not None:
+        tiers.append(("hodge_p0", *product(hodge_p0_table(s.h10, s.h20))))
+    for invariant, values_a, values_b in tiers:
+        for i, (x, y) in enumerate(zip(values_a, values_b)):
+            if x != y:
+                return decision.Witness(invariant, i, x, y)
+    return None
+
+
+def test_verdicts_follow_the_first_oracle_difference():
+    surfaces = [
+        s for s in load_catalog().representatives()
+        if s.structural_class is not StructuralClass.K3
+    ]
+    surfaces.append(PAIR_OF_SURFACES)
+    tiers = collections.Counter()
+    for s in surfaces:
+        for n in range(2, 9):
+            for a, b in itertools.combinations(enumerate_partitions(n), 2):
+                expected = oracle_witness(s, a, b)
+                v = decide(s, a, b)
+                assert v.witness == expected, (s.name, a, b)
+                if expected is None:
+                    assert v.outcome is Outcome.UNKNOWN, (s.name, a, b)
+                else:
+                    assert v.outcome is Outcome.NON_ISOMORPHIC, (s.name, a, b)
+                tiers[expected.invariant if expected else None] += 1
+    # both comparison tiers decide pairs here; no pair reaches h^{p,0} or Unknown
+    assert set(tiers) == {"euler_characteristic", "betti"}
 
 
 # -- Kummer mode --------------------------------------------------------------------

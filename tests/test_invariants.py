@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -24,16 +24,18 @@ from hilbprod.invariants import (
     surface_diamond,
 )
 from hilbprod.partitions import Partition, colored_count, enumerate_partitions
-from hilbprod.series import Exponent
-from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog
+from hilbprod.series import Exponent, betti_table, hodge_p0_table
+from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog, validate
+from product_oracle import dense_kuenneth
 
 K3 = catalog_lookup("k3")
 ABELIAN = catalog_lookup("abelian")
 ENRIQUES = catalog_lookup("enriques")
+QUINTIC = catalog_lookup("quintic")
 
 
 def synthetic(b0: int, b1: int, b2: int, **kwargs) -> SurfaceInvariants:
-    chi = kwargs.pop("chi", 2 - 2 * b1 + b2 if b0 == 1 else 0)
+    chi = kwargs.pop("chi", 2 * b0 - 2 * b1 + b2)
     return SurfaceInvariants(f"synthetic({b0},{b1},{b2})", b0, b1, b2, chi, **kwargs)
 
 
@@ -127,8 +129,24 @@ def test_tuple_length_and_guard():
     assert len(poly.coefficients) == 4 * 6 + 1
 
 
+def test_negative_betti_data_is_a_data_error():
+    # b1 < 0 fails validation; its Betti rows have negative coefficients, which
+    # no byte slot of the Kuenneth product holds
+    s = synthetic(1, -3, 2)
+    assert validate(s)
+    with pytest.raises(DataError):
+        poincare_polynomial_tuple(s, Partition((1, 2)))
+
+
 def test_alternating_sum_matches_euler_identity():
-    surfaces = load_catalog().representatives()
+    # duality on each component gives chi = 2*b0 - 2*b1 + b2, which makes the
+    # chi-coloured count the z = -1 value of the Betti product, b0 > 1 included
+    grid = [
+        synthetic(b0, b1, b2)
+        for b0, b1, b2 in itertools.product((1, 2, 3), (0, 1, 2, 3), (1, 2, 5))
+    ]
+    assert all(validate(s) == [] for s in grid)
+    surfaces = load_catalog().representatives() + grid
     partitions = [p for n in range(1, 9) for p in enumerate_partitions(n)]
     for s in surfaces:
         for a in partitions:
@@ -323,3 +341,38 @@ def test_euler_char_tuple_negative_chi():
     assert euler_char_tuple(ruled, Partition((1,))) == -4
     poly = poincare_polynomial_tuple(ruled, Partition((1, 2)))
     assert poly.euler_characteristic() == euler_char_tuple(ruled, Partition((1, 2)))
+
+
+# -- Kuenneth products against a dense convolution -------------------------------------
+
+
+def slot_bytes(vectors: list[list[int]]) -> int:
+    """Smallest power-of-two byte count holding the product of the coefficient sums."""
+    bound = prod(sum(v) for v in vectors)
+    width = 1
+    while bound >= 256**width:
+        width *= 2
+    return width
+
+
+def test_kuenneth_products_match_dense_convolution():
+    bases = list(load_catalog().representatives()) + [
+        synthetic(b0, b1, b2) for b0 in (2, 3) for b1, b2 in ((0, 2), (2, 5))
+    ]
+    partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
+    cases = [(s, a) for s in bases for a in partitions]
+    cases += [(QUINTIC, Partition((1,) * 12)), (K3, Partition((1, 31)))]
+    widths = set()
+    for s, a in cases:
+        rows = betti_table(s.b0, s.b1, s.b2).rows_upto(max(a.parts))
+        vectors = [rows[part][0] for part in a.parts]
+        widths.add(slot_bytes(vectors))
+        poly = poincare_polynomial_tuple(s, a)
+        assert list(poly.coefficients) == dense_kuenneth(vectors), (s.name, a)
+        if s.b0 == 1 and s.h10 is not None and s.h20 is not None:
+            rows = hodge_p0_table(s.h10, s.h20).rows_upto(max(a.parts))
+            vectors = [rows[part][0] for part in a.parts]
+            widths.add(slot_bytes(vectors))
+            assert hodge_p0_tuple_vector(s, a) == dense_kuenneth(vectors), (s.name, a)
+    # slots of 1, 2, 4 and 8 bytes are read by a cast, wider ones by slicing
+    assert widths == {1, 2, 4, 8, 16}

@@ -93,6 +93,12 @@ def test_validate_disconnected_skips_duality():
     assert validate(s) == []
 
 
+def test_validate_disconnected_chi_mismatch():
+    # duality holds on each component: chi = 2*b0 - 2*b1 + b2 = 8, not 5
+    s = SurfaceInvariants("pair", 2, 0, 4, 5)
+    assert any("chi mismatch" in d for d in validate(s))
+
+
 def test_require_valid_raises_data_error():
     with pytest.raises(DataError):
         require_valid(SurfaceInvariants("broken", 1, 0, 22, 25))
