@@ -38,7 +38,6 @@ __all__ = [
     "hodge_p0_series",
     "betti_closed",
     "betti_from_series",
-    "poincare_polynomial",
     "poincare_polynomial_tuple",
     "hodge_p0",
     "hodge_p0_tuple",
@@ -162,11 +161,6 @@ def _kuenneth(vectors: list[list[int]], length: int) -> list[int]:
     if w <= 8:
         return memoryview(buf).cast("BHIQ"[w.bit_length() - 1]).tolist()
     return [int.from_bytes(buf[i:i + w], order) for i in range(0, len(buf), w)]
-
-
-def poincare_polynomial(s: SurfaceInvariants, n: int) -> PoincarePolynomial:
-    """Poincare polynomial of the n-point Hilbert scheme itself."""
-    return poincare_polynomial_tuple(s, Partition((n,)))
 
 
 def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePolynomial:

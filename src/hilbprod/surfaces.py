@@ -4,7 +4,14 @@ Each surface record carries the Betti numbers (b0, b1, b2), the topological
 Euler characteristic chi, and optionally the Hodge numbers h^{1,0} and
 h^{2,0}.  Poincare duality on each component gives b3 = b1 and b4 = b0, so
 every surface, connected or not, has ``chi = 2*b0 - 2*b1 + b2``; Hodge
-theory forces ``b1 = 2*h10``.  Both are enforced by :func:`validate`.
+symmetry makes b1 even and forces ``b1 = 2*h10``; an ample class on each
+component gives ``h11 = b2 - 2*h20 >= b0``.  :func:`validate` enforces all
+of these.
+
+Families (del Pezzo, ruled, ...) are one table, :data:`FAMILIES`: parameter
+defaults and ranges plus the formula for (b1, b2, h10, h20).  A lookup turns
+a family row into a literal record (b0 = 1, chi by duality), and every
+surface is built by :meth:`SurfaceInvariants.from_record` and validated.
 
 h^{2,0} cannot be recovered from Betti numbers alone, so the shipped catalog
 carries it only where the value is standard for the surface class; rows
@@ -23,7 +30,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import CatalogError, DataError
 
@@ -34,6 +41,7 @@ __all__ = [
     "load_catalog",
     "catalog_lookup",
     "validate",
+    "FAMILIES",
     "CATALOG_ENV_VAR",
 ]
 
@@ -126,6 +134,8 @@ def validate(s: SurfaceInvariants) -> list[str]:
         diagnostics.append(f"b0 must be positive, got {s.b0}")
     if s.b1 < 0:
         diagnostics.append(f"b1 must be nonnegative, got {s.b1}")
+    if s.b1 % 2:
+        diagnostics.append(f"b1 must be even (Hodge symmetry), got {s.b1}")
     if s.b2 < 1:
         diagnostics.append(f"b2 must be positive, got {s.b2}")
     if s.chi != 2 * s.b0 - 2 * s.b1 + s.b2:
@@ -139,6 +149,11 @@ def validate(s: SurfaceInvariants) -> list[str]:
         diagnostics.append(f"h10 must be nonnegative, got {s.h10}")
     if s.h20 is not None and s.h20 < 0:
         diagnostics.append(f"h20 must be nonnegative, got {s.h20}")
+    if s.h20 is not None and s.b2 - 2 * s.h20 < s.b0:
+        diagnostics.append(
+            f"h11 = b2 - 2*h20 = {s.b2 - 2 * s.h20} must be at least b0 = {s.b0} "
+            "(an ample class on each component)"
+        )
     if s.structural_class is StructuralClass.K3:
         actual = (s.b0, s.b1, s.b2, s.chi, s.h10, s.h20)
         if actual != K3_INVARIANTS:
@@ -167,169 +182,53 @@ def require_valid(s: SurfaceInvariants) -> SurfaceInvariants:
 
 # -- family formulas ----------------------------------------------------------
 
-_FamilyFn = Callable[[dict[str, int]], SurfaceInvariants]
+
+class Param(NamedTuple):
+    default: int
+    low: int
+    high: int | None = None  # None: unbounded above
 
 
-def _params_tuple(params: dict[str, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(params.items()))
+# family -> (its parameters, the formula giving (b1, b2, h10, h20) from their
+# values in order); every family is connected (b0 = 1) and gets chi by duality
+FAMILIES: dict[str, tuple[dict[str, Param], Callable[..., tuple]]] = {
+    "del_pezzo": ({"d": Param(3, 1, 9)}, lambda d: (0, 10 - d, 0, 0)),
+    "hirzebruch": ({"n": Param(2, 1)}, lambda n: (0, 2, 0, 0)),
+    "ruled": ({"g": Param(2, 0)}, lambda g: (2 * g, 2, g, None)),
+    "elliptic_chi1": ({"g": Param(1, 0)}, lambda g: (2 * g, 4 * g + 10, g, None)),
+    "elliptic_chi2": ({"g": Param(2, 0)}, lambda g: (2 * g, 4 * g + 22, g, None)),
+    "elliptic_en": ({"n": Param(3, 3)}, lambda n: (0, 12 * n - 2, 0, None)),
+    "product_of_curves": (
+        {"g1": Param(2, 2), "g2": Param(2, 2)},
+        lambda g1, g2: (2 * (g1 + g2), 2 + 4 * g1 * g2, g1 + g2, None),
+    ),
+}
 
 
-def _need(params: Mapping[str, int], names: tuple[str, ...], family: str) -> list[int]:
-    missing = [n for n in names if n not in params]
-    extra = [n for n in params if n not in names]
+def _family_record(row: Mapping[str, Any], params: Mapping[str, int]) -> dict[str, Any]:
+    """The literal record of the family catalog row ``row`` at ``params``."""
+    name = row["name"]
+    declared, formula = FAMILIES[name]
+    missing = [p for p in declared if p not in params]
+    extra = [p for p in params if p not in declared]
     if missing or extra:
         raise CatalogError(
-            f"family {family!r} takes parameters {list(names)}; "
+            f"family {name!r} takes parameters {list(declared)}; "
             f"missing {missing}, unexpected {extra}"
         )
-    values = []
-    for n in names:
-        v = params[n]
+    for p, (_, low, high) in declared.items():
+        v = params[p]
         if not isinstance(v, int):
-            raise CatalogError(f"parameter {n}={v!r} of {family!r} must be an integer")
-        values.append(v)
-    return values
-
-
-def _del_pezzo(params: dict[str, int]) -> SurfaceInvariants:
-    (d,) = _need(params, ("d",), "del_pezzo")
-    if not 1 <= d <= 9:
-        raise CatalogError(f"del Pezzo degree d must be in 1..9, got {d}")
-    return SurfaceInvariants(
-        name="del_pezzo",
-        b0=1,
-        b1=0,
-        b2=10 - d,
-        chi=12 - d,
-        h10=0,
-        h20=0,
-        family_params=_params_tuple(params),
-        provenance="standard invariants of a degree-d del Pezzo surface",
-    )
-
-
-def _hirzebruch(params: dict[str, int]) -> SurfaceInvariants:
-    (n,) = _need(params, ("n",), "hirzebruch")
-    if n < 1:
-        raise CatalogError(f"Hirzebruch index n must be >= 1, got {n}")
-    return SurfaceInvariants(
-        name="hirzebruch",
-        b0=1,
-        b1=0,
-        b2=2,
-        chi=4,
-        h10=0,
-        h20=0,
-        family_params=_params_tuple(params),
-        provenance="standard invariants of a Hirzebruch surface F_n "
-        "(independent of n)",
-    )
-
-
-def _ruled(params: dict[str, int]) -> SurfaceInvariants:
-    (g,) = _need(params, ("g",), "ruled")
-    if g < 0:
-        raise CatalogError(f"genus g must be >= 0, got {g}")
-    return SurfaceInvariants(
-        name="ruled",
-        b0=1,
-        b1=2 * g,
-        b2=2,
-        chi=4 * (1 - g),
-        h10=g,
-        family_params=_params_tuple(params),
-        provenance="standard invariants of a ruled surface over a genus-g curve; "
-        "h20 omitted",
-    )
-
-
-def _elliptic_chi1(params: dict[str, int]) -> SurfaceInvariants:
-    (g,) = _need(params, ("g",), "elliptic_chi1")
-    if g < 0:
-        raise CatalogError(f"genus g must be >= 0, got {g}")
-    return SurfaceInvariants(
-        name="elliptic_chi1",
-        b0=1,
-        b1=2 * g,
-        b2=4 * g + 10,
-        chi=12,
-        h10=g,
-        family_params=_params_tuple(params),
-        provenance="elliptic surface over a genus-g curve with holomorphic Euler "
-        "characteristic 1; h20 omitted",
-    )
-
-
-def _elliptic_chi2(params: dict[str, int]) -> SurfaceInvariants:
-    (g,) = _need(params, ("g",), "elliptic_chi2")
-    if g < 0:
-        raise CatalogError(f"genus g must be >= 0, got {g}")
-    return SurfaceInvariants(
-        name="elliptic_chi2",
-        b0=1,
-        b1=2 * g,
-        b2=4 * g + 22,
-        chi=24,
-        h10=g,
-        family_params=_params_tuple(params),
-        provenance="elliptic surface over a genus-g curve with holomorphic Euler "
-        "characteristic 2; h20 omitted",
-    )
-
-
-def _elliptic_en(params: dict[str, int]) -> SurfaceInvariants:
-    (n,) = _need(params, ("n",), "elliptic_en")
-    if n < 3:
-        raise CatalogError(f"E(n) needs n >= 3, got {n}")
-    return SurfaceInvariants(
-        name="elliptic_en",
-        b0=1,
-        b1=0,
-        b2=12 * n - 2,
-        chi=12 * n,
-        h10=0,
-        family_params=_params_tuple(params),
-        provenance="elliptic surface E(n) over the projective line; h20 omitted",
-    )
-
-
-def _product_of_curves(params: dict[str, int]) -> SurfaceInvariants:
-    g1, g2 = _need(params, ("g1", "g2"), "product_of_curves")
-    if g1 <= 1 or g2 <= 1:
-        raise CatalogError(f"both genera must exceed 1, got g1={g1}, g2={g2}")
-    return SurfaceInvariants(
-        name="product_of_curves",
-        b0=1,
-        b1=2 * (g1 + g2),
-        b2=2 + 4 * g1 * g2,
-        chi=4 * (1 - g1) * (1 - g2),
-        h10=g1 + g2,
-        family_params=_params_tuple(params),
-        provenance="product of two curves of genus g1, g2 > 1; h20 omitted",
-    )
-
-
-_FAMILIES: dict[str, _FamilyFn] = {
-    "del_pezzo": _del_pezzo,
-    "hirzebruch": _hirzebruch,
-    "ruled": _ruled,
-    "elliptic_chi1": _elliptic_chi1,
-    "elliptic_chi2": _elliptic_chi2,
-    "elliptic_en": _elliptic_en,
-    "product_of_curves": _product_of_curves,
-}
-
-# documented defaults used when a family row must be instantiated as a
-# concrete surface ("every catalog surface" in tests and scans)
-FAMILY_DEFAULTS: dict[str, dict[str, int]] = {
-    "del_pezzo": {"d": 3},
-    "hirzebruch": {"n": 2},
-    "ruled": {"g": 2},
-    "elliptic_chi1": {"g": 1},
-    "elliptic_chi2": {"g": 2},
-    "elliptic_en": {"n": 3},
-    "product_of_curves": {"g1": 2, "g2": 2},
-}
+            raise CatalogError(f"parameter {p}={v!r} of {name!r} must be an integer")
+        if v < low or (high is not None and v > high):
+            allowed = f">= {low}" if high is None else f"in {low}..{high}"
+            raise CatalogError(f"parameter {p} of {name!r} must be {allowed}, got {v}")
+    b1, b2, h10, h20 = formula(*(params[p] for p in declared))
+    return {
+        "name": name, "family_params": dict(params), "b0": 1, "b1": b1, "b2": b2,
+        "chi": 2 - 2 * b1 + b2, "h10": h10, "h20": h20,
+        "provenance": row.get("provenance", ""),
+    }
 
 
 # -- catalog ------------------------------------------------------------------
@@ -357,14 +256,13 @@ class Catalog:
         record = self.record(name)
         declared = record.get("family_params", [])
         if declared:
-            family = _FAMILIES.get(name)
-            if family is None:
+            if name not in FAMILIES:
                 raise CatalogError(
                     f"surface {name!r} declares family parameters {declared} "
                     "but no family formula is registered for it"
                 )
-            return require_valid(family(dict(params or {})))
-        if params:
+            record = _family_record(record, params or {})
+        elif params:
             raise CatalogError(f"surface {name!r} takes no parameters, got {params}")
         return require_valid(SurfaceInvariants.from_record(record))
 
@@ -373,7 +271,9 @@ class Catalog:
         result = []
         for record in self.records:
             name = record["name"]
-            params = FAMILY_DEFAULTS.get(name) if record.get("family_params") else None
+            params = None
+            if record.get("family_params") and name in FAMILIES:
+                params = {p: v.default for p, v in FAMILIES[name][0].items()}
             result.append(self.lookup(name, params))
         return result
 

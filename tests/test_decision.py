@@ -17,7 +17,11 @@ from hilbprod.decision import (
     kummer_reinterpretation,
 )
 from hilbprod.errors import DataError, DimensionMismatchError
-from hilbprod.invariants import poincare_polynomial_tuple
+from hilbprod.invariants import (
+    euler_char_tuple,
+    hodge_p0_tuple_vector,
+    poincare_polynomial_tuple,
+)
 from hilbprod.partitions import Partition, enumerate_partitions, partitions_by_length
 from hilbprod.series import betti_table, hodge_p0_table
 from hilbprod.surfaces import (
@@ -25,6 +29,7 @@ from hilbprod.surfaces import (
     SurfaceInvariants,
     catalog_lookup,
     load_catalog,
+    validate,
 )
 from product_oracle import dense_kuenneth
 
@@ -82,6 +87,14 @@ def test_invalid_surface_is_a_data_error():
     broken = SurfaceInvariants("broken", 1, 0, 22, 25)
     with pytest.raises(DataError):
         decide(broken, Partition((1,)), Partition((1,)))
+    # h11 = b2 - 2*h20 = -9 once gave a hodge_p0 witness 10 vs 5 at p = 2, where
+    # the real b2 = 1 base (P^2) answers unknown; odd b1 once gave an Euler
+    # witness 4 vs 5
+    for s in (SurfaceInvariants("bad", 1, 0, 1, 3, 0, 5), SurfaceInvariants("odd", 1, 1, 2, 2)):
+        with pytest.raises(DataError):
+            decide(s, Partition((1, 1)), Partition((2,)))
+    p2 = SurfaceInvariants("p2", 1, 0, 1, 3, 0, 0)
+    assert decide(p2, Partition((1, 1)), Partition((2,))).outcome is Outcome.UNKNOWN
 
 
 def test_inconsistent_disconnected_surface_is_a_data_error():
@@ -412,3 +425,40 @@ def test_b0_rules_fire_only_where_zeroth_betti_numbers_differ():
             pa = poincare_polynomial_tuple(s, Partition(a))
             pb = poincare_polynomial_tuple(s, Partition(b))
             assert pa.betti(0) == pb.betti(0) == zeroth(Partition(a))
+
+
+def test_rule_statements_hold_where_they_fire():
+    # every firing of a shape rule names an invariant that must differ; check
+    # that invariant on a grid of valid connected bases, every pair n <= 8
+    grid = [
+        SurfaceInvariants("grid", 1, b1, b2, 2 - 2 * b1 + b2, b1 // 2, h20)
+        for b1, b2, h20 in itertools.product((0, 2, 4), range(1, 7), (0, 1))
+    ]
+    grid = [s for s in grid if validate(s) == []]
+    assert len(grid) == 30
+    fired = collections.Counter()
+    for s in grid:
+        for n in range(2, 9):
+            for a, b in itertools.combinations(enumerate_partitions(n), 2):
+                for rule in decision._annotate_rules(s, a, b):
+                    fired[rule.rule_id] += 1
+                    if rule.rule_id in ("diff-length-min-parts", "diff-length-ones-margin"):
+                        degree = 1 if s.b1 > 0 else 2
+                        betti = (poincare_polynomial_tuple(s, p).betti(degree) for p in (a, b))
+                        assert len(set(betti)) == 2, (rule.rule_id, s, a, b)
+                    elif rule.rule_id == "same-length-first-betti":
+                        j = decision._first_difference(a, b)
+                        p = min(a.parts[j], b.parts[j]) + 1
+                        hodge = (hodge_p0_tuple_vector(s, q)[p] for q in (a, b))
+                        assert len(set(hodge)) == 2, (rule.rule_id, s, a, b)
+                    else:
+                        assert rule.rule_id in ("majorization-euler", "majorization-euler-b1-zero")
+                        euler = (euler_char_tuple(s, q) for q in (a, b))
+                        assert len(set(euler)) == 2, (rule.rule_id, s, a, b)
+    assert set(fired) == {
+        "diff-length-min-parts",
+        "diff-length-ones-margin",
+        "same-length-first-betti",
+        "majorization-euler",
+        "majorization-euler-b1-zero",
+    }

@@ -9,7 +9,7 @@ import pytest
 from hilbprod.errors import CatalogError, DataError
 from hilbprod.surfaces import (
     CATALOG_ENV_VAR,
-    FAMILY_DEFAULTS,
+    FAMILIES,
     StructuralClass,
     SurfaceInvariants,
     catalog_lookup,
@@ -34,17 +34,22 @@ def test_fixed_rows_match_table():
 
 
 def test_family_rows_match_table():
-    assert_invariants = lambda s, t: (s.b0, s.b1, s.b2, s.chi) == t
-    assert assert_invariants(catalog_lookup("del_pezzo", {"d": 1}), (1, 0, 9, 11))
-    assert assert_invariants(catalog_lookup("del_pezzo", {"d": 9}), (1, 0, 1, 3))
-    assert assert_invariants(catalog_lookup("hirzebruch", {"n": 4}), (1, 0, 2, 4))
-    assert assert_invariants(catalog_lookup("ruled", {"g": 2}), (1, 4, 2, -4))
-    assert assert_invariants(catalog_lookup("elliptic_chi1", {"g": 2}), (1, 4, 18, 12))
-    assert assert_invariants(catalog_lookup("elliptic_chi2", {"g": 1}), (1, 2, 26, 24))
-    assert assert_invariants(catalog_lookup("elliptic_en", {"n": 3}), (1, 0, 34, 36))
-    assert assert_invariants(
-        catalog_lookup("product_of_curves", {"g1": 2, "g2": 3}), (1, 10, 26, 8)
-    )
+    # (b0, b1, b2, chi, h10, h20); every family has a row
+    expected = [
+        ("del_pezzo", {"d": 1}, (1, 0, 9, 11, 0, 0)),
+        ("del_pezzo", {"d": 9}, (1, 0, 1, 3, 0, 0)),
+        ("hirzebruch", {"n": 4}, (1, 0, 2, 4, 0, 0)),
+        ("ruled", {"g": 2}, (1, 4, 2, -4, 2, None)),
+        ("elliptic_chi1", {"g": 2}, (1, 4, 18, 12, 2, None)),
+        ("elliptic_chi2", {"g": 1}, (1, 2, 26, 24, 1, None)),
+        ("elliptic_en", {"n": 3}, (1, 0, 34, 36, 0, None)),
+        ("product_of_curves", {"g1": 2, "g2": 3}, (1, 10, 26, 8, 5, None)),
+    ]
+    assert {name for name, _, _ in expected} == set(FAMILIES)
+    for name, params, numbers in expected:
+        s = catalog_lookup(name, params)
+        assert (s.b0, s.b1, s.b2, s.chi, s.h10, s.h20) == numbers, (name, params)
+        assert s.family_params == tuple(sorted(params.items()))
 
 
 def test_hodge_data_shipping_policy():
@@ -81,6 +86,23 @@ def test_validate_h10_relation():
     assert any("b1 != 2*h10" in d for d in validate(s))
 
 
+def test_validate_hodge_data_against_b2():
+    # h11 = b2 - 2*h20 = -9: no projective surface has this Hodge diamond
+    s = SurfaceInvariants("bad", 1, 0, 1, 3, 0, 5)
+    assert any("h11 = b2 - 2*h20 = -9" in d for d in validate(s))
+    # h11 = 0 is refused too: a connected projective surface has an ample class
+    assert validate(SurfaceInvariants("bad", 1, 0, 2, 4, 0, 1)) != []
+    assert validate(SurfaceInvariants("p2", 1, 0, 1, 3, 0, 0)) == []
+    # on a disconnected base each component needs its own class
+    assert validate(SurfaceInvariants("pair", 2, 0, 3, 7, h20=1)) != []
+
+
+def test_validate_odd_b1():
+    s = SurfaceInvariants("odd", 1, 1, 2, 2)
+    assert any("b1 must be even" in d for d in validate(s))
+    assert any("b1 must be even" in d for d in validate(SurfaceInvariants("pair", 2, 3, 4, 2)))
+
+
 def test_validate_k3_class_forced_tuple():
     s = SurfaceInvariants(
         "fake-k3", 1, 0, 21, 23, h10=0, h20=1, structural_class=StructuralClass.K3
@@ -113,13 +135,32 @@ def test_unknown_surface_and_bad_params():
     with pytest.raises(CatalogError):
         catalog_lookup("projective-plane")
     with pytest.raises(CatalogError):
-        catalog_lookup("del_pezzo")  # missing d
+        catalog_lookup("k3", {"d": 1})  # no parameters expected
+    # each family: the smallest valid value is accepted, one step below refused
+    smallest = {
+        "del_pezzo": {"d": 1},
+        "hirzebruch": {"n": 1},
+        "ruled": {"g": 0},
+        "elliptic_chi1": {"g": 0},
+        "elliptic_chi2": {"g": 0},
+        "elliptic_en": {"n": 3},
+        "product_of_curves": {"g1": 2, "g2": 2},
+    }
+    assert set(smallest) == set(FAMILIES)
+    for name, params in smallest.items():
+        assert validate(catalog_lookup(name, params)) == []
+        for key in params:
+            with pytest.raises(CatalogError):
+                catalog_lookup(name, {**params, key: params[key] - 1})
+        with pytest.raises(CatalogError):
+            catalog_lookup(name, {})  # missing parameter
+        with pytest.raises(CatalogError):
+            catalog_lookup(name, {**params, "x": 1})  # unexpected parameter
+    assert catalog_lookup("del_pezzo", {"d": 9}).b2 == 1
     with pytest.raises(CatalogError):
         catalog_lookup("del_pezzo", {"d": 10})
     with pytest.raises(CatalogError):
-        catalog_lookup("k3", {"d": 1})  # no parameters expected
-    with pytest.raises(CatalogError):
-        catalog_lookup("product_of_curves", {"g1": 1, "g2": 2})
+        catalog_lookup("product_of_curves", {"g1": 2})  # g2 missing
 
 
 def test_custom_catalog_file(tmp_path, monkeypatch):
@@ -151,6 +192,7 @@ def test_custom_catalog_file(tmp_path, monkeypatch):
 
 def test_family_defaults_cover_all_family_rows():
     catalog = load_catalog()
-    for record in catalog.records:
-        if record.get("family_params"):
-            assert record["name"] in FAMILY_DEFAULTS
+    family_rows = {r["name"] for r in catalog.records if r.get("family_params")}
+    assert family_rows == set(FAMILIES)
+    for name, (params, _) in FAMILIES.items():
+        assert catalog.record(name)["family_params"] == list(params)
