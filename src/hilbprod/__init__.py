@@ -8,11 +8,9 @@ from .invariants import (
     HodgeDiamond,
     PoincarePolynomial,
     betti_closed,
-    betti_from_series,
     euler_char_tuple,
     hodge_difference,
     hodge_p0,
-    hodge_p0_tuple,
     hodge_polynomial_full,
     poincare_polynomial_tuple,
     poincare_series,

@@ -29,6 +29,7 @@ from .invariants import (
     hodge_p0_tuple_vector,
     poincare_polynomial_tuple,
     poincare_series,
+    require_hodge_data,
 )
 from .partitions import Partition
 from .scanner import scan_conjecture, verify_lemma_inequalities, verify_majorization
@@ -189,11 +190,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     elif args.kind == "euler":
         series = euler_series(surface.chi, args.truncation)
     else:  # hodge-p0
-        if surface.b0 != 1 or surface.h10 is None or surface.h20 is None:
-            raise DataError(
-                f"surface {surface.name!r} has no Hodge data for the h^(p,0) series"
-            )
-        series = hodge_p0_series(surface.h10, surface.h20, args.truncation)
+        series = hodge_p0_series(*require_hodge_data(surface), args.truncation)
     dump = series.dump()
     payload = {
         "surface": surface.name,

@@ -3,26 +3,29 @@
 Two products attached to distinct partitions of the same integer are compared
 in two complementary ways:
 
-* direct invariant comparison (Euler characteristic, then the full Betti
-  vector degree by degree, then the ``h^{p,0}`` vector when Hodge data is
-  present); the first computed difference is the witness and the actual
+* direct invariant comparison over one ordered list of tiers: the Euler
+  characteristic (a one-entry vector), the full Betti vector, then the
+  ``h^{p,0}`` vector when the surface has Hodge data (b0 = 1, with h10 and
+  h20 given); the first entry that differs is the witness and the actual
   certificate;
 * structural rules for the two rigid classes (K3 bases, and generalized
   Kummer varieties over an abelian base), where distinct partitions are never
   isomorphic by uniqueness of the decomposition into irreducible
   holomorphic-symplectic factors.
 
-Sufficient-condition rules whose hypotheses hold are attached to the verdict
-as explanation metadata; they never substitute for a computed witness except
-in the two structural classes.  "Isomorphic" is only ever issued for equal
-partitions; equal computed invariants yield "Unknown", because these
-invariants are not complete.
+Each branch of ``decide`` sets only the outcome, witness, rules and notes;
+one ``Verdict`` is built from them at the end.  Sufficient-condition rules
+whose hypotheses hold are attached to the verdict as explanation metadata;
+they never substitute for a computed witness except in the two structural
+classes.  "Isomorphic" is only ever issued for equal partitions; equal
+computed invariants yield "Unknown", because these invariants are not
+complete.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from math import comb, prod
 from typing import Any, Mapping
@@ -30,6 +33,7 @@ from typing import Any, Mapping
 from .errors import DataError, DimensionMismatchError
 from .invariants import (
     euler_char_tuple,
+    has_hodge_data,
     hodge_p0_tuple_vector,
     poincare_polynomial_tuple,
 )
@@ -79,8 +83,8 @@ RULE_STATEMENTS: dict[str, str] = {
         "differs)"
     ),
     "diff-length-ones-margin": (
-        "partitions of different lengths r < s with k resp. l unit parts: "
-        "non-isomorphic when k >= l, or when k < l and "
+        "connected base (b0 = 1), partitions of different lengths r < s with "
+        "k resp. l unit parts: non-isomorphic when k >= l, or when k < l and "
         "l - k != (s - r) * (b2 + 1)"
     ),
     "same-length-disconnected": (
@@ -112,12 +116,7 @@ class Witness:
     value_b: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "invariant": self.invariant,
-            "index": self.index,
-            "value_a": self.value_a,
-            "value_b": self.value_b,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Witness":
@@ -179,10 +178,6 @@ class Verdict:
         )
 
 
-def _unit_parts(p: Partition) -> int:
-    return sum(1 for part in p.parts if part == 1)
-
-
 def _first_difference(a: Partition, b: Partition) -> int:
     for j, (x, y) in enumerate(zip(a.parts, b.parts)):
         if x != y:
@@ -214,22 +209,18 @@ def _annotate_rules(
             if s.b0 > 1:
                 detail += f"; {b0_detail}"
             fired.append(FiredRule("diff-length-min-parts", detail))
-        k, l = _unit_parts(short), _unit_parts(long_)
-        margin = (s_len - r) * (s.b2 + 1)
-        if k >= l:
-            fired.append(
-                FiredRule(
-                    "diff-length-ones-margin",
-                    f"unit parts {k} (shorter) >= {l} (longer)",
-                )
-            )
-        elif l - k != margin:
-            detail = f"unit parts {k} < {l}, l - k = {l - k} != {margin} = (s-r)*(b2+1)"
-            if s.b0 == 1 and s.b1 == 0:
-                detail += (
-                    f"; predicted degree-2 Betti gap (longer - shorter) = "
-                    f"{margin + k - l}"
-                )
+        k, l = short.parts.count(1), long_.parts.count(1)
+        margin = (s_len - r) * (s.b2 + 1)  # the degree-2 Betti gap if b0 = 1
+        if s.b0 == 1 and (k >= l or l - k != margin):
+            if k >= l:
+                detail = f"unit parts {k} (shorter) >= {l} (longer)"
+            else:
+                detail = f"unit parts {k} < {l}, l - k = {l - k} != {margin} = (s-r)*(b2+1)"
+                if s.b1 == 0:
+                    detail += (
+                        f"; predicted degree-2 Betti gap (longer - shorter) = "
+                        f"{margin + k - l}"
+                    )
             fired.append(FiredRule("diff-length-ones-margin", detail))
     else:
         if b0_a != b0_b:
@@ -268,28 +259,40 @@ def _annotate_rules(
     return fired
 
 
+# the invariant tiers in comparison order: each maps a partition to its vector;
+# the names are looked up at call time, so monkeypatching this module reaches them
+_TIERS = (
+    ("euler_characteristic", lambda s, p: (euler_char_tuple(s, p),)),
+    ("betti", lambda s, p: poincare_polynomial_tuple(s, p).coefficients),
+    ("hodge_p0", lambda s, p: hodge_p0_tuple_vector(s, p)),
+)
+
+
 def _compare_invariants(
     s: SurfaceInvariants, a: Partition, b: Partition
-) -> tuple[Witness | None, list[str]]:
-    ea, eb = euler_char_tuple(s, a), euler_char_tuple(s, b)
-    if ea != eb:
-        return Witness("euler_characteristic", None, ea, eb), []
-    pa = poincare_polynomial_tuple(s, a)
-    pb = poincare_polynomial_tuple(s, b)
-    for i, (x, y) in enumerate(zip(pa.coefficients, pb.coefficients)):
-        if x != y:
-            return Witness("betti", i, x, y), []
-    if s.b0 == 1 and s.h10 is not None and s.h20 is not None:
-        va = hodge_p0_tuple_vector(s, a)
-        vb = hodge_p0_tuple_vector(s, b)
-        for p, (x, y) in enumerate(zip(va, vb)):
+) -> tuple[Witness | None, tuple[str, ...]]:
+    """The first entry that differs, tier by tier, or the notes of an unknown.
+
+    The Euler characteristic is a one-entry tier whose witness has no index;
+    the ``h^{p,0}`` tier runs only where the surface has Hodge data.
+    """
+    hodge = has_hodge_data(s)
+    for invariant, values in _TIERS if hodge else _TIERS[:2]:
+        for i, (x, y) in enumerate(zip(values(s, a), values(s, b))):
             if x != y:
-                return Witness("hodge_p0", p, x, y), []
-        return None, ["Euler, Betti and h^(p,0) data all agree"]
-    return None, [
-        "Euler and Betti data agree",
-        "Hodge comparison skipped: surface carries no h10/h20 data",
-    ]
+                index = None if invariant == "euler_characteristic" else i
+                return Witness(invariant, index, x, y), ()
+    if hodge:
+        notes: tuple[str, ...] = ("Euler, Betti and h^(p,0) data all agree",)
+    else:
+        notes = (
+            "Euler and Betti data agree",
+            "Hodge comparison skipped: surface carries no h10/h20 data",
+        )
+    return None, notes + (
+        "computed invariants do not separate the products; they are not "
+        "complete invariants, so no isomorphism is asserted either",
+    )
 
 
 def decide(s: SurfaceInvariants, a: Partition, b: Partition) -> Verdict:
@@ -301,77 +304,35 @@ def decide(s: SurfaceInvariants, a: Partition, b: Partition) -> Verdict:
             f"dimensions {4 * a.n} and {4 * b.n} and are never isomorphic; "
             "this engine only compares partitions of the same integer"
         )
+    outcome = Outcome.NON_ISOMORPHIC
+    witness: Witness | None = None
+    rules: tuple[FiredRule, ...] = ()
+    notes: tuple[str, ...]
     if a == b:
-        return Verdict(
-            outcome=Outcome.ISOMORPHIC,
-            surface=s.name,
-            a=a,
-            b=b,
-            witness=None,
-            rules_fired=(),
-            notes=("equal partitions give the identical product",),
-        )
-
-    if s.structural_class is StructuralClass.ABELIAN_FOR_KUMMER:
-        notes = [
+        outcome = Outcome.ISOMORPHIC
+        notes = ("equal partitions give the identical product",)
+    elif s.structural_class is StructuralClass.ABELIAN_FOR_KUMMER:
+        rules = (FiredRule("kummer-product-rigidity", "base is an abelian surface"),)
+        notes = (
             "Kummer mode: each part n denotes the 2n-dimensional generalized "
             "Kummer variety of the abelian base, not a Hilbert scheme",
             "invariant comparison skipped: the series machinery computes "
             "Hilbert-scheme data, not Kummer data",
-        ]
+        )
         if 1 in a.parts or 1 in b.parts:
-            notes.append(
+            notes += (
                 "caveat: a part equal to 1 denotes a 2-dimensional Kummer "
-                "variety, which is a K3 surface"
+                "variety, which is a K3 surface",
             )
-        return Verdict(
-            outcome=Outcome.NON_ISOMORPHIC,
-            surface=s.name,
-            a=a,
-            b=b,
-            witness=None,
-            rules_fired=(
-                FiredRule("kummer-product-rigidity", "base is an abelian surface"),
-            ),
-            notes=tuple(notes),
-        )
-
-    rules = tuple(_annotate_rules(s, a, b))
-    if s.structural_class is StructuralClass.K3:
-        return Verdict(
-            outcome=Outcome.NON_ISOMORPHIC,
-            surface=s.name,
-            a=a,
-            b=b,
-            witness=None,
-            rules_fired=rules,
-            notes=("decided structurally; invariant comparison skipped",),
-        )
-
-    witness, notes = _compare_invariants(s, a, b)
-    if witness is not None:
-        return Verdict(
-            outcome=Outcome.NON_ISOMORPHIC,
-            surface=s.name,
-            a=a,
-            b=b,
-            witness=witness,
-            rules_fired=rules,
-            notes=tuple(notes),
-        )
-    notes.append(
-        "computed invariants do not separate the products; they are not "
-        "complete invariants, so no isomorphism is asserted either"
-    )
-    return Verdict(
-        outcome=Outcome.UNKNOWN,
-        surface=s.name,
-        a=a,
-        b=b,
-        witness=None,
-        rules_fired=rules,
-        notes=tuple(notes),
-    )
+    else:
+        rules = tuple(_annotate_rules(s, a, b))
+        if s.structural_class is StructuralClass.K3:
+            notes = ("decided structurally; invariant comparison skipped",)
+        else:
+            witness, notes = _compare_invariants(s, a, b)
+            if witness is None:
+                outcome = Outcome.UNKNOWN
+    return Verdict(outcome, s.name, a, b, witness, rules, notes)
 
 
 def kummer_reinterpretation(s: SurfaceInvariants) -> SurfaceInvariants:

@@ -28,7 +28,7 @@ from math import comb, prod
 from .errors import DataError, UsageError
 from .partitions import Partition, colored_count_tuple
 from .series import TruncatedSeries, betti_table, euler_table, hodge_p0_table, hodge_table
-from .surfaces import SurfaceInvariants
+from .surfaces import SurfaceInvariants, require_valid
 
 __all__ = [
     "PoincarePolynomial",
@@ -37,10 +37,10 @@ __all__ = [
     "euler_series",
     "hodge_p0_series",
     "betti_closed",
-    "betti_from_series",
     "poincare_polynomial_tuple",
     "hodge_p0",
-    "hodge_p0_tuple",
+    "has_hodge_data",
+    "require_hodge_data",
     "hodge_p0_tuple_vector",
     "hodge_difference",
     "surface_diamond",
@@ -72,14 +72,6 @@ def euler_series(chi: int, truncation: int) -> TruncatedSeries:
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
     return euler_table(chi).series(truncation)
-
-
-def betti_from_series(s: SurfaceInvariants, n: int, k: int) -> int:
-    """k-th Betti number of the n-point Hilbert scheme, from the product."""
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
-    row = betti_table(s.b0, s.b1, s.b2).rows_upto(n)[n][0]
-    return row[k] if 0 <= k < len(row) else 0
 
 
 def betti_closed(s: SurfaceInvariants, n: int, k: int) -> int | None:
@@ -180,23 +172,25 @@ def hodge_p0_series(h10: int, h20: int, truncation: int) -> TruncatedSeries:
     return hodge_p0_table(h10, h20).series(truncation)
 
 
-def _require_hodge_data(s: SurfaceInvariants) -> tuple[int, int]:
-    if s.b0 != 1:
+def has_hodge_data(s: SurfaceInvariants) -> bool:
+    """Whether the ``h^{p,0}`` series applies: b0 = 1, with h10 and h20 given."""
+    return s.b0 == 1 and s.h10 is not None and s.h20 is not None
+
+
+def require_hodge_data(s: SurfaceInvariants) -> tuple[int, int]:
+    """The surface's (h10, h20), or a DataError where ``has_hodge_data`` fails."""
+    if not has_hodge_data(s):
         raise DataError(
-            f"h^(p,0) generating series requires a connected surface (b0=1), "
-            f"got b0={s.b0}"
-        )
-    if s.h10 is None or s.h20 is None:
-        raise DataError(
-            f"surface {s.name!r} has no Hodge data (h10={s.h10}, h20={s.h20}); "
-            "refusing rather than inventing values"
+            f"surface {s.name!r} has no h^(p,0) data: it needs a connected base "
+            f"(b0 = 1) with h10 and h20 given, got b0={s.b0}, h10={s.h10}, "
+            f"h20={s.h20}; refusing rather than inventing values"
         )
     return s.h10, s.h20
 
 
 def hodge_p0(s: SurfaceInvariants, n: int, p: int) -> int:
     """``h^{p,0}`` of the n-point Hilbert scheme, exact."""
-    h10, h20 = _require_hodge_data(s)
+    h10, h20 = require_hodge_data(s)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     if not 0 <= p <= 2 * n:
@@ -210,15 +204,8 @@ def _hodge_vector(h10: int, h20: int, n: int) -> list[int]:
 
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
     """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product."""
-    h10, h20 = _require_hodge_data(s)
+    h10, h20 = require_hodge_data(s)
     return _kuenneth([_hodge_vector(h10, h20, part) for part in a.parts], 2 * a.n + 1)
-
-
-def hodge_p0_tuple(s: SurfaceInvariants, a: Partition, p: int) -> int:
-    """``h^{p,0}`` of the product of Hilbert schemes over the parts of ``a``."""
-    if not 0 <= p <= 2 * a.n:
-        raise UsageError(f"p must be in 0..{2 * a.n}, got {p}")
-    return hodge_p0_tuple_vector(s, a)[p]
 
 
 def hodge_difference(s: SurfaceInvariants, n: int, m: int) -> int:
@@ -285,12 +272,10 @@ def surface_diamond(s: SurfaceInvariants) -> HodgeDiamond:
     """Full Hodge diamond of the surface from (b2, h10, h20).
 
     ``h^{1,1} = b2 - 2*h20``; the remaining entries follow from Hodge and
-    Serre symmetry.
+    Serre symmetry.  The surface must pass ``validate``.
     """
-    h10, h20 = _require_hodge_data(s)
+    h10, h20 = require_hodge_data(require_valid(s))
     h11 = s.b2 - 2 * h20
-    if h11 < 0:
-        raise DataError(f"b2 - 2*h20 = {h11} < 0: inconsistent surface data")
     return HodgeDiamond(
         2,
         {

@@ -60,7 +60,7 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = ("scan_kind", "n", "a", "b", "k_or_p", "value_a", "value_b")
+CSV_COLUMNS = ("scan_kind", "n", "a", "b", "k_or_p", "value_a", "value_b", "form")
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,7 @@ class ScanReport:
                 "k_or_p": v.k_or_p,
                 "value_a": v.value_a,
                 "value_b": v.value_b,
+                "form": v.form,
             }
             for v in self.violations
         ]

@@ -188,7 +188,7 @@ def test_scan_structured_and_csv(tmp_path, capsys):
     assert report["violations"] == []
     with open(csv_path, newline="") as handle:
         header = next(csv.reader(handle))
-    assert header == ["scan_kind", "n", "a", "b", "k_or_p", "value_a", "value_b"]
+    assert header == ["scan_kind", "n", "a", "b", "k_or_p", "value_a", "value_b", "form"]
 
 
 def test_scan_lemma_human(capsys):

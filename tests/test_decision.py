@@ -429,36 +429,55 @@ def test_b0_rules_fire_only_where_zeroth_betti_numbers_differ():
 
 def test_rule_statements_hold_where_they_fire():
     # every firing of a shape rule names an invariant that must differ; check
-    # that invariant on a grid of valid connected bases, every pair n <= 8
-    grid = [
+    # that invariant on grids of valid bases, every pair n <= 8
+    connected = [
         SurfaceInvariants("grid", 1, b1, b2, 2 - 2 * b1 + b2, b1 // 2, h20)
         for b1, b2, h20 in itertools.product((0, 2, 4), range(1, 7), (0, 1))
     ]
-    grid = [s for s in grid if validate(s) == []]
-    assert len(grid) == 30
-    fired = collections.Counter()
-    for s in grid:
-        for n in range(2, 9):
-            for a, b in itertools.combinations(enumerate_partitions(n), 2):
-                for rule in decision._annotate_rules(s, a, b):
-                    fired[rule.rule_id] += 1
-                    if rule.rule_id in ("diff-length-min-parts", "diff-length-ones-margin"):
-                        degree = 1 if s.b1 > 0 else 2
-                        betti = (poincare_polynomial_tuple(s, p).betti(degree) for p in (a, b))
-                        assert len(set(betti)) == 2, (rule.rule_id, s, a, b)
-                    elif rule.rule_id == "same-length-first-betti":
-                        j = decision._first_difference(a, b)
-                        p = min(a.parts[j], b.parts[j]) + 1
-                        hodge = (hodge_p0_tuple_vector(s, q)[p] for q in (a, b))
-                        assert len(set(hodge)) == 2, (rule.rule_id, s, a, b)
-                    else:
-                        assert rule.rule_id in ("majorization-euler", "majorization-euler-b1-zero")
-                        euler = (euler_char_tuple(s, q) for q in (a, b))
-                        assert len(set(euler)) == 2, (rule.rule_id, s, a, b)
-    assert set(fired) == {
-        "diff-length-min-parts",
-        "diff-length-ones-margin",
-        "same-length-first-betti",
-        "majorization-euler",
-        "majorization-euler-b1-zero",
+    connected = [s for s in connected if validate(s) == []]
+    assert len(connected) == 30
+    disconnected = [
+        SurfaceInvariants("grid", b0, b1, b2, 2 * b0 - 2 * b1 + b2)
+        for b0, b1, b2 in itertools.product((2, 3), (0, 2, 4), range(1, 9))
+    ]
+    assert all(validate(s) == [] for s in disconnected)
+
+    def named_values(rule_id: str, s: SurfaceInvariants, a: Partition, b: Partition):
+        if rule_id in (
+            "diff-length-min-parts", "diff-length-ones-margin", "same-length-disconnected"
+        ):
+            degree = 0 if s.b0 > 1 else 1 if s.b1 > 0 else 2
+            return [poincare_polynomial_tuple(s, q).betti(degree) for q in (a, b)]
+        if rule_id == "same-length-first-betti":
+            j = decision._first_difference(a, b)
+            p = min(a.parts[j], b.parts[j]) + 1
+            return [hodge_p0_tuple_vector(s, q)[p] for q in (a, b)]
+        assert rule_id in ("majorization-euler", "majorization-euler-b1-zero")
+        return [euler_char_tuple(s, q) for q in (a, b)]
+
+    # on a disconnected base the ones-margin rule (a connected base's
+    # degree-2 Betti gap) must not fire
+    expected = {
+        "connected": {
+            "diff-length-min-parts",
+            "diff-length-ones-margin",
+            "same-length-first-betti",
+            "majorization-euler",
+            "majorization-euler-b1-zero",
+        },
+        "disconnected": {
+            "diff-length-min-parts",
+            "same-length-disconnected",
+            "majorization-euler",
+        },
     }
+    for kind, grid in (("connected", connected), ("disconnected", disconnected)):
+        fired = set()
+        for s in grid:
+            for n in range(2, 9):
+                for a, b in itertools.combinations(enumerate_partitions(n), 2):
+                    for rule in decision._annotate_rules(s, a, b):
+                        fired.add(rule.rule_id)
+                        x, y = named_values(rule.rule_id, s, a, b)
+                        assert x != y, (rule.rule_id, s, a, b)
+        assert fired == expected[kind]

@@ -12,11 +12,9 @@ from hilbprod.invariants import (
     HodgeDiamond,
     PoincarePolynomial,
     betti_closed,
-    betti_from_series,
     euler_char_tuple,
     hodge_difference,
     hodge_p0,
-    hodge_p0_tuple,
     hodge_p0_tuple_vector,
     hodge_polynomial_full,
     poincare_polynomial_tuple,
@@ -59,8 +57,8 @@ def test_poincare_series_k3_low_degrees():
     assert series.coeff(Exponent(2, (2,))) == 23
     assert series.coeff(Exponent(1, (2,))) == 22
     assert series.coeff(Exponent(3, (0,))) == 1
-    assert betti_from_series(K3, 2, 2) == 23
-    assert betti_from_series(K3, 2, 4) == 276
+    assert poincare_polynomial_tuple(K3, Partition((2,))).betti(2) == 23
+    assert poincare_polynomial_tuple(K3, Partition((2,))).betti(4) == 276
 
 
 def test_poincare_series_disconnected_b0():
@@ -249,17 +247,18 @@ def composition_sum(s: SurfaceInvariants, a: Partition, p: int) -> int:
 
 
 def test_hodge_p0_tuple_examples():
-    assert hodge_p0_tuple(K3, Partition((1, 1)), 2) == 2
-    assert hodge_p0_tuple(ABELIAN, Partition((1, 2)), 1) == 4
+    assert hodge_p0_tuple_vector(K3, Partition((1, 1)))[2] == 2
+    assert hodge_p0_tuple_vector(ABELIAN, Partition((1, 2)))[1] == 4
     for p in range(0, 3):
-        assert hodge_p0_tuple(K3, Partition((1,)), p) == hodge_p0(K3, 1, p)
+        assert hodge_p0_tuple_vector(K3, Partition((1,)))[p] == hodge_p0(K3, 1, p)
 
 
 def test_hodge_p0_tuple_against_composition_oracle():
     for s in (K3, ABELIAN):
         for a in (Partition((1, 2)), Partition((2, 2)), Partition((1, 1, 3))):
             for p in range(0, 5):
-                assert hodge_p0_tuple(s, a, p) == composition_sum(s, a, p), (s.name, a, p)
+                got = hodge_p0_tuple_vector(s, a)[p]
+                assert got == composition_sum(s, a, p), (s.name, a, p)
 
 
 def test_hodge_p0_tuple_vector_length():
@@ -278,6 +277,12 @@ def test_surface_diamond_shapes():
     d = surface_diamond(ABELIAN)
     assert d.h(1, 0) == 2 and d.h(1, 1) == 4
     assert d.betti(1) == ABELIAN.b1 and d.betti(2) == ABELIAN.b2
+
+
+def test_surface_diamond_refuses_invalid_surface():
+    # b1 != 2*h10: the diamond would read Betti numbers (1, 6, 2, 6, 1)
+    with pytest.raises(DataError, match="b1 != 2\\*h10"):
+        surface_diamond(SurfaceInvariants("x", 1, 2, 2, 0, h10=3, h20=0))
 
 
 def test_hodge_polynomial_full_n1_identity():

@@ -249,6 +249,14 @@ def test_csv_rows_stable_columns():
     assert row["a"] == "1,3" and row["b"] == "2,2"
 
 
+def test_lemma_csv_rows_are_distinct():
+    # the unit-shift, shift-ratio and binomial values coincide at p = 1, so
+    # only the form tells those rows apart
+    rows = verify_lemma_inequalities(10, 6, "diff_length").csv_rows()
+    assert len(rows) == 486
+    assert len({tuple(row.values()) for row in rows}) == len(rows)
+
+
 def test_record_set_round_trip():
     report = verify_lemma_inequalities(10, 6, "diff_length")
     assert len(report.violations) > 0
