@@ -25,7 +25,11 @@ Three scan families:
 Reports are deterministic for fixed parameters and engine version: each scan
 runs one bucket function per n through ``_scan``, which merges the buckets in
 order of n, and the worker count never affects the output (``wall_time_ms``
-is the one volatile field and is excluded from the fingerprint).
+is the one volatile field and is excluded from the fingerprint).  Within one
+n, pairs come straight from the length buckets of ``partitions_by_length``:
+different-length pairs shorter first, same-length pairs as combinations of
+one bucket, whose ascending lexicographic order already puts the partition
+that is smaller at the first differing part first.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, combinations, product
 from math import comb
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sized
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sized
 
 from ._version import __version__
 from .errors import UsageError
@@ -141,9 +146,14 @@ class ScanReport:
 
     def to_records(self) -> list[dict[str, Any]]:
         """Record-set form: one header record, then one record per violation."""
-        header = self.to_dict()
-        del header["violations"]
-        header["record"] = "header"
+        header = {
+            "scan_kind": self.scan_kind,
+            "parameters": dict(self.parameters),
+            "pairs_checked": self.pairs_checked,
+            "wall_time_ms": self.wall_time_ms,
+            "engine_version": self.engine_version,
+            "record": "header",
+        }
         records = [header]
         for v in self.violations:
             record = v.to_dict()
@@ -155,21 +165,8 @@ class ScanReport:
     def from_records(cls, records: list[Mapping[str, Any]]) -> "ScanReport":
         if not records or records[0].get("record") != "header":
             raise ValueError("record set must start with a header record")
-        header = dict(records[0])
-        header.pop("record")
-        header["violations"] = []
-        report = cls.from_dict(header)
-        violations = tuple(
-            Violation.from_dict(r) for r in records[1:] if r.get("record") == "violation"
-        )
-        return cls(
-            scan_kind=report.scan_kind,
-            parameters=report.parameters,
-            pairs_checked=report.pairs_checked,
-            violations=violations,
-            wall_time_ms=report.wall_time_ms,
-            engine_version=report.engine_version,
-        )
+        violations = [r for r in records[1:] if r.get("record") == "violation"]
+        return cls.from_dict({**records[0], "violations": violations})
 
     def write_records(self, path: str | Path) -> None:
         """JSON Lines: the header record, then one line per violation."""
@@ -199,38 +196,28 @@ class ScanReport:
             writer.writerows(self.csv_rows())
 
 
-# -- pair generators -----------------------------------------------------------
-
-
-def _diff_length_pairs(n: int) -> Iterable[tuple[Partition, Partition]]:
-    """Pairs (shorter, longer) across length buckets, deterministic order."""
-    buckets = partitions_by_length(n)
-    lengths = sorted(buckets)
-    for i, r in enumerate(lengths):
-        for s_len in lengths[i + 1 :]:
-            for a in buckets[r]:
-                for b in buckets[s_len]:
-                    yield a, b
-
-
-def _same_length_pairs(n: int) -> Iterable[tuple[Partition, Partition]]:
-    """Unordered distinct same-length pairs, each oriented so that the
-    partition that is smaller at the first differing index comes first."""
-    buckets = partitions_by_length(n)
-    for r in sorted(buckets):
-        bucket = buckets[r]
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                a, b = bucket[i], bucket[j]
-                for x, y in zip(a.parts, b.parts):
-                    if x != y:
-                        if x > y:
-                            a, b = b, a
-                        break
-                yield a, b
-
-
 # -- buckets: one function of n per scan ------------------------------------
+#
+# Each bucket takes one shape: the length buckets of n, one dict of each
+# partition's values keyed by those same objects, one loop over ``_pairs``.
+
+
+def _pairs(
+    buckets: Mapping[int, list[Partition]], mode: str
+) -> Iterator[tuple[Partition, Partition]]:
+    """The pairs of one n, in a fixed order.
+
+    ``diff_length``: (shorter, longer) across length buckets.
+    ``same_length``: distinct pairs within one bucket; a bucket is in
+    ascending lexicographic order, so the first of each pair is the one that
+    is smaller at the first differing part.
+    """
+    lengths = sorted(buckets)
+    if mode == "same_length":
+        return chain.from_iterable(combinations(buckets[r], 2) for r in lengths)
+    return chain.from_iterable(
+        product(buckets[r], buckets[s]) for r, s in combinations(lengths, 2)
+    )
 
 
 def _shift_products(parts: tuple[int, ...], p_max: int) -> tuple[list[int], list[int]]:
@@ -250,26 +237,14 @@ def _shift_products(parts: tuple[int, ...], p_max: int) -> tuple[list[int], list
 
 def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation]]:
     scan_kind = f"lemma_{mode}"
+    buckets = partitions_by_length(n)
+    values = {p: _shift_products(p.parts, p_max) for bucket in buckets.values() for p in bucket}
     violations: list[Violation] = []
     pairs = 0
-    cache: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-
-    def products(p: Partition) -> tuple[list[int], list[int]]:
-        got = cache.get(p.parts)
-        if got is None:
-            got = _shift_products(p.parts, p_max)
-            cache[p.parts] = got
-        return got
-
-    if mode == "diff_length":
-        pair_iter = _diff_length_pairs(n)
-    else:
-        pair_iter = _same_length_pairs(n)
-
-    for a, b in pair_iter:
+    for a, b in _pairs(buckets, mode):
         pairs += 1
-        shift_a, binom_a = products(a)
-        shift_b, binom_b = products(b)
+        shift_a, binom_a = values[a]
+        shift_b, binom_b = values[b]
         r, s_len = a.length, b.length
         # plain product of (part + 1): the p = 1 base form
         if not shift_a[1] < shift_b[1]:
@@ -301,9 +276,15 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
 
 
 def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
+    buckets = partitions_by_length(n)
+    values = {
+        p: [colored_count_tuple(k, p) for k in k_tuple]
+        for bucket in buckets.values()
+        for p in bucket
+    }
     violations: list[Violation] = []
     pairs = 0
-    for a, b in _same_length_pairs(n):
+    for a, b in _pairs(buckets, "same_length"):
         pairs += 1
         order = majorizes(b, a)
         if order is Majorization.STRICTLY_MAJORIZES:
@@ -312,9 +293,7 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
             smaller, bigger = b, a
         else:
             continue
-        for k in k_tuple:
-            low = colored_count_tuple(k, smaller)
-            high = colored_count_tuple(k, bigger)
+        for k, low, high in zip(k_tuple, values[smaller], values[bigger]):
             if not high > low:
                 violations.append(
                     Violation(
@@ -326,13 +305,17 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
 
 
 def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
+    buckets = partitions_by_length(n)
+    values = {
+        p: [colored_count_tuple(k, p) for k in k_tuple]
+        for bucket in buckets.values()
+        for p in bucket
+    }
     violations: list[Violation] = []
     pairs = 0
-    for a, b in _same_length_pairs(n):
+    for a, b in _pairs(buckets, "same_length"):
         pairs += 1
-        for k in k_tuple:
-            va = colored_count_tuple(k, a)
-            vb = colored_count_tuple(k, b)
+        for k, va, vb in zip(k_tuple, values[a], values[b]):
             if va == vb:
                 violations.append(
                     Violation(

@@ -136,8 +136,11 @@ def validate(s: SurfaceInvariants) -> list[str]:
         diagnostics.append(f"b1 must be nonnegative, got {s.b1}")
     if s.b1 % 2:
         diagnostics.append(f"b1 must be even (Hodge symmetry), got {s.b1}")
-    if s.b2 < 1:
-        diagnostics.append(f"b2 must be positive, got {s.b2}")
+    if s.b2 < max(s.b0, 1):
+        diagnostics.append(
+            f"b2 = {s.b2} must be at least max(b0, 1) = {max(s.b0, 1)} "
+            "(an ample class on each component)"
+        )
     if s.chi != 2 * s.b0 - 2 * s.b1 + s.b2:
         diagnostics.append(
             f"chi mismatch: chi={s.chi} but 2*b0 - 2*b1 + b2 = "

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from math import comb
+from math import comb, prod
 
 import pytest
 
 import hilbprod.scanner as scanner
 from hilbprod.errors import UsageError
-from hilbprod.partitions import Partition, colored_count_tuple, partitions_by_length
+from hilbprod.partitions import (
+    Partition,
+    brute_force_colored,
+    colored_count_tuple,
+    partitions_by_length,
+)
 from hilbprod.scanner import (
     CSV_COLUMNS,
     ScanReport,
@@ -37,6 +43,31 @@ def independent_diff_length_pairs(n_max: int) -> int:
         same = sum(comb(size, 2) for size in sizes)
         total += all_pairs - same
     return total
+
+
+def oracle_partitions(n: int) -> set[tuple[int, ...]]:
+    """Partitions of n as increasing tuples, grown one unit at a time: a new
+    part 1, or one existing part raised by 1."""
+    grown = {()}
+    for _ in range(n):
+        grown = {
+            tuple(sorted(q))
+            for p in grown
+            for q in [p + (1,)] + [p[:i] + (p[i] + 1,) + p[i + 1 :] for i in range(len(p))]
+        }
+    return grown
+
+
+def oracle_same_length_pairs(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Distinct same-length pairs of n, the one smaller at the first
+    differing part first."""
+    pairs = []
+    for a, b in itertools.combinations(oracle_partitions(n), 2):
+        if len(a) != len(b):
+            continue
+        j = next(i for i in range(len(a)) if a[i] != b[i])
+        pairs.append((a, b) if a[j] < b[j] else (b, a))
+    return pairs
 
 
 # -- lemma scans -----------------------------------------------------------------
@@ -123,6 +154,27 @@ def test_majorization_base_pair_values():
     assert colored_count_tuple(3, Partition((1, 3))) == 66
 
 
+def test_majorization_records_follow_the_prefix_sum_order(monkeypatch):
+    # with every coloured count equal to k, each strictly comparable pair
+    # fails the strict inequality once per k; the records must name the pair
+    # smaller and bigger in the prefix-sum order, with the k of that value
+    monkeypatch.setattr(scanner, "colored_count_tuple", lambda k, p: k)
+    expected = []
+    for n in range(1, 11):
+        for a, b in oracle_same_length_pairs(n):
+            sums_a, sums_b = list(itertools.accumulate(a)), list(itertools.accumulate(b))
+            if all(x <= y for x, y in zip(sums_a, sums_b)):
+                smaller, bigger = a, b
+            elif all(x >= y for x, y in zip(sums_a, sums_b)):
+                smaller, bigger = b, a
+            else:
+                continue
+            expected += [(n, smaller, bigger, k, k, k) for k in (3, 5)]
+    report = verify_majorization({5, 3}, 10)
+    found = [(v.n, v.a, v.b, v.k_or_p, v.value_a, v.value_b) for v in report.violations]
+    assert expected and sorted(found) == sorted(expected)
+
+
 def test_majorization_requires_k_at_least_3():
     with pytest.raises(UsageError):
         verify_majorization({2, 3}, 8)
@@ -157,6 +209,19 @@ def test_conjecture_exploratory_small_k_allowed():
     for v in report.violations:
         assert v.value_a == v.value_b
         assert colored_count_tuple(v.k_or_p, Partition(v.a)) == v.value_a
+    # the full collision set at n <= 10 against products of brute-force counts
+    expected = set()
+    for n in range(1, 11):
+        for a, b in oracle_same_length_pairs(n):
+            for k in (1, 2):
+                va, vb = (prod(brute_force_colored(k, part) for part in q) for q in (a, b))
+                if va == vb:
+                    expected.add((n, a, b, k, va))
+    report = scan_conjecture({1, 2}, 10)
+    found = [(v.n, v.a, v.b, v.k_or_p, v.value_a) for v in report.violations]
+    assert expected and len(found) == len(set(found))
+    assert set(found) == expected
+    assert all(v.value_a == v.value_b for v in report.violations)
 
 
 # -- determinism and serialization ------------------------------------------------------
