@@ -2,8 +2,9 @@
 
 Subcommands: ``catalog``, ``invariants``, ``decide``, ``series``, ``scan``,
 ``aut``.  Exit codes: 0 success, 1 usage error (bad arguments, mismatched
-dimensions), 2 data or validation error (unknown catalog entry, missing Hodge
-data, failed surface validation).
+dimensions, an output path that cannot be written), 2 data or validation
+error (unknown or unreadable catalog entry, missing Hodge data, failed
+surface validation).
 
 ``--output-format structured`` emits JSON that parses back into the
 originating record types; ``--output`` redirects it to a file.  The default
@@ -57,8 +58,11 @@ def _parse_params(text: str | None) -> dict[str, int]:
         if "=" not in item:
             raise UsageError(f"parameter {item!r} is not of the form name=value")
         name, _, value = item.partition("=")
+        name = name.strip()
+        if name in params:
+            raise UsageError(f"parameter {name!r} is given more than once")
         try:
-            params[name.strip()] = int(value)
+            params[name] = int(value)
         except ValueError as exc:
             raise UsageError(f"parameter value {value!r} is not an integer") from exc
     return params
@@ -388,6 +392,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:  # reader gone (`| head`): no traceback, none at exit either
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # an --output, --csv or --records path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -26,10 +26,11 @@ Reports are deterministic for fixed parameters and engine version: each scan
 runs one bucket function per n through ``_scan``, which merges the buckets in
 order of n, and the worker count never affects the output (``wall_time_ms``
 is the one volatile field and is excluded from the fingerprint).  Within one
-n, pairs come straight from the length buckets of ``partitions_by_length``:
-different-length pairs shorter first, same-length pairs as combinations of
-one bucket, whose ascending lexicographic order already puts the partition
-that is smaller at the first differing part first.
+n, pairs come straight from the length buckets of ``partitions_by_length``,
+each partition carrying the values computed for it once: different-length
+pairs shorter first, same-length pairs as combinations of one bucket, whose
+ascending lexicographic order already puts the partition that is smaller at
+the first differing part first.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import partial
 from itertools import chain, combinations, product
 from math import comb
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sized
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sized
 
 from ._version import __version__
 from .errors import UsageError
@@ -65,11 +66,10 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = ("scan_kind", "n", "a", "b", "k_or_p", "value_a", "value_b", "form")
 
+class Violation(NamedTuple):
+    """One failed comparison; the field order is the CSV column order."""
 
-@dataclass(frozen=True)
-class Violation:
     scan_kind: str
     n: int
     a: tuple[int, ...]
@@ -77,7 +77,7 @@ class Violation:
     k_or_p: int
     value_a: int
     value_b: int
-    form: str
+    form: str = ""
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -103,6 +103,14 @@ class Violation:
             d["value_b"],
             d.get("form", ""),
         )
+
+
+CSV_COLUMNS = Violation._fields
+
+
+def _csv_row(v: Violation) -> tuple[Any, ...]:
+    """The violation as a CSV row: the parts tuples joined by commas."""
+    return v[:2] + (",".join(map(str, v.a)), ",".join(map(str, v.b))) + v[4:]
 
 
 @dataclass(frozen=True)
@@ -175,59 +183,54 @@ class ScanReport:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     def csv_rows(self) -> list[dict[str, Any]]:
-        return [
-            {
-                "scan_kind": v.scan_kind,
-                "n": v.n,
-                "a": ",".join(map(str, v.a)),
-                "b": ",".join(map(str, v.b)),
-                "k_or_p": v.k_or_p,
-                "value_a": v.value_a,
-                "value_b": v.value_b,
-                "form": v.form,
-            }
-            for v in self.violations
-        ]
+        return [dict(zip(CSV_COLUMNS, _csv_row(v))) for v in self.violations]
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(CSV_COLUMNS))
-            writer.writeheader()
-            writer.writerows(self.csv_rows())
+            writer = csv.writer(handle)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(map(_csv_row, self.violations))
 
 
 # -- buckets: one function of n per scan ------------------------------------
 #
-# Each bucket takes one shape: the length buckets of n, one dict of each
-# partition's values keyed by those same objects, one loop over ``_pairs``.
+# Each bucket takes one shape: one call of ``_valued_pairs``, then one loop
+# over the pairs it returns.
 
 
-def _pairs(
-    buckets: Mapping[int, list[Partition]], mode: str
-) -> Iterator[tuple[Partition, Partition]]:
-    """The pairs of one n, in a fixed order.
+def _valued_pairs(
+    n: int, values: Callable[[Partition], Any], mode: str
+) -> tuple[int, Iterator[tuple[tuple[Partition, Any], tuple[Partition, Any]]]]:
+    """The pair count and the pairs of one n, each side as (partition, values).
+
+    ``values`` runs once per partition of n; the count comes from the bucket
+    sizes, before any pair is made.
 
     ``diff_length``: (shorter, longer) across length buckets.
     ``same_length``: distinct pairs within one bucket; a bucket is in
     ascending lexicographic order, so the first of each pair is the one that
     is smaller at the first differing part.
     """
-    lengths = sorted(buckets)
+    buckets = [
+        [(p, values(p)) for p in bucket]
+        for _, bucket in sorted(partitions_by_length(n).items())
+    ]
     if mode == "same_length":
-        return chain.from_iterable(combinations(buckets[r], 2) for r in lengths)
-    return chain.from_iterable(
-        product(buckets[r], buckets[s]) for r, s in combinations(lengths, 2)
-    )
+        count = sum(comb(len(bucket), 2) for bucket in buckets)
+        return count, chain.from_iterable(combinations(bucket, 2) for bucket in buckets)
+    across = list(combinations(buckets, 2))
+    count = sum(len(shorter) * len(longer) for shorter, longer in across)
+    return count, chain.from_iterable(product(*two) for two in across)
 
 
-def _shift_products(parts: tuple[int, ...], p_max: int) -> tuple[list[int], list[int]]:
+def _shift_products(partition: Partition, p_max: int) -> tuple[list[int], list[int]]:
     """Per shift p: (prod of (part+p), prod of C(part+p, p)), 1-indexed by p."""
     shift = [0] * (p_max + 1)
     binom = [0] * (p_max + 1)
     for p in range(1, p_max + 1):
         sh = 1
         bi = 1
-        for part in parts:
+        for part in partition.parts:
             sh *= part + p
             bi *= comb(part + p, p)
         shift[p] = sh
@@ -235,16 +238,15 @@ def _shift_products(parts: tuple[int, ...], p_max: int) -> tuple[list[int], list
     return shift, binom
 
 
+def _colored_counts(partition: Partition, k_tuple: tuple[int, ...]) -> list[int]:
+    return [colored_count_tuple(k, partition) for k in k_tuple]
+
+
 def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation]]:
     scan_kind = f"lemma_{mode}"
-    buckets = partitions_by_length(n)
-    values = {p: _shift_products(p.parts, p_max) for bucket in buckets.values() for p in bucket}
+    pairs, stream = _valued_pairs(n, partial(_shift_products, p_max=p_max), mode)
     violations: list[Violation] = []
-    pairs = 0
-    for a, b in _pairs(buckets, mode):
-        pairs += 1
-        shift_a, binom_a = values[a]
-        shift_b, binom_b = values[b]
+    for (a, (shift_a, binom_a)), (b, (shift_b, binom_b)) in stream:
         r, s_len = a.length, b.length
         # plain product of (part + 1): the p = 1 base form
         if not shift_a[1] < shift_b[1]:
@@ -276,28 +278,21 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
 
 
 def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
-    buckets = partitions_by_length(n)
-    values = {
-        p: [colored_count_tuple(k, p) for k in k_tuple]
-        for bucket in buckets.values()
-        for p in bucket
-    }
+    values = partial(_colored_counts, k_tuple=k_tuple)
+    pairs, stream = _valued_pairs(n, values, "same_length")
     violations: list[Violation] = []
-    pairs = 0
-    for a, b in _pairs(buckets, "same_length"):
-        pairs += 1
+    for (a, values_a), (b, values_b) in stream:
         order = majorizes(b, a)
-        if order is Majorization.STRICTLY_MAJORIZES:
-            smaller, bigger = a, b
-        elif order is Majorization.MAJORIZED_BY:
-            smaller, bigger = b, a
-        else:
+        if order is Majorization.MAJORIZED_BY:
+            a, values_a, b, values_b = b, values_b, a, values_a
+        elif order is not Majorization.STRICTLY_MAJORIZES:
             continue
-        for k, low, high in zip(k_tuple, values[smaller], values[bigger]):
+        # now b strictly majorizes a
+        for k, low, high in zip(k_tuple, values_a, values_b):
             if not high > low:
                 violations.append(
                     Violation(
-                        "majorization", n, smaller.parts, bigger.parts, k,
+                        "majorization", n, a.parts, b.parts, k,
                         low, high, "strict-majorization-inequality",
                     )
                 )
@@ -305,17 +300,11 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
 
 
 def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
-    buckets = partitions_by_length(n)
-    values = {
-        p: [colored_count_tuple(k, p) for k in k_tuple]
-        for bucket in buckets.values()
-        for p in bucket
-    }
+    values = partial(_colored_counts, k_tuple=k_tuple)
+    pairs, stream = _valued_pairs(n, values, "same_length")
     violations: list[Violation] = []
-    pairs = 0
-    for a, b in _pairs(buckets, "same_length"):
-        pairs += 1
-        for k, va, vb in zip(k_tuple, values[a], values[b]):
+    for (a, values_a), (b, values_b) in stream:
+        for k, va, vb in zip(k_tuple, values_a, values_b):
             if va == vb:
                 violations.append(
                     Violation(

@@ -316,6 +316,8 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
         raise CatalogError(f"catalog file not found: {p}")
     try:
         data = json.loads(p.read_text())
+    except OSError as exc:
+        raise CatalogError(f"catalog {p} cannot be read: {exc}") from exc
     except ValueError as exc:
         raise CatalogError(f"catalog {p} is not valid JSON: {exc}") from exc
     return _catalog_from_dict(data, str(p))

@@ -110,6 +110,15 @@ def test_bad_params_exit_1(capsys):
     assert code == 1
 
 
+def test_repeated_param_exit_1(capsys):
+    # the last value used to win silently: d = 9 for "d=3,d=9"
+    code, out, err = run(
+        capsys, "catalog", "--surface", "del_pezzo", "--params", "d=3,d=9"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'d'" in err
+
+
 # -- invariants ----------------------------------------------------------------------
 
 
@@ -282,6 +291,17 @@ def test_output_file(tmp_path, capsys):
     assert verdict.outcome.value == "non_isomorphic"
 
 
+def test_unwritable_output_paths_exit_1(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    scan = ["scan", "--kind", "conjecture", "--n-max", "6", "--k-set", "1"]
+    for flag in ("--output", "--csv", "--records"):
+        path = missing / f"out{flag}"
+        code, _, err = run(capsys, *scan, flag, str(path))
+        assert code == 1, flag
+        assert err.startswith("error:") and str(path) in err, (flag, err)
+    assert not missing.exists()
+
+
 def test_installed_console_script():
     """The ``hilbprod`` console script and ``python -m hilbprod`` share one entry
     point; the subprocess runs the latter so that no install is needed."""
@@ -365,6 +385,14 @@ def test_malformed_catalog_exit_2(tmp_path, capsys, monkeypatch, text):
     assert code == 2 and err.startswith("error:"), err
     monkeypatch.setenv("HILBPROD_CATALOG", str(path))
     code, _, err = run(capsys, "decide", "--surface", "s", "--a", "1,1", "--b", "2")
+    assert code == 2 and err.startswith("error:"), err
+
+
+def test_catalog_directory_exit_2(tmp_path, capsys, monkeypatch):
+    code, _, err = run(capsys, "catalog", "--catalog", str(tmp_path))
+    assert code == 2 and err.startswith("error:"), err
+    monkeypatch.setenv("HILBPROD_CATALOG", str(tmp_path))
+    code, _, err = run(capsys, "decide", "--surface", "k3", "--a", "1,1", "--b", "2")
     assert code == 2 and err.startswith("error:"), err
 
 

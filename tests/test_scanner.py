@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import itertools
 import json
 from math import comb, prod
@@ -287,6 +289,55 @@ def test_report_round_trip():
 def test_violation_round_trip():
     v = Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10, "collision")
     assert Violation.from_dict(v.to_dict()) == v
+    # a record written before the form column existed loads with form ""
+    old = {key: value for key, value in v.to_dict().items() if key != "form"}
+    assert Violation.from_dict(old) == Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10)
+    assert Violation.from_dict(old).form == ""
+
+
+# sha256 of fingerprint(), the CSV file and the JSON Lines file (wall time
+# set to 0), recorded before Violation became a named tuple; any change to
+# an exported byte, engine version included, shows here
+PINNED_EXPORTS = {
+    "diff_length": (
+        lambda: verify_lemma_inequalities(10, 6, "diff_length"),
+        "e1b2a3d08a6cd97107e0b03454bf16972e8625f8c0fc5f528d61e48d35e6899b",
+        "723939b6ea47cfa1fd7ada7f4765057f46e809511037bc373e01c58ecadc87c5",
+        "f592f0484bf4ef09b4f2adbf5076c0d4b7185f870943273a769fab35043028ac",
+    ),
+    "same_length": (
+        lambda: verify_lemma_inequalities(10, 6, "same_length"),
+        "a690ced730b677331bfa72b1869b826d32224b019160b91f292453faf80beaf7",
+        "ff00e3e7b5a3eafcbd5d13feb9f7a8fe3ae9e6551c3077f89b27590c4b9b4333",
+        "29cac06b76184499cd5d51fb0cf645ddd4ec43ad93ea96bcbb30109b82ae4cf3",
+    ),
+    "majorization": (
+        lambda: verify_majorization({3, 4}, 10),
+        "51224c272143e44f45039aa19740db312394e51dd7445c4984a0bc71c1224f24",
+        "21fefb4000323eea885fba0ccc1f0db547e4179b4d07a13d99cb27a26dec5008",
+        "864431e8dc712017b86ef0c7008928957eda187680b9cacfdc0008e06268aa6d",
+    ),
+    "conjecture": (
+        lambda: scan_conjecture({1, 2}, 10),
+        "2441a956dec600283d67c1b261118fe909f5c819173eda43be1baca1736a1958",
+        "899492bb22e289b9f09bbfa9a79a99bff46aa61fb78c095220baca1d1747e43a",
+        "841819c6233966221e7f8007fac28fdcd5e249a29c6e1cdb2da70e11e07e73f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXPORTS))
+def test_exports_are_pinned(tmp_path, name):
+    scan, *expected = PINNED_EXPORTS[name]
+    report = dataclasses.replace(scan(), wall_time_ms=0)
+    report.write_csv(tmp_path / "report.csv")
+    report.write_records(tmp_path / "report.jsonl")
+    exported = [
+        report.fingerprint().encode(),
+        (tmp_path / "report.csv").read_bytes(),
+        (tmp_path / "report.jsonl").read_bytes(),
+    ]
+    assert [hashlib.sha256(data).hexdigest() for data in exported] == expected
 
 
 def test_csv_export(tmp_path):
