@@ -207,6 +207,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    # fail on an unwritable path before the scan, not after it: append mode
+    # creates a missing file and never truncates an existing one
+    for path in (args.csv, args.records, args.output):
+        if path:
+            open(path, "a").close()
     workers = args.workers
     if args.kind in ("lemma-diff-length", "lemma-same-length"):
         mode = "diff_length" if args.kind == "lemma-diff-length" else "same_length"

@@ -59,8 +59,8 @@ def poincare_series(
 
     The coefficient of ``z^k t^n`` is the k-th Betti number of the n-point
     Hilbert scheme, for every n up to the truncation order.  ``z_cap``
-    optionally drops all z-degrees above the cap from the returned terms;
-    the surviving coefficients are exact.
+    (>= 0) optionally drops all z-degrees above the cap from the returned
+    terms; the surviving coefficients are exact.
     """
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
@@ -169,6 +169,8 @@ def hodge_p0_series(h10: int, h20: int, truncation: int) -> TruncatedSeries:
     """Series whose coefficient of ``x^p t^n`` is ``h^{p,0}`` of the n-point scheme."""
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
+    if h10 < 0 or h20 < 0:
+        raise DataError(f"h10 and h20 must be >= 0, got h10={h10}, h20={h20}")
     return hodge_p0_table(h10, h20).series(truncation)
 
 

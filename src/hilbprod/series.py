@@ -6,16 +6,20 @@ with u = z (Betti), nothing (Euler) or (x, y) (Hodge diamond).  Its rows
 ``F_n``, polynomials in u held as dense lists of ints, follow from the
 log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
 ``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r u^{r (slope m + offset)}``: G is
-sparse and the division by n is exact.  The ``h^{p,0}`` series (y = 0) is a
-running sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
-(b0, b1, b2), chi, (h10, h20) and diamond: a table at N answers every n <= N,
-and a larger request extends it from its last row.
+sparse and the division by n is exact.  A product without auxiliary
+variables (Euler: ``G_k = chi sigma(k)``) has a scalar ``G_k``, so each of
+its rows is one dot product of ``G_1..G_n`` with the earlier rows.  The
+``h^{p,0}`` series (y = 0) is a running sum of its closed form instead.  One
+``GrowOnlyTable`` is kept per (b0, b1, b2), chi, (h10, h20) and diamond: a
+table at N answers every n <= N, and a larger request extends it from its
+last row.
 
-``GrowOnlyTable.series`` wraps rows 0..N as a ``TruncatedSeries``, the
-read-only result of ``poincare_series``, ``euler_series`` and
-``hodge_p0_series``: a term map in t and zero, one (z) or two (x, y)
-auxiliary variables, truncated in t only (every row bounds its auxiliary
-degrees).  The package never multiplies series; the test oracle does.
+``GrowOnlyTable.series`` reads rows 0..N of a table in zero or one variable
+straight from their lines as a ``TruncatedSeries``, the read-only result of
+``poincare_series``, ``euler_series`` and ``hodge_p0_series``: a term map
+in t and zero, one (z) or two (x, y) auxiliary variables, truncated in t
+only (every row bounds its auxiliary degrees).  The package never
+multiplies series; the test oracle does.
 
 Coefficients are arbitrary-precision signed integers; there is no floating
 point anywhere.  Series are immutable and canonical (no zero coefficients, no
@@ -27,7 +31,10 @@ from __future__ import annotations
 
 import threading
 from math import comb
+from operator import mul
 from typing import Callable, Iterator, NamedTuple
+
+from .errors import UsageError
 
 __all__ = [
     "Exponent",
@@ -197,12 +204,25 @@ class GrowOnlyTable:
         }
 
     def series(self, truncation: int, *, cap: int | None = None) -> TruncatedSeries:
-        """Rows 0..truncation as a series; ``cap`` drops total auxiliary degrees above it."""
-        out: dict[tuple[int, tuple[int, ...]], int] = {}
-        for n in range(truncation + 1):
-            for degs, c in self.terms(n).items():
-                if cap is None or sum(degs) <= cap:
-                    out[(n, degs)] = c
+        """Rows 0..truncation of a table in at most one variable, as a series.
+
+        Each row's line is read as it stands, one ``(j,)`` key per degree
+        (``()`` without a variable); ``cap`` drops degrees above it.
+        """
+        if self.aux_count > 1:
+            raise ValueError("series() reads tables in at most one variable")
+        if cap is not None and cap < 0:
+            raise UsageError(f"degree cap must be >= 0, got {cap}")
+        rows = self.rows_upto(truncation)[:truncation + 1]
+        end = None if cap is None else cap + 1
+        # a row's line is never shorter than the one before, so the last is the widest
+        keys = [(j,) for j in range(len(rows[-1][0]))] if self.aux_count else [()]
+        out = {
+            (n, key): c
+            for n, row in enumerate(rows)
+            for key, c in zip(keys, row[0][:end])
+            if c
+        }
         return TruncatedSeries._canonical(truncation, self.aux_count, out)
 
 
@@ -216,7 +236,6 @@ def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, in
     factors = [f for f in factors if f[1]]
     # the (x, y)-degrees of row n are at most bound * n
     bx, by = (max((f[2][i] + max(f[3][i], 0) for f in factors), default=0) for i in (0, 1))
-    g: list[list[tuple[int, int, int]]] = [[]]  # G_k as (x-degree, y-degree, coefficient)
 
     def log_derivative(k: int) -> list[tuple[int, int, int]]:
         terms: dict[tuple[int, int], int] = {}
@@ -228,6 +247,22 @@ def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, in
                     c = -m * e if sign < 0 or r % 2 == 0 else m * e
                     terms[degs] = terms.get(degs, 0) + c
         return [(dx, dy, c) for (dx, dy), c in sorted(terms.items()) if c]
+
+    if not bx and not by:
+        # no auxiliary variable: every G_k and every row is one integer, so
+        # row n is one dot product of G_1..G_n with rows n-1..0
+        scalars = [0]
+        values = [1]
+
+        def next_value(rows: list[Row], n: int) -> Row:
+            while len(scalars) <= n:
+                scalars.append(sum(c for _, _, c in log_derivative(len(scalars))))
+            values.append(sum(map(mul, scalars[1:n + 1], reversed(values[:n]))) // n)
+            return [[values[n]]]
+
+        return next_value
+
+    g: list[list[tuple[int, int, int]]] = [[]]  # G_k as (x-degree, y-degree, coefficient)
 
     def next_row(rows: list[Row], n: int) -> Row:
         while len(g) <= n:

@@ -302,6 +302,32 @@ def test_unwritable_output_paths_exit_1(tmp_path, capsys):
     assert not missing.exists()
 
 
+def test_scan_checks_output_paths_before_scanning(tmp_path, capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        pytest.fail("the scan ran although an output path cannot be written")
+
+    monkeypatch.setattr("hilbprod.cli.verify_lemma_inequalities", no_scan)
+    missing = tmp_path / "no-such-dir"
+    scan = ["scan", "--kind", "lemma-diff-length", "--n-max", "18"]
+    for flag in ("--csv", "--records", "--output"):
+        code, _, err = run(capsys, *scan, flag, str(missing / "out"))
+        assert code == 1, flag
+        assert err.startswith("error:"), (flag, err)
+
+
+def test_scan_output_paths_keep_existing_files(tmp_path, capsys):
+    paths = {flag: tmp_path / f"out{flag}" for flag in ("--csv", "--records", "--output")}
+    argv = ["scan", "--kind", "conjecture", "--n-max", "6", "--k-set", "1"]
+    for flag, path in paths.items():
+        path.write_text("stale\n")
+        argv += [flag, str(path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == ""
+    for path in paths.values():  # each file is rewritten whole after the scan
+        assert "stale" not in path.read_text()
+    assert paths["--csv"].read_text().startswith("scan_kind,")
+
+
 def test_installed_console_script():
     """The ``hilbprod`` console script and ``python -m hilbprod`` share one entry
     point; the subprocess runs the latter so that no install is needed."""

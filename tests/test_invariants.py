@@ -15,6 +15,7 @@ from hilbprod.invariants import (
     euler_char_tuple,
     hodge_difference,
     hodge_p0,
+    hodge_p0_series,
     hodge_p0_tuple_vector,
     hodge_polynomial_full,
     poincare_polynomial_tuple,
@@ -213,6 +214,22 @@ def test_hodge_p0_refusals():
         hodge_p0(synthetic(2, 0, 2), 2, 1)  # disconnected
     with pytest.raises(UsageError):
         hodge_p0(K3, 2, 5)  # p > 2n
+
+
+def test_hodge_p0_series_refuses_negative_hodge_numbers():
+    # h10 = -1 used to give 1 + t + t^2 + t^3, h20 = -2 a bare ValueError
+    for h10, h20 in ((-1, 0), (1, -2), (-3, -3)):
+        with pytest.raises(DataError, match="h10 and h20 must be >= 0"):
+            hodge_p0_series(h10, h20, 3)
+    assert len(hodge_p0_series(0, 0, 3)) == 4  # zero is valid: 1 + t + t^2 + t^3
+
+
+def test_poincare_series_refuses_negative_z_cap():
+    # a negative cap used to return an empty series, without even the constant 1
+    for cap in (-1, -5):
+        with pytest.raises(UsageError, match="cap must be >= 0"):
+            poincare_series(K3, 4, z_cap=cap)
+    assert poincare_series(K3, 4, z_cap=0).coeff(Exponent(0, (0,))) == 1
 
 
 def test_hodge_difference_examples():

@@ -16,7 +16,7 @@ from hilbprod.invariants import (
     surface_diamond,
 )
 from hilbprod.partitions import colored_count
-from hilbprod.series import Exponent
+from hilbprod.series import Exponent, TruncatedSeries
 from hilbprod.surfaces import SurfaceInvariants, load_catalog
 from product_oracle import (
     euler_product,
@@ -80,6 +80,56 @@ def test_hodge_kernel_matches_oracle(s):
 @pytest.mark.parametrize("h10, h20", [(0, 0), (0, 1), (1, 0), (2, 1), (4, 6)])
 def test_hodge_p0_table_matches_oracle(h10, h20):
     assert hodge_p0_series(h10, h20, 9) == hodge_p0_product(h10, h20, 9)
+
+
+def divisor_sum_counts(k: int, n_max: int) -> list[int]:
+    """Coefficients of ``prod_m (1 - t^m)^-k`` from ``n a_n = k sum_j sigma(j) a_{n-j}``."""
+    sigma = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        for multiple in range(d, n_max + 1, d):
+            sigma[multiple] += d
+    a = [1]
+    for n in range(1, n_max + 1):
+        total = k * sum(sigma[j] * a[n - j] for j in range(1, n + 1))
+        assert total % n == 0
+        a.append(total // n)
+    return a
+
+
+@pytest.mark.parametrize("k", [-4, -1, 0, 1, 12, 55])
+def test_euler_rows_match_divisor_sum_recurrence(monkeypatch, k):
+    fresh_tables(monkeypatch)
+    expected = divisor_sum_counts(k, 250)
+    assert [colored_count(k, n) for n in range(251)] == expected
+    fresh_tables(monkeypatch)  # the series grows its own table from row 0
+    assert euler_series(k, 250) == TruncatedSeries(
+        250, 0, {(n, ()): c for n, c in enumerate(expected)}
+    )
+
+
+def checked_series(table, truncation: int, cap: int | None = None) -> TruncatedSeries:
+    """Rows 0..truncation through ``terms`` and the checking constructor."""
+    return TruncatedSeries(truncation, table.aux_count, {
+        (n, degs): c
+        for n in range(truncation + 1)
+        for degs, c in table.terms(n).items()
+        if cap is None or sum(degs) <= cap
+    })
+
+
+@pytest.mark.parametrize("truncation", [1, 2, 7, 24])
+def test_series_match_the_row_terms(truncation):
+    for chi in (-3, 0, 1, 24):
+        expected = checked_series(series.euler_table(chi), truncation)
+        assert euler_series(chi, truncation) == expected
+    for s in CATALOG:
+        table = series.betti_table(s.b0, s.b1, s.b2)
+        for cap in (None, 0, 3):
+            expected = checked_series(table, truncation, cap)
+            assert poincare_series(s, truncation, z_cap=cap) == expected, (s.name, cap)
+    for s in HODGE_SURFACES:
+        expected = checked_series(series.hodge_p0_table(s.h10, s.h20), truncation)
+        assert hodge_p0_series(s.h10, s.h20, truncation) == expected, s.name
 
 
 # -- specialization identities ---------------------------------------------------
