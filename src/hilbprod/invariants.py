@@ -14,7 +14,8 @@ computed exactly by the grow-only tables of ``hilbprod.series``:
 
 Products of Hilbert schemes are handled through the Kuenneth rule: multiply
 the factors' Poincare (or ``h^{p,0}``) polynomials, as one big-integer
-product by Kronecker substitution (their coefficients are nonnegative).
+product by Kronecker substitution (their coefficients are nonnegative),
+whose factors the grow-only tables keep packed, once per row and slot width.
 Invariants that need Hodge data refuse when h10/h20 are absent instead of
 inventing values.
 """
@@ -27,7 +28,14 @@ from math import comb, prod
 
 from .errors import DataError, UsageError
 from .partitions import Partition, colored_count_tuple
-from .series import TruncatedSeries, betti_table, euler_table, hodge_p0_table, hodge_table
+from .series import (
+    GrowOnlyTable,
+    TruncatedSeries,
+    betti_table,
+    euler_table,
+    hodge_p0_table,
+    hodge_table,
+)
 from .surfaces import SurfaceInvariants, require_valid
 
 __all__ = [
@@ -124,31 +132,33 @@ class PoincarePolynomial:
         return self.coefficients == self.coefficients[::-1]
 
 
-def _kuenneth(vectors: list[list[int]], length: int) -> list[int]:
-    """Coefficients 0..length-1 of the product of nonnegative integer polynomials.
+def _kuenneth(table: GrowOnlyTable, parts: tuple[int, ...], length: int) -> list[int]:
+    """Coefficients 0..length-1 of the product of the table's rows ``parts``.
 
-    Kronecker substitution: no coefficient of the product exceeds the product
-    of the factors' coefficient sums, so a slot of ``w`` bytes that holds
-    that bound cannot carry into the next.  Each factor is packed into one
-    int with a coefficient per slot, the ints are multiplied, and the slots
-    of the product are read back (native byte order, which ``cast`` reads).
-    A negative coefficient (Betti data of an invalid surface) is a DataError.
+    Kronecker substitution: no coefficient of the product of nonnegative
+    integer polynomials exceeds the product of the factors' coefficient
+    sums, so a slot of ``w`` bytes that holds that bound cannot carry into
+    the next.  Each row comes packed with a coefficient per slot from
+    ``table.packed``, which packs it once per width; the ints are
+    multiplied and the slots of the product are read back (native byte
+    order, which ``cast`` reads).  A negative coefficient (Betti data of an
+    invalid surface) is a DataError.
     """
-    bound = prod(sum(v) for v in vectors)
+    rows = table.rows_upto(max(parts))
+    bound = prod(sum(rows[part][0]) for part in parts)
     w = 1
     while bound.bit_length() > 8 * w:
         w *= 2
-    order = sys.byteorder
     product = 1
     try:
-        for v in vectors:
-            packed = b"".join([c.to_bytes(w, order) for c in v])
-            product *= int.from_bytes(packed, order)
+        for part in parts:
+            product *= table.packed(part, w)
     except OverflowError:  # with nonnegative coefficients every slot holds its value
         raise DataError(
             "Kuenneth product of vectors with a negative coefficient; "
             "Betti and h^(p,0) numbers of a valid surface are nonnegative"
         ) from None
+    order = sys.byteorder
     buf = product.to_bytes(length * w, order)
     if w <= 8:
         return memoryview(buf).cast("BHIQ"[w.bit_length() - 1]).tolist()
@@ -157,9 +167,8 @@ def _kuenneth(vectors: list[list[int]], length: int) -> list[int]:
 
 def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePolynomial:
     """Poincare polynomial of the product over the parts of ``a`` (Kuenneth)."""
-    rows = betti_table(s.b0, s.b1, s.b2).rows_upto(max(a.parts))
-    vectors = [rows[part][0] for part in a.parts]
-    return PoincarePolynomial(tuple(_kuenneth(vectors, 4 * a.n + 1)))
+    table = betti_table(s.b0, s.b1, s.b2)
+    return PoincarePolynomial(tuple(_kuenneth(table, a.parts, 4 * a.n + 1)))
 
 
 # -- Hodge side ----------------------------------------------------------------
@@ -207,7 +216,7 @@ def _hodge_vector(h10: int, h20: int, n: int) -> list[int]:
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
     """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product."""
     h10, h20 = require_hodge_data(s)
-    return _kuenneth([_hodge_vector(h10, h20, part) for part in a.parts], 2 * a.n + 1)
+    return _kuenneth(hodge_p0_table(h10, h20), a.parts, 2 * a.n + 1)
 
 
 def hodge_difference(s: SurfaceInvariants, n: int, m: int) -> int:

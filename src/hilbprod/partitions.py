@@ -124,33 +124,41 @@ def majorizes(b: Partition, a: Partition) -> Majorization:
     """Compare ``b`` against ``a`` under the increasing-tuple prefix-sum order.
 
     Defined only for partitions of the same integer and the same length.
+    Both are checked on the way: the lengths first, n from the prefix sums.
     """
-    if a.n != b.n:
-        raise UsageError(
-            f"majorization needs partitions of the same integer: {a.n} vs {b.n}"
-        )
-    if a.length != b.length:
+    pa, pb = a.parts, b.parts
+    if len(pa) != len(pb):
+        if a.n != b.n:
+            raise _n_mismatch(a, b)
         raise UsageError(
             f"majorization needs partitions of the same length: "
-            f"{a.length} vs {b.length}"
+            f"{len(pa)} vs {len(pb)}"
         )
-    if a.parts == b.parts:
+    if pa == pb:
         return Majorization.EQUAL
     b_ge_a = True  # prefix sums of a <= prefix sums of b throughout
     a_ge_b = True
     sum_a = sum_b = 0
-    for pa, pb in zip(a.parts[:-1], b.parts[:-1]):
-        sum_a += pa
-        sum_b += pb
+    for x, y in zip(pa[:-1], pb[:-1]):
+        sum_a += x
+        sum_b += y
         if sum_a > sum_b:
             b_ge_a = False
         if sum_b > sum_a:
             a_ge_b = False
+    if sum_a + pa[-1] != sum_b + pb[-1]:
+        raise _n_mismatch(a, b)
     if b_ge_a:
         return Majorization.STRICTLY_MAJORIZES
     if a_ge_b:
         return Majorization.MAJORIZED_BY
     return Majorization.INCOMPARABLE
+
+
+def _n_mismatch(a: Partition, b: Partition) -> UsageError:
+    return UsageError(
+        f"majorization needs partitions of the same integer: {a.n} vs {b.n}"
+    )
 
 
 # -- k-coloured partition counts ---------------------------------------------

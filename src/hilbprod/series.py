@@ -21,6 +21,12 @@ in t and zero, one (z) or two (x, y) auxiliary variables, truncated in t
 only (every row bounds its auxiliary degrees).  The package never
 multiplies series; the test oracle does.
 
+``GrowOnlyTable.packed`` also keeps each row of a one-variable table packed
+into one int, one fixed-width byte slot per coefficient, the form in which
+``hilbprod.invariants`` multiplies rows (Kronecker substitution).  A row is
+packed at most once per slot width, and, like the rows, the packed ints are
+only ever added.
+
 Coefficients are arbitrary-precision signed integers; there is no floating
 point anywhere.  Series are immutable and canonical (no zero coefficients, no
 terms beyond the truncation order), so equality is plain structural equality
@@ -29,6 +35,7 @@ and values, like table rows, can be shared freely across threads.
 
 from __future__ import annotations
 
+import sys
 import threading
 from math import comb
 from operator import mul
@@ -178,11 +185,17 @@ class GrowOnlyTable:
     ``x^i y^j``.  A series in one variable keeps it in the last slot
     (``row[0][j]``), one in none has the single entry ``row[0][0]``.
     ``next_row(rows, n)`` computes row n from rows 0..n-1.
+
+    Rows are also kept packed, once per slot width: ``packed_rows`` maps
+    ``(n, w)`` to the int ``packed(n, w)`` returned.  It only grows and its
+    values never change, so a lost race between threads stores the same
+    value twice and ``dict.setdefault`` keeps one.
     """
 
     def __init__(self, aux_count: int, next_row: Callable[[list[Row], int], Row]) -> None:
         self.aux_count = aux_count
         self.rows: list[Row] = [[[1]]]
+        self.packed_rows: dict[tuple[int, int], int] = {}
         self._next_row = next_row
 
     def rows_upto(self, n: int) -> list[Row]:
@@ -193,6 +206,21 @@ class GrowOnlyTable:
                 while len(rows) <= n:
                     rows.append(self._next_row(rows, len(rows)))
         return rows
+
+    def packed(self, n: int, w: int) -> int:
+        """Row n's line as one int, coefficient j in the j-th ``w``-byte slot.
+
+        For tables in at most one variable.  Slots are unsigned and in native
+        byte order (``sys.byteorder``); a coefficient that does not fit, a
+        negative one included, raises OverflowError and stores nothing.
+        """
+        value = self.packed_rows.get((n, w))
+        if value is None:
+            order = sys.byteorder
+            line = self.rows_upto(n)[n][0]
+            value = int.from_bytes(b"".join([c.to_bytes(w, order) for c in line]), order)
+            value = self.packed_rows.setdefault((n, w), value)
+        return value
 
     def terms(self, n: int) -> dict[tuple[int, ...], int]:
         """Nonzero coefficients of row n keyed by their auxiliary degrees."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import sys
+import threading
 from math import comb, prod
 
 import pytest
@@ -13,6 +15,7 @@ from hilbprod.invariants import (
     PoincarePolynomial,
     betti_closed,
     euler_char_tuple,
+    has_hodge_data,
     hodge_difference,
     hodge_p0,
     hodge_p0_series,
@@ -386,16 +389,119 @@ def test_kuenneth_products_match_dense_convolution():
     cases = [(s, a) for s in bases for a in partitions]
     cases += [(QUINTIC, Partition((1,) * 12)), (K3, Partition((1, 31)))]
     widths = set()
-    for s, a in cases:
+    # every product twice: the second call reads every packed row from the memo
+    for s, a in cases + cases:
         rows = betti_table(s.b0, s.b1, s.b2).rows_upto(max(a.parts))
         vectors = [rows[part][0] for part in a.parts]
         widths.add(slot_bytes(vectors))
         poly = poincare_polynomial_tuple(s, a)
         assert list(poly.coefficients) == dense_kuenneth(vectors), (s.name, a)
-        if s.b0 == 1 and s.h10 is not None and s.h20 is not None:
+        if has_hodge_data(s):
             rows = hodge_p0_table(s.h10, s.h20).rows_upto(max(a.parts))
             vectors = [rows[part][0] for part in a.parts]
             widths.add(slot_bytes(vectors))
             assert hodge_p0_tuple_vector(s, a) == dense_kuenneth(vectors), (s.name, a)
     # slots of 1, 2, 4 and 8 bytes are read by a cast, wider ones by slicing
     assert widths == {1, 2, 4, 8, 16}
+
+
+# -- packed rows: GrowOnlyTable.packed and its memo --------------------------------
+
+
+class RecordingMemo(dict):
+    """A ``packed_rows`` memo that logs every key it is asked for."""
+
+    def __init__(self, entries: dict) -> None:
+        super().__init__(entries)
+        self.reads: list[tuple[int, int]] = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
+def unpack(value: int, w: int, length: int) -> list[int]:
+    raw = value.to_bytes(length * w, sys.byteorder)
+    return [int.from_bytes(raw[i:i + w], sys.byteorder) for i in range(0, len(raw), w)]
+
+
+def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
+    # (1, 31) on K3 needs 16-byte slots, the small products around it 1, 2
+    # or 4 bytes, and most of them read row 1 too
+    table = betti_table(K3.b0, K3.b1, K3.b2)
+    memo = RecordingMemo(table.packed_rows)
+    monkeypatch.setattr(table, "packed_rows", memo)
+    rows = table.rows_upto(31)
+    cases = [(1, 31), (1,), (1, 1), (1, 31), (2, 3), (1, 1, 1), (1, 2, 31), (1,)]
+    widths_of_row_1 = set()
+    for parts in cases * 2:
+        vectors = [rows[part][0] for part in parts]
+        w = slot_bytes(vectors)
+        if 1 in parts:
+            widths_of_row_1.add(w)
+        memo.reads.clear()
+        poly = poincare_polynomial_tuple(K3, Partition(parts))
+        assert list(poly.coefficients) == dense_kuenneth(vectors), parts
+        assert memo.reads == [(part, w) for part in parts], parts
+    assert widths_of_row_1 == {1, 2, 16}
+    for (n, w), value in memo.items():
+        assert unpack(value, w, len(rows[n][0])) == rows[n][0], (n, w)
+
+
+def test_negative_row_is_a_data_error_every_time_and_never_packed():
+    s = synthetic(1, -3, 2)
+    table = betti_table(s.b0, s.b1, s.b2)
+    assert min(table.rows_upto(1)[1][0]) < 0
+    for _ in range(2):
+        with pytest.raises(DataError):
+            poincare_polynomial_tuple(s, Partition((1, 2)))
+    assert not any(n == 1 for n, _ in table.packed_rows)
+    rows = table.rows_upto(2)
+    assert all(min(rows[n][0]) >= 0 for n, _ in table.packed_rows)
+
+
+def test_packed_rows_stay_bounded(monkeypatch):
+    table = betti_table(ABELIAN.b0, ABELIAN.b1, ABELIAN.b2)
+    monkeypatch.setattr(table, "packed_rows", {})
+    for n in range(1, 13):
+        for a in enumerate_partitions(n):
+            poincare_polynomial_tuple(ABELIAN, a)
+    widths: dict[int, set[int]] = {}
+    for part, w in table.packed_rows:
+        assert 1 <= part <= 12, part
+        assert w & (w - 1) == 0, w
+        widths.setdefault(part, set()).add(w)
+    assert sorted(widths) == list(range(1, 13))
+    # products with n <= 12 on abelian fit 8-byte slots: at most 1, 2, 4, 8
+    assert all(ws <= {1, 2, 4, 8} for ws in widths.values()), widths
+
+
+def test_threads_share_a_fresh_table():
+    s = synthetic(2, 6, 19)
+    table = betti_table(s.b0, s.b1, s.b2)
+    assert len(table.rows) == 1 and not table.packed_rows, "table is not fresh"
+    partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results: list = [None] * workers
+
+    def work(i: int) -> None:
+        barrier.wait(timeout=30)
+        results[i] = [poincare_polynomial_tuple(s, a).coefficients for a in partitions]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    rows = table.rows_upto(10)
+    expected = [
+        tuple(dense_kuenneth([rows[part][0] for part in a.parts])) for a in partitions
+    ]
+    assert results == [expected] * workers

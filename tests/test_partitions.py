@@ -114,10 +114,14 @@ def test_majorizes_equal():
 
 
 def test_majorizes_usage_errors():
-    with pytest.raises(UsageError):
-        majorizes(Partition((2,)), Partition((1, 2)))  # different n
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="same integer: 3 vs 2"):
+        majorizes(Partition((2,)), Partition((1, 2)))  # different n and length
+    with pytest.raises(UsageError, match="same length: 1 vs 2"):
         majorizes(Partition((1, 3)), Partition((4,)))  # different length
+    with pytest.raises(UsageError, match="same integer: 5 vs 3"):
+        majorizes(Partition((1, 2)), Partition((1, 4)))  # different n, same length
+    with pytest.raises(UsageError, match="same integer: 6 vs 5"):
+        majorizes(Partition((2, 3)), Partition((1, 2, 3)))  # n reported first
 
 
 def _prefix_le(a: tuple, b: tuple) -> bool:
