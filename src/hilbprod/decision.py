@@ -194,11 +194,13 @@ def _annotate_rules(
     so this is cheap and independent of the series machinery.
     """
     fired: list[FiredRule] = []
-    # zeroth Betti numbers: on a disconnected base the b0 rules claim they differ
+    # zeroth Betti numbers: on a disconnected base the b0 rules claim they
+    # differ; no other base fires a b0 rule, so only there is the detail formatted
     b0_a = b0_b = 1
+    b0_detail = ""
     if s.b0 > 1:
         b0_a, b0_b = (prod(comb(part + s.b0 - 1, s.b0 - 1) for part in p.parts) for p in (a, b))
-    b0_detail = f"b0 = {s.b0} > 1, zeroth Betti numbers {b0_a} vs {b0_b}"
+        b0_detail = f"b0 = {s.b0} > 1, zeroth Betti numbers {b0_a} vs {b0_b}"
     if s.structural_class is StructuralClass.K3:
         fired.append(FiredRule("k3-product-rigidity", "base surface is K3"))
     if a.length != b.length:

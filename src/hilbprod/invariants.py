@@ -140,9 +140,9 @@ def _kuenneth(table: GrowOnlyTable, parts: tuple[int, ...], length: int) -> list
     sums, so a slot of ``w`` bytes that holds that bound cannot carry into
     the next.  Each row comes packed with a coefficient per slot from
     ``table.packed``, which packs it once per width; the ints are
-    multiplied and the slots of the product are read back (native byte
-    order, which ``cast`` reads).  A negative coefficient (Betti data of an
-    invalid surface) is a DataError.
+    multiplied and the first ``length`` slots of the product are read back
+    (native byte order, which ``cast`` reads).  A negative coefficient
+    (Betti data of an invalid surface) is a DataError.
     """
     rows = table.rows_upto(max(parts))
     bound = prod(sum(rows[part][0]) for part in parts)
@@ -158,6 +158,8 @@ def _kuenneth(table: GrowOnlyTable, parts: tuple[int, ...], length: int) -> list
             "Kuenneth product of vectors with a negative coefficient; "
             "Betti and h^(p,0) numbers of a valid surface are nonnegative"
         ) from None
+    if product.bit_length() > 8 * w * length:  # drop the slots past ``length``
+        product &= (1 << 8 * w * length) - 1
     order = sys.byteorder
     buf = product.to_bytes(length * w, order)
     if w <= 8:

@@ -178,9 +178,10 @@ def colored_count(k: int, n: int) -> int:
 
 def colored_count_tuple(k: int, a: Partition) -> int:
     """Product of ``colored_count(k, part)`` over the parts of ``a``."""
+    rows = euler_rows(k, a.parts[-1] if a.parts else 0)
     result = 1
     for part in a.parts:
-        result *= colored_count(k, part)
+        result *= rows[part][0][0]
     return result
 
 

@@ -8,11 +8,17 @@ log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
 ``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r u^{r (slope m + offset)}``: G is
 sparse and the division by n is exact.  A product without auxiliary
 variables (Euler: ``G_k = chi sigma(k)``) has a scalar ``G_k``, so each of
-its rows is one dot product of ``G_1..G_n`` with the earlier rows.  The
-``h^{p,0}`` series (y = 0) is a running sum of its closed form instead.  One
-``GrowOnlyTable`` is kept per (b0, b1, b2), chi, (h10, h20) and diamond: a
-table at N answers every n <= N, and a larger request extends it from its
-last row.
+its rows is one dot product of ``G_1..G_n`` with the earlier rows.  With one
+or two variables (Betti, Hodge diamond) the recurrence runs on evaluations
+at ``X = 2^(8w)``, ``x^i y^j`` in slot ``i L + j``: each term of ``G_k`` is
+a shift and a small multiple of ``F_{n-k}(X)``, and row n is read back from
+the signed slots of ``F_n(X)``.  The slot width w (bytes, a power of two,
+from the bound of the majorant ``prod (1 - t^m)^-E``, E = sum |e_j|) and the
+stride L only grow; when either does, the kernel re-evaluates the stored
+rows.  The ``h^{p,0}`` series (y = 0) is a running sum of its closed form
+instead.  One ``GrowOnlyTable`` is kept per (b0, b1, b2), chi, (h10, h20)
+and diamond: a table at N answers every n <= N, and a larger request extends
+it from its last row.
 
 ``GrowOnlyTable.series`` reads rows 0..N of a table in zero or one variable
 straight from their lines as a ``TruncatedSeries``, the read-only result of
@@ -174,7 +180,7 @@ class TruncatedSeries:
 
 # -- grow-only tables ------------------------------------------------------
 
-_GROW_LOCK = threading.Lock()
+_GROW_LOCK = threading.RLock()  # reentrant: a kernel grows its majorant's Euler table
 Row = list[list[int]]
 
 
@@ -260,6 +266,22 @@ def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, in
     Each factor is ``(sign, e, slope, offset)`` with sign in {+1, -1} and
     slope, offset pairs of (x, y)-degrees (leading zeros for fewer
     variables); every u-degree must be nonnegative.
+
+    With auxiliary variables the recurrence runs on evaluations: ``x^i y^j``
+    goes to slot ``i L + j`` of ``X = 2^(8w)``, a ring map, so
+    ``n F_n(X) = sum_k G_k(X) F_{n-k}(X)`` holds as integers and ``// n`` is
+    exact.  Each ``G_k`` term is a shift and a small multiple of an earlier
+    ``F_{n-k}(X)``; the dense ``G_k(X)`` is never formed.  Coefficients may
+    be negative, so slots are signed: adding half a slot to every slot makes
+    each digit ``c + 2^(8w-1)`` nonnegative, and XOR with the same constant
+    turns it into ``c``'s two's complement, which the signed cast (w <= 8)
+    or ``int.from_bytes(..., signed=True)`` reads.  The majorant
+    ``prod_m (1 - t^m)^-E``, E = sum |e|, bounds the absolute coefficient
+    sum of row n by ``colored_count(E, n)``, read from ``euler_table(E)``;
+    w is the smallest power-of-two byte count with ``2 n bound < 2^(8w)``.
+    The stride L (two variables only) doubles once ``by n + 1`` passes it.
+    Neither shrinks; when one grows, the evaluations of the stored rows are
+    recomputed at the new layout.
     """
     factors = [f for f in factors if f[1]]
     # the (x, y)-degrees of row n are at most bound * n
@@ -290,20 +312,63 @@ def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, in
 
         return next_value
 
+    majorant = sum(abs(f[1]) for f in factors)
     g: list[list[tuple[int, int, int]]] = [[]]  # G_k as (x-degree, y-degree, coefficient)
+    w, stride = 0, 1  # slot width in bytes (0 before row 1), slots per x-degree
+    shifted: list[list[tuple[int, int]]] = [[]]  # G_k as (bit shift, coefficient) at (w, L)
+    evaluations: list[int] = []  # F_k(X) of the rows so far at (w, L)
+
+    def half_slots(count: int) -> int:
+        return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * count, "little")
+
+    def evaluate(row: Row) -> int:
+        # two's-complement slots, little-endian, lines L slots apart; the
+        # half-slot constant turns their digits into the signed coefficients
+        raw = b"".join([
+            b"".join([c.to_bytes(w, "little", signed=True) for c in line]).ljust(w * stride, b"\0")
+            for line in row
+        ])
+        half = half_slots(len(raw) // w)
+        return (int.from_bytes(raw, "little") ^ half) - half
 
     def next_row(rows: list[Row], n: int) -> Row:
+        nonlocal w, stride
         while len(g) <= n:
             g.append(log_derivative(len(g)))
-        acc = [[0] * (by * n + 1) for _ in range(bx * n + 1)]
+        bound = 2 * n * euler_rows(majorant, n)[n][0][0]
+        width, slots = w or 1, stride
+        while bound.bit_length() > 8 * width:
+            width *= 2
+        while bx and by * n >= slots:
+            slots *= 2
+        if (width, slots) != (w, stride):
+            w, stride = width, slots
+            evaluations[:] = [evaluate(row) for row in rows]
+            del shifted[1:]
+        bits = 8 * w
+        shifted.extend(
+            [(bits * (dx * stride + dy), c) for dx, dy, c in g[k]]
+            for k in range(len(shifted), n + 1)
+        )
+        acc = 0
         for k in range(1, n + 1):
-            prev = rows[n - k]
-            width = len(prev[0])
-            for dx, dy, c in g[k]:
-                end = dy + width
-                for line, target in zip(prev, acc[dx:]):
-                    target[dy:end] = [a + c * v for a, v in zip(target[dy:end], line)]
-        return [[v // n for v in line] for line in acc]
+            value = evaluations[n - k]
+            for shift, c in shifted[k]:
+                acc += c * (value << shift)
+        value = acc // n
+        evaluations.append(value)
+        # read row n back: (bx n + 1) lines of by n + 1 signed slots, L apart
+        line = by * n + 1
+        count = bx * n * stride + line
+        half = half_slots(count)
+        raw = ((value + half) ^ half).to_bytes(count * w, "little")
+        if w <= 8 and sys.byteorder == "little":
+            flat = memoryview(raw).cast("bhiq"[w.bit_length() - 1]).tolist()
+        else:
+            flat = [
+                int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)
+            ]
+        return [flat[i * stride:i * stride + line] for i in range(bx * n + 1)]
 
     return next_row
 

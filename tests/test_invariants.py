@@ -13,6 +13,7 @@ from hilbprod.errors import DataError, UsageError
 from hilbprod.invariants import (
     HodgeDiamond,
     PoincarePolynomial,
+    _kuenneth,
     betti_closed,
     euler_char_tuple,
     has_hodge_data,
@@ -403,6 +404,27 @@ def test_kuenneth_products_match_dense_convolution():
             assert hodge_p0_tuple_vector(s, a) == dense_kuenneth(vectors), (s.name, a)
     # slots of 1, 2, 4 and 8 bytes are read by a cast, wider ones by slicing
     assert widths == {1, 2, 4, 8, 16}
+
+
+def test_truncated_kuenneth_products_are_prefixes():
+    cases = [
+        (betti_table(ABELIAN.b0, ABELIAN.b1, ABELIAN.b2), (1, 2)),
+        (betti_table(K3.b0, K3.b1, K3.b2), (1, 31)),  # 16-byte slots, read by slicing
+        (betti_table(2, 2, 5), (1, 1, 3)),
+        (hodge_p0_table(ABELIAN.h10, ABELIAN.h20), (2, 3, 3)),
+    ]
+    for table, parts in cases:
+        rows = table.rows_upto(max(parts))
+        full = dense_kuenneth([rows[part][0] for part in parts])
+        for length in range(1, len(full) + 1):
+            assert _kuenneth(table, parts, length) == full[:length], (parts, length)
+
+
+def test_truncated_kuenneth_product_of_a_negative_row_is_a_data_error():
+    table = betti_table(1, -3, 2)
+    for length in (1, 5, 9):
+        with pytest.raises(DataError):
+            _kuenneth(table, (1, 2), length)
 
 
 # -- packed rows: GrowOnlyTable.packed and its memo --------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -27,6 +30,9 @@ from product_oracle import (
 
 CATALOG = load_catalog().representatives()
 HODGE_SURFACES = [s for s in CATALOG if s.h10 is not None and s.h20 is not None]
+ABELIAN_DIAMOND = tuple(
+    surface_diamond(next(s for s in CATALOG if s.name == "abelian")).entries()
+)
 
 
 def synthetic(b0: int, b1: int, b2: int) -> SurfaceInvariants:
@@ -51,7 +57,10 @@ def all_rows(registries: list[dict]) -> list[dict]:
 
 @pytest.mark.parametrize(
     "b0, b1, b2",
-    [(1, 0, 22), (1, 4, 6), (1, 2, 2), (1, 0, 0), (2, 0, 4), (3, 2, 5), (4, 1, 0)],
+    [(1, 0, 22), (1, 4, 6), (1, 2, 2), (1, 0, 0), (2, 0, 4), (3, 2, 5), (4, 1, 0)]
+    + [(2, 1, 0), (3, 0, 1), (2, 2, 6), (3, 4, 2)]
+    # b1 < 0: row 1 has the coefficient b1 at z, so the rows have negative slots
+    + [(1, -3, 2), (0, -3, 6), (2, -1, -2), (1, -4, 53)],
 )
 def test_betti_kernel_matches_oracle(b0, b1, b2):
     s = synthetic(b0, b1, b2)
@@ -67,9 +76,10 @@ def test_euler_kernel_matches_oracle(chi):
 
 @pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
 def test_hodge_kernel_matches_oracle(s):
+    # rows 1..6 run at strides L = 4, 8 and 16 and at more than one slot width
     diamond = surface_diamond(s)
-    product = hodge_product(diamond.entries(), 4)
-    for n in range(1, 5):
+    product = hodge_product(diamond.entries(), 6)
+    for n in range(1, 7):
         expected = {
             tuple(e.aux_degs): c for e, c in product.terms() if e.t_deg == n
         }
@@ -130,6 +140,111 @@ def test_series_match_the_row_terms(truncation):
     for s in HODGE_SURFACES:
         expected = checked_series(series.hodge_p0_table(s.h10, s.h20), truncation)
         assert hodge_p0_series(s.h10, s.h20, truncation) == expected, s.name
+
+
+# -- the evaluation kernel: signed slots, slot width and stride growth -------------
+
+
+def slot_width(majorant: int, n: int) -> int:
+    """The kernel's slot width in bytes at row n: ``2 n colored_count(E, n) < 2^(8w)``."""
+    bound = 2 * n * colored_count(majorant, n)
+    w = 1
+    while bound.bit_length() > 8 * w:
+        w *= 2
+    return w
+
+
+def betti_majorant(b0: int, b1: int, b2: int) -> int:
+    return 2 * abs(b0) + 2 * abs(b1) + abs(b2)
+
+
+@pytest.mark.parametrize("b0, b1, b2, truncation", [(1, 0, 53, 18), (1, -4, 53, 17)])
+def test_wide_betti_rows_match_oracle(b0, b1, b2, truncation):
+    # the last row is the first with 16-byte slots, which are read back by
+    # slicing instead of a cast; rows of b1 < 0 have negative slots
+    assert slot_width(betti_majorant(b0, b1, b2), truncation) == 16
+    assert slot_width(betti_majorant(b0, b1, b2), truncation - 1) == 8
+    table = series.betti_table(b0, b1, b2)
+    assert checked_series(table, truncation) == poincare_product(b0, b1, b2, truncation)
+
+
+def _kernel_requests(requests) -> None:
+    for kind, n in requests:
+        if kind == "betti":
+            series.betti_table(1, 0, 53).rows_upto(n)
+        elif kind == "hodge":
+            series.hodge_table(ABELIAN_DIAMOND).rows_upto(n)
+        else:  # the majorant table of (1, 0, 53), grown from outside the kernel
+            colored_count(55, n)
+
+
+def test_shuffled_kernel_growth_matches_one_ascending_build(monkeypatch):
+    requests = [("betti", n) for n in range(1, 21)] + [("hodge", n) for n in range(1, 9)]
+    requests += [("colour", n) for n in (3, 9, 19, 30)]
+    # the Betti rows cross widths 1 to 16, the Hodge rows strides 4 to 32
+    assert {slot_width(55, n) for kind, n in requests if kind == "betti"} == {1, 2, 4, 8, 16}
+    random.Random(12).shuffle(requests)
+    registries = fresh_tables(monkeypatch)
+    _kernel_requests(requests)
+    shuffled = all_rows(registries)
+    registries = fresh_tables(monkeypatch)
+    _kernel_requests(sorted(requests, key=lambda request: request[1]))
+    assert all_rows(registries) == shuffled
+    assert len(registries[0][(1, 0, 53)].rows) == 21
+
+
+def test_threads_share_a_fresh_table_across_width_changes(monkeypatch):
+    registries = fresh_tables(monkeypatch)
+    _kernel_requests([("betti", 20), ("hodge", 8)])
+    expected = all_rows(registries)
+    registries = fresh_tables(monkeypatch)
+    workers = 4
+    barrier = threading.Barrier(workers)
+    orders = []
+    for i in range(workers):
+        order = [("betti", n) for n in range(1, 21)] + [("hodge", n) for n in range(1, 9)]
+        random.Random(i).shuffle(order)
+        orders.append(order)
+    failures: list[Exception] = []
+
+    def work(i: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            _kernel_requests(orders[i])
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    # daemon threads: a deadlocked kernel fails the test instead of hanging the run
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "kernel deadlocked"
+    assert not failures, failures
+    assert all_rows(registries) == expected
+
+
+# sha256 of the repr of Betti rows 0..40 of every catalog representative plus
+# (2, 0, 4) and (3, 2, 5), then Hodge-diamond rows 0..10 of every catalog
+# representative with Hodge data, recorded with the list-of-lists kernel; any
+# change to a coefficient, or to a row's shape, shows here
+PINNED_ROWS = "168b2f0b6e9c040d2dcfdac0cb74813afbe035c37ce5723a63358dd62650d17a"
+
+
+def test_rows_are_pinned():
+    digest = hashlib.sha256()
+    for b0, b1, b2 in [(s.b0, s.b1, s.b2) for s in CATALOG] + [(2, 0, 4), (3, 2, 5)]:
+        digest.update(repr(series.betti_table(b0, b1, b2).rows_upto(40)[:41]).encode())
+    for s in HODGE_SURFACES:
+        table = series.hodge_table(tuple(surface_diamond(s).entries()))
+        digest.update(repr(table.rows_upto(10)[:11]).encode())
+    assert digest.hexdigest() == PINNED_ROWS
 
 
 # -- specialization identities ---------------------------------------------------
