@@ -6,7 +6,8 @@ with u = z (Betti), nothing (Euler) or (x, y) (Hodge diamond).  Its rows
 ``F_n``, polynomials in u held as dense lists of ints, follow from the
 log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
 ``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r u^{r (slope m + offset)}``: G is
-sparse and the division by n is exact.  A product without auxiliary
+sparse and the division by n is exact.  The divisors m of k come from one
+grow-only sieve that every kernel shares.  A product without auxiliary
 variables (Euler: ``G_k = chi sigma(k)``) has a scalar ``G_k``, so each of
 its rows is one dot product of ``G_1..G_n`` with the earlier rows.  With one
 or two variables (Betti, Hodge diamond) the recurrence runs on evaluations
@@ -20,12 +21,13 @@ instead.  One ``GrowOnlyTable`` is kept per (b0, b1, b2), chi, (h10, h20)
 and diamond: a table at N answers every n <= N, and a larger request extends
 it from its last row.
 
-``GrowOnlyTable.series`` reads rows 0..N of a table in zero or one variable
-straight from their lines as a ``TruncatedSeries``, the read-only result of
-``poincare_series``, ``euler_series`` and ``hodge_p0_series``: a term map
-in t and zero, one (z) or two (x, y) auxiliary variables, truncated in t
-only (every row bounds its auxiliary degrees).  The package never
-multiplies series; the test oracle does.
+``GrowOnlyTable.series`` returns rows 0..N of a table in zero or one
+variable as a ``TruncatedSeries``, the read-only result of
+``poincare_series``, ``euler_series`` and ``hodge_p0_series``: a view of
+the rows' lines, one tuple per t-degree (capped in z on request, trailing
+zeros stripped), truncated in t only.  The term-map constructor of
+``TruncatedSeries`` builds the same lines, so a series has one form.  The
+package never multiplies series; the test oracle does.
 
 ``GrowOnlyTable.packed`` also keeps each row of a one-variable table packed
 into one int, one fixed-width byte slot per coefficient, the form in which
@@ -34,9 +36,9 @@ packed at most once per slot width, and, like the rows, the packed ints are
 only ever added.
 
 Coefficients are arbitrary-precision signed integers; there is no floating
-point anywhere.  Series are immutable and canonical (no zero coefficients, no
-terms beyond the truncation order), so equality is plain structural equality
-and values, like table rows, can be shared freely across threads.
+point anywhere.  Series are immutable and canonical (no trailing zeros, no
+t-degrees beyond the truncation order), so equality is plain structural
+equality and values, like table rows, can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -68,17 +70,19 @@ class Exponent(NamedTuple):
     aux_degs: tuple[int, ...] = ()
 
 
-_AUX_NAMES = {0: (), 1: ("z",), 2: ("x", "y")}
-
-
 class TruncatedSeries:
-    """Immutable truncated series with big-integer coefficients.
+    """Immutable truncated series in t and at most one auxiliary variable (z).
 
-    ``terms`` maps ``(t_deg, aux_degs)`` to a nonzero integer coefficient.
-    Two series are equal iff truncation, aux_count and the term map agree.
+    Coefficients are big integers.  The series holds one line per t-degree
+    n <= truncation: a tuple whose entry j is the coefficient of ``t^n z^j``
+    (the only entry, without z, is that of ``t^n``), with trailing zeros
+    stripped.  ``terms`` maps
+    ``(t_deg, aux_degs)`` to a coefficient; zero coefficients and t-degrees
+    beyond the truncation are dropped.  Two series are equal iff truncation,
+    aux_count and the lines agree, that is iff their nonzero terms do.
     """
 
-    __slots__ = ("truncation", "aux_count", "_terms")
+    __slots__ = ("truncation", "aux_count", "_lines")
 
     def __init__(
         self,
@@ -88,35 +92,33 @@ class TruncatedSeries:
     ) -> None:
         if truncation < 0:
             raise ValueError(f"truncation must be nonnegative, got {truncation}")
-        if aux_count not in (0, 1, 2):
-            raise ValueError(f"aux_count must be 0, 1 or 2, got {aux_count}")
-        clean: dict[tuple[int, tuple[int, ...]], int] = {}
-        if terms:
-            for (t_deg, aux), coeff in terms.items():
-                if coeff == 0 or t_deg > truncation:
-                    continue
-                if t_deg < 0 or any(d < 0 for d in aux):
-                    raise ValueError(f"negative exponent in term {(t_deg, aux)}")
-                if len(aux) != aux_count:
-                    raise ValueError(
-                        f"term {(t_deg, aux)} has {len(aux)} auxiliary degrees, "
-                        f"series declares {aux_count}"
-                    )
-                clean[(t_deg, tuple(aux))] = coeff
+        if aux_count not in (0, 1):
+            raise ValueError(f"aux_count must be 0 or 1, got {aux_count}")
+        lines: list[list[int]] = [[] for _ in range(truncation + 1)]
+        for (t_deg, aux), coeff in (terms or {}).items():
+            if coeff == 0 or t_deg > truncation:
+                continue
+            if t_deg < 0 or any(d < 0 for d in aux):
+                raise ValueError(f"negative exponent in term {(t_deg, aux)}")
+            if len(aux) != aux_count:
+                raise ValueError(
+                    f"term {(t_deg, aux)} has {len(aux)} auxiliary degrees, "
+                    f"series declares {aux_count}"
+                )
+            line = lines[t_deg]
+            j = aux[0] if aux_count else 0
+            line.extend([0] * (j + 1 - len(line)))
+            line[j] = coeff
+        self._hold(truncation, aux_count, tuple(map(tuple, lines)))
+
+    def _hold(
+        self, truncation: int, aux_count: int, lines: tuple[tuple[int, ...], ...]
+    ) -> TruncatedSeries:
+        """Set the fields, once; ``lines`` must already be canonical."""
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "aux_count", aux_count)
-        object.__setattr__(self, "_terms", clean)
-
-    @classmethod
-    def _canonical(
-        cls, truncation: int, aux_count: int, terms: dict[tuple[int, tuple[int, ...]], int]
-    ) -> "TruncatedSeries":
-        """Wrap a term map that is already canonical, without re-checking it."""
-        series = object.__new__(cls)
-        object.__setattr__(series, "truncation", truncation)
-        object.__setattr__(series, "aux_count", aux_count)
-        object.__setattr__(series, "_terms", terms)
-        return series
+        object.__setattr__(self, "_lines", lines)
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedSeries is immutable")
@@ -127,7 +129,7 @@ class TruncatedSeries:
         """Coefficient at ``e``; zero if absent.
 
         Asking beyond the truncation order is an error: a truncated-away
-        coefficient is unknown, not zero.
+        coefficient is unknown, not zero.  So is a negative degree.
         """
         if len(e.aux_degs) != self.aux_count:
             raise ValueError(
@@ -138,15 +140,22 @@ class TruncatedSeries:
             raise ValueError(
                 f"t-degree {e.t_deg} exceeds truncation order {self.truncation}"
             )
-        return self._terms.get((e.t_deg, tuple(e.aux_degs)), 0)
+        if e.t_deg < 0 or any(d < 0 for d in e.aux_degs):
+            raise ValueError(f"negative degree in exponent {tuple(e)}")
+        line = self._lines[e.t_deg]
+        j = e.aux_degs[0] if self.aux_count else 0
+        return line[j] if j < len(line) else 0
 
     def terms(self) -> Iterator[tuple[Exponent, int]]:
-        """Terms in deterministic order (sorted by t-degree, then aux degrees)."""
-        for key in sorted(self._terms):
-            yield Exponent(key[0], key[1]), self._terms[key]
+        """Nonzero terms in deterministic order (by t-degree, then aux degree)."""
+        one = self.aux_count == 1
+        for n, line in enumerate(self._lines):
+            for j, c in enumerate(line):
+                if c:
+                    yield Exponent(n, (j,) if one else ()), c
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(len(line) - line.count(0) for line in self._lines)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -154,27 +163,26 @@ class TruncatedSeries:
         return (
             self.truncation == other.truncation
             and self.aux_count == other.aux_count
-            and self._terms == other._terms
+            and self._lines == other._lines
         )
 
     def __hash__(self) -> int:
-        return hash((self.truncation, self.aux_count, frozenset(self._terms.items())))
+        return hash((self.truncation, self.aux_count, self._lines))
 
     def dump(self) -> str:
         """Debug dump, one term per line: ``t^a z^b : coeff`` (sorted)."""
-        names = _AUX_NAMES[self.aux_count]
-        lines = []
-        for exp, coeff in self.terms():
-            monomial = " ".join(
-                [f"t^{exp.t_deg}"] + [f"{n}^{d}" for n, d in zip(names, exp.aux_degs)]
-            )
-            lines.append(f"{monomial} : {coeff}")
-        return "\n".join(lines)
+        z = " z^{}" if self.aux_count else ""
+        return "\n".join([
+            f"t^{n}{z.format(j)} : {c}"
+            for n, line in enumerate(self._lines)
+            for j, c in enumerate(line)
+            if c
+        ])
 
     def __repr__(self) -> str:
         return (
             f"TruncatedSeries(truncation={self.truncation}, "
-            f"aux_count={self.aux_count}, nterms={len(self._terms)})"
+            f"aux_count={self.aux_count}, nterms={len(self)})"
         )
 
 
@@ -182,6 +190,7 @@ class TruncatedSeries:
 
 _GROW_LOCK = threading.RLock()  # reentrant: a kernel grows its majorant's Euler table
 Row = list[list[int]]
+Factor = tuple[int, int, tuple[int, int], tuple[int, int]]  # (sign, e, slope, offset)
 
 
 class GrowOnlyTable:
@@ -240,27 +249,59 @@ class GrowOnlyTable:
     def series(self, truncation: int, *, cap: int | None = None) -> TruncatedSeries:
         """Rows 0..truncation of a table in at most one variable, as a series.
 
-        Each row's line is read as it stands, one ``(j,)`` key per degree
-        (``()`` without a variable); ``cap`` drops degrees above it.
+        The series holds each row's line as a tuple, cut after degree ``cap``
+        and stripped of trailing zeros; nothing is copied term by term.
         """
         if self.aux_count > 1:
             raise ValueError("series() reads tables in at most one variable")
         if cap is not None and cap < 0:
             raise UsageError(f"degree cap must be >= 0, got {cap}")
-        rows = self.rows_upto(truncation)[:truncation + 1]
-        end = None if cap is None else cap + 1
-        # a row's line is never shorter than the one before, so the last is the widest
-        keys = [(j,) for j in range(len(rows[-1][0]))] if self.aux_count else [()]
-        out = {
-            (n, key): c
-            for n, row in enumerate(rows)
-            for key, c in zip(keys, row[0][:end])
-            if c
-        }
-        return TruncatedSeries._canonical(truncation, self.aux_count, out)
+        rows = self.rows_upto(truncation)
+        end = sys.maxsize if cap is None else cap + 1
+        lines = tuple([_stripped(rows[n][0], end) for n in range(truncation + 1)])
+        return TruncatedSeries.__new__(TruncatedSeries)._hold(truncation, self.aux_count, lines)
 
 
-def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, int]]]):
+def _stripped(line: list[int], end: int) -> tuple[int, ...]:
+    """``line[:end]`` as a tuple, without its trailing zeros."""
+    end = min(end, len(line))
+    while end and not line[end - 1]:
+        end -= 1
+    return tuple(line[:end])
+
+
+_DIVISORS: list[list[int]] = [[]]  # entry k: the divisors of k, ascending (none for 0)
+
+
+def _divisors(k: int) -> list[int]:
+    """Divisors of ``k >= 1`` from the shared sieve, grown (at least doubled) on demand."""
+    table = _DIVISORS
+    if len(table) <= k:
+        with _GROW_LOCK:
+            start = len(table)
+            if start <= k:
+                end = max(k + 1, 2 * start)
+                grown: list[list[int]] = [[] for _ in range(start, end)]
+                for d in range(1, end):
+                    for multiple in range(-(-start // d) * d, end, d):
+                        grown[multiple - start].append(d)
+                table.extend(grown)
+    return table[k]
+
+
+def _log_derivative(factors: list[Factor], k: int) -> list[tuple[int, int, int]]:
+    """``G_k`` of the product as ``(x-degree, y-degree, coefficient)``, sorted, no zeros."""
+    terms: dict[tuple[int, int], int] = {}
+    for m in _divisors(k):
+        r = k // m
+        for sign, e, slope, offset in factors:
+            degs = (slope[0] * k + offset[0] * r, slope[1] * k + offset[1] * r)
+            c = -m * e if sign < 0 or r % 2 == 0 else m * e
+            terms[degs] = terms.get(degs, 0) + c
+    return [(dx, dy, c) for (dx, dy), c in sorted(terms.items()) if c]
+
+
+def _goettsche_rows(factors: list[Factor]):
     """``next_row`` of ``prod_m prod_j (1 + sign_j u^{slope_j m + offset_j} t^m)^{e_j}``.
 
     Each factor is ``(sign, e, slope, offset)`` with sign in {+1, -1} and
@@ -287,17 +328,6 @@ def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, in
     # the (x, y)-degrees of row n are at most bound * n
     bx, by = (max((f[2][i] + max(f[3][i], 0) for f in factors), default=0) for i in (0, 1))
 
-    def log_derivative(k: int) -> list[tuple[int, int, int]]:
-        terms: dict[tuple[int, int], int] = {}
-        for m in range(1, k + 1):
-            if k % m == 0:
-                r = k // m
-                for sign, e, slope, offset in factors:
-                    degs = (slope[0] * k + offset[0] * r, slope[1] * k + offset[1] * r)
-                    c = -m * e if sign < 0 or r % 2 == 0 else m * e
-                    terms[degs] = terms.get(degs, 0) + c
-        return [(dx, dy, c) for (dx, dy), c in sorted(terms.items()) if c]
-
     if not bx and not by:
         # no auxiliary variable: every G_k and every row is one integer, so
         # row n is one dot product of G_1..G_n with rows n-1..0
@@ -306,7 +336,7 @@ def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, in
 
         def next_value(rows: list[Row], n: int) -> Row:
             while len(scalars) <= n:
-                scalars.append(sum(c for _, _, c in log_derivative(len(scalars))))
+                scalars.append(sum(c for _, _, c in _log_derivative(factors, len(scalars))))
             values.append(sum(map(mul, scalars[1:n + 1], reversed(values[:n]))) // n)
             return [[values[n]]]
 
@@ -334,7 +364,7 @@ def _goettsche_rows(factors: list[tuple[int, int, tuple[int, int], tuple[int, in
     def next_row(rows: list[Row], n: int) -> Row:
         nonlocal w, stride
         while len(g) <= n:
-            g.append(log_derivative(len(g)))
+            g.append(_log_derivative(factors, len(g)))
         bound = 2 * n * euler_rows(majorant, n)[n][0][0]
         width, slots = w or 1, stride
         while bound.bit_length() > 8 * width:
@@ -402,16 +432,21 @@ def _table(registry: dict, key, aux_count: int, make_next_row) -> GrowOnlyTable:
     return table
 
 
+def _betti_factors(b0: int, b1: int, b2: int) -> list[Factor]:
+    return [(1, b1, (0, 2), (0, -1)), (1, b1, (0, 2), (0, 1))] + [
+        (-1, -b, (0, 2), (0, o)) for b, o in ((b0, -2), (b2, 0), (b0, 2))
+    ]
+
+
 def betti_table(b0: int, b1: int, b2: int) -> GrowOnlyTable:
     """Rows in z of Goettsche's Betti product for Betti numbers b0, b1, b2.
 
     Factor m is ``(1 + z^{2m-1} t^m)^b1 (1 + z^{2m+1} t^m)^b1
     (1 - z^{2m-2} t^m)^-b0 (1 - z^{2m} t^m)^-b2 (1 - z^{2m+2} t^m)^-b0``.
     """
-    return _table(_BETTI_TABLES, (b0, b1, b2), 1, lambda: _goettsche_rows(
-        [(1, b1, (0, 2), (0, -1)), (1, b1, (0, 2), (0, 1))]
-        + [(-1, -b, (0, 2), (0, o)) for b, o in ((b0, -2), (b2, 0), (b0, 2))]
-    ))
+    return _table(
+        _BETTI_TABLES, (b0, b1, b2), 1, lambda: _goettsche_rows(_betti_factors(b0, b1, b2))
+    )
 
 
 def euler_table(chi: int) -> GrowOnlyTable:
@@ -430,12 +465,16 @@ def hodge_p0_table(h10: int, h20: int) -> GrowOnlyTable:
     return _table(_HODGE_P0_TABLES, (h10, h20), 1, lambda: _hodge_p0_rows(h10, h20))
 
 
+def _hodge_factors(diamond: tuple[tuple[int, int, int], ...]) -> list[Factor]:
+    return [
+        (1, h, (1, 1), (p - 1, q - 1)) if (p + q) % 2 else (-1, -h, (1, 1), (p - 1, q - 1))
+        for p, q, h in diamond
+    ]
+
+
 def hodge_table(diamond: tuple[tuple[int, int, int], ...]) -> GrowOnlyTable:
     """Rows in (x, y) of Goettsche's Hodge product for ``(p, q, h^{p,q})`` entries.
 
     Factor m is ``(1 - (-1)^{p+q} x^{p+m-1} y^{q+m-1} t^m)^{-(-1)^{p+q} h^{p,q}}``.
     """
-    return _table(_HODGE_TABLES, diamond, 2, lambda: _goettsche_rows([
-        (1, h, (1, 1), (p - 1, q - 1)) if (p + q) % 2 else (-1, -h, (1, 1), (p - 1, q - 1))
-        for p, q, h in diamond
-    ]))
+    return _table(_HODGE_TABLES, diamond, 2, lambda: _goettsche_rows(_hodge_factors(diamond)))

@@ -2,10 +2,13 @@
 
 This is the direct expansion the engine used before its log-derivative
 kernel: every factor ``(1 + sign * M)^e`` is expanded by the (generalized)
-binomial theorem and the factors are multiplied one at a time as
-``TruncatedSeries``.  It shares no code with ``hilbprod.series`` beyond the
-series container, so agreement at small truncation is an independent check
-of the kernel.  It is also the only place where series are multiplied.
+binomial theorem and the factors are multiplied one at a time, on plain
+term maps ``{(t_deg, aux_degs): coeff}``.  Series in zero or one auxiliary
+variable come back as ``TruncatedSeries``; the two-variable Hodge product,
+which no engine series has, stays a term map.  The oracle shares no code
+with ``hilbprod.series`` beyond the series container, so agreement at small
+truncation is an independent check of the kernel.  It is also the only
+place where series are multiplied.
 """
 
 from __future__ import annotations
@@ -15,14 +18,31 @@ from typing import Callable
 
 from hilbprod.series import Exponent, TruncatedSeries
 
+Terms = dict[tuple[int, tuple[int, ...]], int]
+
 
 def constant_one(truncation: int, aux_count: int) -> TruncatedSeries:
     """The multiplicative identity in the given series context."""
     return TruncatedSeries(truncation, aux_count, {(0, (0,) * aux_count): 1})
 
 
-def _term_map(s: TruncatedSeries) -> dict[tuple[int, tuple[int, ...]], int]:
+def _term_map(s: TruncatedSeries) -> Terms:
     return {(e.t_deg, e.aux_degs): c for e, c in s.terms()}
+
+
+def _convolve(a: Terms, b: Terms, truncation: int, aux_cap: int | None = None) -> Terms:
+    """Product of two term maps without terms beyond ``truncation`` (or ``aux_cap``)."""
+    out: Terms = {}
+    for (t1, aux1), c1 in a.items():
+        for (t2, aux2), c2 in b.items():
+            t_deg = t1 + t2
+            if t_deg > truncation:
+                continue
+            aux = tuple(x + y for x, y in zip(aux1, aux2))
+            if aux_cap is not None and sum(aux) > aux_cap:
+                continue
+            out[(t_deg, aux)] = out.get((t_deg, aux), 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 def mul(
@@ -42,18 +62,41 @@ def mul(
         raise ValueError(f"truncation mismatch: {a.truncation} vs {b.truncation}")
     if a.aux_count != b.aux_count:
         raise ValueError(f"aux_count mismatch: {a.aux_count} vs {b.aux_count}")
-    trunc = a.truncation
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    for (t1, aux1), c1 in _term_map(a).items():
-        for (t2, aux2), c2 in _term_map(b).items():
-            t_deg = t1 + t2
-            if t_deg > trunc:
-                continue
-            aux = tuple(x + y for x, y in zip(aux1, aux2))
-            if aux_cap is not None and sum(aux) > aux_cap:
-                continue
-            out[(t_deg, aux)] = out.get((t_deg, aux), 0) + c1 * c2
-    return TruncatedSeries(trunc, a.aux_count, out)
+    terms = _convolve(_term_map(a), _term_map(b), a.truncation, aux_cap)
+    return TruncatedSeries(a.truncation, a.aux_count, terms)
+
+
+def _binomial_terms(
+    monomial: Exponent,
+    sign: int,
+    exponent: int,
+    truncation: int,
+    aux_cap: int | None = None,
+) -> Terms:
+    """Term map of ``(1 + sign * M)^exponent``, in as many variables as ``M`` has."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if monomial.t_deg < 1:
+        raise ValueError(
+            "monomial must have t-degree >= 1 (otherwise the expansion does "
+            "not terminate under truncation)"
+        )
+    j_max = truncation // monomial.t_deg
+    if aux_cap is not None:
+        total_aux = sum(monomial.aux_degs)
+        if total_aux > 0:
+            j_max = min(j_max, aux_cap // total_aux)
+    if exponent >= 0:
+        j_max = min(j_max, exponent)
+
+    terms: Terms = {}
+    for j in range(j_max + 1):
+        if exponent >= 0:
+            c = comb(exponent, j) * sign**j
+        else:
+            c = comb(-exponent + j - 1, j) * (-sign) ** j
+        terms[(j * monomial.t_deg, tuple(j * d for d in monomial.aux_degs))] = c
+    return terms
 
 
 def binomial_factor(
@@ -71,32 +114,9 @@ def binomial_factor(
     the truncation.  Negative exponents use the generalized binomial series:
     ``(1 - M)^-e = sum_j C(e+j-1, j) M^j``.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if monomial.t_deg < 1:
-        raise ValueError(
-            "monomial must have t-degree >= 1 (otherwise the expansion does "
-            "not terminate under truncation)"
-        )
     if len(monomial.aux_degs) != aux_count:
         raise ValueError("monomial auxiliary degrees do not match aux_count")
-
-    j_max = truncation // monomial.t_deg
-    if aux_cap is not None:
-        total_aux = sum(monomial.aux_degs)
-        if total_aux > 0:
-            j_max = min(j_max, aux_cap // total_aux)
-    if exponent >= 0:
-        j_max = min(j_max, exponent)
-
-    terms: dict[tuple[int, tuple[int, ...]], int] = {}
-    for j in range(j_max + 1):
-        if exponent >= 0:
-            c = comb(exponent, j) * sign**j
-        else:
-            c = comb(-exponent + j - 1, j) * (-sign) ** j
-        key = (j * monomial.t_deg, tuple(j * d for d in monomial.aux_degs))
-        terms[key] = c
+    terms = _binomial_terms(monomial, sign, exponent, truncation, aux_cap)
     return TruncatedSeries(truncation, aux_count, terms)
 
 
@@ -174,23 +194,22 @@ def hodge_p0_product(h10: int, h20: int, truncation: int) -> TruncatedSeries:
     return mul(series, binomial_factor(Exponent(1, (2,)), -1, -h20, truncation, 1))
 
 
-def hodge_product(
-    diamond: list[tuple[int, int, int]], truncation: int
-) -> TruncatedSeries:
-    """Goettsche's Hodge product in x, y and t for ``(p, q, h^{p,q})`` entries."""
+def hodge_product(diamond: list[tuple[int, int, int]], truncation: int) -> Terms:
+    """Goettsche's Hodge product in x, y and t for ``(p, q, h^{p,q})`` entries.
 
-    def factor_at(k: int) -> TruncatedSeries:
-        result = constant_one(truncation, 2)
+    A term map ``{(t_deg, (i, j)): coeff}`` of the nonzero coefficients of
+    ``x^i y^j t^n``, n <= truncation.
+    """
+    product: Terms = {(0, (0, 0)): 1}
+    for k in range(1, truncation + 1):
         for p, q, hpq in diamond:
             monomial = Exponent(k, (p + k - 1, q + k - 1))
             if (p + q) % 2 == 1:
-                piece = binomial_factor(monomial, 1, hpq, truncation, 2)
+                piece = _binomial_terms(monomial, 1, hpq, truncation)
             else:
-                piece = binomial_factor(monomial, -1, -hpq, truncation, 2)
-            result = mul(result, piece)
-        return result
-
-    return indexed_product(factor_at, truncation, 2)
+                piece = _binomial_terms(monomial, -1, -hpq, truncation)
+            product = _convolve(product, piece, truncation)
+    return product
 
 
 # -- Kuenneth products, by schoolbook convolution ------------------------------

@@ -80,9 +80,7 @@ def test_hodge_kernel_matches_oracle(s):
     diamond = surface_diamond(s)
     product = hodge_product(diamond.entries(), 6)
     for n in range(1, 7):
-        expected = {
-            tuple(e.aux_degs): c for e, c in product.terms() if e.t_deg == n
-        }
+        expected = {aux: c for (t_deg, aux), c in product.items() if t_deg == n}
         got = hodge_polynomial_full(diamond, n)
         assert {(p, q): v for p, q, v in got.entries()} == expected
 
@@ -115,6 +113,68 @@ def test_euler_rows_match_divisor_sum_recurrence(monkeypatch, k):
     assert euler_series(k, 250) == TruncatedSeries(
         250, 0, {(n, ()): c for n, c in enumerate(expected)}
     )
+
+
+def trial_division_log_derivative(factors, k: int) -> dict[tuple[int, int], int]:
+    """``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r u^{r (slope m + offset)}``.
+
+    The divisors m of k are found by trial division, one at a time.
+    """
+    terms: dict[tuple[int, int], int] = {}
+    for m in range(1, k + 1):
+        if k % m == 0:
+            r = k // m
+            for sign, e, slope, offset in factors:
+                degs = (r * (slope[0] * m + offset[0]), r * (slope[1] * m + offset[1]))
+                terms[degs] = terms.get(degs, 0) + m * e * (-1) ** (r + 1) * sign**r
+    return {degs: c for degs, c in terms.items() if c}
+
+
+def test_log_derivative_reads_the_shared_divisor_table(monkeypatch):
+    monkeypatch.setattr(series, "_DIVISORS", [[]])
+    # b1 < 0 gives factors with sign +1 and e < 0 next to sign -1 and e < 0
+    for factors in (series._betti_factors(1, -3, 2), series._hodge_factors(ABELIAN_DIAMOND)):
+        for k in range(1, 301):
+            got = series._log_derivative(factors, k)
+            assert {(dx, dy): c for dx, dy, c in got} == trial_division_log_derivative(factors, k)
+            assert got == sorted(got)
+
+
+def test_threads_grow_a_fresh_divisor_table_alike(monkeypatch):
+    # the pattern of test_threads_share_a_fresh_table_across_width_changes
+    fresh: list[list[int]] = [[]]
+    monkeypatch.setattr(series, "_DIVISORS", fresh)
+    workers = 4  # more than the cores of a small machine
+    orders = [list(range(1, 301)) for _ in range(workers)]
+    for i, order in enumerate(orders[1:]):
+        random.Random(i).shuffle(order)
+    barrier = threading.Barrier(workers)
+    seen: list[dict[int, list[int]]] = [{} for _ in range(workers)]
+    failures: list[Exception] = []
+
+    def work(i: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            seen[i].update((k, series._divisors(k)) for k in orders[i])
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "divisor sieve deadlocked"
+    assert not failures, failures
+    assert all(got == seen[0] for got in seen)
+    assert fresh[0] == []
+    for k, divisors in enumerate(fresh[1:], start=1):
+        assert divisors == [m for m in range(1, k + 1) if k % m == 0], k
 
 
 def checked_series(table, truncation: int, cap: int | None = None) -> TruncatedSeries:

@@ -3,6 +3,7 @@ expansions and truncated products."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from math import comb
 
@@ -10,8 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbprod.invariants import euler_series, hodge_p0_series, poincare_series
 from hilbprod.series import Exponent, TruncatedSeries
+from hilbprod.surfaces import load_catalog
 from product_oracle import binomial_factor, constant_one, indexed_product, mul
+
+
+CATALOG = {s.name: s for s in load_catalog().representatives()}
 
 
 # -- independent oracles -------------------------------------------------------
@@ -149,6 +155,22 @@ def test_coeff_beyond_truncation_is_an_error():
         s.coeff(Exponent(3, (0,)))
 
 
+def test_coeff_of_a_negative_degree_is_an_error():
+    k3 = CATALOG["k3"]
+    for s in (
+        poincare_series(k3, 4),
+        TruncatedSeries(4, 1, {(0, (0,)): 1, (1, (2,)): 22, (4, (8,)): 1}),
+    ):
+        assert s.coeff(Exponent(1, (2,))) == 22
+        for bad in (Exponent(-1, (0,)), Exponent(1, (-2,)), Exponent(-4, (-1,))):
+            with pytest.raises(ValueError):
+                s.coeff(bad)
+    for s in (euler_series(24, 4), TruncatedSeries(4, 0, {(1, ()): 24})):
+        assert s.coeff(Exponent(1, ())) == 24
+        with pytest.raises(ValueError):
+            s.coeff(Exponent(-1, ()))
+
+
 # -- indexed_product ---------------------------------------------------------------
 
 
@@ -262,6 +284,31 @@ def test_equality_requires_same_context():
     assert constant_one(3, 0) != constant_one(3, 1)
 
 
+def test_series_have_zero_or_one_auxiliary_variable():
+    with pytest.raises(ValueError):
+        TruncatedSeries(1, 2, {(1, (2, 1)): -4})
+
+
+def test_equality_follows_the_terms_not_the_line_lengths():
+    k3 = CATALOG["k3"]
+    # b3 = 0, so the cap at z^3 keeps the same terms as the cap at z^2
+    capped3, capped2 = poincare_series(k3, 6, z_cap=3), poincare_series(k3, 6, z_cap=2)
+    assert capped3 == capped2
+    assert hash(capped3) == hash(capped2)
+    assert capped3 != poincare_series(k3, 6, z_cap=4)
+    built = [poincare_series(k3, 6), euler_series(-4, 9), hodge_p0_series(0, 2, 5)]
+    for engine in built + [capped3]:
+        rebuilt = TruncatedSeries(
+            engine.truncation,
+            engine.aux_count,
+            {(e.t_deg, e.aux_degs): c for e, c in engine.terms()},
+        )
+        assert engine == rebuilt and rebuilt == engine
+        assert hash(engine) == hash(rebuilt)
+        assert len(engine) == len(rebuilt)
+        assert engine.dump() == rebuilt.dump()
+
+
 # -- dump -------------------------------------------------------------------------
 
 
@@ -270,14 +317,28 @@ def test_dump_format_one_aux():
     assert s.dump() == "t^0 z^0 : 1\nt^1 z^2 : 3"
 
 
-def test_dump_format_two_aux():
-    s = TruncatedSeries(1, 2, {(1, (2, 1)): -4})
-    assert s.dump() == "t^1 x^2 y^1 : -4"
-
-
 def test_dump_format_no_aux():
     s = TruncatedSeries(1, 0, {(1, ()): 5, (0, ()): 1})
     assert s.dump() == "t^0 : 1\nt^1 : 5"
+
+
+# sha256 over the dump() of every series below, each followed by a NUL byte,
+# recorded when series still held a term map keyed by (t_deg, aux_degs)
+PINNED_DUMPS = "bf5f4f0aa808be3286e39af1dcb655b6e9cc8351a3db682b58ea18acc2fced4b"
+
+
+def test_series_dumps_are_pinned():
+    digest = hashlib.sha256()
+    built = [euler_series(chi, 250) for chi in range(-6, 61)]
+    built += [
+        poincare_series(s, 24, z_cap=cap)
+        for s in CATALOG.values()
+        for cap in (None, 0, 3, 9)
+    ]
+    built += [hodge_p0_series(h10, h20, 200) for h10 in range(5) for h20 in range(7)]
+    for s in built:
+        digest.update(s.dump().encode() + b"\0")
+    assert digest.hexdigest() == PINNED_DUMPS
 
 
 def test_series_is_immutable():
