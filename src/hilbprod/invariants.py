@@ -145,7 +145,7 @@ def _kuenneth(table: GrowOnlyTable, parts: tuple[int, ...], length: int) -> list
     (Betti data of an invalid surface) is a DataError.
     """
     rows = table.rows_upto(max(parts))
-    bound = prod(sum(rows[part][0]) for part in parts)
+    bound = prod(sum(rows[part]) for part in parts)
     w = 1
     while bound.bit_length() > 8 * w:
         w *= 2
@@ -212,7 +212,7 @@ def hodge_p0(s: SurfaceInvariants, n: int, p: int) -> int:
 
 
 def _hodge_vector(h10: int, h20: int, n: int) -> list[int]:
-    return hodge_p0_table(h10, h20).rows_upto(n)[n][0]
+    return hodge_p0_table(h10, h20).rows_upto(n)[n]
 
 
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
@@ -308,11 +308,13 @@ def surface_diamond(s: SurfaceInvariants) -> HodgeDiamond:
 def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
     """Full Hodge diamond of the n-point Hilbert scheme from the surface diamond.
 
-    Reads row n of the two-variable infinite product whose ``t^n``
-    coefficient is the Hodge polynomial of the n-point scheme: for each
-    k >= 1 and each (p, q), a factor ``(1 + x^{p+k-1} y^{q+k-1} t^k)^{h^{p,q}}``
-    when p+q is odd and ``(1 - x^{p+k-1} y^{q+k-1} t^k)^{-h^{p,q}}`` when p+q
-    is even.
+    Reads row n of the infinite product whose ``t^n`` coefficient is the
+    Hodge polynomial of the n-point scheme: for each k >= 1 and each (p, q),
+    a factor ``(1 + x^{p+k-1} y^{q+k-1} t^k)^{h^{p,q}}`` when p+q is odd and
+    ``(1 - x^{p+k-1} y^{q+k-1} t^k)^{-h^{p,q}}`` when p+q is even.  The table
+    holds it at ``x = z^L, y = z``, with L the smallest power of two above
+    2n, the largest y-degree, so ``h^{i,j}`` is the coefficient of
+    ``z^{i L + j}``.
     """
     if d.size != 2:
         raise DataError(f"expected a surface diamond (size 2), got size {d.size}")
@@ -323,8 +325,13 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
 
-    entries = hodge_table(tuple(d.entries())).terms(n)
-    return HodgeDiamond(2 * n, entries)
+    size = 2 * n
+    stride = 1 << size.bit_length()
+    line = hodge_table(tuple(d.entries()), stride).rows_upto(n)[n]
+    return HodgeDiamond(
+        size,
+        {(i, j): line[i * stride + j] for i in range(size + 1) for j in range(size + 1)},
+    )
 
 
 # -- Euler side ----------------------------------------------------------------

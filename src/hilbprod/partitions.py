@@ -43,6 +43,8 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not self.parts:
+            raise ValueError("a partition needs at least one part")
         for p in self.parts:
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {self.parts}")
@@ -173,15 +175,15 @@ def colored_count(k: int, n: int) -> int:
     """
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")
-    return euler_rows(k, n)[n][0][0]
+    return euler_rows(k, n)[n][0]
 
 
 def colored_count_tuple(k: int, a: Partition) -> int:
     """Product of ``colored_count(k, part)`` over the parts of ``a``."""
-    rows = euler_rows(k, a.parts[-1] if a.parts else 0)
+    rows = euler_rows(k, a.parts[-1])
     result = 1
     for part in a.parts:
-        result *= rows[part][0][0]
+        result *= rows[part][0]
     return result
 
 

@@ -1,36 +1,37 @@
 """Goettsche's product over Python integers: one kernel, grow-only tables.
 
 Every generating function of the package specializes Goettsche's product
-``F = prod_{m >= 1} prod_j (1 + sign_j u^{slope_j m + offset_j} t^m)^{e_j}``,
-with u = z (Betti), nothing (Euler) or (x, y) (Hodge diamond).  Its rows
-``F_n``, polynomials in u held as dense lists of ints, follow from the
+``F = prod_{m >= 1} prod_j (1 + sign_j z^{slope_j m + offset_j} t^m)^{e_j}``,
+a series in t and zero or one variable z: z itself (Betti), none (Euler), or,
+for the Hodge diamond, ``x = z^L, y = z`` with a stride L above every
+y-degree that is read, so that ``x^i y^j`` lands in ``z^{i L + j}``.  Its
+rows ``F_n``, polynomials in z held as flat lists of ints, follow from the
 log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
-``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r u^{r (slope m + offset)}``: G is
+``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r z^{r (slope m + offset)}``: G is
 sparse and the division by n is exact.  The divisors m of k come from one
-grow-only sieve that every kernel shares.  A product without auxiliary
-variables (Euler: ``G_k = chi sigma(k)``) has a scalar ``G_k``, so each of
-its rows is one dot product of ``G_1..G_n`` with the earlier rows.  With one
-or two variables (Betti, Hodge diamond) the recurrence runs on evaluations
-at ``X = 2^(8w)``, ``x^i y^j`` in slot ``i L + j``: each term of ``G_k`` is
-a shift and a small multiple of ``F_{n-k}(X)``, and row n is read back from
-the signed slots of ``F_n(X)``.  The slot width w (bytes, a power of two,
-from the bound of the majorant ``prod (1 - t^m)^-E``, E = sum |e_j|) and the
-stride L only grow; when either does, the kernel re-evaluates the stored
-rows.  The ``h^{p,0}`` series (y = 0) is a running sum of its closed form
-instead.  One ``GrowOnlyTable`` is kept per (b0, b1, b2), chi, (h10, h20)
-and diamond: a table at N answers every n <= N, and a larger request extends
-it from its last row.
+grow-only sieve that every kernel shares.  A product without z (Euler:
+``G_k = chi sigma(k)``) has a scalar ``G_k``, so each of its rows is one dot
+product of ``G_1..G_n`` with the earlier rows.  With z (Betti, Hodge
+diamond) the recurrence runs on evaluations at ``X = 2^(8w)``, ``z^j`` in
+slot j: each term of ``G_k`` is a shift and a small multiple of
+``F_{n-k}(X)``, and row n is read back from the signed slots of ``F_n(X)``.
+The slot width w (bytes, a power of two, from the bound of the majorant
+``prod (1 - t^m)^-E``, E = sum |e_j|) only grows; when it does, the kernel
+re-evaluates the stored rows.  The ``h^{p,0}`` series (y = 0) is a running
+sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
+(b0, b1, b2), chi, (h10, h20) and (diamond, L): a table at N answers every
+n <= N, and a larger request extends it from its last row.
 
-``GrowOnlyTable.series`` returns rows 0..N of a table in zero or one
-variable as a ``TruncatedSeries``, the read-only result of
-``poincare_series``, ``euler_series`` and ``hodge_p0_series``: a view of
-the rows' lines, one tuple per t-degree (capped in z on request, trailing
-zeros stripped), truncated in t only.  The term-map constructor of
-``TruncatedSeries`` builds the same lines, so a series has one form.  The
-package never multiplies series; the test oracle does.
+``GrowOnlyTable.series`` returns rows 0..N of a table as a
+``TruncatedSeries``, the read-only result of ``poincare_series``,
+``euler_series`` and ``hodge_p0_series``: a view of the rows' lines, one
+tuple per t-degree (capped in z on request, trailing zeros stripped),
+truncated in t only.  The term-map constructor of ``TruncatedSeries``
+builds the same lines, so a series has one form.  The package never
+multiplies series; the test oracle does.
 
-``GrowOnlyTable.packed`` also keeps each row of a one-variable table packed
-into one int, one fixed-width byte slot per coefficient, the form in which
+``GrowOnlyTable.packed`` also keeps each row of a table packed into one
+int, one fixed-width byte slot per coefficient, the form in which
 ``hilbprod.invariants`` multiplies rows (Kronecker substitution).  A row is
 packed at most once per slot width, and, like the rows, the packed ints are
 only ever added.
@@ -189,17 +190,17 @@ class TruncatedSeries:
 # -- grow-only tables ------------------------------------------------------
 
 _GROW_LOCK = threading.RLock()  # reentrant: a kernel grows its majorant's Euler table
-Row = list[list[int]]
-Factor = tuple[int, int, tuple[int, int], tuple[int, int]]  # (sign, e, slope, offset)
+Row = list[int]
+Factor = tuple[int, int, int, int]  # (sign, e, slope, offset)
 
 
 class GrowOnlyTable:
     """Rows ``F_0, F_1, ...`` of a series in t, appended on demand and never changed.
 
-    Row n is a small 2-D list of ints, ``row[i][j]`` the coefficient of
-    ``x^i y^j``.  A series in one variable keeps it in the last slot
-    (``row[0][j]``), one in none has the single entry ``row[0][0]``.
-    ``next_row(rows, n)`` computes row n from rows 0..n-1.
+    Row n is a flat list of ints, ``row[j]`` the coefficient of ``z^j``; a
+    series without z has the single entry ``row[0]``.  The Hodge diamond
+    is a series in z too, through ``x = z^L, y = z``.  ``next_row(rows, n)``
+    computes row n from rows 0..n-1.
 
     Rows are also kept packed, once per slot width: ``packed_rows`` maps
     ``(n, w)`` to the int ``packed(n, w)`` returned.  It only grows and its
@@ -209,7 +210,7 @@ class GrowOnlyTable:
 
     def __init__(self, aux_count: int, next_row: Callable[[list[Row], int], Row]) -> None:
         self.aux_count = aux_count
-        self.rows: list[Row] = [[[1]]]
+        self.rows: list[Row] = [[1]]
         self.packed_rows: dict[tuple[int, int], int] = {}
         self._next_row = next_row
 
@@ -223,42 +224,31 @@ class GrowOnlyTable:
         return rows
 
     def packed(self, n: int, w: int) -> int:
-        """Row n's line as one int, coefficient j in the j-th ``w``-byte slot.
+        """Row n as one int, coefficient j in the j-th ``w``-byte slot.
 
-        For tables in at most one variable.  Slots are unsigned and in native
-        byte order (``sys.byteorder``); a coefficient that does not fit, a
-        negative one included, raises OverflowError and stores nothing.
+        Slots are unsigned and in native byte order (``sys.byteorder``); a
+        coefficient that does not fit, a negative one included, raises
+        OverflowError and stores nothing.
         """
         value = self.packed_rows.get((n, w))
         if value is None:
             order = sys.byteorder
-            line = self.rows_upto(n)[n][0]
+            line = self.rows_upto(n)[n]
             value = int.from_bytes(b"".join([c.to_bytes(w, order) for c in line]), order)
             value = self.packed_rows.setdefault((n, w), value)
         return value
 
-    def terms(self, n: int) -> dict[tuple[int, ...], int]:
-        """Nonzero coefficients of row n keyed by their auxiliary degrees."""
-        return {
-            (i, j)[2 - self.aux_count:]: c
-            for i, line in enumerate(self.rows_upto(n)[n])
-            for j, c in enumerate(line)
-            if c
-        }
-
     def series(self, truncation: int, *, cap: int | None = None) -> TruncatedSeries:
-        """Rows 0..truncation of a table in at most one variable, as a series.
+        """Rows 0..truncation as a series.
 
         The series holds each row's line as a tuple, cut after degree ``cap``
         and stripped of trailing zeros; nothing is copied term by term.
         """
-        if self.aux_count > 1:
-            raise ValueError("series() reads tables in at most one variable")
         if cap is not None and cap < 0:
             raise UsageError(f"degree cap must be >= 0, got {cap}")
         rows = self.rows_upto(truncation)
         end = sys.maxsize if cap is None else cap + 1
-        lines = tuple([_stripped(rows[n][0], end) for n in range(truncation + 1)])
+        lines = tuple([_stripped(rows[n], end) for n in range(truncation + 1)])
         return TruncatedSeries.__new__(TruncatedSeries)._hold(truncation, self.aux_count, lines)
 
 
@@ -289,96 +279,88 @@ def _divisors(k: int) -> list[int]:
     return table[k]
 
 
-def _log_derivative(factors: list[Factor], k: int) -> list[tuple[int, int, int]]:
-    """``G_k`` of the product as ``(x-degree, y-degree, coefficient)``, sorted, no zeros."""
-    terms: dict[tuple[int, int], int] = {}
+def _log_derivative(factors: list[Factor], k: int) -> list[tuple[int, int]]:
+    """``G_k`` of the product as ``(z-degree, coefficient)`` pairs, sorted, no zeros."""
+    terms: dict[int, int] = {}
     for m in _divisors(k):
         r = k // m
         for sign, e, slope, offset in factors:
-            degs = (slope[0] * k + offset[0] * r, slope[1] * k + offset[1] * r)
+            deg = slope * k + offset * r
             c = -m * e if sign < 0 or r % 2 == 0 else m * e
-            terms[degs] = terms.get(degs, 0) + c
-    return [(dx, dy, c) for (dx, dy), c in sorted(terms.items()) if c]
+            terms[deg] = terms.get(deg, 0) + c
+    return [(deg, c) for deg, c in sorted(terms.items()) if c]
 
 
 def _goettsche_rows(factors: list[Factor]):
-    """``next_row`` of ``prod_m prod_j (1 + sign_j u^{slope_j m + offset_j} t^m)^{e_j}``.
+    """``next_row`` of ``prod_m prod_j (1 + sign_j z^{slope_j m + offset_j} t^m)^{e_j}``.
 
-    Each factor is ``(sign, e, slope, offset)`` with sign in {+1, -1} and
-    slope, offset pairs of (x, y)-degrees (leading zeros for fewer
-    variables); every u-degree must be nonnegative.
+    Each factor is ``(sign, e, slope, offset)`` with sign in {+1, -1}; every
+    z-degree ``slope m + offset`` (m >= 1) must be nonnegative.
 
-    With auxiliary variables the recurrence runs on evaluations: ``x^i y^j``
-    goes to slot ``i L + j`` of ``X = 2^(8w)``, a ring map, so
-    ``n F_n(X) = sum_k G_k(X) F_{n-k}(X)`` holds as integers and ``// n`` is
-    exact.  Each ``G_k`` term is a shift and a small multiple of an earlier
-    ``F_{n-k}(X)``; the dense ``G_k(X)`` is never formed.  Coefficients may
-    be negative, so slots are signed: adding half a slot to every slot makes
-    each digit ``c + 2^(8w-1)`` nonnegative, and XOR with the same constant
-    turns it into ``c``'s two's complement, which the signed cast (w <= 8)
-    or ``int.from_bytes(..., signed=True)`` reads.  The majorant
+    With z the recurrence runs on evaluations: ``z^j`` goes to slot j of
+    ``X = 2^(8w)``, a ring map, so ``n F_n(X) = sum_k G_k(X) F_{n-k}(X)``
+    holds as integers and ``// n`` is exact.  Each ``G_k`` term is a shift
+    and a small multiple of an earlier ``F_{n-k}(X)``; the dense ``G_k(X)``
+    is never formed.  Coefficients may be negative, so slots are signed:
+    adding half a slot to every slot makes each digit ``c + 2^(8w-1)``
+    nonnegative, and XOR with the same constant turns it into ``c``'s two's
+    complement, which the signed cast (w <= 8) or
+    ``int.from_bytes(..., signed=True)`` reads.  The majorant
     ``prod_m (1 - t^m)^-E``, E = sum |e|, bounds the absolute coefficient
     sum of row n by ``colored_count(E, n)``, read from ``euler_table(E)``;
     w is the smallest power-of-two byte count with ``2 n bound < 2^(8w)``.
-    The stride L (two variables only) doubles once ``by n + 1`` passes it.
-    Neither shrinks; when one grows, the evaluations of the stored rows are
-    recomputed at the new layout.
+    It never shrinks; when it grows, the evaluations of the stored rows are
+    recomputed at the new width.
     """
     factors = [f for f in factors if f[1]]
-    # the (x, y)-degrees of row n are at most bound * n
-    bx, by = (max((f[2][i] + max(f[3][i], 0) for f in factors), default=0) for i in (0, 1))
+    # the z-degrees of row n are at most span * n
+    span = max((f[2] + max(f[3], 0) for f in factors), default=0)
 
-    if not bx and not by:
-        # no auxiliary variable: every G_k and every row is one integer, so
-        # row n is one dot product of G_1..G_n with rows n-1..0
+    if not span:
+        # no z: every G_k and every row is one integer, so row n is one dot
+        # product of G_1..G_n with rows n-1..0
         scalars = [0]
         values = [1]
 
         def next_value(rows: list[Row], n: int) -> Row:
             while len(scalars) <= n:
-                scalars.append(sum(c for _, _, c in _log_derivative(factors, len(scalars))))
+                scalars.append(sum(c for _, c in _log_derivative(factors, len(scalars))))
             values.append(sum(map(mul, scalars[1:n + 1], reversed(values[:n]))) // n)
-            return [[values[n]]]
+            return [values[n]]
 
         return next_value
 
     majorant = sum(abs(f[1]) for f in factors)
-    g: list[list[tuple[int, int, int]]] = [[]]  # G_k as (x-degree, y-degree, coefficient)
-    w, stride = 0, 1  # slot width in bytes (0 before row 1), slots per x-degree
-    shifted: list[list[tuple[int, int]]] = [[]]  # G_k as (bit shift, coefficient) at (w, L)
-    evaluations: list[int] = []  # F_k(X) of the rows so far at (w, L)
+    g: list[list[tuple[int, int]]] = [[]]  # G_k as (z-degree, coefficient)
+    w = 0  # slot width in bytes (0 before row 1)
+    shifted: list[list[tuple[int, int]]] = [[]]  # G_k as (bit shift, coefficient) at w
+    evaluations: list[int] = []  # F_k(X) of the rows so far at w
 
     def half_slots(count: int) -> int:
         return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * count, "little")
 
     def evaluate(row: Row) -> int:
-        # two's-complement slots, little-endian, lines L slots apart; the
-        # half-slot constant turns their digits into the signed coefficients
-        raw = b"".join([
-            b"".join([c.to_bytes(w, "little", signed=True) for c in line]).ljust(w * stride, b"\0")
-            for line in row
-        ])
-        half = half_slots(len(raw) // w)
+        # two's-complement slots, little-endian; the half-slot constant turns
+        # their digits into the signed coefficients
+        raw = b"".join([c.to_bytes(w, "little", signed=True) for c in row])
+        half = half_slots(len(row))
         return (int.from_bytes(raw, "little") ^ half) - half
 
     def next_row(rows: list[Row], n: int) -> Row:
-        nonlocal w, stride
+        nonlocal w
         while len(g) <= n:
             g.append(_log_derivative(factors, len(g)))
-        bound = 2 * n * euler_rows(majorant, n)[n][0][0]
-        width, slots = w or 1, stride
+        bound = 2 * n * euler_rows(majorant, n)[n][0]
+        width = w or 1
         while bound.bit_length() > 8 * width:
             width *= 2
-        while bx and by * n >= slots:
-            slots *= 2
-        if (width, slots) != (w, stride):
-            w, stride = width, slots
+        if width != w:
+            w = width
             evaluations[:] = [evaluate(row) for row in rows]
             del shifted[1:]
         bits = 8 * w
         shifted.extend(
-            [(bits * (dx * stride + dy), c) for dx, dy, c in g[k]]
-            for k in range(len(shifted), n + 1)
+            [(bits * deg, c) for deg, c in g[k]] for k in range(len(shifted), n + 1)
         )
         acc = 0
         for k in range(1, n + 1):
@@ -387,18 +369,13 @@ def _goettsche_rows(factors: list[Factor]):
                 acc += c * (value << shift)
         value = acc // n
         evaluations.append(value)
-        # read row n back: (bx n + 1) lines of by n + 1 signed slots, L apart
-        line = by * n + 1
-        count = bx * n * stride + line
+        # read row n back: span n + 1 signed slots
+        count = span * n + 1
         half = half_slots(count)
         raw = ((value + half) ^ half).to_bytes(count * w, "little")
         if w <= 8 and sys.byteorder == "little":
-            flat = memoryview(raw).cast("bhiq"[w.bit_length() - 1]).tolist()
-        else:
-            flat = [
-                int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)
-            ]
-        return [flat[i * stride:i * stride + line] for i in range(bx * n + 1)]
+            return memoryview(raw).cast("bhiq"[w.bit_length() - 1]).tolist()
+        return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
 
     return next_row
 
@@ -411,10 +388,10 @@ def _hodge_p0_rows(h10: int, h20: int):
     """
 
     def next_row(rows: list[Row], n: int) -> Row:
-        line = rows[n - 1][0] + [0, 0]
+        line = rows[n - 1] + [0, 0]
         for i in range(max(0, n - h10), n + 1):
             line[n + i] += comb(h10, n - i) * (comb(h20 + i - 1, i) if i else 1)
-        return [line]
+        return line
 
     return next_row
 
@@ -422,7 +399,7 @@ def _hodge_p0_rows(h10: int, h20: int):
 _BETTI_TABLES: dict[tuple[int, int, int], GrowOnlyTable] = {}
 _EULER_TABLES: dict[int, GrowOnlyTable] = {}
 _HODGE_P0_TABLES: dict[tuple[int, int], GrowOnlyTable] = {}
-_HODGE_TABLES: dict[tuple[tuple[int, int, int], ...], GrowOnlyTable] = {}
+_HODGE_TABLES: dict[tuple[tuple[tuple[int, int, int], ...], int], GrowOnlyTable] = {}
 
 
 def _table(registry: dict, key, aux_count: int, make_next_row) -> GrowOnlyTable:
@@ -433,8 +410,8 @@ def _table(registry: dict, key, aux_count: int, make_next_row) -> GrowOnlyTable:
 
 
 def _betti_factors(b0: int, b1: int, b2: int) -> list[Factor]:
-    return [(1, b1, (0, 2), (0, -1)), (1, b1, (0, 2), (0, 1))] + [
-        (-1, -b, (0, 2), (0, o)) for b, o in ((b0, -2), (b2, 0), (b0, 2))
+    return [(1, b1, 2, -1), (1, b1, 2, 1)] + [
+        (-1, -b, 2, o) for b, o in ((b0, -2), (b2, 0), (b0, 2))
     ]
 
 
@@ -451,7 +428,7 @@ def betti_table(b0: int, b1: int, b2: int) -> GrowOnlyTable:
 
 def euler_table(chi: int) -> GrowOnlyTable:
     """Rows (one coefficient each) of ``prod_m (1 - t^m)^-chi``."""
-    return _table(_EULER_TABLES, chi, 0, lambda: _goettsche_rows([(-1, -chi, (0, 0), (0, 0))]))
+    return _table(_EULER_TABLES, chi, 0, lambda: _goettsche_rows([(-1, -chi, 0, 0)]))
 
 
 def euler_rows(chi: int, n: int) -> list[Row]:
@@ -465,16 +442,25 @@ def hodge_p0_table(h10: int, h20: int) -> GrowOnlyTable:
     return _table(_HODGE_P0_TABLES, (h10, h20), 1, lambda: _hodge_p0_rows(h10, h20))
 
 
-def _hodge_factors(diamond: tuple[tuple[int, int, int], ...]) -> list[Factor]:
+def _hodge_factors(diamond: tuple[tuple[int, int, int], ...], stride: int) -> list[Factor]:
+    # x^{p+m-1} y^{q+m-1} at x = z^stride, y = z: z^{(stride + 1) m + (p-1) stride + q-1}
     return [
-        (1, h, (1, 1), (p - 1, q - 1)) if (p + q) % 2 else (-1, -h, (1, 1), (p - 1, q - 1))
+        (1, h, stride + 1, (p - 1) * stride + q - 1) if (p + q) % 2
+        else (-1, -h, stride + 1, (p - 1) * stride + q - 1)
         for p, q, h in diamond
     ]
 
 
-def hodge_table(diamond: tuple[tuple[int, int, int], ...]) -> GrowOnlyTable:
-    """Rows in (x, y) of Goettsche's Hodge product for ``(p, q, h^{p,q})`` entries.
+def hodge_table(diamond: tuple[tuple[int, int, int], ...], stride: int) -> GrowOnlyTable:
+    """Rows in z of Goettsche's Hodge product for ``(p, q, h^{p,q})`` entries.
 
-    Factor m is ``(1 - (-1)^{p+q} x^{p+m-1} y^{q+m-1} t^m)^{-(-1)^{p+q} h^{p,q}}``.
+    Factor m is ``(1 - (-1)^{p+q} x^{p+m-1} y^{q+m-1} t^m)^{-(-1)^{p+q} h^{p,q}}``
+    at ``x = z^stride, y = z``.  Row n holds the coefficient of ``x^i y^j`` at
+    ``z^{i stride + j}`` while ``2 n < stride``, which bounds its y-degrees.
     """
-    return _table(_HODGE_TABLES, diamond, 2, lambda: _goettsche_rows(_hodge_factors(diamond)))
+    return _table(
+        _HODGE_TABLES,
+        (diamond, stride),
+        1,
+        lambda: _goettsche_rows(_hodge_factors(diamond, stride)),
+    )

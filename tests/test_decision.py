@@ -288,7 +288,7 @@ def oracle_witness(
     def product(table) -> tuple[list[int], list[int]]:
         rows = table.rows_upto(a.n)
         return tuple(
-            dense_kuenneth([rows[part][0] for part in p.parts]) for p in (a, b)
+            dense_kuenneth([rows[part] for part in p.parts]) for p in (a, b)
         )
 
     betti_a, betti_b = product(betti_table(s.b0, s.b1, s.b2))
@@ -364,6 +364,17 @@ def test_verdict_round_trip():
         decide(K3, Partition((2, 2)), Partition((2, 2))),
     ):
         assert Verdict.from_dict(v.to_dict()) == v
+
+
+def test_empty_partitions_are_refused():
+    # a partition of a positive integer has at least one part, however it is built
+    with pytest.raises(ValueError):
+        Partition(())
+    with pytest.raises(ValueError):
+        Partition.of()
+    record = decide(K3, Partition((1, 3)), Partition((2, 2))).to_dict()
+    with pytest.raises(ValueError):
+        Verdict.from_dict({**record, "a": []})
 
 
 # -- aut shapes ---------------------------------------------------------------------

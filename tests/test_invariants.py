@@ -393,13 +393,13 @@ def test_kuenneth_products_match_dense_convolution():
     # every product twice: the second call reads every packed row from the memo
     for s, a in cases + cases:
         rows = betti_table(s.b0, s.b1, s.b2).rows_upto(max(a.parts))
-        vectors = [rows[part][0] for part in a.parts]
+        vectors = [rows[part] for part in a.parts]
         widths.add(slot_bytes(vectors))
         poly = poincare_polynomial_tuple(s, a)
         assert list(poly.coefficients) == dense_kuenneth(vectors), (s.name, a)
         if has_hodge_data(s):
             rows = hodge_p0_table(s.h10, s.h20).rows_upto(max(a.parts))
-            vectors = [rows[part][0] for part in a.parts]
+            vectors = [rows[part] for part in a.parts]
             widths.add(slot_bytes(vectors))
             assert hodge_p0_tuple_vector(s, a) == dense_kuenneth(vectors), (s.name, a)
     # slots of 1, 2, 4 and 8 bytes are read by a cast, wider ones by slicing
@@ -415,7 +415,7 @@ def test_truncated_kuenneth_products_are_prefixes():
     ]
     for table, parts in cases:
         rows = table.rows_upto(max(parts))
-        full = dense_kuenneth([rows[part][0] for part in parts])
+        full = dense_kuenneth([rows[part] for part in parts])
         for length in range(1, len(full) + 1):
             assert _kuenneth(table, parts, length) == full[:length], (parts, length)
 
@@ -457,7 +457,7 @@ def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
     cases = [(1, 31), (1,), (1, 1), (1, 31), (2, 3), (1, 1, 1), (1, 2, 31), (1,)]
     widths_of_row_1 = set()
     for parts in cases * 2:
-        vectors = [rows[part][0] for part in parts]
+        vectors = [rows[part] for part in parts]
         w = slot_bytes(vectors)
         if 1 in parts:
             widths_of_row_1.add(w)
@@ -467,19 +467,19 @@ def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
         assert memo.reads == [(part, w) for part in parts], parts
     assert widths_of_row_1 == {1, 2, 16}
     for (n, w), value in memo.items():
-        assert unpack(value, w, len(rows[n][0])) == rows[n][0], (n, w)
+        assert unpack(value, w, len(rows[n])) == rows[n], (n, w)
 
 
 def test_negative_row_is_a_data_error_every_time_and_never_packed():
     s = synthetic(1, -3, 2)
     table = betti_table(s.b0, s.b1, s.b2)
-    assert min(table.rows_upto(1)[1][0]) < 0
+    assert min(table.rows_upto(1)[1]) < 0
     for _ in range(2):
         with pytest.raises(DataError):
             poincare_polynomial_tuple(s, Partition((1, 2)))
     assert not any(n == 1 for n, _ in table.packed_rows)
     rows = table.rows_upto(2)
-    assert all(min(rows[n][0]) >= 0 for n, _ in table.packed_rows)
+    assert all(min(rows[n]) >= 0 for n, _ in table.packed_rows)
 
 
 def test_packed_rows_stay_bounded(monkeypatch):
@@ -524,6 +524,6 @@ def test_threads_share_a_fresh_table():
     assert not any(thread.is_alive() for thread in threads)
     rows = table.rows_upto(10)
     expected = [
-        tuple(dense_kuenneth([rows[part][0] for part in a.parts])) for a in partitions
+        tuple(dense_kuenneth([rows[part] for part in a.parts])) for a in partitions
     ]
     assert results == [expected] * workers

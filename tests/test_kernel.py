@@ -76,7 +76,8 @@ def test_euler_kernel_matches_oracle(chi):
 
 @pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
 def test_hodge_kernel_matches_oracle(s):
-    # rows 1..6 run at strides L = 4, 8 and 16 and at more than one slot width
+    # rows 1..6 are read from the tables at strides L = 4, 8 and 16, and
+    # they run at more than one slot width
     diamond = surface_diamond(s)
     product = hodge_product(diamond.entries(), 6)
     for n in range(1, 7):
@@ -115,28 +116,28 @@ def test_euler_rows_match_divisor_sum_recurrence(monkeypatch, k):
     )
 
 
-def trial_division_log_derivative(factors, k: int) -> dict[tuple[int, int], int]:
-    """``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r u^{r (slope m + offset)}``.
+def trial_division_log_derivative(factors, k: int) -> dict[int, int]:
+    """``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r z^{r (slope m + offset)}``.
 
     The divisors m of k are found by trial division, one at a time.
     """
-    terms: dict[tuple[int, int], int] = {}
+    terms: dict[int, int] = {}
     for m in range(1, k + 1):
         if k % m == 0:
             r = k // m
             for sign, e, slope, offset in factors:
-                degs = (r * (slope[0] * m + offset[0]), r * (slope[1] * m + offset[1]))
-                terms[degs] = terms.get(degs, 0) + m * e * (-1) ** (r + 1) * sign**r
-    return {degs: c for degs, c in terms.items() if c}
+                deg = r * (slope * m + offset)
+                terms[deg] = terms.get(deg, 0) + m * e * (-1) ** (r + 1) * sign**r
+    return {deg: c for deg, c in terms.items() if c}
 
 
 def test_log_derivative_reads_the_shared_divisor_table(monkeypatch):
     monkeypatch.setattr(series, "_DIVISORS", [[]])
     # b1 < 0 gives factors with sign +1 and e < 0 next to sign -1 and e < 0
-    for factors in (series._betti_factors(1, -3, 2), series._hodge_factors(ABELIAN_DIAMOND)):
+    for factors in (series._betti_factors(1, -3, 2), series._hodge_factors(ABELIAN_DIAMOND, 32)):
         for k in range(1, 301):
             got = series._log_derivative(factors, k)
-            assert {(dx, dy): c for dx, dy, c in got} == trial_division_log_derivative(factors, k)
+            assert dict(got) == trial_division_log_derivative(factors, k)
             assert got == sorted(got)
 
 
@@ -178,12 +179,12 @@ def test_threads_grow_a_fresh_divisor_table_alike(monkeypatch):
 
 
 def checked_series(table, truncation: int, cap: int | None = None) -> TruncatedSeries:
-    """Rows 0..truncation through ``terms`` and the checking constructor."""
+    """Rows 0..truncation, coefficient by coefficient, through the checking constructor."""
     return TruncatedSeries(truncation, table.aux_count, {
-        (n, degs): c
+        (n, (j,)[:table.aux_count]): c
         for n in range(truncation + 1)
-        for degs, c in table.terms(n).items()
-        if cap is None or sum(degs) <= cap
+        for j, c in enumerate(table.rows_upto(n)[n])
+        if cap is None or j <= cap
     })
 
 
@@ -233,7 +234,7 @@ def _kernel_requests(requests) -> None:
         if kind == "betti":
             series.betti_table(1, 0, 53).rows_upto(n)
         elif kind == "hodge":
-            series.hodge_table(ABELIAN_DIAMOND).rows_upto(n)
+            series.hodge_table(ABELIAN_DIAMOND, 32).rows_upto(n)
         else:  # the majorant table of (1, 0, 53), grown from outside the kernel
             colored_count(55, n)
 
@@ -241,7 +242,7 @@ def _kernel_requests(requests) -> None:
 def test_shuffled_kernel_growth_matches_one_ascending_build(monkeypatch):
     requests = [("betti", n) for n in range(1, 21)] + [("hodge", n) for n in range(1, 9)]
     requests += [("colour", n) for n in (3, 9, 19, 30)]
-    # the Betti rows cross widths 1 to 16, the Hodge rows strides 4 to 32
+    # the Betti rows cross widths 1 to 16
     assert {slot_width(55, n) for kind, n in requests if kind == "betti"} == {1, 2, 4, 8, 16}
     random.Random(12).shuffle(requests)
     registries = fresh_tables(monkeypatch)
@@ -292,19 +293,76 @@ def test_threads_share_a_fresh_table_across_width_changes(monkeypatch):
 
 # sha256 of the repr of Betti rows 0..40 of every catalog representative plus
 # (2, 0, 4) and (3, 2, 5), then Hodge-diamond rows 0..10 of every catalog
-# representative with Hodge data, recorded with the list-of-lists kernel; any
-# change to a coefficient, or to a row's shape, shows here
+# representative with Hodge data, recorded with the list-of-lists kernel: a
+# Betti row as ``[line]``, Hodge row n as its 2n + 1 lines of y-degrees
+# 0..2n, one per x-degree.  The flat rows are wrapped back into that shape,
+# so any change to a coefficient, or to a row's length, shows here
 PINNED_ROWS = "168b2f0b6e9c040d2dcfdac0cb74813afbe035c37ce5723a63358dd62650d17a"
 
 
 def test_rows_are_pinned():
     digest = hashlib.sha256()
     for b0, b1, b2 in [(s.b0, s.b1, s.b2) for s in CATALOG] + [(2, 0, 4), (3, 2, 5)]:
-        digest.update(repr(series.betti_table(b0, b1, b2).rows_upto(40)[:41]).encode())
+        rows = series.betti_table(b0, b1, b2).rows_upto(40)[:41]
+        digest.update(repr([[line] for line in rows]).encode())
     for s in HODGE_SURFACES:
-        table = series.hodge_table(tuple(surface_diamond(s).entries()))
-        digest.update(repr(table.rows_upto(10)[:11]).encode())
+        rows = series.hodge_table(tuple(surface_diamond(s).entries()), 32).rows_upto(10)
+        digest.update(repr([
+            [line[i * 32:i * 32 + 2 * n + 1] for i in range(2 * n + 1)]
+            for n, line in enumerate(rows[:11])
+        ]).encode())
     assert digest.hexdigest() == PINNED_ROWS
+
+
+# sha256 of the repr of the sorted ``{(surface, n): hodge_polynomial_full
+# entries}`` of every catalog representative with Hodge data, n = 1..12:
+# the public Hodge output, whatever the layout of the rows behind it
+PINNED_HODGE = "1ae2eb5b001fffb1c8babcad5e01b1579711ee14922921e604b63305f7e745fa"
+
+
+def test_hodge_diamonds_are_pinned(monkeypatch):
+    requests = [(s, n) for s in HODGE_SURFACES for n in range(1, 13)]
+    random.Random(3).shuffle(requests)
+    fresh_tables(monkeypatch)
+    diamonds = {
+        (s.name, n): hodge_polynomial_full(surface_diamond(s), n).entries() for s, n in requests
+    }
+    digest = hashlib.sha256(repr(sorted(diamonds.items())).encode())
+    assert digest.hexdigest() == PINNED_HODGE
+
+
+def diamond_at_stride(diamond, n: int, stride: int) -> dict[tuple[int, int], int]:
+    """Row n of the Hodge table at ``stride`` read as ``h^{i,j}``, i, j <= 2n."""
+    line = series.hodge_table(diamond, stride).rows_upto(n)[n]
+    window = {
+        (i, j): line[i * stride + j] for i in range(2 * n + 1) for j in range(2 * n + 1)
+    }
+    # no coefficient lies outside the window that is read
+    assert sum(map(bool, line)) == sum(map(bool, window.values()))
+    return {key: c for key, c in window.items() if c}
+
+
+@pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
+def test_the_stride_never_changes_a_number(s):
+    diamond = tuple(surface_diamond(s).entries())
+    for n in range(1, 8):
+        expected = diamond_at_stride(diamond, n, 16)
+        assert diamond_at_stride(diamond, n, 32) == expected, n
+        assert diamond_at_stride(diamond, n, 64) == expected, n
+
+
+def test_diamonds_across_stride_boundaries_match_oracle(monkeypatch):
+    # n = 7, 8, 15, 16 read from the tables at strides 16, 32, 32 and 64
+    hodge_tables = fresh_tables(monkeypatch)[3]
+    order = [7, 8, 15, 16]
+    random.Random(4).shuffle(order)
+    diamond = surface_diamond(next(s for s in CATALOG if s.name == "abelian"))
+    got = {n: hodge_polynomial_full(diamond, n) for n in order}
+    assert sorted(stride for _, stride in hodge_tables) == [16, 32, 64]
+    product = hodge_product(diamond.entries(), 16)
+    for n in order:
+        expected = {aux: c for (t_deg, aux), c in product.items() if t_deg == n}
+        assert {(p, q): v for p, q, v in got[n].entries()} == expected, n
 
 
 # -- specialization identities ---------------------------------------------------
