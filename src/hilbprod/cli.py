@@ -250,7 +250,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             f"  ... {len(report.violations) - shown} more violations "
             "(use --output-format structured or --csv for all of them)"
         )
-    _emit(report.to_dict(), lines, args)
+    # human output prints none of the payload: build its dict per violation
+    # only for structured output
+    payload = report.to_dict() if args.output_format == "structured" else None
+    _emit(payload, lines, args)
     return 0
 
 

@@ -93,7 +93,8 @@ class Violation(NamedTuple):
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Violation":
-        return cls(
+        """The violation of ``d``; ValueError unless its numbers are plain ints."""
+        v = cls(
             d["scan_kind"],
             d["n"],
             tuple(d["a"]),
@@ -103,6 +104,8 @@ class Violation(NamedTuple):
             d["value_b"],
             d.get("form", ""),
         )
+        _refuse_non_ints(v)
+        return v
 
 
 CSV_COLUMNS = Violation._fields
@@ -111,6 +114,77 @@ CSV_COLUMNS = Violation._fields
 def _csv_row(v: Violation) -> tuple[Any, ...]:
     """The violation as a CSV row: the parts tuples joined by commas."""
     return v[:2] + (",".join(map(str, v.a)), ",".join(map(str, v.b))) + v[4:]
+
+
+def _plain_ints(values: Iterable[Any]) -> bool:
+    """Whether every value is an int and none a bool or other subclass."""
+    return {*map(type, values)} <= {int}
+
+
+def _refuse_non_ints(v: Violation) -> None:
+    """Raise ValueError naming the first field of ``v`` whose numbers are not
+    plain ints.
+
+    The exports write these fields with ``%d`` and ``str``, which would
+    truncate a float and print a bool as 1 where ``json.dumps`` prints
+    ``true``; a bool is refused although it is an int.
+    """
+    for name in ("n", "k_or_p", "value_a", "value_b"):
+        value = getattr(v, name)
+        if type(value) is not int:
+            raise ValueError(f"violation field {name} must be a plain int, got {value!r}")
+    for name in ("a", "b"):
+        parts = getattr(v, name)
+        if not _plain_ints(parts):
+            raise ValueError(f"violation field {name} must hold plain ints, got {parts!r}")
+
+
+def _joined_parts(separator: str, parts: tuple[int, ...]) -> str:
+    if not _plain_ints(parts):
+        raise ValueError(f"violation parts must be plain ints, got {parts!r}")
+    return separator.join(map(str, parts))
+
+
+def _json_parts(parts: tuple[int, ...]) -> str:
+    """``json.dumps(list(parts))`` for plain ints: ``[3, 4]``."""
+    return "[" + _joined_parts(", ", parts) + "]"
+
+
+def _csv_parts(parts: tuple[int, ...]) -> str:
+    """The CSV cell of a parts tuple: ``3,4``."""
+    return _joined_parts(",", parts)
+
+
+def _remember(memo: dict[Any, str], obj: Any, render: Callable[[Any], str]) -> str:
+    """``render(obj)``, after a miss on ``memo.get(id(obj))``.
+
+    An export call keeps one memo per kind of text.  The text goes under
+    ``id(obj)`` for the rows that share the object: a scan has a few hundred
+    distinct partitions behind tens of thousands of violations, which share
+    their parts tuples, kinds and forms.  A str or a tuple of plain ints also
+    goes under the object itself, for equal copies such as the rows of a
+    report loaded from records.  No other type goes by equality, since
+    ``(1, True) == (1, 1)`` must not share a text.  The memo lives no longer
+    than the call and the report keeps every object alive until then, so no
+    id is reused.
+    """
+    if type(obj) is str or type(obj) is tuple and _plain_ints(obj):
+        text = memo.get(obj)
+        if text is None:
+            text = memo[obj] = render(obj)
+    else:
+        text = render(obj)
+    memo[id(obj)] = text
+    return text
+
+
+# One violation as ``json.dumps(record, sort_keys=True)`` writes it, keys in
+# sorted order; the fingerprint form is the same without the record marker.
+_RECORD_JSON = (
+    '{"a": %s, "b": %s, "form": %s, "k_or_p": %d, "n": %d, '
+    '"record": "violation", "scan_kind": %s, "value_a": %d, "value_b": %d}'
+)
+_VIOLATION_JSON = _RECORD_JSON.replace('"record": "violation", ', "")
 
 
 @dataclass(frozen=True)
@@ -147,14 +221,26 @@ class ScanReport:
         )
 
     def fingerprint(self) -> str:
-        """Canonical JSON of everything except the volatile wall time."""
-        content = self.to_dict()
-        del content["wall_time_ms"]
-        return json.dumps(content, sort_keys=True)
+        """Canonical JSON of everything except the volatile wall time.
 
-    def to_records(self) -> list[dict[str, Any]]:
-        """Record-set form: one header record, then one record per violation."""
-        header = {
+        ``json.dumps(content, sort_keys=True)`` with ``violations`` written
+        through ``_VIOLATION_JSON``: that key sorts last, so the header's
+        text ends in its empty list.
+        """
+        head = json.dumps(
+            {
+                "scan_kind": self.scan_kind,
+                "parameters": dict(self.parameters),
+                "pairs_checked": self.pairs_checked,
+                "engine_version": self.engine_version,
+                "violations": [],
+            },
+            sort_keys=True,
+        )
+        return head[:-2] + ", ".join(self._json_texts(_VIOLATION_JSON)) + "]}"
+
+    def _header(self) -> dict[str, Any]:
+        return {
             "scan_kind": self.scan_kind,
             "parameters": dict(self.parameters),
             "pairs_checked": self.pairs_checked,
@@ -162,7 +248,10 @@ class ScanReport:
             "engine_version": self.engine_version,
             "record": "header",
         }
-        records = [header]
+
+    def to_records(self) -> list[dict[str, Any]]:
+        """Record-set form: one header record, then one record per violation."""
+        records = [self._header()]
         for v in self.violations:
             record = v.to_dict()
             record["record"] = "violation"
@@ -177,19 +266,62 @@ class ScanReport:
         return cls.from_dict({**records[0], "violations": violations})
 
     def write_records(self, path: str | Path) -> None:
-        """JSON Lines: the header record, then one line per violation."""
+        """JSON Lines: the header record, then one line per violation.
+
+        The bytes of ``json.dumps(record, sort_keys=True)`` over
+        ``to_records()``, with no dict built per violation.
+        """
         with open(path, "w") as handle:
-            for record in self.to_records():
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(json.dumps(self._header(), sort_keys=True) + "\n")
+            handle.writelines(self._json_texts(_RECORD_JSON + "\n"))
 
     def csv_rows(self) -> list[dict[str, Any]]:
         return [dict(zip(CSV_COLUMNS, _csv_row(v))) for v in self.violations]
 
     def write_csv(self, path: str | Path) -> None:
+        """``csv.writer`` over the rows of ``csv_rows()``, parts joined once."""
+        parts: dict[Any, str] = {}
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(CSV_COLUMNS)
-            writer.writerows(map(_csv_row, self.violations))
+            writer.writerows(
+                (
+                    kind,
+                    n,
+                    parts.get(id(a)) or _remember(parts, a, _csv_parts),
+                    parts.get(id(b)) or _remember(parts, b, _csv_parts),
+                    k,
+                    value_a,
+                    value_b,
+                    form,
+                )
+                for kind, n, a, b, k, value_a, value_b, form in self._checked()
+            )
+
+    def _checked(self) -> Iterator[Violation]:
+        """The violations, each refused by ValueError unless its numbers are
+        plain ints (the parts are checked where their texts are made)."""
+        for v in self.violations:
+            _, n, _, _, k, value_a, value_b, _ = v
+            if not type(n) is type(k) is type(value_a) is type(value_b) is int:
+                _refuse_non_ints(v)
+            yield v
+
+    def _json_texts(self, template: str) -> Iterator[str]:
+        """Each violation through ``template``, in its sorted key order."""
+        parts: dict[Any, str] = {}
+        quoted: dict[Any, str] = {}
+        for kind, n, a, b, k, value_a, value_b, form in self._checked():
+            yield template % (
+                parts.get(id(a)) or _remember(parts, a, _json_parts),
+                parts.get(id(b)) or _remember(parts, b, _json_parts),
+                quoted.get(id(form)) or _remember(quoted, form, json.dumps),
+                k,
+                n,
+                quoted.get(id(kind)) or _remember(quoted, kind, json.dumps),
+                value_a,
+                value_b,
+            )
 
 
 # -- buckets: one function of n per scan ------------------------------------
@@ -245,32 +377,37 @@ def _colored_counts(partition: Partition, k_tuple: tuple[int, ...]) -> list[int]
 def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation]]:
     scan_kind = f"lemma_{mode}"
     pairs, stream = _valued_pairs(n, partial(_shift_products, p_max=p_max), mode)
+    # powers[length][p] = p**length, for the cross-multiplied shift ratio
+    powers = [[p**length for p in range(p_max + 1)] for length in range(n + 1)]
+    shifts = range(1, p_max + 1)
     violations: list[Violation] = []
+    found = violations.append
     for (a, (shift_a, binom_a)), (b, (shift_b, binom_b)) in stream:
-        r, s_len = a.length, b.length
+        a_parts, b_parts = a.parts, b.parts
+        powers_a, powers_b = powers[len(a_parts)], powers[len(b_parts)]
         # plain product of (part + 1): the p = 1 base form
         if not shift_a[1] < shift_b[1]:
-            violations.append(
+            found(
                 Violation(
-                    scan_kind, n, a.parts, b.parts, 1,
+                    scan_kind, n, a_parts, b_parts, 1,
                     shift_a[1], shift_b[1], "unit-shift-product",
                 )
             )
-        for p in range(1, p_max + 1):
+        for p in shifts:
             # prod (part+p)/p compared exactly: cross-multiply by p^length
-            lhs = shift_a[p] * p**s_len
-            rhs = shift_b[p] * p**r
+            lhs = shift_a[p] * powers_b[p]
+            rhs = shift_b[p] * powers_a[p]
             if not lhs < rhs:
-                violations.append(
+                found(
                     Violation(
-                        scan_kind, n, a.parts, b.parts, p,
+                        scan_kind, n, a_parts, b_parts, p,
                         lhs, rhs, "shift-ratio-cross-multiplied",
                     )
                 )
             if not binom_a[p] < binom_b[p]:
-                violations.append(
+                found(
                     Violation(
-                        scan_kind, n, a.parts, b.parts, p,
+                        scan_kind, n, a_parts, b_parts, p,
                         binom_a[p], binom_b[p], "binomial-product",
                     )
                 )

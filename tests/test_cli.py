@@ -230,6 +230,22 @@ def test_scan_human_output_caps_violation_listing(capsys):
     assert "more violations" in out
 
 
+def test_scan_builds_the_report_dict_only_for_structured_output(capsys, monkeypatch):
+    from hilbprod.scanner import ScanReport
+
+    built = []
+    to_dict = ScanReport.to_dict
+    monkeypatch.setattr(
+        ScanReport, "to_dict", lambda self: built.append(self) or to_dict(self)
+    )
+    argv = ("scan", "--kind", "lemma-diff-length", "--n-max", "10", "--p-max", "6")
+    code, human, _ = run(capsys, *argv)
+    assert code == 0 and "more violations" in human and built == []
+    code, structured, _ = run(capsys, *argv, "--output-format", "structured")
+    assert code == 0 and len(built) == 1
+    assert json.loads(structured)["violations"] == [v.to_dict() for v in built[0].violations]
+
+
 def test_scan_bad_kind_exit_1(capsys):
     code, _, _ = run(capsys, "scan", "--kind", "everything", "--n-max", "6")
     assert code == 1

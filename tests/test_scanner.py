@@ -403,3 +403,127 @@ def test_fingerprint_excludes_wall_time():
     )
     assert report.fingerprint() == slower.fingerprint()
     assert report != slower
+
+
+# -- the exports against their dict oracles ---------------------------------------------
+
+
+def oracle_exports(report: ScanReport, tmp_path) -> list[bytes]:
+    """fingerprint(), CSV and JSON Lines as the dict forms give them:
+    ``json.dumps(sort_keys=True)`` over ``to_dict()`` and ``to_records()``,
+    ``csv.writer`` over ``csv_rows()``, written through the same file modes."""
+    content = report.to_dict()
+    del content["wall_time_ms"]
+    csv_path, records_path = tmp_path / "oracle.csv", tmp_path / "oracle.jsonl"
+    with open(csv_path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(row.values() for row in report.csv_rows())
+    with open(records_path, "w") as handle:
+        for record in report.to_records():
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    return [
+        json.dumps(content, sort_keys=True).encode(),
+        csv_path.read_bytes(),
+        records_path.read_bytes(),
+    ]
+
+
+def exports(report: ScanReport, tmp_path) -> list[bytes]:
+    report.write_csv(tmp_path / "report.csv")
+    report.write_records(tmp_path / "report.jsonl")
+    return [
+        report.fingerprint().encode(),
+        (tmp_path / "report.csv").read_bytes(),
+        (tmp_path / "report.jsonl").read_bytes(),
+    ]
+
+
+def handmade_report(*violations: Violation, **fields) -> ScanReport:
+    return ScanReport(**{
+        "scan_kind": "majorization",
+        "parameters": (("k_set", [3, 4]), ("n_max", 12)),
+        "pairs_checked": 7,
+        "violations": violations,
+        "wall_time_ms": 3,
+        "engine_version": "0.0.0",
+        **fields,
+    })
+
+
+EDGE_VIOLATIONS = (
+    Violation("majorization", 5, (5,), (1, 4), 3, 2**64 + 1, 2**70, ""),
+    Violation("majorization", 5, (1, 4), (5,), 4, 0, -(2**65), 'quote " and ü'),
+    Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10, "collision"),
+    # equal parts in distinct tuple objects
+    Violation("conjecture", 6, tuple([1, 5]), tuple([2, 4]), 5, 11, 11, "collision"),
+    Violation("conjecture", 1, (1,), (1,), 1, 1, 1),
+    # equal forms of different types: 1 == True, but their texts differ
+    Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10, 1),
+    Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10, True),
+)
+
+
+@pytest.mark.parametrize("mode", ["diff_length", "same_length"])
+def test_lemma_exports_match_the_dict_oracles(tmp_path, mode):
+    report = verify_lemma_inequalities(12, 6, mode)
+    assert len(report.violations) > 100
+    assert exports(report, tmp_path) == oracle_exports(report, tmp_path)
+    # loaded back, no two violations share a parts tuple or a form object
+    loaded = ScanReport.from_records(report.to_records())
+    assert exports(loaded, tmp_path) == oracle_exports(report, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        handmade_report(),
+        handmade_report(*EDGE_VIOLATIONS),
+        handmade_report(*EDGE_VIOLATIONS[:2], scan_kind="lemma_diff_length",
+                        parameters=(("n_max", 5), ("p_max", 6))),
+    ],
+    ids=["empty", "edge-cases", "lemma-parameters"],
+)
+def test_handmade_exports_match_the_dict_oracles(tmp_path, report):
+    assert exports(report, tmp_path) == oracle_exports(report, tmp_path)
+
+
+def test_written_records_load_back_into_the_report(tmp_path):
+    for report in (
+        handmade_report(*EDGE_VIOLATIONS),
+        handmade_report(),
+        verify_lemma_inequalities(10, 6, "same_length"),
+    ):
+        path = tmp_path / "report.jsonl"
+        report.write_records(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert ScanReport.from_records(records) == report
+
+
+NOT_PLAIN_INTS = [True, False, 1.0, 2.5, "1", None]
+
+
+@pytest.mark.parametrize("field", ["n", "k_or_p", "value_a", "value_b", "a", "b"])
+@pytest.mark.parametrize("bad", NOT_PLAIN_INTS, ids=repr)
+def test_violation_from_dict_refuses_what_is_not_a_plain_int(field, bad):
+    record = EDGE_VIOLATIONS[2].to_dict()
+    record[field] = [1, bad] if field in ("a", "b") else bad
+    with pytest.raises(ValueError, match=f"field {field} "):
+        Violation.from_dict(record)
+
+
+@pytest.mark.parametrize("field", ["n", "k_or_p", "value_a", "value_b", "a", "b"])
+@pytest.mark.parametrize("bad", NOT_PLAIN_INTS, ids=repr)
+def test_exports_refuse_what_is_not_a_plain_int(tmp_path, field, bad):
+    good = EDGE_VIOLATIONS[2]
+    value = (1, bad) if field in ("a", "b") else bad
+    # the bad violation follows a good one with equal values: (1, True) == (1, 1)
+    twin = good._replace(**{field: (1, 1) if field in ("a", "b") else 1})
+    report = handmade_report(twin, good._replace(**{field: value}))
+    for export in (
+        report.fingerprint,
+        lambda: report.write_csv(tmp_path / "report.csv"),
+        lambda: report.write_records(tmp_path / "report.jsonl"),
+    ):
+        with pytest.raises(ValueError, match="plain int"):
+            export()
