@@ -139,42 +139,33 @@ def _refuse_non_ints(v: Violation) -> None:
             raise ValueError(f"violation field {name} must hold plain ints, got {parts!r}")
 
 
-def _joined_parts(separator: str, parts: tuple[int, ...]) -> str:
-    if not _plain_ints(parts):
-        raise ValueError(f"violation parts must be plain ints, got {parts!r}")
-    return separator.join(map(str, parts))
-
-
 def _json_parts(parts: tuple[int, ...]) -> str:
     """``json.dumps(list(parts))`` for plain ints: ``[3, 4]``."""
-    return "[" + _joined_parts(", ", parts) + "]"
+    return "[" + ", ".join(map(str, parts)) + "]"
 
 
 def _csv_parts(parts: tuple[int, ...]) -> str:
     """The CSV cell of a parts tuple: ``3,4``."""
-    return _joined_parts(",", parts)
+    return ",".join(map(str, parts))
 
 
-def _remember(memo: dict[Any, str], obj: Any, render: Callable[[Any], str]) -> str:
-    """``render(obj)``, after a miss on ``memo.get(id(obj))``.
+def _memoized(render: Callable[[Any], str]) -> Callable[[Any], str]:
+    """``render``, remembered under the ``id`` of its argument.
 
-    An export call keeps one memo per kind of text.  The text goes under
-    ``id(obj)`` for the rows that share the object: a scan has a few hundred
+    An export call makes one per kind of text: a scan has a few hundred
     distinct partitions behind tens of thousands of violations, which share
-    their parts tuples, kinds and forms.  A str or a tuple of plain ints also
-    goes under the object itself, for equal copies such as the rows of a
-    report loaded from records.  No other type goes by equality, since
-    ``(1, True) == (1, 1)`` must not share a text.  The memo lives no longer
-    than the call and the report keeps every object alive until then, so no
-    id is reused.
+    their parts tuples, kinds and forms.  The memo lives no longer than the
+    call and the report keeps every object alive until then, so no id is
+    reused.
     """
-    if type(obj) is str or type(obj) is tuple and _plain_ints(obj):
-        text = memo.get(obj)
-        if text is None:
-            text = memo[obj] = render(obj)
-    else:
-        text = render(obj)
-    memo[id(obj)] = text
+    memo: dict[int, str] = {}
+
+    def text(obj: Any) -> str:
+        found = memo.get(id(obj))
+        if found is None:
+            found = memo[id(obj)] = render(obj)
+        return found
+
     return text
 
 
@@ -227,6 +218,7 @@ class ScanReport:
         through ``_VIOLATION_JSON``: that key sorts last, so the header's
         text ends in its empty list.
         """
+        self._check_ints()
         head = json.dumps(
             {
                 "scan_kind": self.scan_kind,
@@ -271,6 +263,7 @@ class ScanReport:
         The bytes of ``json.dumps(record, sort_keys=True)`` over
         ``to_records()``, with no dict built per violation.
         """
+        self._check_ints()
         with open(path, "w") as handle:
             handle.write(json.dumps(self._header(), sort_keys=True) + "\n")
             handle.writelines(self._json_texts(_RECORD_JSON + "\n"))
@@ -280,47 +273,39 @@ class ScanReport:
 
     def write_csv(self, path: str | Path) -> None:
         """``csv.writer`` over the rows of ``csv_rows()``, parts joined once."""
-        parts: dict[Any, str] = {}
+        self._check_ints()
+        parts = _memoized(_csv_parts)
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(CSV_COLUMNS)
             writer.writerows(
-                (
-                    kind,
-                    n,
-                    parts.get(id(a)) or _remember(parts, a, _csv_parts),
-                    parts.get(id(b)) or _remember(parts, b, _csv_parts),
-                    k,
-                    value_a,
-                    value_b,
-                    form,
-                )
-                for kind, n, a, b, k, value_a, value_b, form in self._checked()
+                (kind, n, parts(a), parts(b), k, value_a, value_b, form)
+                for kind, n, a, b, k, value_a, value_b, form in self.violations
             )
 
-    def _checked(self) -> Iterator[Violation]:
-        """The violations, each refused by ValueError unless its numbers are
-        plain ints (the parts are checked where their texts are made)."""
-        for v in self.violations:
-            _, n, _, _, k, value_a, value_b, _ = v
-            if not type(n) is type(k) is type(value_a) is type(value_b) is int:
+    def _check_ints(self) -> None:
+        """Raise ValueError, before an export writes anything, unless every
+        violation's numbers are plain ints.
+
+        One pass over the columns, each parts tuple object once; only a
+        report that fails goes row by row, to name the field.
+        """
+        if not self.violations:
+            return
+        _, ns, a, b, ks, values_a, values_b, _ = zip(*self.violations)
+        parts = a + b
+        distinct = dict(zip(map(id, parts), parts)).values()
+        if not _plain_ints(chain(ns, ks, values_a, values_b, chain.from_iterable(distinct))):
+            for v in self.violations:
                 _refuse_non_ints(v)
-            yield v
 
     def _json_texts(self, template: str) -> Iterator[str]:
         """Each violation through ``template``, in its sorted key order."""
-        parts: dict[Any, str] = {}
-        quoted: dict[Any, str] = {}
-        for kind, n, a, b, k, value_a, value_b, form in self._checked():
+        parts = _memoized(_json_parts)
+        quoted = _memoized(json.JSONEncoder(sort_keys=True).encode)
+        for kind, n, a, b, k, value_a, value_b, form in self.violations:
             yield template % (
-                parts.get(id(a)) or _remember(parts, a, _json_parts),
-                parts.get(id(b)) or _remember(parts, b, _json_parts),
-                quoted.get(id(form)) or _remember(quoted, form, json.dumps),
-                k,
-                n,
-                quoted.get(id(kind)) or _remember(quoted, kind, json.dumps),
-                value_a,
-                value_b,
+                parts(a), parts(b), quoted(form), k, n, quoted(kind), value_a, value_b
             )
 
 

@@ -461,6 +461,8 @@ EDGE_VIOLATIONS = (
     # equal forms of different types: 1 == True, but their texts differ
     Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10, 1),
     Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10, True),
+    # a form whose JSON has keys to sort
+    Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10, {"b": 1, "a": [2]}),
 )
 
 
@@ -518,6 +520,7 @@ def test_exports_refuse_what_is_not_a_plain_int(tmp_path, field, bad):
     good = EDGE_VIOLATIONS[2]
     value = (1, bad) if field in ("a", "b") else bad
     # the bad violation follows a good one with equal values: (1, True) == (1, 1)
+    # shares no text with it
     twin = good._replace(**{field: (1, 1) if field in ("a", "b") else 1})
     report = handmade_report(twin, good._replace(**{field: value}))
     for export in (
@@ -527,3 +530,5 @@ def test_exports_refuse_what_is_not_a_plain_int(tmp_path, field, bad):
     ):
         with pytest.raises(ValueError, match="plain int"):
             export()
+    # refused before a file is opened, so no truncated export is left
+    assert list(tmp_path.iterdir()) == []
