@@ -19,7 +19,6 @@ from .invariants import (
 from .partitions import (
     Majorization,
     Partition,
-    brute_force_colored,
     colored_count,
     colored_count_tuple,
     enumerate_partitions,

@@ -31,8 +31,6 @@ __all__ = [
     "majorizes",
     "colored_count",
     "colored_count_tuple",
-    "brute_force_colored",
-    "BRUTE_FORCE_BOUND",
 ]
 
 
@@ -46,7 +44,7 @@ class Partition:
         if not self.parts:
             raise ValueError("a partition needs at least one part")
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise ValueError(f"parts must be positive integers, got {self.parts}")
         if any(a > b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"parts must be weakly increasing, got {self.parts}")
@@ -185,42 +183,3 @@ def colored_count_tuple(k: int, a: Partition) -> int:
     for part in a.parts:
         result *= rows[part][0]
     return result
-
-
-BRUTE_FORCE_BOUND = 12
-
-
-def brute_force_colored(k: int, n: int, *, bound: int = BRUTE_FORCE_BOUND) -> int:
-    """Count k-coloured partitions of n by direct multiset enumeration.
-
-    Enumerates multisets of (part, colour) pairs whose parts sum to n, one
-    candidate at a time, without any series expansion; this is the
-    independent oracle for ``colored_count``.  Exponential, hence the bound
-    on n.
-    """
-    if k < 1:
-        raise UsageError(f"brute-force oracle needs k >= 1, got {k}")
-    if n < 0:
-        raise UsageError(f"n must be nonnegative, got {n}")
-    if n > bound:
-        raise UsageError(
-            f"n = {n} exceeds the brute-force bound {bound} (oracle is exponential)"
-        )
-    if n == 0:
-        return 1
-    # items in ascending part order so the scan can stop early
-    items = [(part, colour) for part in range(1, n + 1) for colour in range(k)]
-
-    def count_from(i: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for j in range(i, len(items)):
-            part = items[j][0]
-            if part > remaining:
-                break
-            # item j may repeat, so recurse at j, not j + 1
-            total += count_from(j, remaining - part)
-        return total
-
-    return count_from(0, n)

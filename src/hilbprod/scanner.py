@@ -17,20 +17,28 @@ Three scan families:
   form, both 72, and (1,4,6) vs (2,2,7) at p=5 for the binomial form, both
   349272).
 * ``verify_majorization`` asserts that k-coloured partition counts respect
-  strict majorization (k >= 3) on every comparable same-length pair.
+  strict majorization (k >= 3) on every comparable same-length pair.  Its
+  certificate is per partition: the counts must rise along each one-unit
+  transfer (a unit moved from a part y to a part x <= y - 2), whose
+  transitive closure within a length bucket is strict majorization.  Only
+  an n where some transfer fails is compared pair by pair, which lists its
+  violations.
 * ``scan_conjecture`` records every collision of coloured-count tuples on
-  distinct same-length pairs.  It reports and never asserts: a collision
-  would be a finding, not a test failure.
+  distinct same-length pairs.  It groups each length bucket into classes
+  of equal (k, value) and emits the pairs inside each class.  It reports
+  and never asserts: a collision would be a finding, not a test failure.
 
 Reports are deterministic for fixed parameters and engine version: each scan
 runs one bucket function per n through ``_scan``, which merges the buckets in
 order of n, and the worker count never affects the output (``wall_time_ms``
 is the one volatile field and is excluded from the fingerprint).  Within one
-n, pairs come straight from the length buckets of ``partitions_by_length``,
-each partition carrying the values computed for it once: different-length
-pairs shorter first, same-length pairs as combinations of one bucket, whose
+n, pairs come from the length buckets of ``partitions_by_length``, each
+partition carrying the values computed for it once: different-length pairs
+shorter first, same-length pairs as combinations of one bucket, whose
 ascending lexicographic order already puts the partition that is smaller at
-the first differing part first.
+the first differing part first.  The colour scans list their violations in
+that same pair order, k ascending within a pair, though they do not loop
+over the pairs.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product
 from math import comb
+from operator import gt
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sized
 
@@ -311,8 +320,9 @@ class ScanReport:
 
 # -- buckets: one function of n per scan ------------------------------------
 #
-# Each bucket takes one shape: one call of ``_valued_pairs``, then one loop
-# over the pairs it returns.
+# A lemma bucket, and a majorization bucket whose certificate fails, make one
+# call of ``_valued_pairs``, then one loop over the pairs it returns.  The
+# colour buckets otherwise work per partition and count pairs in closed form.
 
 
 def _valued_pairs(
@@ -399,7 +409,46 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
     return pairs, violations
 
 
+def _transfers(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each partition one unit transfer away: a unit moved from a part ``y``
+    to a part ``x <= y - 2``, kept in increasing order.
+
+    The last ``x`` becomes ``x + 1`` and the first ``y`` becomes ``y - 1``,
+    so the tuple stays sorted without a sort.  Every result has the length
+    and total of ``parts`` and strictly majorizes it.
+    """
+    last: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for i, part in enumerate(parts):
+        last[part] = i
+        first.setdefault(part, i)
+    for x, i in last.items():
+        for y, j in first.items():
+            if y - x >= 2:
+                yield parts[:i] + (x + 1,) + parts[i + 1 : j] + (y - 1,) + parts[j + 1 :]
+
+
 def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
+    """Certify n by its one-unit transfers; list violations pairwise only if
+    a transfer fails.
+
+    The transitive closure of the transfers within a length bucket is strict
+    majorization (Muirhead; Hardy, Littlewood and Polya), and ``>`` is
+    transitive, so counts that rise along every transfer rise along every
+    strictly comparable pair.  The pairwise loop is the one path that lists
+    violations, in pair order, so a failing n goes through it whole.
+    """
+    buckets = partitions_by_length(n).values()
+    for bucket in buckets:
+        counts = {p.parts: _colored_counts(p, k_tuple) for p in bucket}
+        for parts, low in counts.items():
+            for bigger in _transfers(parts):
+                if not all(map(gt, counts[bigger], low)):
+                    return _majorization_pairs(n, k_tuple)
+    return sum(comb(len(bucket), 2) for bucket in buckets), []
+
+
+def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
     values = partial(_colored_counts, k_tuple=k_tuple)
     pairs, stream = _valued_pairs(n, values, "same_length")
     violations: list[Violation] = []
@@ -422,18 +471,31 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
 
 
 def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
-    values = partial(_colored_counts, k_tuple=k_tuple)
-    pairs, stream = _valued_pairs(n, values, "same_length")
+    """Collisions as the pairs inside each (length, k, value) class.
+
+    Sorted by (length, i, j, k), with i < j positions in the lexicographic
+    length bucket: the order of a loop over the bucket's combinations.
+    """
+    pairs = 0
     violations: list[Violation] = []
-    for (a, values_a), (b, values_b) in stream:
-        for k, va, vb in zip(k_tuple, values_a, values_b):
-            if va == vb:
-                violations.append(
-                    Violation(
-                        "conjecture", n, a.parts, b.parts, k,
-                        va, vb, "collision",
-                    )
-                )
+    for _, bucket in sorted(partitions_by_length(n).items()):
+        pairs += comb(len(bucket), 2)
+        classes: dict[tuple[int, int], list[int]] = {}
+        for i, partition in enumerate(bucket):
+            for key in zip(k_tuple, _colored_counts(partition, k_tuple)):
+                classes.setdefault(key, []).append(i)
+        collisions = sorted(
+            (i, j, k, value)
+            for (k, value), members in classes.items()
+            for i, j in combinations(members, 2)
+        )
+        violations += [
+            Violation(
+                "conjecture", n, bucket[i].parts, bucket[j].parts, k,
+                value, value, "collision",
+            )
+            for i, j, k, value in collisions
+        ]
     return pairs, violations
 
 
@@ -529,9 +591,11 @@ def verify_majorization(
 ) -> ScanReport:
     """Assert coloured counts respect strict majorization for every k in k_set.
 
-    Every distinct same-length pair is examined (that is what
-    ``pairs_checked`` counts); the inequality is asserted on the strictly
-    comparable ones.
+    The inequality is asserted on every strictly comparable same-length
+    pair, and ``pairs_checked`` counts the distinct same-length pairs.  Each
+    n is certified by its one-unit transfers; an n where a transfer fails is
+    compared pair by pair, so its violations are listed exactly as a
+    pairwise scan lists them.
     """
     k_tuple = _k_tuple(k_set)
     if min(k_tuple) < 3:

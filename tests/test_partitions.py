@@ -11,13 +11,13 @@ from hilbprod.errors import UsageError
 from hilbprod.partitions import (
     Majorization,
     Partition,
-    brute_force_colored,
     colored_count,
     colored_count_tuple,
     enumerate_partitions,
     majorizes,
     partitions_by_length,
 )
+from colour_oracle import brute_force_colored
 
 
 @lru_cache(maxsize=None)
@@ -36,6 +36,14 @@ def test_partition_rejects_bad_parts():
         Partition((0, 1))
     with pytest.raises(ValueError):
         Partition((2, 1))
+
+
+def test_partition_refuses_bool_parts():
+    # True == 1, but a partition of plain ints would render (1,2), not (True,2)
+    for parts in ((True, 2), (1, True), (False, 2)):
+        with pytest.raises(ValueError, match="positive integers"):
+            Partition(parts)
+    assert Partition((1, 2)).render() == "1,2"
 
 
 def test_partition_of_sorts():

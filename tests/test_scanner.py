@@ -14,9 +14,10 @@ import pytest
 import hilbprod.scanner as scanner
 from hilbprod.errors import UsageError
 from hilbprod.partitions import (
+    Majorization,
     Partition,
-    brute_force_colored,
     colored_count_tuple,
+    majorizes,
     partitions_by_length,
 )
 from hilbprod.scanner import (
@@ -27,6 +28,7 @@ from hilbprod.scanner import (
     verify_lemma_inequalities,
     verify_majorization,
 )
+from colour_oracle import brute_force_colored, exhaustive_conjecture, exhaustive_majorization
 
 
 def independent_same_length_pairs(n_max: int) -> int:
@@ -184,6 +186,99 @@ def test_majorization_requires_k_at_least_3():
         verify_majorization(set(), 8)
 
 
+def oracle_transfers(parts: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """One unit moved from a part y to a part x <= y - 2, re-sorted."""
+    moved = set()
+    for i, j in itertools.permutations(range(len(parts)), 2):
+        if parts[j] - parts[i] >= 2:
+            q = list(parts)
+            q[i] += 1
+            q[j] -= 1
+            moved.add(tuple(sorted(q)))
+    return moved
+
+
+def test_transfers_close_to_strict_majorization():
+    # the certificate's theorem: within a length bucket, the transitive
+    # closure of the one-unit transfers is strict majorization
+    for n in range(1, 16):
+        for bucket in partitions_by_length(n).values():
+            steps = {}
+            for p in bucket:
+                made = list(scanner._transfers(p.parts))
+                assert len(made) == len(set(made))
+                assert set(made) == oracle_transfers(p.parts)
+                steps[p.parts] = set(made)
+            closure = set()
+            for start in steps:
+                seen, todo = set(), list(steps[start])
+                while todo:
+                    q = todo.pop()
+                    if q not in seen:
+                        seen.add(q)
+                        todo.extend(steps[q])
+                closure |= {(start, q) for q in seen}
+            strict = {
+                (a.parts, b.parts)
+                for a, b in itertools.permutations(bucket, 2)
+                if majorizes(b, a) is Majorization.STRICTLY_MAJORIZES
+            }
+            assert closure == strict
+
+
+def same_exports(report: ScanReport, oracle: ScanReport, tmp_path) -> bool:
+    report = dataclasses.replace(report, wall_time_ms=0)
+    return exports(report, tmp_path) == exports(oracle, tmp_path)
+
+
+def test_majorization_failing_everywhere_matches_the_exhaustive_oracle(monkeypatch, tmp_path):
+    monkeypatch.setattr(scanner, "colored_count_tuple", lambda k, p: k)
+    oracle = exhaustive_majorization({3, 5}, 12)
+    assert len(oracle.violations) > 1000
+    assert same_exports(verify_majorization({3, 5}, 12), oracle, tmp_path)
+
+
+def test_majorization_failing_on_one_transfer_matches_the_exhaustive_oracle(
+    monkeypatch, tmp_path
+):
+    # (4,4,4) takes the count of (3,4,5) at k = 4; the only transfer into
+    # (4,4,4) starts at (3,4,5), so that is the one transfer that fails
+    real = scanner.colored_count_tuple
+    top, below = Partition((4, 4, 4)), Partition((3, 4, 5))
+
+    def counts(k, p):
+        return real(k, below if (k, p) == (4, top) else p)
+
+    monkeypatch.setattr(scanner, "colored_count_tuple", counts)
+    failing = [
+        (a.parts, b)
+        for n in range(1, 15)
+        for a in itertools.chain.from_iterable(partitions_by_length(n).values())
+        for b in oracle_transfers(a.parts)
+        if any(counts(k, Partition(b)) <= counts(k, a) for k in (3, 4, 5))
+    ]
+    assert failing == [(below.parts, top.parts)]
+    oracle = exhaustive_majorization({3, 4, 5}, 14)
+    assert [(v.a, v.b, v.k_or_p) for v in oracle.violations] == [(below.parts, top.parts, 4)]
+    assert same_exports(verify_majorization({3, 4, 5}, 14), oracle, tmp_path)
+
+
+def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
+    calls = []
+
+    def counted(b, a):
+        calls.append((b, a))
+        return majorizes(b, a)
+
+    monkeypatch.setattr(scanner, "majorizes", counted)
+    report = verify_majorization({3, 4, 5}, 22)
+    assert report.violations == () and calls == []
+    # the fallback does go through the scanner's global
+    monkeypatch.setattr(scanner, "colored_count_tuple", lambda k, p: k)
+    verify_majorization({3}, 6)
+    assert calls
+
+
 # -- conjecture scan -------------------------------------------------------------------
 
 
@@ -224,6 +319,14 @@ def test_conjecture_exploratory_small_k_allowed():
     assert expected and len(found) == len(set(found))
     assert set(found) == expected
     assert all(v.value_a == v.value_b for v in report.violations)
+
+
+# k = -1 adds classes of up to 21 partitions and pairs that collide at two k
+@pytest.mark.parametrize("k_set", [{1, 2}, {1, 2, 3}, {-1, 1, 2}], ids=["k12", "k123", "k-112"])
+def test_conjecture_matches_the_exhaustive_oracle(tmp_path, k_set):
+    oracle = exhaustive_conjecture(k_set, 14)
+    assert len(oracle.violations) >= 72
+    assert same_exports(scan_conjecture(k_set, 14), oracle, tmp_path)
 
 
 # -- determinism and serialization ------------------------------------------------------
