@@ -9,7 +9,6 @@ from .invariants import (
     PoincarePolynomial,
     betti_closed,
     euler_char_tuple,
-    hodge_difference,
     hodge_p0,
     hodge_polynomial_full,
     poincare_polynomial_tuple,

@@ -50,7 +50,6 @@ __all__ = [
     "has_hodge_data",
     "require_hodge_data",
     "hodge_p0_tuple_vector",
-    "hodge_difference",
     "surface_diamond",
     "hodge_polynomial_full",
     "euler_char_tuple",
@@ -219,17 +218,6 @@ def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
     """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product."""
     h10, h20 = require_hodge_data(s)
     return _kuenneth(hodge_p0_table(h10, h20), a.parts, 2 * a.n + 1)
-
-
-def hodge_difference(s: SurfaceInvariants, n: int, m: int) -> int:
-    """``h^{n+1,0}`` gap between the m-point and n-point schemes, 1 <= n < m.
-
-    Contract: the gap equals ``C(h10, n+1)``; both sides are computed from
-    the series here, the binomial identity is what the tests check.
-    """
-    if not 1 <= n < m:
-        raise UsageError(f"need 1 <= n < m, got n={n}, m={m}")
-    return hodge_p0(s, m, n + 1) - hodge_p0(s, n, n + 1)
 
 
 class HodgeDiamond:

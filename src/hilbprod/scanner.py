@@ -39,6 +39,10 @@ ascending lexicographic order already puts the partition that is smaller at
 the first differing part first.  The colour scans list their violations in
 that same pair order, k ascending within a pair, though they do not loop
 over the pairs.
+
+A ``ScanReport`` refuses, when it is built, violations whose numbers are not
+plain ints, so its three exports (``fingerprint``, ``write_records`` and
+``write_csv``) write without checking again.
 """
 
 from __future__ import annotations
@@ -120,11 +124,6 @@ class Violation(NamedTuple):
 CSV_COLUMNS = Violation._fields
 
 
-def _csv_row(v: Violation) -> tuple[Any, ...]:
-    """The violation as a CSV row: the parts tuples joined by commas."""
-    return v[:2] + (",".join(map(str, v.a)), ",".join(map(str, v.b))) + v[4:]
-
-
 def _plain_ints(values: Iterable[Any]) -> bool:
     """Whether every value is an int and none a bool or other subclass."""
     return {*map(type, values)} <= {int}
@@ -132,12 +131,7 @@ def _plain_ints(values: Iterable[Any]) -> bool:
 
 def _refuse_non_ints(v: Violation) -> None:
     """Raise ValueError naming the first field of ``v`` whose numbers are not
-    plain ints.
-
-    The exports write these fields with ``%d`` and ``str``, which would
-    truncate a float and print a bool as 1 where ``json.dumps`` prints
-    ``true``; a bool is refused although it is an int.
-    """
+    plain ints; a bool is refused although it is an int."""
     for name in ("n", "k_or_p", "value_a", "value_b"):
         value = getattr(v, name)
         if type(value) is not int:
@@ -189,12 +183,23 @@ _VIOLATION_JSON = _RECORD_JSON.replace('"record": "violation", ', "")
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The findings of one scan.
+
+    Construction refuses violations whose numbers are not plain ints
+    (ValueError), so every report can be exported: the exports write those
+    numbers with ``%d`` and ``str``, which would truncate a float and print a
+    bool as 1 where ``json.dumps`` prints ``true``.
+    """
+
     scan_kind: str
     parameters: tuple[tuple[str, Any], ...]
     pairs_checked: int
     violations: tuple[Violation, ...]
     wall_time_ms: int
     engine_version: str
+
+    def __post_init__(self) -> None:
+        self._check_ints()
 
     def parameter(self, name: str) -> Any:
         return dict(self.parameters)[name]
@@ -227,7 +232,6 @@ class ScanReport:
         through ``_VIOLATION_JSON``: that key sorts last, so the header's
         text ends in its empty list.
         """
-        self._check_ints()
         head = json.dumps(
             {
                 "scan_kind": self.scan_kind,
@@ -250,15 +254,6 @@ class ScanReport:
             "record": "header",
         }
 
-    def to_records(self) -> list[dict[str, Any]]:
-        """Record-set form: one header record, then one record per violation."""
-        records = [self._header()]
-        for v in self.violations:
-            record = v.to_dict()
-            record["record"] = "violation"
-            records.append(record)
-        return records
-
     @classmethod
     def from_records(cls, records: list[Mapping[str, Any]]) -> "ScanReport":
         if not records or records[0].get("record") != "header":
@@ -267,22 +262,19 @@ class ScanReport:
         return cls.from_dict({**records[0], "violations": violations})
 
     def write_records(self, path: str | Path) -> None:
-        """JSON Lines: the header record, then one line per violation.
+        """JSON Lines: the header record, then one record per violation.
 
-        The bytes of ``json.dumps(record, sort_keys=True)`` over
-        ``to_records()``, with no dict built per violation.
+        Each line is the bytes of ``json.dumps(record, sort_keys=True)`` over
+        the record's dict, written with no dict built per violation;
+        ``from_records`` reads the records back.
         """
-        self._check_ints()
         with open(path, "w") as handle:
             handle.write(json.dumps(self._header(), sort_keys=True) + "\n")
             handle.writelines(self._json_texts(_RECORD_JSON + "\n"))
 
-    def csv_rows(self) -> list[dict[str, Any]]:
-        return [dict(zip(CSV_COLUMNS, _csv_row(v))) for v in self.violations]
-
     def write_csv(self, path: str | Path) -> None:
-        """``csv.writer`` over the rows of ``csv_rows()``, parts joined once."""
-        self._check_ints()
+        """``csv.writer`` over the violations in ``CSV_COLUMNS`` order, each
+        parts tuple joined by commas once."""
         parts = _memoized(_csv_parts)
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -293,8 +285,7 @@ class ScanReport:
             )
 
     def _check_ints(self) -> None:
-        """Raise ValueError, before an export writes anything, unless every
-        violation's numbers are plain ints.
+        """Raise ValueError unless every violation's numbers are plain ints.
 
         One pass over the columns, each parts tuple object once; only a
         report that fails goes row by row, to name the field.
@@ -508,10 +499,12 @@ def _clamp_workers(request: int, tasks: Sized) -> int:
 
 
 def _k_tuple(k_set: Iterable[int]) -> tuple[int, ...]:
-    k_tuple = tuple(sorted(set(k_set)))
-    if not k_tuple:
+    ks = set(k_set)
+    if not ks:
         raise UsageError("k_set must be nonempty")
-    return k_tuple
+    if not _plain_ints(ks):
+        raise UsageError(f"k_set must hold plain ints, got {ks!r}")
+    return tuple(sorted(ks))
 
 
 def _scan(

@@ -26,9 +26,9 @@ n <= N, and a larger request extends it from its last row.
 ``TruncatedSeries``, the read-only result of ``poincare_series``,
 ``euler_series`` and ``hodge_p0_series``: a view of the rows' lines, one
 tuple per t-degree (capped in z on request, trailing zeros stripped),
-truncated in t only.  The term-map constructor of ``TruncatedSeries``
-builds the same lines, so a series has one form.  The package never
-multiplies series; the test oracle does.
+truncated in t only.  It is the one builder of series, so a series has one
+form.  The package never multiplies series; the test oracle multiplies
+term maps.
 
 ``GrowOnlyTable.packed`` also keeps each row of a table packed into one
 int, one fixed-width byte slot per coefficient, the form in which
@@ -77,49 +77,19 @@ class TruncatedSeries:
     Coefficients are big integers.  The series holds one line per t-degree
     n <= truncation: a tuple whose entry j is the coefficient of ``t^n z^j``
     (the only entry, without z, is that of ``t^n``), with trailing zeros
-    stripped.  ``terms`` maps
-    ``(t_deg, aux_degs)`` to a coefficient; zero coefficients and t-degrees
-    beyond the truncation are dropped.  Two series are equal iff truncation,
-    aux_count and the lines agree, that is iff their nonzero terms do.
+    stripped.  Two series are equal iff truncation, aux_count and the lines
+    agree, that is iff their nonzero terms do.
     """
 
     __slots__ = ("truncation", "aux_count", "_lines")
 
     def __init__(
-        self,
-        truncation: int,
-        aux_count: int,
-        terms: dict[tuple[int, tuple[int, ...]], int] | None = None,
-    ) -> None:
-        if truncation < 0:
-            raise ValueError(f"truncation must be nonnegative, got {truncation}")
-        if aux_count not in (0, 1):
-            raise ValueError(f"aux_count must be 0 or 1, got {aux_count}")
-        lines: list[list[int]] = [[] for _ in range(truncation + 1)]
-        for (t_deg, aux), coeff in (terms or {}).items():
-            if coeff == 0 or t_deg > truncation:
-                continue
-            if t_deg < 0 or any(d < 0 for d in aux):
-                raise ValueError(f"negative exponent in term {(t_deg, aux)}")
-            if len(aux) != aux_count:
-                raise ValueError(
-                    f"term {(t_deg, aux)} has {len(aux)} auxiliary degrees, "
-                    f"series declares {aux_count}"
-                )
-            line = lines[t_deg]
-            j = aux[0] if aux_count else 0
-            line.extend([0] * (j + 1 - len(line)))
-            line[j] = coeff
-        self._hold(truncation, aux_count, tuple(map(tuple, lines)))
-
-    def _hold(
         self, truncation: int, aux_count: int, lines: tuple[tuple[int, ...], ...]
-    ) -> TruncatedSeries:
-        """Set the fields, once; ``lines`` must already be canonical."""
+    ) -> None:
+        """Hold ``lines``, which ``GrowOnlyTable.series`` builds canonical."""
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "aux_count", aux_count)
         object.__setattr__(self, "_lines", lines)
-        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TruncatedSeries is immutable")
@@ -249,7 +219,7 @@ class GrowOnlyTable:
         rows = self.rows_upto(truncation)
         end = sys.maxsize if cap is None else cap + 1
         lines = tuple([_stripped(rows[n], end) for n in range(truncation + 1)])
-        return TruncatedSeries.__new__(TruncatedSeries)._hold(truncation, self.aux_count, lines)
+        return TruncatedSeries(truncation, self.aux_count, lines)
 
 
 def _stripped(line: list[int], end: int) -> tuple[int, ...]:
@@ -402,9 +372,24 @@ _HODGE_P0_TABLES: dict[tuple[int, int], GrowOnlyTable] = {}
 _HODGE_TABLES: dict[tuple[tuple[tuple[int, int, int], ...], int], GrowOnlyTable] = {}
 
 
+def _plain_int_key(key) -> bool:
+    """Whether ``key`` is an int, or tuples nesting only ints, none a bool."""
+    if type(key) is tuple:
+        return all(map(_plain_int_key, key))
+    return type(key) is int
+
+
 def _table(registry: dict, key, aux_count: int, make_next_row) -> GrowOnlyTable:
+    """The table of ``key``, made on a miss.
+
+    ``3.0 == 3`` and ``True == 1`` hash alike, so a key that is not made of
+    plain ints would file float or bool rows under the int key; it is
+    refused before any table is made.
+    """
     table = registry.get(key)
     if table is None:
+        if not _plain_int_key(key):
+            raise UsageError(f"table keys must be plain ints, got {key!r}")
         table = registry.setdefault(key, GrowOnlyTable(aux_count, make_next_row()))
     return table
 

@@ -108,9 +108,7 @@ class SurfaceInvariants:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise CatalogError(f"malformed surface record: {exc}") from exc
-        hodge = [h for h in (surface.h10, surface.h20) if h is not None]
-        numbers = [surface.b0, surface.b1, surface.b2, surface.chi, *hodge]
-        if any(type(v) is not int for v in numbers):  # JSON true/false are not numbers
+        if _not_plain_ints(surface):  # JSON true/false are not numbers
             raise CatalogError(
                 f"malformed surface record {surface.name!r}: b0, b1, b2, chi, h10 "
                 "and h20 must be integers"
@@ -127,8 +125,33 @@ class SurfaceInvariants:
         )
 
 
+_INT_OR_NONE = (int, type(None))
+
+
+def _not_plain_ints(s: SurfaceInvariants) -> list[str]:
+    """Diagnostics for the numbers of ``s`` that are not plain ints (bools
+    included); h10 and h20 may also be None."""
+    numbers = [("b0", s.b0), ("b1", s.b1), ("b2", s.b2), ("chi", s.chi)]
+    numbers += [(name, h) for name, h in (("h10", s.h10), ("h20", s.h20)) if h is not None]
+    return [
+        f"{name} must be a plain int, got {value!r}"
+        for name, value in numbers
+        if type(value) is not int
+    ]
+
+
 def validate(s: SurfaceInvariants) -> list[str]:
-    """Diagnostics for every violated invariant; empty list means ok."""
+    """Diagnostics for every violated invariant; empty list means ok.
+
+    Numbers that are not plain ints are reported alone: the other checks
+    compute with them.
+    """
+    if not (
+        type(s.b0) is type(s.b1) is type(s.b2) is type(s.chi) is int
+        and type(s.h10) in _INT_OR_NONE
+        and type(s.h20) in _INT_OR_NONE
+    ):  # decide validates on every call: the common case costs no list
+        return _not_plain_ints(s)
     diagnostics = []
     if s.b0 < 1:
         diagnostics.append(f"b0 must be positive, got {s.b0}")

@@ -17,7 +17,6 @@ from hilbprod.invariants import (
     betti_closed,
     euler_char_tuple,
     has_hodge_data,
-    hodge_difference,
     hodge_p0,
     hodge_p0_series,
     hodge_p0_tuple_vector,
@@ -236,12 +235,16 @@ def test_poincare_series_refuses_negative_z_cap():
     assert poincare_series(K3, 4, z_cap=0).coeff(Exponent(0, (0,))) == 1
 
 
+# the h^{n+1,0} gap between the m-point and n-point schemes, 1 <= n < m,
+# is C(h10, n + 1)
+
+
 def test_hodge_difference_examples():
-    assert hodge_difference(ABELIAN, 1, 2) == comb(2, 2) == 1
+    assert hodge_p0(ABELIAN, 2, 2) - hodge_p0(ABELIAN, 1, 2) == comb(2, 2) == 1
     for n, m in ((1, 2), (2, 5), (3, 9)):
-        assert hodge_difference(K3, n, m) == 0
+        assert hodge_p0(K3, m, n + 1) - hodge_p0(K3, n, n + 1) == 0
     s = synthetic(1, 8, 17, h10=4, h20=0)
-    assert hodge_difference(s, 2, 5) == comb(4, 3) == 4
+    assert hodge_p0(s, 5, 3) - hodge_p0(s, 2, 3) == comb(4, 3) == 4
 
 
 def test_hodge_difference_identity_grid():
@@ -249,7 +252,7 @@ def test_hodge_difference_identity_grid():
         s = synthetic(1, 2 * h10, max(2 * h20, 1) + 2, h10=h10, h20=h20)
         for n in range(1, 5):
             for m in range(n + 1, 6):
-                assert hodge_difference(s, n, m) == comb(h10, n + 1)
+                assert hodge_p0(s, m, n + 1) - hodge_p0(s, n, n + 1) == comb(h10, n + 1)
 
 
 def composition_sum(s: SurfaceInvariants, a: Partition, p: int) -> int:

@@ -10,22 +10,26 @@ import threading
 import pytest
 
 import hilbprod.series as series
+from hilbprod.errors import UsageError
 from hilbprod.invariants import (
     euler_series,
     hodge_p0,
     hodge_p0_series,
     hodge_polynomial_full,
+    poincare_polynomial_tuple,
     poincare_series,
     surface_diamond,
 )
-from hilbprod.partitions import colored_count
-from hilbprod.series import Exponent, TruncatedSeries
-from hilbprod.surfaces import SurfaceInvariants, load_catalog
+from hilbprod.partitions import Partition, colored_count
+from hilbprod.scanner import scan_conjecture, verify_majorization
+from hilbprod.series import Exponent
+from hilbprod.surfaces import SurfaceInvariants, load_catalog, validate
 from product_oracle import (
     euler_product,
     hodge_p0_product,
     hodge_product,
     poincare_product,
+    term_map,
 )
 
 CATALOG = load_catalog().representatives()
@@ -64,14 +68,15 @@ def all_rows(registries: list[dict]) -> list[dict]:
 )
 def test_betti_kernel_matches_oracle(b0, b1, b2):
     s = synthetic(b0, b1, b2)
-    assert poincare_series(s, 6) == poincare_product(b0, b1, b2, 6)
+    assert term_map(poincare_series(s, 6)) == poincare_product(b0, b1, b2, 6)
     for cap in (0, 2, 5):
-        assert poincare_series(s, 6, z_cap=cap) == poincare_product(b0, b1, b2, 6, cap)
+        capped = poincare_series(s, 6, z_cap=cap)
+        assert term_map(capped) == poincare_product(b0, b1, b2, 6, cap)
 
 
 @pytest.mark.parametrize("chi", [-6, -4, -1, 0, 1, 2, 3, 12, 24])
 def test_euler_kernel_matches_oracle(chi):
-    assert euler_series(chi, 14) == euler_product(chi, 14)
+    assert term_map(euler_series(chi, 14)) == euler_product(chi, 14)
 
 
 @pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
@@ -88,7 +93,7 @@ def test_hodge_kernel_matches_oracle(s):
 
 @pytest.mark.parametrize("h10, h20", [(0, 0), (0, 1), (1, 0), (2, 1), (4, 6)])
 def test_hodge_p0_table_matches_oracle(h10, h20):
-    assert hodge_p0_series(h10, h20, 9) == hodge_p0_product(h10, h20, 9)
+    assert term_map(hodge_p0_series(h10, h20, 9)) == hodge_p0_product(h10, h20, 9)
 
 
 def divisor_sum_counts(k: int, n_max: int) -> list[int]:
@@ -111,9 +116,7 @@ def test_euler_rows_match_divisor_sum_recurrence(monkeypatch, k):
     expected = divisor_sum_counts(k, 250)
     assert [colored_count(k, n) for n in range(251)] == expected
     fresh_tables(monkeypatch)  # the series grows its own table from row 0
-    assert euler_series(k, 250) == TruncatedSeries(
-        250, 0, {(n, ()): c for n, c in enumerate(expected)}
-    )
+    assert term_map(euler_series(k, 250)) == {(n, ()): c for n, c in enumerate(expected) if c}
 
 
 def trial_division_log_derivative(factors, k: int) -> dict[int, int]:
@@ -178,29 +181,36 @@ def test_threads_grow_a_fresh_divisor_table_alike(monkeypatch):
         assert divisors == [m for m in range(1, k + 1) if k % m == 0], k
 
 
-def checked_series(table, truncation: int, cap: int | None = None) -> TruncatedSeries:
-    """Rows 0..truncation, coefficient by coefficient, through the checking constructor."""
-    return TruncatedSeries(truncation, table.aux_count, {
+def row_terms(table, truncation: int, cap: int | None = None) -> dict:
+    """The nonzero coefficients of rows 0..truncation as a term map."""
+    return {
         (n, (j,)[:table.aux_count]): c
         for n in range(truncation + 1)
         for j, c in enumerate(table.rows_upto(n)[n])
-        if cap is None or j <= cap
-    })
+        if c and (cap is None or j <= cap)
+    }
+
+
+def assert_series_of(built, table, truncation: int, cap: int | None = None) -> None:
+    """``built`` holds the rows' terms, in lines without trailing zeros."""
+    assert (built.truncation, built.aux_count) == (truncation, table.aux_count)
+    assert term_map(built) == row_terms(table, truncation, cap)
+    assert len(built) == len(term_map(built))
+    assert all(not line or line[-1] for line in built._lines)
 
 
 @pytest.mark.parametrize("truncation", [1, 2, 7, 24])
 def test_series_match_the_row_terms(truncation):
     for chi in (-3, 0, 1, 24):
-        expected = checked_series(series.euler_table(chi), truncation)
-        assert euler_series(chi, truncation) == expected
+        assert_series_of(euler_series(chi, truncation), series.euler_table(chi), truncation)
     for s in CATALOG:
         table = series.betti_table(s.b0, s.b1, s.b2)
         for cap in (None, 0, 3):
-            expected = checked_series(table, truncation, cap)
-            assert poincare_series(s, truncation, z_cap=cap) == expected, (s.name, cap)
+            built = poincare_series(s, truncation, z_cap=cap)
+            assert_series_of(built, table, truncation, cap)
     for s in HODGE_SURFACES:
-        expected = checked_series(series.hodge_p0_table(s.h10, s.h20), truncation)
-        assert hodge_p0_series(s.h10, s.h20, truncation) == expected, s.name
+        built = hodge_p0_series(s.h10, s.h20, truncation)
+        assert_series_of(built, series.hodge_p0_table(s.h10, s.h20), truncation)
 
 
 # -- the evaluation kernel: signed slots, slot width and stride growth -------------
@@ -226,7 +236,7 @@ def test_wide_betti_rows_match_oracle(b0, b1, b2, truncation):
     assert slot_width(betti_majorant(b0, b1, b2), truncation) == 16
     assert slot_width(betti_majorant(b0, b1, b2), truncation - 1) == 8
     table = series.betti_table(b0, b1, b2)
-    assert checked_series(table, truncation) == poincare_product(b0, b1, b2, truncation)
+    assert row_terms(table, truncation) == poincare_product(b0, b1, b2, truncation)
 
 
 def _kernel_requests(requests) -> None:
@@ -435,3 +445,50 @@ def test_tables_only_grow(monkeypatch):
     longer = poincare_series(s, 16)
     for e, c in first.terms():
         assert longer.coeff(Exponent(e.t_deg, e.aux_degs)) == c
+
+
+# -- keys that are not plain ints ------------------------------------------------
+#
+# 3.0 == 3 and True == 1 hash alike, so a table made for such a key would
+# answer the int key with float or bool rows for the rest of the process.
+
+
+def test_a_float_or_bool_k_fills_no_euler_table(monkeypatch):
+    registries = fresh_tables(monkeypatch)
+    for k in (3.0, True):
+        with pytest.raises(UsageError):
+            colored_count(k, 10)
+        with pytest.raises(UsageError):
+            series.euler_table(k)
+    assert registries[1] == {}
+    assert colored_count(3, 10) == 2640
+    assert type(colored_count(3, 10)) is int
+
+
+def test_a_colour_scan_refuses_a_k_that_is_not_a_plain_int(monkeypatch):
+    registries = fresh_tables(monkeypatch)
+    for k_set in ({4.0}, {4, 5.0}, {True, 4}, {"4"}):
+        with pytest.raises(UsageError, match="plain ints"):
+            scan_conjecture(k_set, 6)
+        with pytest.raises(UsageError, match="plain ints"):
+            verify_majorization(k_set, 6)
+    assert registries[1] == {}
+    assert scan_conjecture({4}, 6).parameter("k_set") == [4]
+
+
+def test_a_surface_with_float_numbers_is_flagged_and_fills_no_table(monkeypatch):
+    k3 = next(s for s in CATALOG if s.name == "k3")
+    a = Partition((1, 2))
+    fresh_tables(monkeypatch)
+    expected = poincare_polynomial_tuple(k3, a)
+    registries = fresh_tables(monkeypatch)
+    floats = SurfaceInvariants("x", 1, 0, 22.0, 24.0, 0, 1)
+    assert validate(floats) == [
+        "b2 must be a plain int, got 22.0",
+        "chi must be a plain int, got 24.0",
+    ]
+    with pytest.raises(UsageError):
+        poincare_polynomial_tuple(floats, a)
+    assert registries[0] == {}
+    assert poincare_polynomial_tuple(k3, a) == expected
+    assert {type(c) for row in registries[0][(1, 0, 22)].rows for c in row} == {int}

@@ -29,6 +29,7 @@ from hilbprod.scanner import (
     verify_majorization,
 )
 from colour_oracle import brute_force_colored, exhaustive_conjecture, exhaustive_majorization
+from export_oracle import csv_rows, oracle_exports, to_records
 
 
 def independent_same_length_pairs(n_max: int) -> int:
@@ -463,7 +464,7 @@ def test_csv_rows_stable_columns():
         wall_time_ms=0,
         engine_version="0.0.0",
     )
-    (row,) = report.csv_rows()
+    (row,) = csv_rows(report)
     assert tuple(row) == CSV_COLUMNS
     assert row["a"] == "1,3" and row["b"] == "2,2"
 
@@ -471,7 +472,7 @@ def test_csv_rows_stable_columns():
 def test_lemma_csv_rows_are_distinct():
     # the unit-shift, shift-ratio and binomial values coincide at p = 1, so
     # only the form tells those rows apart
-    rows = verify_lemma_inequalities(10, 6, "diff_length").csv_rows()
+    rows = csv_rows(verify_lemma_inequalities(10, 6, "diff_length"))
     assert len(rows) == 486
     assert len({tuple(row.values()) for row in rows}) == len(rows)
 
@@ -479,7 +480,7 @@ def test_lemma_csv_rows_are_distinct():
 def test_record_set_round_trip():
     report = verify_lemma_inequalities(10, 6, "diff_length")
     assert len(report.violations) > 0
-    records = report.to_records()
+    records = to_records(report)
     assert records[0]["record"] == "header"
     assert len(records) == 1 + len(report.violations)
     assert ScanReport.from_records(records) == report
@@ -509,27 +510,6 @@ def test_fingerprint_excludes_wall_time():
 
 
 # -- the exports against their dict oracles ---------------------------------------------
-
-
-def oracle_exports(report: ScanReport, tmp_path) -> list[bytes]:
-    """fingerprint(), CSV and JSON Lines as the dict forms give them:
-    ``json.dumps(sort_keys=True)`` over ``to_dict()`` and ``to_records()``,
-    ``csv.writer`` over ``csv_rows()``, written through the same file modes."""
-    content = report.to_dict()
-    del content["wall_time_ms"]
-    csv_path, records_path = tmp_path / "oracle.csv", tmp_path / "oracle.jsonl"
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(row.values() for row in report.csv_rows())
-    with open(records_path, "w") as handle:
-        for record in report.to_records():
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return [
-        json.dumps(content, sort_keys=True).encode(),
-        csv_path.read_bytes(),
-        records_path.read_bytes(),
-    ]
 
 
 def exports(report: ScanReport, tmp_path) -> list[bytes]:
@@ -575,7 +555,7 @@ def test_lemma_exports_match_the_dict_oracles(tmp_path, mode):
     assert len(report.violations) > 100
     assert exports(report, tmp_path) == oracle_exports(report, tmp_path)
     # loaded back, no two violations share a parts tuple or a form object
-    loaded = ScanReport.from_records(report.to_records())
+    loaded = ScanReport.from_records(to_records(report))
     assert exports(loaded, tmp_path) == oracle_exports(report, tmp_path)
 
 
@@ -619,19 +599,38 @@ def test_violation_from_dict_refuses_what_is_not_a_plain_int(field, bad):
 
 @pytest.mark.parametrize("field", ["n", "k_or_p", "value_a", "value_b", "a", "b"])
 @pytest.mark.parametrize("bad", NOT_PLAIN_INTS, ids=repr)
-def test_exports_refuse_what_is_not_a_plain_int(tmp_path, field, bad):
+def test_exports_refuse_what_is_not_a_plain_int(field, bad):
+    # refused when the report is built, so no export can meet it
     good = EDGE_VIOLATIONS[2]
     value = (1, bad) if field in ("a", "b") else bad
     # the bad violation follows a good one with equal values: (1, True) == (1, 1)
-    # shares no text with it
+    # shares no object with it
     twin = good._replace(**{field: (1, 1) if field in ("a", "b") else 1})
-    report = handmade_report(twin, good._replace(**{field: value}))
-    for export in (
-        report.fingerprint,
-        lambda: report.write_csv(tmp_path / "report.csv"),
-        lambda: report.write_records(tmp_path / "report.jsonl"),
-    ):
-        with pytest.raises(ValueError, match="plain int"):
-            export()
-    # refused before a file is opened, so no truncated export is left
-    assert list(tmp_path.iterdir()) == []
+    violations = (twin, good._replace(**{field: value}))
+    with pytest.raises(ValueError, match=f"field {field} must"):
+        handmade_report(*violations)
+    report = handmade_report(twin, good)
+    with pytest.raises(ValueError, match=f"field {field} must"):
+        dataclasses.replace(report, violations=violations)
+
+
+def test_reports_check_their_ints_once_when_built(monkeypatch, tmp_path):
+    checked: list[int] = []
+    check = ScanReport._check_ints
+
+    def counting(report: ScanReport) -> None:
+        checked.append(id(report))
+        check(report)
+
+    monkeypatch.setattr(ScanReport, "_check_ints", counting)
+    scanned = verify_lemma_inequalities(10, 6, "diff_length")
+    reports = [
+        scanned,
+        handmade_report(*EDGE_VIOLATIONS),
+        dataclasses.replace(scanned, wall_time_ms=0),
+        ScanReport.from_records(to_records(scanned)),
+    ]
+    assert checked == [id(report) for report in reports]
+    for report in reports:
+        exports(report, tmp_path)
+    assert len(checked) == len(reports)

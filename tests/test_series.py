@@ -1,5 +1,5 @@
-"""The series container, and the test oracle's arithmetic: ring laws, binomial
-expansions and truncated products."""
+"""The series container, and the test oracle's arithmetic on term maps: ring
+laws, binomial expansions and truncated products."""
 
 from __future__ import annotations
 
@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hilbprod.series as series
 from hilbprod.invariants import euler_series, hodge_p0_series, poincare_series
 from hilbprod.series import Exponent, TruncatedSeries
 from hilbprod.surfaces import load_catalog
-from product_oracle import binomial_factor, constant_one, indexed_product, mul
+from product_oracle import binomial_factor, constant_one, indexed_product, mul, term_map
 
 
 CATALOG = {s.name: s for s in load_catalog().representatives()}
@@ -44,150 +45,147 @@ def pascal_binomial(n: int, k: int) -> int:
     return row[k]
 
 
-def as_dict(series: TruncatedSeries) -> dict:
-    return {(e.t_deg, sum(e.aux_degs)): c for e, c in series.terms()}
+def as_dict(terms: dict) -> dict:
+    """A term map in one auxiliary variable keyed by ``(t_deg, z_deg)``."""
+    return {(t_deg, sum(aux)): c for (t_deg, aux), c in terms.items()}
 
 
 # -- constant_one ---------------------------------------------------------------
 
 
 def test_constant_one_single_term():
-    one = constant_one(5, 1)
-    assert list(one.terms()) == [(Exponent(0, (0,)), 1)]
+    assert constant_one(1) == {(0, (0,)): 1}
 
 
 def test_constant_one_zero_truncation():
-    one = constant_one(0, 0)
-    assert one.coeff(Exponent(0, ())) == 1
-    assert len(one) == 1
+    one = constant_one(0)
+    assert one == {(0, ()): 1}
+    assert mul(one, one, 0) == one
 
 
 def test_constant_one_is_neutral():
-    s = binomial_factor(Exponent(1, (1,)), 1, 3, 4, 1)
-    assert mul(constant_one(4, 1), s) == s
-    assert mul(s, constant_one(4, 1)) == s
+    s = binomial_factor(Exponent(1, (1,)), 1, 3, 4)
+    assert mul(constant_one(1), s, 4) == s
+    assert mul(s, constant_one(1), 4) == s
 
 
 # -- mul -------------------------------------------------------------------------
 
 
 def test_mul_binomial_square():
-    f = TruncatedSeries(3, 1, {(0, (0,)): 1, (1, (1,)): 1})  # 1 + z t
-    sq = mul(f, f)
-    assert sq.coeff(Exponent(0, (0,))) == 1
-    assert sq.coeff(Exponent(1, (1,))) == 2
-    assert sq.coeff(Exponent(2, (2,))) == 1
-    assert len(sq) == 3
+    f = {(0, (0,)): 1, (1, (1,)): 1}  # 1 + z t
+    assert mul(f, f, 3) == {(0, (0,)): 1, (1, (1,)): 2, (2, (2,)): 1}
 
 
 def test_mul_telescoping_truncates():
-    geo = TruncatedSeries(3, 0, {(i, ()): 1 for i in range(4)})
-    lin = TruncatedSeries(3, 0, {(0, ()): 1, (1, ()): -1})
-    assert mul(geo, lin) == constant_one(3, 0)
+    geo = {(i, ()): 1 for i in range(4)}
+    lin = {(0, ()): 1, (1, ()): -1}
+    assert mul(geo, lin, 3) == constant_one(0)
 
 
 def test_mul_against_dict_convolution_oracle():
     # (1 - z^2 t)^-22 times (1 - t)^-1, checked against a plain convolution
-    f = binomial_factor(Exponent(1, (2,)), -1, -22, 3, 1)
-    g = binomial_factor(Exponent(1, (0,)), -1, -1, 3, 1)
-    product = mul(f, g)
+    f = binomial_factor(Exponent(1, (2,)), -1, -22, 3)
+    g = binomial_factor(Exponent(1, (0,)), -1, -1, 3)
+    product = mul(f, g, 3)
     fd = {(j, 2 * j): comb(22 + j - 1, j) for j in range(4)}
     gd = {(j, 0): 1 for j in range(4)}
     expected = dict_convolve(fd, gd, 3)
     assert as_dict(product) == expected
-    assert product.coeff(Exponent(1, (2,))) == 22
+    assert product[(1, (2,))] == 22
 
 
 def test_mul_context_mismatch():
-    a = constant_one(3, 1)
+    # terms in different numbers of auxiliary variables do not multiply
     with pytest.raises(ValueError):
-        mul(a, constant_one(4, 1))
+        mul(constant_one(1), constant_one(0), 3)
     with pytest.raises(ValueError):
-        mul(a, constant_one(3, 0))
+        mul(constant_one(2), constant_one(1), 3)
 
 
 # -- binomial_factor --------------------------------------------------------------
 
 
 def test_binomial_positive_exponent():
-    s = binomial_factor(Exponent(1, (1,)), 1, 2, 3, 1)
+    s = binomial_factor(Exponent(1, (1,)), 1, 2, 3)
     assert as_dict(s) == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
 
 
 def test_binomial_negative_exponent_coefficient():
     # coefficient of (z^2 t)^2 in (1 - z^2 t)^-22 is C(23, 2)
-    s = binomial_factor(Exponent(1, (2,)), -1, -22, 4, 1)
-    assert s.coeff(Exponent(2, (4,))) == pascal_binomial(23, 2) == 253
+    s = binomial_factor(Exponent(1, (2,)), -1, -22, 4)
+    assert s[(2, (4,))] == pascal_binomial(23, 2) == 253
 
 
 def test_binomial_geometric_series():
-    s = binomial_factor(Exponent(1, ()), -1, -1, 4, 0)
-    assert [s.coeff(Exponent(i, ())) for i in range(5)] == [1, 1, 1, 1, 1]
+    s = binomial_factor(Exponent(1, ()), -1, -1, 4)
+    assert s == {(i, ()): 1 for i in range(5)}
 
 
 def test_binomial_alternating_signs():
     # (1 + t)^-1 = 1 - t + t^2 - ...
-    s = binomial_factor(Exponent(1, ()), 1, -1, 4, 0)
-    assert [s.coeff(Exponent(i, ())) for i in range(5)] == [1, -1, 1, -1, 1]
+    s = binomial_factor(Exponent(1, ()), 1, -1, 4)
+    assert [s[(i, ())] for i in range(5)] == [1, -1, 1, -1, 1]
 
 
 def test_binomial_rejects_constant_monomial():
     with pytest.raises(ValueError):
-        binomial_factor(Exponent(0, (1,)), 1, 2, 3, 1)
+        binomial_factor(Exponent(0, (1,)), 1, 2, 3)
 
 
 def test_binomial_zero_exponent_is_one():
-    assert binomial_factor(Exponent(1, ()), -1, 0, 5, 0) == constant_one(5, 0)
+    assert binomial_factor(Exponent(1, ()), -1, 0, 5) == constant_one(0)
 
 
 # -- coeff -----------------------------------------------------------------------
 
 
 def test_coeff_present_and_absent():
-    s = TruncatedSeries(2, 1, {(0, (0,)): 1, (1, (1,)): 2})
-    assert s.coeff(Exponent(1, (1,))) == 2
-    assert s.coeff(Exponent(1, (2,))) == 0
+    s = poincare_series(CATALOG["k3"], 2)
+    assert s.coeff(Exponent(1, (2,))) == 22
+    assert s.coeff(Exponent(1, (1,))) == 0
+    assert s.coeff(Exponent(1, (9,))) == 0  # past the end of the line
 
 
 def test_coeff_beyond_truncation_is_an_error():
-    s = constant_one(2, 1)
-    with pytest.raises(ValueError):
-        s.coeff(Exponent(3, (0,)))
+    for s, beyond in (
+        (poincare_series(CATALOG["k3"], 2), Exponent(3, (0,))),
+        (euler_series(1, 2), Exponent(3, ())),
+    ):
+        with pytest.raises(ValueError):
+            s.coeff(beyond)
 
 
 def test_coeff_of_a_negative_degree_is_an_error():
     k3 = CATALOG["k3"]
-    for s in (
-        poincare_series(k3, 4),
-        TruncatedSeries(4, 1, {(0, (0,)): 1, (1, (2,)): 22, (4, (8,)): 1}),
-    ):
+    for s in (poincare_series(k3, 4), poincare_series(k3, 4, z_cap=2)):
         assert s.coeff(Exponent(1, (2,))) == 22
         for bad in (Exponent(-1, (0,)), Exponent(1, (-2,)), Exponent(-4, (-1,))):
             with pytest.raises(ValueError):
                 s.coeff(bad)
-    for s in (euler_series(24, 4), TruncatedSeries(4, 0, {(1, ()): 24})):
-        assert s.coeff(Exponent(1, ())) == 24
-        with pytest.raises(ValueError):
-            s.coeff(Exponent(-1, ()))
+    s = euler_series(24, 4)
+    assert s.coeff(Exponent(1, ())) == 24
+    with pytest.raises(ValueError):
+        s.coeff(Exponent(-1, ()))
 
 
 # -- indexed_product ---------------------------------------------------------------
 
 
 def test_indexed_product_of_ones():
-    result = indexed_product(lambda m: constant_one(4, 0), 4, 0)
-    assert result == constant_one(4, 0)
+    result = indexed_product(lambda m: constant_one(0), 4, 0)
+    assert result == constant_one(0)
 
 
 def test_indexed_product_counts_partitions_of_five():
     # coefficient of q^5 in prod (1-q^m)^-1 equals #partitions of 5
     eta_inv = indexed_product(
-        lambda m: binomial_factor(Exponent(m, ()), -1, -1, 5, 0), 5, 0
+        lambda m: binomial_factor(Exponent(m, ()), -1, -1, 5), 5, 0
     )
     listed = [
         (5,), (1, 4), (2, 3), (1, 1, 3), (1, 2, 2), (1, 1, 1, 2), (1, 1, 1, 1, 1),
     ]
-    assert eta_inv.coeff(Exponent(5, ())) == len(listed) == 7
+    assert eta_inv[(5, ())] == len(listed) == 7
 
 
 def test_indexed_product_three_coloured_partitions():
@@ -199,14 +197,14 @@ def test_indexed_product_three_coloured_partitions():
         for combo in itertools.combinations_with_replacement(items, size):
             if sum(p for p, _ in combo) == 3:
                 found.add(combo)
-    series = indexed_product(
-        lambda m: binomial_factor(Exponent(m, ()), -1, -3, 3, 0), 3, 0
+    product = indexed_product(
+        lambda m: binomial_factor(Exponent(m, ()), -1, -3, 3), 3, 0
     )
-    assert series.coeff(Exponent(3, ())) == len(found) == 22
+    assert product[(3, ())] == len(found) == 22
 
 
 def test_indexed_product_rejects_nonunit_constant():
-    bad = TruncatedSeries(3, 0, {(0, ()): 2, (1, ()): 1})
+    bad = {(0, ()): 2, (1, ()): 1}
     with pytest.raises(ValueError):
         indexed_product(lambda m: bad, 3, 0)
 
@@ -215,14 +213,14 @@ def test_indexed_product_power_law():
     # product of identical factor families equals the power of the single one
     for k in range(1, 5):
         single = indexed_product(
-            lambda m: binomial_factor(Exponent(m, ()), -1, -1, 6, 0), 6, 0
+            lambda m: binomial_factor(Exponent(m, ()), -1, -1, 6), 6, 0
         )
         multi = indexed_product(
-            lambda m: binomial_factor(Exponent(m, ()), -1, -k, 6, 0), 6, 0
+            lambda m: binomial_factor(Exponent(m, ()), -1, -k, 6), 6, 0
         )
-        power = constant_one(6, 0)
+        power = constant_one(0)
         for _ in range(k):
-            power = mul(power, single)
+            power = mul(power, single, 6)
         assert multi == power
 
 
@@ -234,20 +232,18 @@ def small_series(aux_count: int, truncation: int):
         st.integers(min_value=0, max_value=truncation),
         st.tuples(*([st.integers(min_value=0, max_value=3)] * aux_count)),
     )
-    return st.dictionaries(keys, st.integers(min_value=-5, max_value=5), max_size=6).map(
-        lambda terms: TruncatedSeries(truncation, aux_count, terms)
-    )
+    coefficients = st.integers(min_value=-5, max_value=5).filter(bool)
+    return st.dictionaries(keys, coefficients, max_size=6)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 1).flatmap(lambda aux: st.tuples(
-    small_series(aux, 4), small_series(aux, 4), small_series(aux, 4))))
-def test_ring_laws(triple):
-    a, b, c = triple
-    assert mul(a, b) == mul(b, a)
-    assert mul(mul(a, b), c) == mul(a, mul(b, c))
-    one = constant_one(a.truncation, a.aux_count)
-    assert mul(one, a) == a
+    st.just(aux), small_series(aux, 4), small_series(aux, 4), small_series(aux, 4))))
+def test_ring_laws(quadruple):
+    aux, a, b, c = quadruple
+    assert mul(a, b, 4) == mul(b, a, 4)
+    assert mul(mul(a, b, 4), c, 4) == mul(a, mul(b, c, 4), 4)
+    assert mul(constant_one(aux), a, 4) == a
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,34 +255,26 @@ def test_ring_laws(triple):
 )
 def test_binomial_inverse_property(t_deg, aux, sign, e):
     monomial = Exponent(t_deg, (aux,))
-    f = binomial_factor(monomial, sign, e, 6, 1)
-    g = binomial_factor(monomial, sign, -e, 6, 1)
-    assert mul(f, g) == constant_one(6, 1)
+    f = binomial_factor(monomial, sign, e, 6)
+    g = binomial_factor(monomial, sign, -e, 6)
+    assert mul(f, g, 6) == constant_one(1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(small_series(1, 4), small_series(1, 4)))
 def test_canonical_form_after_mul(pair):
     a, b = pair
-    product = mul(a, b)
-    for exp, coeff in product.terms():
+    for (t_deg, _), coeff in mul(a, b, 4).items():
         assert coeff != 0
-        assert exp.t_deg <= product.truncation
-
-
-def test_construction_drops_zero_and_overflow_terms():
-    s = TruncatedSeries(2, 0, {(0, ()): 1, (1, ()): 0, (5, ()): 9})
-    assert len(s) == 1
+        assert t_deg <= 4
 
 
 def test_equality_requires_same_context():
-    assert constant_one(3, 0) != constant_one(4, 0)
-    assert constant_one(3, 0) != constant_one(3, 1)
-
-
-def test_series_have_zero_or_one_auxiliary_variable():
-    with pytest.raises(ValueError):
-        TruncatedSeries(1, 2, {(1, (2, 1)): -4})
+    ones = ((1,),) * 4
+    # (1 - t)^-1: every line of the h^(p,0) series of h10 = h20 = 0 is x^0
+    assert hodge_p0_series(0, 0, 3) == TruncatedSeries(3, 1, ones)
+    assert TruncatedSeries(3, 0, ones) != TruncatedSeries(3, 1, ones)
+    assert euler_series(1, 3) != euler_series(1, 4)
 
 
 def test_equality_follows_the_terms_not_the_line_lengths():
@@ -295,30 +283,34 @@ def test_equality_follows_the_terms_not_the_line_lengths():
     capped3, capped2 = poincare_series(k3, 6, z_cap=3), poincare_series(k3, 6, z_cap=2)
     assert capped3 == capped2
     assert hash(capped3) == hash(capped2)
+    assert term_map(capped3) == term_map(capped2)
     assert capped3 != poincare_series(k3, 6, z_cap=4)
-    built = [poincare_series(k3, 6), euler_series(-4, 9), hodge_p0_series(0, 2, 5)]
-    for engine in built + [capped3]:
-        rebuilt = TruncatedSeries(
-            engine.truncation,
-            engine.aux_count,
-            {(e.t_deg, e.aux_degs): c for e, c in engine.terms()},
-        )
-        assert engine == rebuilt and rebuilt == engine
-        assert hash(engine) == hash(rebuilt)
-        assert len(engine) == len(rebuilt)
-        assert engine.dump() == rebuilt.dump()
+    built = [
+        (poincare_series(k3, 6), series.betti_table(1, 0, 22)),
+        (euler_series(-4, 9), series.euler_table(-4)),
+        (hodge_p0_series(0, 2, 5), series.hodge_p0_table(0, 2)),
+    ]
+    for engine, table in built:
+        # a cap at the top degree, or above it, keeps every term
+        top = max(aux[0] for _, aux in term_map(engine)) if engine.aux_count else 0
+        for cap in (top, top + 5):
+            again = table.series(engine.truncation, cap=cap)
+            assert engine == again and again == engine
+            assert hash(engine) == hash(again)
+            assert len(engine) == len(again) == len(term_map(engine))
+            assert engine.dump() == again.dump()
 
 
 # -- dump -------------------------------------------------------------------------
 
 
 def test_dump_format_one_aux():
-    s = TruncatedSeries(2, 1, {(1, (2,)): 3, (0, (0,)): 1})
-    assert s.dump() == "t^0 z^0 : 1\nt^1 z^2 : 3"
+    s = poincare_series(CATALOG["k3"], 1, z_cap=2)
+    assert s.dump() == "t^0 z^0 : 1\nt^1 z^0 : 1\nt^1 z^2 : 22"
 
 
 def test_dump_format_no_aux():
-    s = TruncatedSeries(1, 0, {(1, ()): 5, (0, ()): 1})
+    s = euler_series(5, 1)
     assert s.dump() == "t^0 : 1\nt^1 : 5"
 
 
@@ -342,7 +334,7 @@ def test_series_dumps_are_pinned():
 
 
 def test_series_is_immutable():
-    s = constant_one(2, 0)
+    s = euler_series(1, 2)
     with pytest.raises(AttributeError):
         s.truncation = 5
 
