@@ -171,8 +171,6 @@ def colored_count(k: int, n: int) -> int:
     by the same series and may give zero or negative values.  Read from the
     grow-only Euler table of ``hilbprod.series``.
     """
-    if type(k) is not int:
-        raise UsageError(f"k must be a plain int, got {k!r}")
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")
     return euler_rows(k, n)[n][0]

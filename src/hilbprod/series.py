@@ -87,6 +87,11 @@ class TruncatedSeries:
         self, truncation: int, aux_count: int, lines: tuple[tuple[int, ...], ...]
     ) -> None:
         """Hold ``lines``, which ``GrowOnlyTable.series`` builds canonical."""
+        if type(lines) is not tuple or len(lines) != truncation + 1:
+            raise TypeError(
+                "TruncatedSeries takes one line per t-degree 0..truncation, "
+                "as GrowOnlyTable.series builds them"
+            )
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "aux_count", aux_count)
         object.__setattr__(self, "_lines", lines)

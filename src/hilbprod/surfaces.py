@@ -130,7 +130,14 @@ _INT_OR_NONE = (int, type(None))
 
 def _not_plain_ints(s: SurfaceInvariants) -> list[str]:
     """Diagnostics for the numbers of ``s`` that are not plain ints (bools
-    included); h10 and h20 may also be None."""
+    included; h10 and h20 may be None).  ``decide`` validates on every call,
+    so one type test passes a good surface before any diagnostics loop."""
+    if (
+        type(s.b0) is type(s.b1) is type(s.b2) is type(s.chi) is int
+        and type(s.h10) in _INT_OR_NONE
+        and type(s.h20) in _INT_OR_NONE
+    ):
+        return []
     numbers = [("b0", s.b0), ("b1", s.b1), ("b2", s.b2), ("chi", s.chi)]
     numbers += [(name, h) for name, h in (("h10", s.h10), ("h20", s.h20)) if h is not None]
     return [
@@ -146,12 +153,9 @@ def validate(s: SurfaceInvariants) -> list[str]:
     Numbers that are not plain ints are reported alone: the other checks
     compute with them.
     """
-    if not (
-        type(s.b0) is type(s.b1) is type(s.b2) is type(s.chi) is int
-        and type(s.h10) in _INT_OR_NONE
-        and type(s.h20) in _INT_OR_NONE
-    ):  # decide validates on every call: the common case costs no list
-        return _not_plain_ints(s)
+    bad = _not_plain_ints(s)
+    if bad:
+        return bad
     diagnostics = []
     if s.b0 < 1:
         diagnostics.append(f"b0 must be positive, got {s.b0}")

@@ -591,10 +591,15 @@ NOT_PLAIN_INTS = [True, False, 1.0, 2.5, "1", None]
 @pytest.mark.parametrize("field", ["n", "k_or_p", "value_a", "value_b", "a", "b"])
 @pytest.mark.parametrize("bad", NOT_PLAIN_INTS, ids=repr)
 def test_violation_from_dict_refuses_what_is_not_a_plain_int(field, bad):
+    # Violation.from_dict does not check; the report it is loaded into does
     record = EDGE_VIOLATIONS[2].to_dict()
     record[field] = [1, bad] if field in ("a", "b") else bad
+    header = {"record": "header", **handmade_report().to_dict()}
+    del header["violations"]
     with pytest.raises(ValueError, match=f"field {field} "):
-        Violation.from_dict(record)
+        ScanReport.from_records([header, {"record": "violation", **record}])
+    with pytest.raises(ValueError, match=f"field {field} "):
+        ScanReport.from_dict({**header, "violations": [record]})
 
 
 @pytest.mark.parametrize("field", ["n", "k_or_p", "value_a", "value_b", "a", "b"])

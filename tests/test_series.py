@@ -277,6 +277,14 @@ def test_equality_requires_same_context():
     assert euler_series(1, 3) != euler_series(1, 4)
 
 
+def test_a_term_map_is_not_a_series():
+    # the constructor takes the lines GrowOnlyTable.series builds, not terms
+    with pytest.raises(TypeError):
+        TruncatedSeries(3, 0, {Exponent(0, ()): 1})
+    with pytest.raises(TypeError):
+        TruncatedSeries(3, 0, ((1,),) * 3)
+
+
 def test_equality_follows_the_terms_not_the_line_lengths():
     k3 = CATALOG["k3"]
     # b3 = 0, so the cap at z^3 keeps the same terms as the cap at z^2
