@@ -16,6 +16,9 @@ Products of Hilbert schemes are handled through the Kuenneth rule: multiply
 the factors' Poincare (or ``h^{p,0}``) polynomials, as one big-integer
 product by Kronecker substitution (their coefficients are nonnegative),
 whose factors the grow-only tables keep packed, once per row and slot width.
+The product itself is kept too, once per parts tuple, in the table whose
+rows it multiplies, so each partition's vector is computed once and every
+later call only copies it out.
 Invariants that need Hodge data refuse when h10/h20 are absent instead of
 inventing values.
 """
@@ -134,36 +137,47 @@ class PoincarePolynomial:
 def _kuenneth(table: GrowOnlyTable, parts: tuple[int, ...], length: int) -> list[int]:
     """Coefficients 0..length-1 of the product of the table's rows ``parts``.
 
+    The product is computed once per parts tuple and kept in
+    ``table.products``, as the tuple of all its coefficients; every call
+    returns a fresh list, cut or zero-padded to ``length``.
+
     Kronecker substitution: no coefficient of the product of nonnegative
     integer polynomials exceeds the product of the factors' coefficient
     sums, so a slot of ``w`` bytes that holds that bound cannot carry into
     the next.  Each row comes packed with a coefficient per slot from
     ``table.packed``, which packs it once per width; the ints are
-    multiplied and the first ``length`` slots of the product are read back
-    (native byte order, which ``cast`` reads).  A negative coefficient
-    (Betti data of an invalid surface) is a DataError.
+    multiplied and the slots of the product are read back (native byte
+    order, which ``cast`` reads).  A negative coefficient (Betti data of an
+    invalid surface) is a DataError, on every call, and stores nothing.
     """
-    rows = table.rows_upto(max(parts))
-    bound = prod(sum(rows[part]) for part in parts)
-    w = 1
-    while bound.bit_length() > 8 * w:
-        w *= 2
-    product = 1
-    try:
-        for part in parts:
-            product *= table.packed(part, w)
-    except OverflowError:  # with nonnegative coefficients every slot holds its value
-        raise DataError(
-            "Kuenneth product of vectors with a negative coefficient; "
-            "Betti and h^(p,0) numbers of a valid surface are nonnegative"
-        ) from None
-    if product.bit_length() > 8 * w * length:  # drop the slots past ``length``
-        product &= (1 << 8 * w * length) - 1
-    order = sys.byteorder
-    buf = product.to_bytes(length * w, order)
-    if w <= 8:
-        return memoryview(buf).cast("BHIQ"[w.bit_length() - 1]).tolist()
-    return [int.from_bytes(buf[i:i + w], order) for i in range(0, len(buf), w)]
+    coefficients = table.products.get(parts)
+    if coefficients is None:
+        rows = table.rows_upto(max(parts))
+        bound = prod(sum(rows[part]) for part in parts)
+        w = 1
+        while bound.bit_length() > 8 * w:
+            w *= 2
+        product = 1
+        try:
+            for part in parts:
+                product *= table.packed(part, w)
+        except OverflowError:  # with nonnegative coefficients every slot holds its value
+            raise DataError(
+                "Kuenneth product of vectors with a negative coefficient; "
+                "Betti and h^(p,0) numbers of a valid surface are nonnegative"
+            ) from None
+        size = sum(len(rows[part]) for part in parts) - len(parts) + 1
+        order = sys.byteorder
+        buf = product.to_bytes(size * w, order)
+        if w <= 8:
+            slots = memoryview(buf).cast("BHIQ"[w.bit_length() - 1]).tolist()
+        else:
+            slots = [int.from_bytes(buf[i:i + w], order) for i in range(0, len(buf), w)]
+        coefficients = table.products.setdefault(parts, tuple(slots))
+    line = list(coefficients[:length])
+    if len(line) < length:
+        line += [0] * (length - len(line))
+    return line
 
 
 def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePolynomial:

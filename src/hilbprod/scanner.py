@@ -184,10 +184,12 @@ _VIOLATION_JSON = _RECORD_JSON.replace('"record": "violation", ', "")
 class ScanReport:
     """The findings of one scan.
 
-    Construction refuses violations whose numbers are not plain ints
-    (ValueError), so every report can be exported: the exports write those
-    numbers with ``%d`` and ``str``, which would truncate a float and print a
-    bool as 1 where ``json.dumps`` prints ``true``.
+    Construction refuses (ValueError) a ``pairs_checked``, a
+    ``wall_time_ms`` or a violation number that is not a plain int, so every
+    report can be exported: the exports write the violations' numbers with
+    ``%d`` and ``str``, which would truncate a float and print a bool as 1
+    where ``json.dumps`` prints ``true``, and the header's counts with
+    ``json.dumps``, which would print ``true`` or ``1.5`` as a count.
     """
 
     scan_kind: str
@@ -284,11 +286,16 @@ class ScanReport:
             )
 
     def _check_ints(self) -> None:
-        """Raise ValueError unless every violation's numbers are plain ints.
+        """Raise ValueError unless ``pairs_checked``, ``wall_time_ms`` and
+        every violation's numbers are plain ints.
 
         One pass over the columns, each parts tuple object once; only a
         report that fails goes row by row, to name the field.
         """
+        for name in ("pairs_checked", "wall_time_ms"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"report field {name} must be a plain int, got {value!r}")
         if not self.violations:
             return
         _, ns, a, b, ks, values_a, values_b, _ = zip(*self.violations)

@@ -34,7 +34,9 @@ term maps.
 int, one fixed-width byte slot per coefficient, the form in which
 ``hilbprod.invariants`` multiplies rows (Kronecker substitution).  A row is
 packed at most once per slot width, and, like the rows, the packed ints are
-only ever added.
+only ever added.  ``GrowOnlyTable.products`` keeps each Kuenneth product of
+a table's rows that ``hilbprod.invariants`` has computed, keyed by its parts
+tuple, and only grows in the same way.
 
 Coefficients are arbitrary-precision signed integers; there is no floating
 point anywhere.  Series are immutable and canonical (no trailing zeros, no
@@ -178,7 +180,9 @@ class GrowOnlyTable:
     computes row n from rows 0..n-1.
 
     Rows are also kept packed, once per slot width: ``packed_rows`` maps
-    ``(n, w)`` to the int ``packed(n, w)`` returned.  It only grows and its
+    ``(n, w)`` to the int ``packed(n, w)`` returned.  ``products`` maps a
+    parts tuple to the coefficient tuple of the product of those rows,
+    written by ``hilbprod.invariants._kuenneth``.  Both only grow and their
     values never change, so a lost race between threads stores the same
     value twice and ``dict.setdefault`` keeps one.
     """
@@ -187,6 +191,7 @@ class GrowOnlyTable:
         self.aux_count = aux_count
         self.rows: list[Row] = [[1]]
         self.packed_rows: dict[tuple[int, int], int] = {}
+        self.products: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._next_row = next_row
 
     def rows_upto(self, n: int) -> list[Row]:

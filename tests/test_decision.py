@@ -31,6 +31,7 @@ from hilbprod.surfaces import (
     load_catalog,
     validate,
 )
+from conftest import fresh_tables
 from product_oracle import dense_kuenneth
 
 K3 = catalog_lookup("k3")
@@ -327,6 +328,23 @@ def test_verdicts_follow_the_first_oracle_difference():
                 tiers[expected.invariant if expected else None] += 1
     # both comparison tiers decide pairs here; no pair reaches h^{p,0} or Unknown
     assert set(tiers) == {"euler_characteristic", "betti"}
+
+
+def test_decide_order_never_changes_a_verdict(monkeypatch):
+    # the Kuenneth products are stored per partition on first use, so the
+    # order of the pairs decides which call fills each entry; with fresh
+    # tables each time, forward and reversed sweeps agree pair by pair
+    cases = [
+        (s, a, b)
+        for s in load_catalog().representatives()
+        for n in range(1, 9)
+        for a, b in itertools.combinations_with_replacement(enumerate_partitions(n), 2)
+    ]
+    fresh_tables(monkeypatch)
+    forward = [decide(s, a, b).to_dict() for s, a, b in cases]
+    fresh_tables(monkeypatch)
+    backward = [decide(s, a, b).to_dict() for s, a, b in reversed(cases)]
+    assert forward == backward[::-1]
 
 
 # -- Kummer mode --------------------------------------------------------------------

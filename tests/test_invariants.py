@@ -28,6 +28,7 @@ from hilbprod.invariants import (
 from hilbprod.partitions import Partition, colored_count, enumerate_partitions
 from hilbprod.series import Exponent, betti_table, hodge_p0_table
 from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog, validate
+from conftest import fresh_tables
 from product_oracle import dense_kuenneth
 
 K3 = catalog_lookup("k3")
@@ -452,13 +453,17 @@ def unpack(value: int, w: int, length: int) -> list[int]:
 
 def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
     # (1, 31) on K3 needs 16-byte slots, the small products around it 1, 2
-    # or 4 bytes, and most of them read row 1 too
+    # or 4 bytes, and most of them read row 1 too; the first call for a
+    # partition reads each of its rows packed at the product's width, a
+    # repeat reads the stored product and no packed row
+    fresh_tables(monkeypatch)
     table = betti_table(K3.b0, K3.b1, K3.b2)
     memo = RecordingMemo(table.packed_rows)
     monkeypatch.setattr(table, "packed_rows", memo)
     rows = table.rows_upto(31)
     cases = [(1, 31), (1,), (1, 1), (1, 31), (2, 3), (1, 1, 1), (1, 2, 31), (1,)]
     widths_of_row_1 = set()
+    seen = set()
     for parts in cases * 2:
         vectors = [rows[part] for part in parts]
         w = slot_bytes(vectors)
@@ -467,8 +472,11 @@ def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
         memo.reads.clear()
         poly = poincare_polynomial_tuple(K3, Partition(parts))
         assert list(poly.coefficients) == dense_kuenneth(vectors), parts
-        assert memo.reads == [(part, w) for part in parts], parts
+        expected_reads = [] if parts in seen else [(part, w) for part in parts]
+        assert memo.reads == expected_reads, parts
+        seen.add(parts)
     assert widths_of_row_1 == {1, 2, 16}
+    assert set(table.products) == seen
     for (n, w), value in memo.items():
         assert unpack(value, w, len(rows[n])) == rows[n], (n, w)
 
@@ -480,9 +488,27 @@ def test_negative_row_is_a_data_error_every_time_and_never_packed():
     for _ in range(2):
         with pytest.raises(DataError):
             poincare_polynomial_tuple(s, Partition((1, 2)))
+        with pytest.raises(DataError):
+            _kuenneth(table, (1, 2), 9)
+    assert (1, 2) not in table.products
     assert not any(n == 1 for n, _ in table.packed_rows)
     rows = table.rows_upto(2)
     assert all(min(rows[n]) >= 0 for n, _ in table.packed_rows)
+
+
+def test_returned_vectors_are_copies_of_the_stored_products():
+    a = Partition((1, 2, 2))
+    hodge = hodge_p0_tuple_vector(ABELIAN, a)
+    expected_hodge = list(hodge)
+    hodge[0] = -1
+    hodge.append(7)
+    assert hodge_p0_tuple_vector(ABELIAN, a) == expected_hodge
+    table = betti_table(ABELIAN.b0, ABELIAN.b1, ABELIAN.b2)
+    line = _kuenneth(table, a.parts, 4 * a.n + 1)
+    expected_line = list(line)
+    line[:] = [0]
+    assert _kuenneth(table, a.parts, 4 * a.n + 1) == expected_line
+    assert list(poincare_polynomial_tuple(ABELIAN, a).coefficients) == expected_line
 
 
 def test_packed_rows_stay_bounded(monkeypatch):
@@ -505,6 +531,7 @@ def test_threads_share_a_fresh_table():
     s = synthetic(2, 6, 19)
     table = betti_table(s.b0, s.b1, s.b2)
     assert len(table.rows) == 1 and not table.packed_rows, "table is not fresh"
+    assert not table.products, "table is not fresh"
     partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
     workers = 4
     barrier = threading.Barrier(workers)
@@ -530,3 +557,4 @@ def test_threads_share_a_fresh_table():
         tuple(dense_kuenneth([rows[part] for part in a.parts])) for a in partitions
     ]
     assert results == [expected] * workers
+    assert set(table.products) == {a.parts for a in partitions}

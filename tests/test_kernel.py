@@ -24,6 +24,7 @@ from hilbprod.partitions import Partition, colored_count
 from hilbprod.scanner import scan_conjecture, verify_majorization
 from hilbprod.series import Exponent
 from hilbprod.surfaces import SurfaceInvariants, load_catalog, validate
+from conftest import fresh_tables
 from product_oracle import (
     euler_product,
     hodge_p0_product,
@@ -41,15 +42,6 @@ ABELIAN_DIAMOND = tuple(
 
 def synthetic(b0: int, b1: int, b2: int) -> SurfaceInvariants:
     return SurfaceInvariants(f"synthetic({b0},{b1},{b2})", b0, b1, b2, 0)
-
-
-def fresh_tables(monkeypatch) -> list[dict]:
-    """Empty table registries, so that every table grows from row 0 again."""
-    registries = []
-    for name in ("_BETTI_TABLES", "_EULER_TABLES", "_HODGE_P0_TABLES", "_HODGE_TABLES"):
-        registries.append({})
-        monkeypatch.setattr(series, name, registries[-1])
-    return registries
 
 
 def all_rows(registries: list[dict]) -> list[dict]:

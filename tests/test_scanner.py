@@ -619,6 +619,17 @@ def test_exports_refuse_what_is_not_a_plain_int(field, bad):
         dataclasses.replace(report, violations=violations)
 
 
+@pytest.mark.parametrize("field", ["pairs_checked", "wall_time_ms"])
+@pytest.mark.parametrize("bad", NOT_PLAIN_INTS, ids=repr)
+def test_reports_refuse_counts_that_are_not_plain_ints(field, bad):
+    header = {"record": "header", **handmade_report().to_dict(), field: bad}
+    del header["violations"]
+    with pytest.raises(ValueError, match=f"field {field} must"):
+        ScanReport.from_records([header])
+    with pytest.raises(ValueError, match=f"field {field} must"):
+        handmade_report(*EDGE_VIOLATIONS, **{field: bad})
+
+
 def test_reports_check_their_ints_once_when_built(monkeypatch, tmp_path):
     checked: list[int] = []
     check = ScanReport._check_ints
