@@ -36,5 +36,4 @@ from .surfaces import (
     SurfaceInvariants,
     catalog_lookup,
     load_catalog,
-    validate,
 )

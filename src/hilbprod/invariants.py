@@ -39,7 +39,7 @@ from .series import (
     hodge_p0_table,
     hodge_table,
 )
-from .surfaces import SurfaceInvariants, require_valid
+from .surfaces import SurfaceInvariants
 
 __all__ = [
     "PoincarePolynomial",
@@ -147,8 +147,9 @@ def _kuenneth(table: GrowOnlyTable, parts: tuple[int, ...], length: int) -> list
     the next.  Each row comes packed with a coefficient per slot from
     ``table.packed``, which packs it once per width; the ints are
     multiplied and the slots of the product are read back (native byte
-    order, which ``cast`` reads).  A negative coefficient (Betti data of an
-    invalid surface) is a DataError, on every call, and stores nothing.
+    order, which ``cast`` reads).  A negative coefficient (a table built
+    directly from numbers no valid surface has) is a DataError, on every
+    call, and stores nothing.
     """
     coefficients = table.products.get(parts)
     if coefficients is None:
@@ -287,9 +288,9 @@ def surface_diamond(s: SurfaceInvariants) -> HodgeDiamond:
     """Full Hodge diamond of the surface from (b2, h10, h20).
 
     ``h^{1,1} = b2 - 2*h20``; the remaining entries follow from Hodge and
-    Serre symmetry.  The surface must pass ``validate``.
+    Serre symmetry.  The surface was validated when it was built.
     """
-    h10, h20 = require_hodge_data(require_valid(s))
+    h10, h20 = require_hodge_data(s)
     h11 = s.b2 - 2 * h20
     return HodgeDiamond(
         2,

@@ -1,17 +1,18 @@
-"""Catalog of base-surface invariants with validation.
+"""Catalog of base-surface invariants, checked once when built.
 
 Each surface record carries the Betti numbers (b0, b1, b2), the topological
 Euler characteristic chi, and optionally the Hodge numbers h^{1,0} and
 h^{2,0}.  Poincare duality on each component gives b3 = b1 and b4 = b0, so
 every surface, connected or not, has ``chi = 2*b0 - 2*b1 + b2``; Hodge
 symmetry makes b1 even and forces ``b1 = 2*h10``; an ample class on each
-component gives ``h11 = b2 - 2*h20 >= b0``.  :func:`validate` enforces all
-of these.
+component gives ``h11 = b2 - 2*h20 >= b0``.  A :class:`SurfaceInvariants`
+checks all of these when it is built and raises ``DataError`` if one fails,
+so every surface that exists is valid and no caller checks again.
 
 Families (del Pezzo, ruled, ...) are one table, :data:`FAMILIES`: parameter
 defaults and ranges plus the formula for (b1, b2, h10, h20).  A lookup turns
 a family row into a literal record (b0 = 1, chi by duality), and every
-surface is built by :meth:`SurfaceInvariants.from_record` and validated.
+surface is built by :meth:`SurfaceInvariants.from_record`.
 
 h^{2,0} cannot be recovered from Betti numbers alone, so the shipped catalog
 carries it only where the value is standard for the surface class; rows
@@ -40,7 +41,6 @@ __all__ = [
     "Catalog",
     "load_catalog",
     "catalog_lookup",
-    "validate",
     "FAMILIES",
     "CATALOG_ENV_VAR",
 ]
@@ -70,6 +70,13 @@ class SurfaceInvariants:
     family_params: tuple[tuple[str, int], ...] = ()
     provenance: str = ""
 
+    def __post_init__(self) -> None:
+        diagnostics = _diagnostics(self)
+        if diagnostics:
+            raise DataError(
+                f"surface {self.name!r} fails validation: " + "; ".join(diagnostics)
+            )
+
     def to_record(self) -> dict[str, Any]:
         record: dict[str, Any] = {
             "name": self.name,
@@ -90,7 +97,7 @@ class SurfaceInvariants:
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "SurfaceInvariants":
         try:
-            surface = cls(
+            return cls(
                 name=record["name"],
                 b0=record["b0"],
                 b1=record["b1"],
@@ -106,14 +113,10 @@ class SurfaceInvariants:
                 ),
                 provenance=record.get("provenance", ""),
             )
+        except DataError:  # a failed validation keeps its own message
+            raise
         except (KeyError, ValueError, TypeError) as exc:
             raise CatalogError(f"malformed surface record: {exc}") from exc
-        if _not_plain_ints(surface):  # JSON true/false are not numbers
-            raise CatalogError(
-                f"malformed surface record {surface.name!r}: b0, b1, b2, chi, h10 "
-                "and h20 must be integers"
-            )
-        return surface
 
     def describe(self) -> str:
         hodge = ""
@@ -125,19 +128,9 @@ class SurfaceInvariants:
         )
 
 
-_INT_OR_NONE = (int, type(None))
-
-
 def _not_plain_ints(s: SurfaceInvariants) -> list[str]:
     """Diagnostics for the numbers of ``s`` that are not plain ints (bools
-    included; h10 and h20 may be None).  ``decide`` validates on every call,
-    so one type test passes a good surface before any diagnostics loop."""
-    if (
-        type(s.b0) is type(s.b1) is type(s.b2) is type(s.chi) is int
-        and type(s.h10) in _INT_OR_NONE
-        and type(s.h20) in _INT_OR_NONE
-    ):
-        return []
+    included, as JSON true/false are not numbers; h10 and h20 may be None)."""
     numbers = [("b0", s.b0), ("b1", s.b1), ("b2", s.b2), ("chi", s.chi)]
     numbers += [(name, h) for name, h in (("h10", s.h10), ("h20", s.h20)) if h is not None]
     return [
@@ -147,8 +140,8 @@ def _not_plain_ints(s: SurfaceInvariants) -> list[str]:
     ]
 
 
-def validate(s: SurfaceInvariants) -> list[str]:
-    """Diagnostics for every violated invariant; empty list means ok.
+def _diagnostics(s: SurfaceInvariants) -> list[str]:
+    """Diagnostics for every invariant ``s`` violates; empty list means ok.
 
     Numbers that are not plain ints are reported alone: the other checks
     compute with them.
@@ -201,15 +194,6 @@ def validate(s: SurfaceInvariants) -> list[str]:
     return diagnostics
 
 
-def require_valid(s: SurfaceInvariants) -> SurfaceInvariants:
-    diagnostics = validate(s)
-    if diagnostics:
-        raise DataError(
-            f"surface {s.name!r} fails validation: " + "; ".join(diagnostics)
-        )
-    return s
-
-
 # -- family formulas ----------------------------------------------------------
 
 
@@ -248,7 +232,7 @@ def _family_record(row: Mapping[str, Any], params: Mapping[str, int]) -> dict[st
         )
     for p, (_, low, high) in declared.items():
         v = params[p]
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise CatalogError(f"parameter {p}={v!r} of {name!r} must be an integer")
         if v < low or (high is not None and v > high):
             allowed = f">= {low}" if high is None else f"in {low}..{high}"
@@ -294,7 +278,7 @@ class Catalog:
             record = _family_record(record, params or {})
         elif params:
             raise CatalogError(f"surface {name!r} takes no parameters, got {params}")
-        return require_valid(SurfaceInvariants.from_record(record))
+        return SurfaceInvariants.from_record(record)
 
     def representatives(self) -> list[SurfaceInvariants]:
         """One concrete surface per catalog row (families at default params)."""
@@ -325,7 +309,7 @@ def _catalog_from_dict(data: dict[str, Any], source: str) -> Catalog:
             raise CatalogError(f"catalog {source} has duplicate surface {name!r}")
         seen.add(name)
         if not record.get("family_params"):
-            SurfaceInvariants.from_record(record)  # a malformed literal row fails here
+            SurfaceInvariants.from_record(record)  # a malformed or invalid literal row fails here
     return Catalog(version=version, records=records)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hilbprod.series as series
+from hilbprod.errors import DataError
+from hilbprod.surfaces import SurfaceInvariants
 
 
 def fresh_tables(monkeypatch) -> list[dict]:
@@ -12,3 +14,21 @@ def fresh_tables(monkeypatch) -> list[dict]:
         registries.append({})
         monkeypatch.setattr(series, name, registries[-1])
     return registries
+
+
+def synthetic(b0: int, b1: int, b2: int, **kwargs) -> SurfaceInvariants:
+    """The surface with Betti numbers (b0, b1, b2) and chi by Poincare duality."""
+    chi = 2 * b0 - 2 * b1 + b2
+    return SurfaceInvariants(f"synthetic({b0},{b1},{b2})", b0, b1, b2, chi, **kwargs)
+
+
+def valid_only(grid) -> list[SurfaceInvariants]:
+    """``synthetic(*args)`` for each ``args`` tuple of ``grid`` that constructs;
+    a tuple given as (b0, b1, b2, h10, h20) also sets the Hodge numbers."""
+    surfaces = []
+    for b0, b1, b2, *hodge in grid:
+        try:
+            surfaces.append(synthetic(b0, b1, b2, **dict(zip(("h10", "h20"), hodge))))
+        except DataError:
+            pass
+    return surfaces

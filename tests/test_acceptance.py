@@ -29,8 +29,9 @@ from hilbprod.invariants import (
 )
 from hilbprod.partitions import Partition, colored_count, partitions_by_length
 from hilbprod.scanner import scan_conjecture, verify_lemma_inequalities, verify_majorization
-from hilbprod.series import Exponent
+from hilbprod.series import Exponent, betti_table
 from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog
+from conftest import synthetic, valid_only
 
 
 @contextmanager
@@ -51,11 +52,6 @@ def criterion(number: int, description: str, budget_s: float):
     assert within, f"criterion {number} took {elapsed:.2f}s, budget {budget_s:g}s"
 
 
-def synthetic(b0: int, b1: int, b2: int, **kwargs) -> SurfaceInvariants:
-    chi = kwargs.pop("chi", 2 - 2 * b1 + b2 if b0 == 1 else 0)
-    return SurfaceInvariants(f"synthetic({b0},{b1},{b2})", b0, b1, b2, chi, **kwargs)
-
-
 def same_length_pair_count(n_max: int) -> int:
     return sum(
         comb(len(bucket), 2)
@@ -73,22 +69,29 @@ def diff_length_pair_count(n_max: int) -> int:
 
 
 def test_criterion_1_closed_forms_vs_series():
-    surfaces = list(load_catalog().representatives())
-    for b0, b1, b2 in itertools.product((1, 2, 3), (0, 2, 4), range(1, 7)):
-        surfaces.append(synthetic(b0, b1, b2))
+    # the series come straight from the tables, so the grid keeps the Betti
+    # numbers no valid surface has (b2 < b0); the closed-form helper takes
+    # surfaces, so it sees the tuples that construct
+    catalog = list(load_catalog().representatives())
+    grid = list(itertools.product((1, 2, 3), (0, 2, 4), range(1, 7)))
+    numbers = [(s.b0, s.b1, s.b2) for s in catalog] + grid
+    surfaces = catalog + valid_only(grid)
+    assert len(surfaces) == len(catalog) + 45
     with criterion(1, "closed-form vs series oracle, n <= 25", 10.0):
-        for s in surfaces:
-            series = poincare_series(s, 25, z_cap=2)
+        for b0, b1, b2 in numbers:
+            series = betti_table(b0, b1, b2).series(25, cap=2)
             for n in range(1, 26):
                 assert series.coeff(Exponent(n, (0,))) == comb(
-                    n + s.b0 - 1, s.b0 - 1
-                ), (s.name, n, 0)
-                assert series.coeff(Exponent(n, (1,))) == s.b1 * comb(
-                    n + s.b0 - 2, s.b0 - 1
-                ), (s.name, n, 1)
-                if s.b0 == 1 and s.b1 == 0:
-                    expected = s.b2 + 1 if n > 1 else s.b2
-                    assert series.coeff(Exponent(n, (2,))) == expected, (s.name, n, 2)
+                    n + b0 - 1, b0 - 1
+                ), (b0, b1, b2, n, 0)
+                assert series.coeff(Exponent(n, (1,))) == b1 * comb(
+                    n + b0 - 2, b0 - 1
+                ), (b0, b1, b2, n, 1)
+                if b0 == 1 and b1 == 0:
+                    expected = b2 + 1 if n > 1 else b2
+                    assert series.coeff(Exponent(n, (2,))) == expected, (b2, n, 2)
+        for s in surfaces:
+            for n in range(1, 26):
                 # closed-form helper agrees with its own formulas
                 assert betti_closed(s, n, 0) == comb(n + s.b0 - 1, s.b0 - 1)
 

@@ -416,8 +416,10 @@ def test_broken_pipe_exits_quietly():
         '{"version": 1, "surfaces": [1]}',
         '{"version": 1, "surfaces": [{"name": "s", "family_params": [],'
         ' "b0": "1", "b1": 0, "b2": 22, "chi": 24}]}',
+        '{"version": 1, "surfaces": [{"name": "s", "family_params": [],'
+        ' "b0": 1, "b1": 0, "b2": 22, "chi": 25}]}',
     ],
-    ids=["truncated-json", "record-not-an-object", "non-integer-invariant"],
+    ids=["truncated-json", "record-not-an-object", "non-integer-invariant", "chi-mismatch"],
 )
 def test_malformed_catalog_exit_2(tmp_path, capsys, monkeypatch, text):
     # a traceback would be an exception escaping main(), which fails the test

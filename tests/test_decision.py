@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import collections
 import itertools
+import re
 from math import comb, prod
 
 import pytest
 
 import hilbprod.decision as decision
 from hilbprod.decision import (
+    FiredRule,
     Outcome,
     Verdict,
     aut_shape,
@@ -29,9 +31,8 @@ from hilbprod.surfaces import (
     SurfaceInvariants,
     catalog_lookup,
     load_catalog,
-    validate,
 )
-from conftest import fresh_tables
+from conftest import fresh_tables, valid_only
 from product_oracle import dense_kuenneth
 
 K3 = catalog_lookup("k3")
@@ -85,23 +86,23 @@ def test_dimension_mismatch_is_a_usage_error():
 
 
 def test_invalid_surface_is_a_data_error():
-    broken = SurfaceInvariants("broken", 1, 0, 22, 25)
-    with pytest.raises(DataError):
-        decide(broken, Partition((1,)), Partition((1,)))
+    # an invalid surface cannot be built, so decide never sees one
+    with pytest.raises(DataError, match="fails validation: chi mismatch"):
+        SurfaceInvariants("broken", 1, 0, 22, 25)
     # h11 = b2 - 2*h20 = -9 once gave a hodge_p0 witness 10 vs 5 at p = 2, where
     # the real b2 = 1 base (P^2) answers unknown; odd b1 once gave an Euler
     # witness 4 vs 5
     # b2 < b0 leaves a component without an ample class; these were once
     # answered
-    for s in (
-        SurfaceInvariants("bad", 1, 0, 1, 3, 0, 5),
-        SurfaceInvariants("odd", 1, 1, 2, 2),
-        SurfaceInvariants("g", 3, 0, 1, 7),
-        SurfaceInvariants("g", 3, 0, 2, 8),
-        SurfaceInvariants("g", 2, 0, 1, 5),
+    for numbers, diagnostic in (
+        (("bad", 1, 0, 1, 3, 0, 5), "h11 = b2 - 2*h20 = -9"),
+        (("odd", 1, 1, 2, 2), "b1 must be even"),
+        (("g", 3, 0, 1, 7), "b2 = 1 must be at least max(b0, 1) = 3"),
+        (("g", 3, 0, 2, 8), "b2 = 2 must be at least max(b0, 1) = 3"),
+        (("g", 2, 0, 1, 5), "b2 = 1 must be at least max(b0, 1) = 2"),
     ):
-        with pytest.raises(DataError):
-            decide(s, Partition((1, 1)), Partition((2,)))
+        with pytest.raises(DataError, match=re.escape(diagnostic)):
+            SurfaceInvariants(*numbers)
     p2 = SurfaceInvariants("p2", 1, 0, 1, 3, 0, 0)
     assert decide(p2, Partition((1, 1)), Partition((2,))).outcome is Outcome.UNKNOWN
 
@@ -110,9 +111,8 @@ def test_inconsistent_disconnected_surface_is_a_data_error():
     # duality on each component forces chi = 2*b0 - 2*b1 + b2 = 8, not 5; with
     # chi = 5 the engine would report an Euler witness 25 vs 20 at (1,1) vs (2)
     # that the surface's own Betti vectors refute (z = -1 gives 64 at (1,1))
-    inconsistent = SurfaceInvariants("pair", 2, 0, 4, 5)
-    with pytest.raises(DataError):
-        decide(inconsistent, Partition((1, 1)), Partition((2,)))
+    with pytest.raises(DataError, match="chi mismatch"):
+        SurfaceInvariants("pair", 2, 0, 4, 5)
 
 
 def test_quintic_euler_witness_and_majorization_rule():
@@ -368,8 +368,13 @@ def test_kummer_mode_equal_partitions():
 
 
 def test_kummer_reinterpretation_refuses_non_abelian():
-    with pytest.raises(DataError):
+    # the retagged surface is built, so the abelian-class check refuses it
+    refusal = "surface 'kummer(k3)' fails validation: structural class abelian_for_kummer"
+    with pytest.raises(DataError, match=re.escape(refusal)):
         kummer_reinterpretation(K3)
+    kummer = kummer_reinterpretation(ABELIAN)
+    assert kummer.name == "kummer(abelian)"
+    assert (kummer.b0, kummer.b1, kummer.b2, kummer.chi) == (1, 4, 6, 0)
 
 
 # -- verdict serialization ------------------------------------------------------------
@@ -382,6 +387,15 @@ def test_verdict_round_trip():
         decide(K3, Partition((2, 2)), Partition((2, 2))),
     ):
         assert Verdict.from_dict(v.to_dict()) == v
+
+
+def test_a_loaded_verdict_refuses_an_unknown_rule():
+    record = decide(K3, Partition((1, 3)), Partition((2, 2))).to_dict()
+    bad = {**record, "rules_fired": [{"rule_id": "nope", "detail": ""}]}
+    with pytest.raises(ValueError, match="unknown rule id 'nope'"):
+        Verdict.from_dict(bad)
+    with pytest.raises(ValueError, match="unknown rule id 'nope'"):
+        FiredRule("nope", "")
 
 
 def test_empty_partitions_are_refused():
@@ -467,17 +481,12 @@ def test_b0_rules_fire_only_where_zeroth_betti_numbers_differ():
 def test_rule_statements_hold_where_they_fire():
     # every firing of a shape rule names an invariant that must differ; check
     # that invariant on grids of valid bases, every pair n <= 8
-    connected = [
-        SurfaceInvariants("grid", 1, b1, b2, 2 - 2 * b1 + b2, b1 // 2, h20)
+    connected = valid_only(
+        (1, b1, b2, b1 // 2, h20)
         for b1, b2, h20 in itertools.product((0, 2, 4), range(1, 7), (0, 1))
-    ]
-    connected = [s for s in connected if validate(s) == []]
+    )
     assert len(connected) == 30
-    disconnected = [
-        SurfaceInvariants("grid", b0, b1, b2, 2 * b0 - 2 * b1 + b2)
-        for b0, b1, b2 in itertools.product((2, 3), (0, 2, 4), range(1, 9))
-    ]
-    disconnected = [s for s in disconnected if validate(s) == []]
+    disconnected = valid_only(itertools.product((2, 3), (0, 2, 4), range(1, 9)))
     assert len(disconnected) == 39
 
     def named_values(rule_id: str, s: SurfaceInvariants, a: Partition, b: Partition):

@@ -27,19 +27,14 @@ from hilbprod.invariants import (
 )
 from hilbprod.partitions import Partition, colored_count, enumerate_partitions
 from hilbprod.series import Exponent, betti_table, hodge_p0_table
-from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog, validate
-from conftest import fresh_tables
+from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog
+from conftest import fresh_tables, synthetic, valid_only
 from product_oracle import dense_kuenneth
 
 K3 = catalog_lookup("k3")
 ABELIAN = catalog_lookup("abelian")
 ENRIQUES = catalog_lookup("enriques")
 QUINTIC = catalog_lookup("quintic")
-
-
-def synthetic(b0: int, b1: int, b2: int, **kwargs) -> SurfaceInvariants:
-    chi = kwargs.pop("chi", 2 * b0 - 2 * b1 + b2)
-    return SurfaceInvariants(f"synthetic({b0},{b1},{b2})", b0, b1, b2, chi, **kwargs)
 
 
 def hodge_p0_by_double_binomial(h10: int, h20: int, n: int, p: int) -> int:
@@ -135,20 +130,16 @@ def test_tuple_length_and_guard():
 def test_negative_betti_data_is_a_data_error():
     # b1 < 0 fails validation; its Betti rows have negative coefficients, which
     # no byte slot of the Kuenneth product holds
-    s = synthetic(1, -3, 2)
-    assert validate(s)
+    with pytest.raises(DataError, match="b1 must be nonnegative"):
+        synthetic(1, -3, 2)
     with pytest.raises(DataError):
-        poincare_polynomial_tuple(s, Partition((1, 2)))
+        _kuenneth(betti_table(1, -3, 2), (1, 2), 13)
 
 
 def test_alternating_sum_matches_euler_identity():
     # duality on each component gives chi = 2*b0 - 2*b1 + b2, which makes the
     # chi-coloured count the z = -1 value of the Betti product, b0 > 1 included
-    grid = [
-        synthetic(b0, b1, b2)
-        for b0, b1, b2 in itertools.product((1, 2, 3), (0, 2, 4, 6), (1, 2, 5))
-    ]
-    grid = [s for s in grid if validate(s) == []]
+    grid = valid_only(itertools.product((1, 2, 3), (0, 2, 4, 6), (1, 2, 5)))
     assert len(grid) == 24
     surfaces = load_catalog().representatives() + grid
     partitions = [p for n in range(1, 9) for p in enumerate_partitions(n)]
@@ -387,9 +378,8 @@ def slot_bytes(vectors: list[list[int]]) -> int:
 
 
 def test_kuenneth_products_match_dense_convolution():
-    bases = list(load_catalog().representatives()) + [
-        synthetic(b0, b1, b2) for b0 in (2, 3) for b1, b2 in ((0, 2), (2, 5))
-    ]
+    grid = [(b0, b1, b2) for b0 in (2, 3) for b1, b2 in ((0, 2), (2, 5))]
+    bases = list(load_catalog().representatives()) + valid_only(grid)
     partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
     cases = [(s, a) for s in bases for a in partitions]
     cases += [(QUINTIC, Partition((1,) * 12)), (K3, Partition((1, 31)))]
@@ -406,6 +396,13 @@ def test_kuenneth_products_match_dense_convolution():
             vectors = [rows[part] for part in a.parts]
             widths.add(slot_bytes(vectors))
             assert hodge_p0_tuple_vector(s, a) == dense_kuenneth(vectors), (s.name, a)
+    # (3, 0, 2) is no surface (b2 < b0), but its table multiplies all the same
+    for b0, b1, b2 in grid:
+        table = betti_table(b0, b1, b2)
+        for a in partitions:
+            vectors = [table.rows_upto(max(a.parts))[part] for part in a.parts]
+            widths.add(slot_bytes(vectors))
+            assert _kuenneth(table, a.parts, 4 * a.n + 1) == dense_kuenneth(vectors), a
     # slots of 1, 2, 4 and 8 bytes are read by a cast, wider ones by slicing
     assert widths == {1, 2, 4, 8, 16}
 
@@ -482,12 +479,12 @@ def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
 
 
 def test_negative_row_is_a_data_error_every_time_and_never_packed():
-    s = synthetic(1, -3, 2)
-    table = betti_table(s.b0, s.b1, s.b2)
+    # no surface has b1 = -3 (it fails validation), so the table is built directly
+    table = betti_table(1, -3, 2)
     assert min(table.rows_upto(1)[1]) < 0
     for _ in range(2):
         with pytest.raises(DataError):
-            poincare_polynomial_tuple(s, Partition((1, 2)))
+            _kuenneth(table, (1, 2), 13)
         with pytest.raises(DataError):
             _kuenneth(table, (1, 2), 9)
     assert (1, 2) not in table.products

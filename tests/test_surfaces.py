@@ -1,8 +1,10 @@
-"""Surface catalog: table values, validation, serialization round trips."""
+"""Surface catalog: table values, validation at construction, serialization round trips."""
 
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -14,8 +16,6 @@ from hilbprod.surfaces import (
     SurfaceInvariants,
     catalog_lookup,
     load_catalog,
-    require_valid,
-    validate,
 )
 
 
@@ -66,8 +66,8 @@ def test_hodge_data_shipping_policy():
 
 
 def test_every_shipped_row_passes_validation():
-    for s in load_catalog().representatives():
-        assert validate(s) == [], s.name
+    # an invalid row would raise DataError when it is built
+    assert len(load_catalog().representatives()) == len(load_catalog().records)
 
 
 def test_k3_structural_class():
@@ -76,54 +76,79 @@ def test_k3_structural_class():
 
 
 def test_validate_chi_mismatch():
-    s = SurfaceInvariants("broken", 1, 0, 22, 25)
-    diagnostics = validate(s)
-    assert any("chi mismatch" in d for d in diagnostics)
+    with pytest.raises(DataError, match="chi mismatch"):
+        SurfaceInvariants("broken", 1, 0, 22, 25)
 
 
 def test_validate_h10_relation():
-    s = SurfaceInvariants("broken", 1, 4, 6, 0, h10=1)
-    assert any("b1 != 2*h10" in d for d in validate(s))
+    with pytest.raises(DataError, match=re.escape("b1 != 2*h10")):
+        SurfaceInvariants("broken", 1, 4, 6, 0, h10=1)
 
 
 def test_validate_hodge_data_against_b2():
     # h11 = b2 - 2*h20 = -9: no projective surface has this Hodge diamond
-    s = SurfaceInvariants("bad", 1, 0, 1, 3, 0, 5)
-    assert any("h11 = b2 - 2*h20 = -9" in d for d in validate(s))
+    with pytest.raises(DataError, match=re.escape("h11 = b2 - 2*h20 = -9")):
+        SurfaceInvariants("bad", 1, 0, 1, 3, 0, 5)
     # h11 = 0 is refused too: a connected projective surface has an ample class
-    assert validate(SurfaceInvariants("bad", 1, 0, 2, 4, 0, 1)) != []
-    assert validate(SurfaceInvariants("p2", 1, 0, 1, 3, 0, 0)) == []
+    with pytest.raises(DataError, match=re.escape("h11 = b2 - 2*h20 = 0")):
+        SurfaceInvariants("bad", 1, 0, 2, 4, 0, 1)
+    SurfaceInvariants("p2", 1, 0, 1, 3, 0, 0)
     # on a disconnected base each component needs its own class
-    assert validate(SurfaceInvariants("pair", 2, 0, 3, 7, h20=1)) != []
+    with pytest.raises(DataError, match=re.escape("must be at least b0 = 2")):
+        SurfaceInvariants("pair", 2, 0, 3, 7, h20=1)
 
 
 def test_validate_odd_b1():
-    s = SurfaceInvariants("odd", 1, 1, 2, 2)
-    assert any("b1 must be even" in d for d in validate(s))
-    assert any("b1 must be even" in d for d in validate(SurfaceInvariants("pair", 2, 3, 4, 2)))
+    with pytest.raises(DataError, match="b1 must be even"):
+        SurfaceInvariants("odd", 1, 1, 2, 2)
+    with pytest.raises(DataError, match="b1 must be even"):
+        SurfaceInvariants("pair", 2, 3, 4, 2)
 
 
 def test_validate_k3_class_forced_tuple():
-    s = SurfaceInvariants(
-        "fake-k3", 1, 0, 21, 23, h10=0, h20=1, structural_class=StructuralClass.K3
-    )
-    assert any("structural class k3" in d for d in validate(s))
+    with pytest.raises(DataError, match="structural class k3"):
+        SurfaceInvariants(
+            "fake-k3", 1, 0, 21, 23, h10=0, h20=1, structural_class=StructuralClass.K3
+        )
 
 
 def test_validate_disconnected_skips_duality():
-    s = SurfaceInvariants("pair", 2, 0, 4, 8)
-    assert validate(s) == []
+    assert SurfaceInvariants("pair", 2, 0, 4, 8).chi == 8
 
 
 def test_validate_disconnected_chi_mismatch():
     # duality holds on each component: chi = 2*b0 - 2*b1 + b2 = 8, not 5
-    s = SurfaceInvariants("pair", 2, 0, 4, 5)
-    assert any("chi mismatch" in d for d in validate(s))
+    with pytest.raises(DataError, match="chi mismatch"):
+        SurfaceInvariants("pair", 2, 0, 4, 5)
 
 
-def test_require_valid_raises_data_error():
-    with pytest.raises(DataError):
-        require_valid(SurfaceInvariants("broken", 1, 0, 22, 25))
+def test_construction_raises_the_validation_message():
+    message = (
+        "surface 'broken' fails validation: chi mismatch: chi=25 but "
+        "2*b0 - 2*b1 + b2 = 24 (Poincare duality, b3 = b1 and b4 = b0)"
+    )
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        SurfaceInvariants("broken", 1, 0, 22, 25)
+    # every way of building a surface passes through the same check
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        replace(SurfaceInvariants("broken", 1, 0, 22, 24), chi=25)
+    k3 = catalog_lookup("k3")
+    with pytest.raises(DataError, match=re.escape("surface 'k3' fails validation: chi mismatch")):
+        replace(k3, chi=25)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        SurfaceInvariants.from_record(
+            {"name": "broken", "b0": 1, "b1": 0, "b2": 22, "chi": 25}
+        )
+
+
+def test_a_record_with_a_bool_number_fails_validation():
+    # JSON true/false are not numbers; a missing field is still a malformed record
+    with pytest.raises(DataError, match="h20 must be a plain int, got True"):
+        SurfaceInvariants.from_record(
+            {"name": "x", "b0": 1, "b1": 0, "b2": 22, "chi": 24, "h10": 0, "h20": True}
+        )
+    with pytest.raises(CatalogError, match="malformed surface record"):
+        SurfaceInvariants.from_record({"name": "x", "b0": 1})
 
 
 def test_round_trip_serialization():
@@ -148,7 +173,7 @@ def test_unknown_surface_and_bad_params():
     }
     assert set(smallest) == set(FAMILIES)
     for name, params in smallest.items():
-        assert validate(catalog_lookup(name, params)) == []
+        catalog_lookup(name, params)  # builds, so it is valid
         for key in params:
             with pytest.raises(CatalogError):
                 catalog_lookup(name, {**params, key: params[key] - 1})
@@ -161,6 +186,9 @@ def test_unknown_surface_and_bad_params():
         catalog_lookup("del_pezzo", {"d": 10})
     with pytest.raises(CatalogError):
         catalog_lookup("product_of_curves", {"g1": 2})  # g2 missing
+    for bad in (True, False, 9.0):  # a bool is an int subclass, a float is not
+        with pytest.raises(CatalogError, match="must be an integer"):
+            catalog_lookup("del_pezzo", {"d": bad})
 
 
 def test_custom_catalog_file(tmp_path, monkeypatch):
