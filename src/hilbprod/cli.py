@@ -54,7 +54,7 @@ def _parse_params(text: str | None) -> dict[str, int]:
     for item in text.split(","):
         item = item.strip()
         if not item:
-            continue
+            raise UsageError(f"empty item in parameter list: {text!r}")
         if "=" not in item:
             raise UsageError(f"parameter {item!r} is not of the form name=value")
         name, _, value = item.partition("=")
@@ -79,13 +79,15 @@ def _parse_partition(text: str) -> Partition:
 
 
 def _parse_int_set(text: str) -> list[int]:
+    items = [item.strip() for item in text.split(",")]
+    if items == [""]:
+        raise UsageError(f"empty integer list: {text!r}")
+    if "" in items:
+        raise UsageError(f"empty item in integer list: {text!r}")
     try:
-        values = [int(item) for item in text.split(",") if item.strip()]
+        return [int(item) for item in items]
     except ValueError as exc:
         raise UsageError(f"invalid integer list: {text!r}") from exc
-    if not values:
-        raise UsageError(f"empty integer list: {text!r}")
-    return values
 
 
 def _emit(payload: Any, human_lines: list[str], args: argparse.Namespace) -> None:

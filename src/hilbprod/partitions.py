@@ -7,6 +7,11 @@ this is the mirror image of the classical convention on decreasing tuples, so
 comparisons here are implemented literally against the prefix-sum definition
 on increasing tuples; e.g. (2,2) strictly majorizes (1,3).
 
+``enumerate_partitions(n)`` lists the partitions of n in ascending
+lexicographic order from one iterative generator (Kelleher and O'Sullivan's
+accelAsc), with no recursion and no cache: every call enumerates afresh, so
+memory stays at one list of p(n) partitions.
+
 ``colored_count(k, n)`` is the coefficient of q^n in the infinite product
 ``prod_m (1 - q^m)^-k``, the number of partitions of n with parts in k colours
 when k >= 1.  Negative and zero k are defined by the same series (the product
@@ -41,13 +46,14 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
+        # whole-tuple passes: this runs once for every enumerated partition
+        parts = self.parts
+        if not parts:
             raise ValueError("a partition needs at least one part")
-        for p in self.parts:
-            if type(p) is not int or p < 1:
-                raise ValueError(f"parts must be positive integers, got {self.parts}")
-        if any(a > b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly increasing, got {self.parts}")
+        if not {*map(type, parts)} <= {int} or min(parts) < 1:
+            raise ValueError(f"parts must be positive integers, got {parts}")
+        if list(parts) != sorted(parts):
+            raise ValueError(f"parts must be weakly increasing, got {parts}")
 
     @property
     def n(self) -> int:
@@ -68,9 +74,11 @@ class Partition:
 
         Returns the canonical partition and whether the input was reordered.
         """
-        raw = [item.strip() for item in text.split(",") if item.strip()]
-        if not raw:
+        raw = [item.strip() for item in text.split(",")]
+        if raw == [""]:
             raise UsageError(f"empty partition literal: {text!r}")
+        if "" in raw:
+            raise UsageError(f"empty item in partition literal: {text!r}")
         try:
             values = [int(item) for item in raw]
         except ValueError as exc:
@@ -96,27 +104,50 @@ class Majorization(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _ascending_partitions(n: int, min_part: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min_part, n + 1):
-        for rest in _ascending_partitions(n - first, first):
-            yield (first,) + rest
+def _ascending_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``n >= 1`` as increasing tuples, lexicographic order.
+
+    Kelleher and O'Sullivan's accelAsc: iterative, over one list ``a``.  Each
+    pass raises the second-last part of the previous partition by one to get
+    ``x``, keeps the parts before it as the head ``a[:k]`` and ``y = n -
+    sum(head) - x``.  It appends parts of size ``x`` to the head while
+    ``2 * x <= y``, then yields every two-part tail ``(x, y)`` with
+    ``x <= y`` and last the one-part tail ``x + y``.
+    """
+    a = [0] * (n + 1)
+    k = 1
+    y = n - 1
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        while 2 * x <= y:
+            a[k] = x
+            y -= x
+            k += 1
+        tail = k + 1
+        while x <= y:
+            a[k] = x
+            a[tail] = y
+            yield tuple(a[: k + 2])
+            x += 1
+            y -= 1
+        a[k] = x + y
+        y = x + y - 1
+        yield tuple(a[: k + 1])
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of ``n >= 1`` in ascending lexicographic order."""
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    return [Partition(parts) for parts in _ascending_partitions(n, 1)]
+    return [Partition(parts) for parts in _ascending_partitions(n)]
 
 
 def partitions_by_length(n: int) -> dict[int, list[Partition]]:
     """Partitions of ``n`` bucketed by length, each bucket in lexicographic order."""
     buckets: dict[int, list[Partition]] = {}
     for p in enumerate_partitions(n):
-        buckets.setdefault(p.length, []).append(p)
+        buckets.setdefault(len(p.parts), []).append(p)
     return buckets
 
 

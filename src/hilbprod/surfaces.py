@@ -143,10 +143,16 @@ def _not_plain_ints(s: SurfaceInvariants) -> list[str]:
 def _diagnostics(s: SurfaceInvariants) -> list[str]:
     """Diagnostics for every invariant ``s`` violates; empty list means ok.
 
-    Numbers that are not plain ints are reported alone: the other checks
-    compute with them.
+    Numbers that are not plain ints, and a structural class that is not a
+    :class:`StructuralClass` member, are reported alone: the other checks
+    compute with the numbers and test the class by identity.
     """
     bad = _not_plain_ints(s)
+    if not isinstance(s.structural_class, StructuralClass):
+        bad.append(
+            f"structural_class must be a StructuralClass member, "
+            f"got {s.structural_class!r}"
+        )
     if bad:
         return bad
     diagnostics = []

@@ -1,10 +1,12 @@
-"""Test-only oracles for coloured counts and the two colour scans.
+"""Test-only oracles for partitions, coloured counts and the two colour scans.
 
-``brute_force_colored`` counts k-coloured partitions by direct multiset
-enumeration, with no series expansion: the independent oracle of
-``colored_count``.  ``exhaustive_majorization`` and ``exhaustive_conjecture``
-are the pairwise scans: every same-length pair, in bucket order, compared
-directly.  They read the coloured counts through ``hilbprod.scanner`` at call
+``recursive_partitions`` is the recursive ascending-partition generator the
+engine used before its iterative one: the oracle of ``enumerate_partitions``
+and ``partitions_by_length``.  ``brute_force_colored`` counts k-coloured
+partitions by direct multiset enumeration, with no series expansion: the
+independent oracle of ``colored_count``.  ``exhaustive_majorization`` and
+``exhaustive_conjecture`` are the pairwise scans: every same-length pair, in
+bucket order, compared directly.  They read the coloured counts through ``hilbprod.scanner`` at call
 time, so a test that monkeypatches ``scanner.colored_count_tuple`` changes
 the engine's scan and its oracle alike, and they compare through
 ``hilbprod.partitions.majorizes``, not the scanner's global.
@@ -13,6 +15,7 @@ the engine's scan and its oracle alike, and they compare through
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 import hilbprod.scanner as scanner
 from hilbprod import __version__
@@ -21,6 +24,24 @@ from hilbprod.partitions import Majorization, majorizes, partitions_by_length
 from hilbprod.scanner import ScanReport, Violation
 
 BRUTE_FORCE_BOUND = 12
+
+
+def recursive_partitions(n: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
+    """Partitions of n with parts >= min_part, increasing tuples, lexicographic."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min_part, n + 1):
+        for rest in recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def recursive_buckets(n: int) -> dict[int, list[tuple[int, ...]]]:
+    """The oracle's partitions of n by length, keys in order of first appearance."""
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for parts in recursive_partitions(n):
+        buckets.setdefault(len(parts), []).append(parts)
+    return buckets
 
 
 def brute_force_colored(k: int, n: int, *, bound: int = BRUTE_FORCE_BOUND) -> int:

@@ -258,6 +258,24 @@ def test_scan_bad_k_set_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "partition, k_set, params",
+    [("1,,3", "3,,5", "g=2,,"), ("1,3,", "3,5,", ",g=2"), ("1, ,3", "3, ,5", "g=2, ,")],
+)
+def test_empty_list_items_exit_1(capsys, partition, k_set, params):
+    code, _, err = run(capsys, "decide", "--surface", "k3", "--a", partition, "--b", "2,2")
+    assert code == 1
+    assert f"empty item in partition literal: {partition!r}" in err
+    code, _, err = run(
+        capsys, "scan", "--kind", "majorization", "--n-max", "6", "--k-set", k_set
+    )
+    assert code == 1
+    assert f"empty item in integer list: {k_set!r}" in err
+    code, _, err = run(capsys, "catalog", "--surface", "ruled", "--params", params)
+    assert code == 1
+    assert f"empty item in parameter list: {params!r}" in err
+
+
 def test_scan_zero_workers_exit_1(capsys):
     code, _, err = run(
         capsys, "scan", "--kind", "majorization", "--n-max", "6", "--k-set", "3",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 
 import pytest
@@ -17,7 +18,7 @@ from hilbprod.partitions import (
     majorizes,
     partitions_by_length,
 )
-from colour_oracle import brute_force_colored
+from colour_oracle import brute_force_colored, recursive_buckets, recursive_partitions
 
 
 @lru_cache(maxsize=None)
@@ -46,6 +47,25 @@ def test_partition_refuses_bool_parts():
     assert Partition((1, 2)).render() == "1,2"
 
 
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ((), "a partition needs at least one part"),
+        ((True, 2), "parts must be positive integers, got (True, 2)"),
+        ((1.0, 2), "parts must be positive integers, got (1.0, 2)"),
+        (("1",), "parts must be positive integers, got ('1',)"),
+        ((0, 1), "parts must be positive integers, got (0, 1)"),
+        ((3, 0), "parts must be positive integers, got (3, 0)"),
+        ((-1,), "parts must be positive integers, got (-1,)"),
+        ((2, 1), "parts must be weakly increasing, got (2, 1)"),
+    ],
+)
+def test_partition_refusal_messages(parts, message):
+    # the first failed check names the fault: type and sign before order
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Partition(parts)
+
+
 def test_partition_of_sorts():
     assert Partition.of(3, 1).parts == (1, 3)
 
@@ -61,6 +81,13 @@ def test_partition_parse_errors():
     for bad in ("", "a,b", "1,-2", "0"):
         with pytest.raises(UsageError):
             Partition.parse(bad)
+
+
+@pytest.mark.parametrize("literal", ["1,,3", "1,3,", "1, ,3", ",1", ","])
+def test_partition_parse_refuses_empty_items(literal):
+    message = f"empty item in partition literal: {literal!r}"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        Partition.parse(literal)
 
 
 # -- enumeration -------------------------------------------------------------------
@@ -85,6 +112,17 @@ def test_enumerate_count_matches_recursive_counter():
 def test_enumerate_no_duplicates_and_sorted():
     parts = [p.parts for p in enumerate_partitions(9)]
     assert parts == sorted(set(parts))
+
+
+def test_enumeration_matches_the_recursive_oracle():
+    for n in range(1, 23):
+        assert [p.parts for p in enumerate_partitions(n)] == list(recursive_partitions(n))
+        buckets = partitions_by_length(n)
+        want = recursive_buckets(n)
+        assert list(buckets) == list(want)  # key order: first appearance
+        assert {r: [p.parts for p in ps] for r, ps in buckets.items()} == want
+    for n in range(1, 31):
+        assert len(enumerate_partitions(n)) == partition_count(n, n)
 
 
 def test_enumerate_zero_needs_flag():

@@ -11,6 +11,7 @@ from math import comb, prod
 
 import pytest
 
+import hilbprod.partitions as partitions
 import hilbprod.scanner as scanner
 from hilbprod.errors import UsageError
 from hilbprod.partitions import (
@@ -278,6 +279,25 @@ def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
     monkeypatch.setattr(scanner, "colored_count_tuple", lambda k, p: k)
     verify_majorization({3}, 6)
     assert calls
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [lambda: verify_majorization({3}, 8), lambda: scan_conjecture({4}, 8)],
+    ids=["majorization", "conjecture"],
+)
+def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
+    # a tracer that wraps partitions.enumerate_partitions sees every n once
+    calls = []
+    original = partitions.enumerate_partitions
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", counted)
+    scan()
+    assert calls == list(range(1, 9))
 
 
 # -- conjecture scan -------------------------------------------------------------------

@@ -141,6 +141,22 @@ def test_construction_raises_the_validation_message():
         )
 
 
+def test_structural_class_must_be_a_member():
+    message = re.escape(
+        "fails validation: structural_class must be a StructuralClass member, got 'k3'"
+    )
+    with pytest.raises(DataError, match=f"^surface 'x' {message}$"):
+        SurfaceInvariants("x", 1, 0, 22, 24, 0, 1, structural_class="k3")
+    k3 = catalog_lookup("k3")
+    with pytest.raises(DataError, match=f"^surface 'k3' {message}$"):
+        replace(k3, structural_class="k3")
+    # a record names its class by value, and only a known value converts
+    record = k3.to_record()
+    assert SurfaceInvariants.from_record(record).structural_class is StructuralClass.K3
+    with pytest.raises(CatalogError, match="malformed surface record"):
+        SurfaceInvariants.from_record({**record, "structural_class": "nope"})
+
+
 def test_a_record_with_a_bool_number_fails_validation():
     # JSON true/false are not numbers; a missing field is still a malformed record
     with pytest.raises(DataError, match="h20 must be a plain int, got True"):
