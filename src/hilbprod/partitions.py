@@ -202,6 +202,8 @@ def colored_count(k: int, n: int) -> int:
     by the same series and may give zero or negative values.  Read from the
     grow-only Euler table of ``hilbprod.series``.
     """
+    if type(k) is not int or type(n) is not int:
+        raise UsageError(f"k and n must be plain ints, got k={k!r}, n={n!r}")
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")
     return euler_rows(k, n)[n][0]
@@ -209,6 +211,8 @@ def colored_count(k: int, n: int) -> int:
 
 def colored_count_tuple(k: int, a: Partition) -> int:
     """Product of ``colored_count(k, part)`` over the parts of ``a``."""
+    if type(k) is not int:
+        raise UsageError(f"k must be a plain int, got {k!r}")
     rows = euler_rows(k, a.parts[-1])
     result = 1
     for part in a.parts:

@@ -4,21 +4,25 @@ Every generating function of the package specializes Goettsche's product
 ``F = prod_{m >= 1} prod_j (1 + sign_j z^{slope_j m + offset_j} t^m)^{e_j}``,
 a series in t and zero or one variable z: z itself (Betti), none (Euler), or,
 for the Hodge diamond, ``x = z^L, y = z`` with a stride L above every
-y-degree that is read, so that ``x^i y^j`` lands in ``z^{i L + j}``.  Its
-rows ``F_n``, polynomials in z held as flat lists of ints, follow from the
+y-degree that is read, so that ``x^i y^j`` lands in ``z^{i L + j}``.  The
+kernel builds the products in z (Betti, Hodge diamond).  Their rows ``F_n``,
+polynomials in z held as flat lists of ints, follow from the
 log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
 ``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r z^{r (slope m + offset)}``: G is
 sparse and the division by n is exact.  The divisors m of k come from one
-grow-only sieve that every kernel shares.  A product without z (Euler:
-``G_k = chi sigma(k)``) has a scalar ``G_k``, so each of its rows is one dot
-product of ``G_1..G_n`` with the earlier rows.  With z (Betti, Hodge
-diamond) the recurrence runs on evaluations at ``X = 2^(8w)``, ``z^j`` in
-slot j: each term of ``G_k`` is a shift and a small multiple of
-``F_{n-k}(X)``, and row n is read back from the signed slots of ``F_n(X)``.
-The slot width w (bytes, a power of two, from the bound of the majorant
-``prod (1 - t^m)^-E``, E = sum |e_j|) only grows; when it does, the kernel
-re-evaluates the stored rows.  The ``h^{p,0}`` series (y = 0) is a running
-sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
+grow-only sieve that every kernel shares.  The recurrence runs on
+evaluations at ``X = 2^(8w)``, ``z^j`` in slot j: each term of ``G_k`` is a
+shift and a small multiple of ``F_{n-k}(X)``, and row n is read back from
+the signed slots of ``F_n(X)``.  The slot width w (bytes, a power of two,
+from the bound of the majorant ``prod (1 - t^m)^-E``, E = sum |e_j|) only
+grows; when it does, the kernel re-evaluates the stored rows.  The product
+without z, ``g = prod_m (1 - t^m)^-chi`` (Euler), is a power of
+``f = prod_m (1 - t^m)``, which by Euler's pentagonal number theorem has
+only the coefficients ``(-1)^j`` at the generalized pentagonal numbers
+``j(3j -+ 1)/2``; so ``n g_n = sum_i ((1 - chi) i - n) f_i g_{n-i}``, about
+``2 sqrt(2n/3)`` terms, with the pentagonal numbers kept in one grow-only
+list that every Euler table shares.  The ``h^{p,0}`` series (y = 0) is a
+running sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
 (b0, b1, b2), chi, (h10, h20) and (diamond, L): a table at N answers every
 n <= N, and a larger request extends it from its last row.
 
@@ -49,7 +53,6 @@ from __future__ import annotations
 import sys
 import threading
 from math import comb
-from operator import mul
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import UsageError
@@ -259,6 +262,22 @@ def _divisors(k: int) -> list[int]:
     return table[k]
 
 
+_PENTAGONAL: list[tuple[int, int]] = []  # (j(3j -+ 1)/2, (-1)^j) for j = 1, 2, ..., ascending
+
+
+def _pentagonal(n: int) -> list[tuple[int, int]]:
+    """The shared generalized pentagonal numbers with their signs, grown past ``n``."""
+    table = _PENTAGONAL
+    if not table or table[-1][0] <= n:
+        with _GROW_LOCK:
+            while not table or table[-1][0] <= n:
+                j = len(table) // 2 + 1
+                sign = -1 if j % 2 else 1
+                table.append((j * (3 * j - 1) // 2, sign))
+                table.append((j * (3 * j + 1) // 2, sign))
+    return table
+
+
 def _log_derivative(factors: list[Factor], k: int) -> list[tuple[int, int]]:
     """``G_k`` of the product as ``(z-degree, coefficient)`` pairs, sorted, no zeros."""
     terms: dict[int, int] = {}
@@ -277,7 +296,7 @@ def _goettsche_rows(factors: list[Factor]):
     Each factor is ``(sign, e, slope, offset)`` with sign in {+1, -1}; every
     z-degree ``slope m + offset`` (m >= 1) must be nonnegative.
 
-    With z the recurrence runs on evaluations: ``z^j`` goes to slot j of
+    The recurrence runs on evaluations: ``z^j`` goes to slot j of
     ``X = 2^(8w)``, a ring map, so ``n F_n(X) = sum_k G_k(X) F_{n-k}(X)``
     holds as integers and ``// n`` is exact.  Each ``G_k`` term is a shift
     and a small multiple of an earlier ``F_{n-k}(X)``; the dense ``G_k(X)``
@@ -290,26 +309,12 @@ def _goettsche_rows(factors: list[Factor]):
     sum of row n by ``colored_count(E, n)``, read from ``euler_table(E)``;
     w is the smallest power-of-two byte count with ``2 n bound < 2^(8w)``.
     It never shrinks; when it grows, the evaluations of the stored rows are
-    recomputed at the new width.
+    recomputed at the new width.  The product without z is not built here:
+    ``_euler_rows`` reads its rows from the pentagonal recurrence.
     """
     factors = [f for f in factors if f[1]]
     # the z-degrees of row n are at most span * n
     span = max((f[2] + max(f[3], 0) for f in factors), default=0)
-
-    if not span:
-        # no z: every G_k and every row is one integer, so row n is one dot
-        # product of G_1..G_n with rows n-1..0
-        scalars = [0]
-        values = [1]
-
-        def next_value(rows: list[Row], n: int) -> Row:
-            while len(scalars) <= n:
-                scalars.append(sum(c for _, c in _log_derivative(factors, len(scalars))))
-            values.append(sum(map(mul, scalars[1:n + 1], reversed(values[:n]))) // n)
-            return [values[n]]
-
-        return next_value
-
     majorant = sum(abs(f[1]) for f in factors)
     g: list[list[tuple[int, int]]] = [[]]  # G_k as (z-degree, coefficient)
     w = 0  # slot width in bytes (0 before row 1)
@@ -356,6 +361,28 @@ def _goettsche_rows(factors: list[Factor]):
         if w <= 8 and sys.byteorder == "little":
             return memoryview(raw).cast("bhiq"[w.bit_length() - 1]).tolist()
         return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
+
+    return next_row
+
+
+def _euler_rows(chi: int):
+    """``next_row`` of ``g = prod_m (1 - t^m)^-chi``, from Euler's pentagonal theorem.
+
+    ``f = prod_m (1 - t^m) = 1 + sum_{j >= 1} (-1)^j (t^{j(3j-1)/2} + t^{j(3j+1)/2})``
+    has about ``2 sqrt(2n/3)`` nonzero coefficients up to degree n, and the
+    power ``g = f^-chi`` satisfies ``n g_n = sum_i ((1 - chi) i - n) f_i g_{n-i}``
+    (Knuth, TAOCP vol. 2, 4.7), a sum over the pentagonal i <= n whose
+    division by n is exact.
+    """
+    weight = 1 - chi
+
+    def next_row(rows: list[Row], n: int) -> Row:
+        acc = 0
+        for i, sign in _pentagonal(n):
+            if i > n:
+                break
+            acc += sign * (weight * i - n) * rows[n - i][0]
+        return [acc // n]
 
     return next_row
 
@@ -422,8 +449,12 @@ def betti_table(b0: int, b1: int, b2: int) -> GrowOnlyTable:
 
 
 def euler_table(chi: int) -> GrowOnlyTable:
-    """Rows (one coefficient each) of ``prod_m (1 - t^m)^-chi``."""
-    return _table(_EULER_TABLES, chi, 0, lambda: _goettsche_rows([(-1, -chi, 0, 0)]))
+    """Rows (one coefficient each) of ``prod_m (1 - t^m)^-chi``.
+
+    They come from the pentagonal recurrence of ``_euler_rows``, not from
+    the kernel, which handles only products in z.
+    """
+    return _table(_EULER_TABLES, chi, 0, lambda: _euler_rows(chi))
 
 
 def euler_rows(chi: int, n: int) -> list[Row]:

@@ -14,9 +14,10 @@ defaults and ranges plus the formula for (b1, b2, h10, h20).  A lookup turns
 a family row into a literal record (b0 = 1, chi by duality), and every
 surface is built by :meth:`SurfaceInvariants.from_record`.
 
-h^{2,0} cannot be recovered from Betti numbers alone, so the shipped catalog
-carries it only where the value is standard for the surface class; rows
-without it refuse Hodge-number operations rather than guessing.
+h^{2,0} cannot be recovered from Betti numbers alone.  Every shipped row
+carries the standard value for its class, which gives the textbook K^2 by
+Noether's formula ``K^2 = 12 (1 - h10 + h20) - chi``; a custom row without
+it refuses Hodge-number operations rather than guessing.
 
 The catalog is a versioned JSON document shipped with the package (field
 names are the compatibility contract); custom surfaces enter through the same
@@ -214,13 +215,13 @@ class Param(NamedTuple):
 FAMILIES: dict[str, tuple[dict[str, Param], Callable[..., tuple]]] = {
     "del_pezzo": ({"d": Param(3, 1, 9)}, lambda d: (0, 10 - d, 0, 0)),
     "hirzebruch": ({"n": Param(2, 1)}, lambda n: (0, 2, 0, 0)),
-    "ruled": ({"g": Param(2, 0)}, lambda g: (2 * g, 2, g, None)),
-    "elliptic_chi1": ({"g": Param(1, 0)}, lambda g: (2 * g, 4 * g + 10, g, None)),
-    "elliptic_chi2": ({"g": Param(2, 0)}, lambda g: (2 * g, 4 * g + 22, g, None)),
-    "elliptic_en": ({"n": Param(3, 3)}, lambda n: (0, 12 * n - 2, 0, None)),
+    "ruled": ({"g": Param(2, 0)}, lambda g: (2 * g, 2, g, 0)),
+    "elliptic_chi1": ({"g": Param(1, 0)}, lambda g: (2 * g, 4 * g + 10, g, g)),
+    "elliptic_chi2": ({"g": Param(2, 0)}, lambda g: (2 * g, 4 * g + 22, g, g + 1)),
+    "elliptic_en": ({"n": Param(3, 3)}, lambda n: (0, 12 * n - 2, 0, n - 1)),
     "product_of_curves": (
         {"g1": Param(2, 2), "g2": Param(2, 2)},
-        lambda g1, g2: (2 * (g1 + g2), 2 + 4 * g1 * g2, g1 + g2, None),
+        lambda g1, g2: (2 * (g1 + g2), 2 + 4 * g1 * g2, g1 + g2, g1 * g2),
     ),
 }
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from typing import Callable
+
 import hilbprod.series as series
 from hilbprod.errors import DataError
 from hilbprod.surfaces import SurfaceInvariants
@@ -32,3 +36,35 @@ def valid_only(grid) -> list[SurfaceInvariants]:
         except DataError:
             pass
     return surfaces
+
+
+def race(work: Callable[[int], None], workers: int = 4) -> None:
+    """Run ``work(i)`` for i < workers on threads released together.
+
+    Four workers are more than the cores of a small machine, and a short
+    switch interval makes them interleave often.  A thread that raises fails
+    the test, and so does one still alive after a minute: the threads are
+    daemons, so a deadlock fails the test instead of hanging the run.
+    """
+    barrier = threading.Barrier(workers)
+    failures: list[Exception] = []
+
+    def run(i: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            work(i)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "threads deadlocked"
+    assert not failures, failures

@@ -135,10 +135,30 @@ def test_invariants_abelian_euler_zero(capsys):
     assert len(payload["betti"]) == 4 * 3 + 1
 
 
-def test_invariants_hodge_refusal_exit_2(capsys):
+def no_h20_catalog(tmp_path) -> str:
+    """A catalog file whose one surface, the quintic's numbers, omits h20."""
+    catalog = {
+        "version": 1,
+        "surfaces": [
+            {
+                "name": "quintic_no_h20",
+                "family_params": [],
+                "b0": 1, "b1": 0, "b2": 53, "chi": 55, "h10": 0,
+                "structural_class": "generic",
+                "provenance": "test: h20 left out",
+            }
+        ],
+    }
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(catalog))
+    return str(path)
+
+
+def test_invariants_hodge_refusal_exit_2(tmp_path, capsys):
     code, _, err = run(
         capsys,
-        "invariants", "--surface", "quintic", "--partition", "1,2", "--show", "hodge",
+        "invariants", "--surface", "quintic_no_h20", "--partition", "1,2", "--show", "hodge",
+        "--catalog", no_h20_catalog(tmp_path),
     )
     assert code == 2
     assert "Hodge" in err or "h10" in err
@@ -173,10 +193,10 @@ def test_series_euler_kind(capsys):
     assert "t^2 : 324" in out.splitlines()
 
 
-def test_series_hodge_kind_refusal(capsys):
+def test_series_hodge_kind_refusal(tmp_path, capsys):
     code, _, _ = run(
-        capsys, "series", "--surface", "quintic", "--truncation", "2",
-        "--kind", "hodge-p0",
+        capsys, "series", "--surface", "quintic_no_h20", "--truncation", "2",
+        "--kind", "hodge-p0", "--catalog", no_h20_catalog(tmp_path),
     )
     assert code == 2
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-import threading
+from dataclasses import replace
 from math import comb, prod
 
 import pytest
@@ -28,7 +28,7 @@ from hilbprod.invariants import (
 from hilbprod.partitions import Partition, colored_count, enumerate_partitions
 from hilbprod.series import Exponent, betti_table, hodge_p0_table
 from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog
-from conftest import fresh_tables, synthetic, valid_only
+from conftest import fresh_tables, race, synthetic, valid_only
 from product_oracle import dense_kuenneth
 
 K3 = catalog_lookup("k3")
@@ -204,7 +204,7 @@ def test_hodge_p0_stability():
 
 def test_hodge_p0_refusals():
     with pytest.raises(DataError):
-        hodge_p0(catalog_lookup("quintic"), 2, 1)  # no h20 shipped
+        hodge_p0(replace(catalog_lookup("quintic"), h20=None), 2, 1)  # no h20
     with pytest.raises(DataError):
         hodge_p0(synthetic(2, 0, 2), 2, 1)  # disconnected
     with pytest.raises(UsageError):
@@ -530,28 +530,15 @@ def test_threads_share_a_fresh_table():
     assert len(table.rows) == 1 and not table.packed_rows, "table is not fresh"
     assert not table.products, "table is not fresh"
     partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
-    workers = 4
-    barrier = threading.Barrier(workers)
-    results: list = [None] * workers
+    results: list = [None] * 4
 
     def work(i: int) -> None:
-        barrier.wait(timeout=30)
         results[i] = [poincare_polynomial_tuple(s, a).coefficients for a in partitions]
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    race(work)
     rows = table.rows_upto(10)
     expected = [
         tuple(dense_kuenneth([rows[part] for part in a.parts])) for a in partitions
     ]
-    assert results == [expected] * workers
+    assert results == [expected] * len(results)
     assert set(table.products) == {a.parts for a in partitions}

@@ -39,11 +39,11 @@ def test_family_rows_match_table():
         ("del_pezzo", {"d": 1}, (1, 0, 9, 11, 0, 0)),
         ("del_pezzo", {"d": 9}, (1, 0, 1, 3, 0, 0)),
         ("hirzebruch", {"n": 4}, (1, 0, 2, 4, 0, 0)),
-        ("ruled", {"g": 2}, (1, 4, 2, -4, 2, None)),
-        ("elliptic_chi1", {"g": 2}, (1, 4, 18, 12, 2, None)),
-        ("elliptic_chi2", {"g": 1}, (1, 2, 26, 24, 1, None)),
-        ("elliptic_en", {"n": 3}, (1, 0, 34, 36, 0, None)),
-        ("product_of_curves", {"g1": 2, "g2": 3}, (1, 10, 26, 8, 5, None)),
+        ("ruled", {"g": 2}, (1, 4, 2, -4, 2, 0)),
+        ("elliptic_chi1", {"g": 2}, (1, 4, 18, 12, 2, 2)),
+        ("elliptic_chi2", {"g": 1}, (1, 2, 26, 24, 1, 2)),
+        ("elliptic_en", {"n": 3}, (1, 0, 34, 36, 0, 2)),
+        ("product_of_curves", {"g1": 2, "g2": 3}, (1, 10, 26, 8, 5, 6)),
     ]
     assert {name for name, _, _ in expected} == set(FAMILIES)
     for name, params, numbers in expected:
@@ -58,11 +58,32 @@ def test_hodge_data_shipping_policy():
     assert catalog_lookup("abelian").h20 == 1
     assert catalog_lookup("bielliptic").h20 == 0
     assert catalog_lookup("del_pezzo", {"d": 5}).h20 == 0
-    assert catalog_lookup("quintic").h20 is None
-    assert catalog_lookup("ruled", {"g": 3}).h20 is None
+    assert catalog_lookup("quintic").h20 == 4
+    assert catalog_lookup("ruled", {"g": 3}).h20 == 0
+    # every shipped row carries h20
+    assert all(s.h20 is not None for s in load_catalog().representatives())
     # h10 is forced by b1 and shipped everywhere
     assert catalog_lookup("abelian").h10 == 2
     assert catalog_lookup("ruled", {"g": 3}).h10 == 3
+
+
+def test_h20_gives_the_textbook_canonical_square():
+    # Noether: K^2 = 12 chi(O) - chi with chi(O) = 1 - h10 + h20
+    expected = [
+        ("del_pezzo", {"d": d}, d) for d in range(1, 10)
+    ] + [("hirzebruch", {"n": n}, 8) for n in (1, 2, 7)] + [
+        ("rational_elliptic", None, 0), ("k3", None, 0), ("enriques", None, 0),
+        ("abelian", None, 0), ("bielliptic", None, 0), ("quintic", None, 5),
+    ] + [("ruled", {"g": g}, 8 * (1 - g)) for g in range(6)] + [
+        (name, {"g": g}, 0) for name in ("elliptic_chi1", "elliptic_chi2") for g in range(6)
+    ] + [("elliptic_en", {"n": n}, 0) for n in range(3, 9)] + [
+        ("product_of_curves", {"g1": g1, "g2": g2}, 8 * (g1 - 1) * (g2 - 1))
+        for g1 in range(2, 6) for g2 in range(2, 6)
+    ]
+    assert {name for name, _, _ in expected} == set(load_catalog().names())
+    for name, params, k_squared in expected:
+        s = catalog_lookup(name, params)
+        assert 12 * (1 - s.h10 + s.h20) - s.chi == k_squared, (name, params)
 
 
 def test_every_shipped_row_passes_validation():
