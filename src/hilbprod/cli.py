@@ -32,7 +32,7 @@ from .invariants import (
     poincare_series,
     require_hodge_data,
 )
-from .partitions import Partition
+from .partitions import Partition, int_list, int_literal
 from .scanner import scan_conjecture, verify_lemma_inequalities, verify_majorization
 from .surfaces import StructuralClass, load_catalog
 
@@ -62,7 +62,7 @@ def _parse_params(text: str | None) -> dict[str, int]:
         if name in params:
             raise UsageError(f"parameter {name!r} is given more than once")
         try:
-            params[name] = int(value)
+            params[name] = int_literal(value.strip())
         except ValueError as exc:
             raise UsageError(f"parameter value {value!r} is not an integer") from exc
     return params
@@ -76,18 +76,6 @@ def _parse_partition(text: str) -> Partition:
             file=sys.stderr,
         )
     return partition
-
-
-def _parse_int_set(text: str) -> list[int]:
-    items = [item.strip() for item in text.split(",")]
-    if items == [""]:
-        raise UsageError(f"empty integer list: {text!r}")
-    if "" in items:
-        raise UsageError(f"empty item in integer list: {text!r}")
-    try:
-        return [int(item) for item in items]
-    except ValueError as exc:
-        raise UsageError(f"invalid integer list: {text!r}") from exc
 
 
 def _emit(payload: Any, human_lines: list[str], args: argparse.Namespace) -> None:
@@ -222,11 +210,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         )
     elif args.kind == "majorization":
         report = verify_majorization(
-            _parse_int_set(args.k_set), args.n_max, workers=workers
+            int_list(args.k_set, "integer list"), args.n_max, workers=workers
         )
     else:  # conjecture
         report = scan_conjecture(
-            _parse_int_set(args.k_set), args.n_max, workers=workers
+            int_list(args.k_set, "integer list"), args.n_max, workers=workers
         )
     if args.csv:
         report.write_csv(args.csv)
@@ -342,7 +330,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("series", help="dump a generating series, one term per line")
     p.add_argument("--surface", required=True)
     p.add_argument("--params")
-    p.add_argument("--truncation", type=int, required=True)
+    p.add_argument("--truncation", type=int_literal, required=True)
     p.add_argument(
         "--kind", choices=("poincare", "euler", "hodge-p0"), default="poincare"
     )
@@ -360,10 +348,10 @@ def build_parser() -> _Parser:
             "conjecture",
         ),
     )
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--p-max", type=int, default=6, help="lemma scans only")
+    p.add_argument("--n-max", type=int_literal, required=True)
+    p.add_argument("--p-max", type=int_literal, default=6, help="lemma scans only")
     p.add_argument("--k-set", default="4,5", help="colour counts, e.g. 3,4,5")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int_literal, default=1)
     p.add_argument("--csv", help="also write the tabular export to this path")
     p.add_argument(
         "--records",

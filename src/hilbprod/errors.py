@@ -25,3 +25,11 @@ class CatalogError(DataError):
 
 class DimensionMismatchError(UsageError):
     """Partitions of different integers: the products differ in dimension."""
+
+
+
+def require_plain_ints(**arguments: object) -> None:
+    """Refuse a float or bool argument: ``3.0 == 3`` and ``True == 1`` hash alike."""
+    for name, value in arguments.items():
+        if type(value) is not int:
+            raise UsageError(f"{name} must be a plain int, got {value!r}")

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from math import comb, prod
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, require_plain_ints
 from .partitions import Partition, colored_count_tuple
 from .series import (
     GrowOnlyTable,
@@ -59,17 +59,6 @@ __all__ = [
 ]
 
 
-def _require_plain_ints(**arguments: object) -> None:
-    """Refuse a float or bool argument on every call.
-
-    ``3.0 == 3`` and ``True == 1`` hash alike, so a warm table would serve
-    it the int key's rows.
-    """
-    for name, value in arguments.items():
-        if type(value) is not int:
-            raise UsageError(f"{name} must be a plain int, got {value!r}")
-
-
 # -- Poincare side -------------------------------------------------------------
 
 
@@ -83,9 +72,9 @@ def poincare_series(
     (>= 0) optionally drops all z-degrees above the cap from the returned
     terms; the surviving coefficients are exact.
     """
-    _require_plain_ints(truncation=truncation)
+    require_plain_ints(truncation=truncation)
     if z_cap is not None:
-        _require_plain_ints(z_cap=z_cap)
+        require_plain_ints(z_cap=z_cap)
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
     return betti_table(s.b0, s.b1, s.b2).series(truncation, cap=z_cap)
@@ -93,7 +82,7 @@ def poincare_series(
 
 def euler_series(chi: int, truncation: int) -> TruncatedSeries:
     """Euler-characteristic generating series ``prod_m (1 - q^m)^-chi``."""
-    _require_plain_ints(chi=chi, truncation=truncation)
+    require_plain_ints(chi=chi, truncation=truncation)
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
     return euler_table(chi).series(truncation)
@@ -207,7 +196,7 @@ def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePol
 
 def hodge_p0_series(h10: int, h20: int, truncation: int) -> TruncatedSeries:
     """Series whose coefficient of ``x^p t^n`` is ``h^{p,0}`` of the n-point scheme."""
-    _require_plain_ints(h10=h10, h20=h20, truncation=truncation)
+    require_plain_ints(h10=h10, h20=h20, truncation=truncation)
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
     if h10 < 0 or h20 < 0:

@@ -22,6 +22,7 @@ what lets Euler characteristics chi(S) <= 0 flow through the same identity.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -39,6 +40,26 @@ __all__ = [
 ]
 
 
+def int_literal(text: str) -> int:
+    """``int(text)`` for a sign and ASCII digits only: not ``1_0``, no other digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
+def int_list(text: str, what: str) -> list[int]:
+    """The ints of the comma-separated ``text``; a UsageError names it ``what``."""
+    items = [item.strip() for item in text.split(",")]
+    if items == [""]:
+        raise UsageError(f"empty {what}: {text!r}")
+    if "" in items:
+        raise UsageError(f"empty item in {what}: {text!r}")
+    try:
+        return [int_literal(item) for item in items]
+    except ValueError as exc:
+        raise UsageError(f"invalid {what}: {text!r}") from exc
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     """A partition of a positive integer, parts weakly increasing."""
@@ -46,7 +67,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # whole-tuple passes: this runs once for every enumerated partition
+        # whole-tuple passes; enumerated partitions skip them (``_trusted``)
         parts = self.parts
         if not parts:
             raise ValueError("a partition needs at least one part")
@@ -74,15 +95,7 @@ class Partition:
 
         Returns the canonical partition and whether the input was reordered.
         """
-        raw = [item.strip() for item in text.split(",")]
-        if raw == [""]:
-            raise UsageError(f"empty partition literal: {text!r}")
-        if "" in raw:
-            raise UsageError(f"empty item in partition literal: {text!r}")
-        try:
-            values = [int(item) for item in raw]
-        except ValueError as exc:
-            raise UsageError(f"invalid partition literal: {text!r}") from exc
+        values = int_list(text, "partition literal")
         if any(v < 1 for v in values):
             raise UsageError(f"partition parts must be positive: {text!r}")
         ordered = sorted(values)
@@ -136,11 +149,18 @@ def _ascending_partitions(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(a[: k + 1])
 
 
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    """``Partition(parts)`` without the checks, for the generator's valid tuples."""
+    partition = object.__new__(Partition)
+    object.__setattr__(partition, "parts", parts)
+    return partition
+
+
 def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of ``n >= 1`` in ascending lexicographic order."""
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    return [Partition(parts) for parts in _ascending_partitions(n)]
+    return list(map(_trusted, _ascending_partitions(n)))
 
 
 def partitions_by_length(n: int) -> dict[int, list[Partition]]:

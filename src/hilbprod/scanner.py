@@ -17,12 +17,12 @@ Three scan families:
   form, both 72, and (1,4,6) vs (2,2,7) at p=5 for the binomial form, both
   349272).
 * ``verify_majorization`` asserts that k-coloured partition counts respect
-  strict majorization (k >= 3) on every comparable same-length pair.  Its
-  certificate is per partition: the counts must rise along each one-unit
-  transfer (a unit moved from a part y to a part x <= y - 2), whose
-  transitive closure within a length bucket is strict majorization.  Only
-  an n where some transfer fails is compared pair by pair, which lists its
-  violations.
+  strict majorization (k >= 3) on every comparable same-length pair.  A
+  partition counts ``prod c_k(part)`` with every ``c_k(m) >= 1``, so moving
+  a unit from a part y to a part x <= y - 2 raises the count exactly when
+  ``c_k(x+1) c_k(y-1) > c_k(x) c_k(y)``.  These one-unit transfers generate
+  strict majorization, so the inequalities with ``1 <= x`` and ``x + y <=
+  n`` certify n; only an n where one fails is compared pair by pair.
 * ``scan_conjecture`` records every collision of coloured-count tuples on
   distinct same-length pairs.  It groups each length bucket into classes
   of equal (k, value) and emits the pairs inside each class.  It reports
@@ -38,7 +38,8 @@ shorter first, same-length pairs as combinations of one bucket, whose
 ascending lexicographic order already puts the partition that is smaller at
 the first differing part first.  The colour scans list their violations in
 that same pair order, k ascending within a pair, though they do not loop
-over the pairs.
+over the pairs, and multiply the per-part counts ``_part_counts(k, n)``
+over each partition's parts tuple.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
 plain ints, so its three exports (``fingerprint``, ``write_records`` and
@@ -55,20 +56,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product
-from math import comb
-from operator import gt
+from math import comb, prod
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sized
 
 from ._version import __version__
-from .errors import UsageError
+from .errors import UsageError, require_plain_ints
 from .partitions import (
     Majorization,
     Partition,
-    colored_count_tuple,
+    colored_count_tuple,  # noqa: F401  kept importable here: perfbench traces it
     majorizes,
     partitions_by_length,
 )
+from .series import euler_rows
 
 __all__ = [
     "Violation",
@@ -362,10 +363,6 @@ def _shift_products(partition: Partition, p_max: int) -> tuple[list[int], list[i
     return shift, binom
 
 
-def _colored_counts(partition: Partition, k_tuple: tuple[int, ...]) -> list[int]:
-    return [colored_count_tuple(k, partition) for k in k_tuple]
-
-
 def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation]]:
     scan_kind = f"lemma_{mode}"
     pairs, stream = _valued_pairs(n, partial(_shift_products, p_max=p_max), mode)
@@ -406,48 +403,41 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
     return pairs, violations
 
 
-def _transfers(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Each partition one unit transfer away: a unit moved from a part ``y``
-    to a part ``x <= y - 2``, kept in increasing order.
-
-    The last ``x`` becomes ``x + 1`` and the first ``y`` becomes ``y - 1``,
-    so the tuple stays sorted without a sort.  Every result has the length
-    and total of ``parts`` and strictly majorizes it.
-    """
-    last: dict[int, int] = {}
-    first: dict[int, int] = {}
-    for i, part in enumerate(parts):
-        last[part] = i
-        first.setdefault(part, i)
-    for x, i in last.items():
-        for y, j in first.items():
-            if y - x >= 2:
-                yield parts[:i] + (x + 1,) + parts[i + 1 : j] + (y - 1,) + parts[j + 1 :]
+def _part_counts(k: int, n: int) -> list[int]:
+    """``c_k(0..n)`` from the Euler rows: a partition counts ``prod c_k(part)``."""
+    return [row[0] for row in euler_rows(k, n)[: n + 1]]
 
 
 def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
-    """Certify n by its one-unit transfers; list violations pairwise only if
-    a transfer fails.
+    """Certify n by its per-part count ratios; list violations pairwise only
+    if one fails.
 
-    The transitive closure of the transfers within a length bucket is strict
-    majorization (Muirhead; Hardy, Littlewood and Polya), and ``>`` is
-    transitive, so counts that rise along every transfer rise along every
-    strictly comparable pair.  The pairwise loop is the one path that lists
-    violations, in pair order, so a failing n goes through it whole.
+    A one-unit transfer from a part y to a part x <= y - 2 multiplies the
+    count by ``c(x+1) c(y-1) / (c(x) c(y))``, whatever the other parts, and
+    some partition of n holds such x and y exactly when ``1 <= x`` and ``x
+    + y <= n``.  The transitive closure of the transfers within a length
+    bucket is strict majorization (Muirhead; Hardy, Littlewood and Polya),
+    and ``>`` is transitive, so counts that rise along every transfer rise
+    along every strictly comparable pair.  The pairwise loop is the one path
+    that lists violations, in pair order, so a failing n goes through it
+    whole.
     """
     buckets = partitions_by_length(n).values()
-    for bucket in buckets:
-        counts = {p.parts: _colored_counts(p, k_tuple) for p in bucket}
-        for parts, low in counts.items():
-            for bigger in _transfers(parts):
-                if not all(map(gt, counts[bigger], low)):
+    for k in k_tuple:
+        c = _part_counts(k, n)
+        for x in range(1, n // 2):
+            up, low = c[x + 1], c[x]
+            for y in range(x + 2, n - x + 1):
+                if not up * c[y - 1] > low * c[y]:
                     return _majorization_pairs(n, k_tuple)
     return sum(comb(len(bucket), 2) for bucket in buckets), []
 
 
 def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
-    values = partial(_colored_counts, k_tuple=k_tuple)
-    pairs, stream = _valued_pairs(n, values, "same_length")
+    rows = [_part_counts(k, n) for k in k_tuple]
+    pairs, stream = _valued_pairs(
+        n, lambda p: [prod(map(c.__getitem__, p.parts)) for c in rows], "same_length"
+    )
     violations: list[Violation] = []
     for (a, values_a), (b, values_b) in stream:
         order = majorizes(b, a)
@@ -473,25 +463,27 @@ def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[V
     Sorted by (length, i, j, k), with i < j positions in the lexicographic
     length bucket: the order of a loop over the bucket's combinations.
     """
+    rows = [(k, _part_counts(k, n)) for k in k_tuple]
     pairs = 0
     violations: list[Violation] = []
     for _, bucket in sorted(partitions_by_length(n).items()):
-        pairs += comb(len(bucket), 2)
-        classes: dict[tuple[int, int], list[int]] = {}
-        for i, partition in enumerate(bucket):
-            for key in zip(k_tuple, _colored_counts(partition, k_tuple)):
-                classes.setdefault(key, []).append(i)
-        collisions = sorted(
-            (i, j, k, value)
-            for (k, value), members in classes.items()
-            for i, j in combinations(members, 2)
-        )
+        parts = [p.parts for p in bucket]
+        pairs += comb(len(parts), 2)
+        collisions = []
+        for k, c in rows:
+            values = [prod(map(c.__getitem__, q)) for q in parts]
+            if len(set(values)) < len(values):
+                classes: dict[int, list[int]] = {}
+                for i, value in enumerate(values):
+                    classes.setdefault(value, []).append(i)
+                collisions += [
+                    (i, j, k, value)
+                    for value, members in classes.items()
+                    for i, j in combinations(members, 2)
+                ]
         violations += [
-            Violation(
-                "conjecture", n, bucket[i].parts, bucket[j].parts, k,
-                value, value, "collision",
-            )
-            for i, j, k, value in collisions
+            Violation("conjecture", n, parts[i], parts[j], k, value, value, "collision")
+            for i, j, k, value in sorted(collisions)
         ]
     return pairs, violations
 
@@ -567,6 +559,7 @@ def verify_lemma_inequalities(
     comparison is recorded as a violation; the report is the evidence
     either way.
     """
+    require_plain_ints(n_max=n_max, p_max=p_max, workers=workers)
     if mode not in ("diff_length", "same_length"):
         raise UsageError(f"mode must be diff_length or same_length, got {mode!r}")
     if n_max < 4:
@@ -592,10 +585,12 @@ def verify_majorization(
 
     The inequality is asserted on every strictly comparable same-length
     pair, and ``pairs_checked`` counts the distinct same-length pairs.  Each
-    n is certified by its one-unit transfers; an n where a transfer fails is
-    compared pair by pair, so its violations are listed exactly as a
-    pairwise scan lists them.
+    n is certified by ``c_k(x+1) c_k(y-1) > c_k(x) c_k(y)`` for ``1 <= x <=
+    y - 2``, ``x + y <= n``: every one-unit transfer raises the count.  An n
+    where one fails is compared pair by pair, so its violations are listed
+    exactly as a pairwise scan lists them.
     """
+    require_plain_ints(n_max=n_max, workers=workers)
     k_tuple = _k_tuple(k_set)
     if min(k_tuple) < 3:
         raise UsageError(
@@ -623,6 +618,7 @@ def scan_conjecture(
     Purely exploratory: any k (including 1, 2, 3) is accepted and collisions
     are reported as findings with full witnesses, never raised.
     """
+    require_plain_ints(n_max=n_max, workers=workers)
     k_tuple = _k_tuple(k_set)
     if n_max < 1:
         raise UsageError(f"n_max must be >= 1, got {n_max}")

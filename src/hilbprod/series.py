@@ -55,7 +55,7 @@ import threading
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import UsageError
+from .errors import UsageError, require_plain_ints
 
 __all__ = [
     "Exponent",
@@ -409,24 +409,14 @@ _HODGE_P0_TABLES: dict[tuple[int, int], GrowOnlyTable] = {}
 _HODGE_TABLES: dict[tuple[tuple[tuple[int, int, int], ...], int], GrowOnlyTable] = {}
 
 
-def _plain_int_key(key) -> bool:
-    """Whether ``key`` is an int, or tuples nesting only ints, none a bool."""
-    if type(key) is tuple:
-        return all(map(_plain_int_key, key))
-    return type(key) is int
-
-
 def _table(registry: dict, key, aux_count: int, make_next_row) -> GrowOnlyTable:
     """The table of ``key``, made on a miss.
 
-    ``3.0 == 3`` and ``True == 1`` hash alike, so a key that is not made of
-    plain ints would file float or bool rows under the int key; it is
-    refused before any table is made.
+    ``3.0 == 3`` and ``True == 1`` hash alike, so each caller refuses, on
+    every call, a key that is not made of plain ints.
     """
     table = registry.get(key)
     if table is None:
-        if not _plain_int_key(key):
-            raise UsageError(f"table keys must be plain ints, got {key!r}")
         table = registry.setdefault(key, GrowOnlyTable(aux_count, make_next_row()))
     return table
 
@@ -443,6 +433,8 @@ def betti_table(b0: int, b1: int, b2: int) -> GrowOnlyTable:
     Factor m is ``(1 + z^{2m-1} t^m)^b1 (1 + z^{2m+1} t^m)^b1
     (1 - z^{2m-2} t^m)^-b0 (1 - z^{2m} t^m)^-b2 (1 - z^{2m+2} t^m)^-b0``.
     """
+    if type(b0) is not int or type(b1) is not int or type(b2) is not int:
+        require_plain_ints(b0=b0, b1=b1, b2=b2)
     return _table(
         _BETTI_TABLES, (b0, b1, b2), 1, lambda: _goettsche_rows(_betti_factors(b0, b1, b2))
     )
@@ -454,17 +446,21 @@ def euler_table(chi: int) -> GrowOnlyTable:
     They come from the pentagonal recurrence of ``_euler_rows``, not from
     the kernel, which handles only products in z.
     """
+    require_plain_ints(chi=chi)
     return _table(_EULER_TABLES, chi, 0, lambda: _euler_rows(chi))
 
 
 def euler_rows(chi: int, n: int) -> list[Row]:
     """Rows 0..n (at least) of the Euler table: the fast path of ``colored_count``."""
+    if type(chi) is not int or type(n) is not int:
+        require_plain_ints(chi=chi, n=n)
     table = _EULER_TABLES.get(chi) or euler_table(chi)
     return table.rows if len(table.rows) > n else table.rows_upto(n)
 
 
 def hodge_p0_table(h10: int, h20: int) -> GrowOnlyTable:
     """Rows in x of the ``h^{p,0}`` series of a connected surface."""
+    require_plain_ints(h10=h10, h20=h20)
     return _table(_HODGE_P0_TABLES, (h10, h20), 1, lambda: _hodge_p0_rows(h10, h20))
 
 
@@ -484,6 +480,8 @@ def hodge_table(diamond: tuple[tuple[int, int, int], ...], stride: int) -> GrowO
     at ``x = z^stride, y = z``.  Row n holds the coefficient of ``x^i y^j`` at
     ``z^{i stride + j}`` while ``2 n < stride``, which bounds its y-degrees.
     """
+    if type(stride) is not int or {type(h) for entry in diamond for h in entry} != {int}:
+        raise UsageError(f"table keys must be plain ints, got {(diamond, stride)!r}")
     return _table(
         _HODGE_TABLES,
         (diamond, stride),

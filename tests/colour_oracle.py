@@ -6,15 +6,21 @@ and ``partitions_by_length``.  ``brute_force_colored`` counts k-coloured
 partitions by direct multiset enumeration, with no series expansion: the
 independent oracle of ``colored_count``.  ``exhaustive_majorization`` and
 ``exhaustive_conjecture`` are the pairwise scans: every same-length pair, in
-bucket order, compared directly.  They read the coloured counts through ``hilbprod.scanner`` at call
-time, so a test that monkeypatches ``scanner.colored_count_tuple`` changes
-the engine's scan and its oracle alike, and they compare through
-``hilbprod.partitions.majorizes``, not the scanner's global.
+bucket order, compared directly.  ``transfer_fails`` is the per-partition
+certificate the majorization scan used before its per-part one: it walks
+every one-unit transfer (``transfers``) of every partition of n.
+
+All of them read the per-part counts through ``hilbprod.scanner._part_counts``
+at call time and multiply them over the parts themselves, so a test that
+monkeypatches that seam changes the engine's scan and its oracles alike.
+They compare through ``hilbprod.partitions.majorizes``, not the scanner's
+global.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 from typing import Iterator
 
 import hilbprod.scanner as scanner
@@ -79,14 +85,56 @@ def brute_force_colored(k: int, n: int, *, bound: int = BRUTE_FORCE_BOUND) -> in
     return count_from(0, n)
 
 
+def counter(n: int, k_tuple: tuple[int, ...]):
+    """The coloured counts of a partition of n for each k, as a function of
+    its parts: products of the scanner's per-part counts, read once."""
+    rows = [scanner._part_counts(k, n) for k in k_tuple]
+    return lambda parts: [prod(c[part] for part in parts) for c in rows]
+
+
+def tuple_counts(parts: tuple[int, ...], k_tuple: tuple[int, ...]) -> list[int]:
+    """The coloured count of ``parts`` for each k."""
+    return counter(sum(parts), k_tuple)(parts)
+
+
+def transfers(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each partition one unit transfer away: a unit moved from a part ``y``
+    to a part ``x <= y - 2``, kept in increasing order.
+
+    The last ``x`` becomes ``x + 1`` and the first ``y`` becomes ``y - 1``,
+    so the tuple stays sorted without a sort.  Every result has the length
+    and total of ``parts`` and strictly majorizes it.
+    """
+    last: dict[int, int] = {}
+    first: dict[int, int] = {}
+    for i, part in enumerate(parts):
+        last[part] = i
+        first.setdefault(part, i)
+    for x, i in last.items():
+        for y, j in first.items():
+            if y - x >= 2:
+                yield parts[:i] + (x + 1,) + parts[i + 1 : j] + (y - 1,) + parts[j + 1 :]
+
+
+def transfer_fails(n: int, k_tuple: tuple[int, ...]) -> bool:
+    """Whether some count does not rise along some one-unit transfer of a
+    partition of n: where the per-partition certificate compared pairwise."""
+    count = counter(n, k_tuple)
+    for bucket in partitions_by_length(n).values():
+        counts = {p.parts: count(p.parts) for p in bucket}
+        for parts, low in counts.items():
+            for bigger in transfers(parts):
+                if not all(high > value for high, value in zip(counts[bigger], low)):
+                    return True
+    return False
+
+
 def _same_length_pairs(n: int, k_tuple: tuple[int, ...]):
     """Pair count and (a, values_a, b, values_b) for every same-length pair,
     combinations of each lexicographic length bucket, shortest first."""
     buckets = [bucket for _, bucket in sorted(partitions_by_length(n).items())]
-    valued = [
-        [(p, [scanner.colored_count_tuple(k, p) for k in k_tuple]) for p in bucket]
-        for bucket in buckets
-    ]
+    count = counter(n, k_tuple)
+    valued = [[(p, count(p.parts)) for p in bucket] for bucket in buckets]
     pairs = sum(len(bucket) * (len(bucket) - 1) // 2 for bucket in buckets)
     stream = [
         (a, values_a, b, values_b)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -294,6 +295,40 @@ def test_empty_list_items_exit_1(capsys, partition, k_set, params):
     code, _, err = run(capsys, "catalog", "--surface", "ruled", "--params", params)
     assert code == 1
     assert f"empty item in parameter list: {params!r}" in err
+
+
+# int() alone reads "1_0" as 10 and "\u0661" (ARABIC-INDIC DIGIT ONE) as 1
+@pytest.mark.parametrize("literal", ["1_0", "\u0661", "\uff13", "0_4", "+-4", "4.0"], ids=ascii)
+def test_integer_literals_take_ascii_digits_only(capsys, literal):
+    code, out, err = run(capsys, "decide", "--surface", "k3", "--a", f"1,{literal}", "--b", "2,2")
+    assert (code, out) == (1, "") and "invalid partition literal" in err
+    code, out, err = run(
+        capsys, "scan", "--kind", "conjecture", "--n-max", "6", "--k-set", f"4,{literal}"
+    )
+    assert (code, out) == (1, "") and "invalid integer list" in err
+    code, out, err = run(capsys, "catalog", "--surface", "ruled", "--params", f"g={literal}")
+    assert (code, out) == (1, "") and "is not an integer" in err
+    for option in ("--n-max", "--p-max", "--workers"):
+        args = {"--n-max": "6", "--p-max": "2", "--workers": "1", option: literal}
+        code, out, err = run(
+            capsys, "scan", "--kind", "lemma-same-length", *itertools.chain(*args.items())
+        )
+        assert (code, out) == (1, "") and f"argument {option}: invalid" in err
+    code, out, err = run(capsys, "series", "--surface", "k3", "--truncation", literal)
+    assert (code, out) == (1, "") and "argument --truncation: invalid" in err
+
+
+def test_integer_literals_keep_signs_and_surrounding_spaces(capsys):
+    code, _, err = run(capsys, "decide", "--surface", "k3", "--a", " +1 , 3", "--b", "2,+2")
+    assert code == 0 and "canonicalized" not in err
+    code, out, _ = run(
+        capsys, "scan", "--kind", "majorization", "--n-max", "+6", "--k-set", " +3 , 4"
+    )
+    assert code == 0 and "majorization" in out
+    code, _, err = run(capsys, "catalog", "--surface", "ruled", "--params", " g = +2 ")
+    assert code == 0
+    code, _, err = run(capsys, "decide", "--surface", "k3", "--a=5,-1", "--b", "2,2")
+    assert code == 1 and "must be positive" in err
 
 
 def test_scan_zero_workers_exit_1(capsys):

@@ -482,6 +482,31 @@ def test_a_float_or_bool_argument_is_refused_by_a_warm_table(monkeypatch):
             poincare_series(k3, 3, z_cap=z_cap)
 
 
+def test_the_table_functions_check_their_keys_on_every_call(monkeypatch):
+    registries = fresh_tables(monkeypatch)
+    series.euler_table(3)
+    series.euler_rows(3, 5)
+    series.betti_table(1, 0, 22)
+    series.hodge_p0_table(2, 1)
+    series.hodge_table(ABELIAN_DIAMOND, 32)
+    warm = [dict(registry) for registry in registries]
+    float_diamond = (ABELIAN_DIAMOND[0][:2] + (1.0,),) + ABELIAN_DIAMOND[1:]
+    refused = [
+        (series.euler_table, (3.0,)), (series.euler_table, (True,)),
+        (series.euler_rows, (3.0, 5)), (series.euler_rows, (True, 5)),
+        (series.euler_rows, (3, 5.0)), (series.euler_rows, (3, True)),
+        (series.betti_table, (1.0, 0, 22)), (series.betti_table, (1, False, 22)),
+        (series.betti_table, (1, 0, 22.0)),
+        (series.hodge_p0_table, (2.0, 1)), (series.hodge_p0_table, (2, True)),
+        (series.hodge_table, (ABELIAN_DIAMOND, 32.0)),
+        (series.hodge_table, (float_diamond, 32)),
+    ]
+    for call, args in refused:
+        with pytest.raises(UsageError, match="plain int"):
+            call(*args)
+    assert registries == warm
+
+
 def test_a_colour_scan_refuses_a_k_that_is_not_a_plain_int(monkeypatch):
     registries = fresh_tables(monkeypatch)
     for k_set in ({4.0}, {4, 5.0}, {True, 4}, {"4"}):

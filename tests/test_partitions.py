@@ -267,3 +267,13 @@ def test_majorization_monotonicity_small_range():
                     continue
                 for k in (3, 4, 5):
                     assert colored_count_tuple(k, hi) > colored_count_tuple(k, lo)
+
+
+def test_enumerated_partitions_equal_checked_ones():
+    # enumeration skips the checks of Partition(parts); the checked build of
+    # the same parts accepts them and gives an equal partition
+    for n in range(1, 31):
+        for p in enumerate_partitions(n):
+            checked = Partition(p.parts)
+            assert type(p) is Partition and type(p.parts) is tuple
+            assert p == checked and hash(p) == hash(checked) and not p < checked

@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 from math import comb, prod
 
 import pytest
@@ -29,7 +30,14 @@ from hilbprod.scanner import (
     verify_lemma_inequalities,
     verify_majorization,
 )
-from colour_oracle import brute_force_colored, exhaustive_conjecture, exhaustive_majorization
+from colour_oracle import (
+    brute_force_colored,
+    exhaustive_conjecture,
+    exhaustive_majorization,
+    transfer_fails,
+    transfers,
+    tuple_counts,
+)
 from export_oracle import csv_rows, oracle_exports, to_records
 
 
@@ -160,11 +168,17 @@ def test_majorization_base_pair_values():
     assert colored_count_tuple(3, Partition((1, 3))) == 66
 
 
+def every_part_counts_k(k: int, n: int) -> list[int]:
+    """Per-part counts all equal to k: a partition of length r counts k^r."""
+    return [k] * (n + 1)
+
+
 def test_majorization_records_follow_the_prefix_sum_order(monkeypatch):
-    # with every coloured count equal to k, each strictly comparable pair
-    # fails the strict inequality once per k; the records must name the pair
-    # smaller and bigger in the prefix-sum order, with the k of that value
-    monkeypatch.setattr(scanner, "colored_count_tuple", lambda k, p: k)
+    # with every per-part count equal to k, same-length partitions count
+    # alike, so each strictly comparable pair fails the strict inequality
+    # once per k; the records must name the pair smaller and bigger in the
+    # prefix-sum order, with the k of that value
+    monkeypatch.setattr(scanner, "_part_counts", every_part_counts_k)
     expected = []
     for n in range(1, 11):
         for a, b in oracle_same_length_pairs(n):
@@ -175,7 +189,7 @@ def test_majorization_records_follow_the_prefix_sum_order(monkeypatch):
                 smaller, bigger = b, a
             else:
                 continue
-            expected += [(n, smaller, bigger, k, k, k) for k in (3, 5)]
+            expected += [(n, smaller, bigger, k, k ** len(a), k ** len(a)) for k in (3, 5)]
     report = verify_majorization({5, 3}, 10)
     found = [(v.n, v.a, v.b, v.k_or_p, v.value_a, v.value_b) for v in report.violations]
     assert expected and sorted(found) == sorted(expected)
@@ -207,7 +221,7 @@ def test_transfers_close_to_strict_majorization():
         for bucket in partitions_by_length(n).values():
             steps = {}
             for p in bucket:
-                made = list(scanner._transfers(p.parts))
+                made = list(transfers(p.parts))
                 assert len(made) == len(set(made))
                 assert set(made) == oracle_transfers(p.parts)
                 steps[p.parts] = set(made)
@@ -234,7 +248,7 @@ def same_exports(report: ScanReport, oracle: ScanReport, tmp_path) -> bool:
 
 
 def test_majorization_failing_everywhere_matches_the_exhaustive_oracle(monkeypatch, tmp_path):
-    monkeypatch.setattr(scanner, "colored_count_tuple", lambda k, p: k)
+    monkeypatch.setattr(scanner, "_part_counts", every_part_counts_k)
     oracle = exhaustive_majorization({3, 5}, 12)
     assert len(oracle.violations) > 1000
     assert same_exports(verify_majorization({3, 5}, 12), oracle, tmp_path)
@@ -243,26 +257,84 @@ def test_majorization_failing_everywhere_matches_the_exhaustive_oracle(monkeypat
 def test_majorization_failing_on_one_transfer_matches_the_exhaustive_oracle(
     monkeypatch, tmp_path
 ):
-    # (4,4,4) takes the count of (3,4,5) at k = 4; the only transfer into
-    # (4,4,4) starts at (3,4,5), so that is the one transfer that fails
-    real = scanner.colored_count_tuple
-    top, below = Partition((4, 4, 4)), Partition((3, 4, 5))
+    # c_4(13) is raised until c_4(1) c_4(13) >= c_4(2) c_4(12).  Up to n = 14
+    # the part 13 sits only in (13) and (1,13), so the one transfer that
+    # fails is (1,13) -> (2,12), and (1,13) still counts less than (3,11)
+    real = scanner._part_counts
+    below, top = (1, 13), (2, 12)
 
-    def counts(k, p):
-        return real(k, below if (k, p) == (4, top) else p)
+    def counts(k, n):
+        c = real(k, n)
+        if k == 4 and n >= 13:
+            c[13] = -(-c[2] * c[12] // c[1])
+        return c
 
-    monkeypatch.setattr(scanner, "colored_count_tuple", counts)
+    monkeypatch.setattr(scanner, "_part_counts", counts)
     failing = [
         (a.parts, b)
         for n in range(1, 15)
         for a in itertools.chain.from_iterable(partitions_by_length(n).values())
         for b in oracle_transfers(a.parts)
-        if any(counts(k, Partition(b)) <= counts(k, a) for k in (3, 4, 5))
+        if any(map(operator.le, tuple_counts(b, (3, 4, 5)), tuple_counts(a.parts, (3, 4, 5))))
     ]
-    assert failing == [(below.parts, top.parts)]
+    assert failing == [(below, top)]
     oracle = exhaustive_majorization({3, 4, 5}, 14)
-    assert [(v.a, v.b, v.k_or_p) for v in oracle.violations] == [(below.parts, top.parts, 4)]
+    assert [(v.a, v.b, v.k_or_p) for v in oracle.violations] == [(below, top, 4)]
     assert same_exports(verify_majorization({3, 4, 5}, 14), oracle, tmp_path)
+
+
+def broken_counts(k_broken: int, x: int, y: int):
+    """Real per-part counts, but ``c(y)`` at ``k_broken`` raised until
+    ``c(x+1) c(y-1) > c(x) c(y)`` fails."""
+    real = scanner._part_counts
+
+    def counts(k, n):
+        c = real(k, n)
+        if k == k_broken and n >= y:
+            c[y] = -(-c[x + 1] * c[y - 1] // c[x])
+        return c
+
+    return counts
+
+
+def broken_inequalities(c: list[int], n: int) -> list[tuple[int, int]]:
+    """The (x, y) with 1 <= x <= y - 2, x + y <= n and not c(x+1) c(y-1) > c(x) c(y)."""
+    return [
+        (x, y)
+        for x in range(1, n + 1)
+        for y in range(x + 2, n - x + 1)
+        if not c[x + 1] * c[y - 1] > c[x] * c[y]
+    ]
+
+
+# (which k, x, y): raising c(23) breaks the inequality (7, 23) alone up to
+# n = 30; raising c(9) breaks (x, 9) for every x >= 2 and every (9, y)
+BROKEN = {"none": None, "one": (min, 7, 23), "many": (max, 2, 9)}
+
+
+@pytest.mark.parametrize("k_set", [{3}, {4, 5}, {3, 4, 5}], ids=["k3", "k45", "k345"])
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+def test_per_part_certificate_compares_pairwise_exactly_where_a_transfer_fails(
+    monkeypatch, k_set, broken
+):
+    # the per-part inequalities against the per-partition transfer
+    # certificate, on real counts and on counts with inequalities broken
+    k_tuple = tuple(sorted(k_set))
+    if BROKEN[broken] is not None:
+        pick, x, y = BROKEN[broken]
+        counts = broken_counts(pick(k_tuple), x, y)
+        found = broken_inequalities(counts(pick(k_tuple), 30), 30)
+        assert (found == [(7, 23)]) if broken == "one" else (len(found) > 10)
+        monkeypatch.setattr(scanner, "_part_counts", counts)
+    sent = []
+    monkeypatch.setattr(
+        scanner, "_majorization_pairs", lambda n, k_tuple: sent.append(n) or (0, [])
+    )
+    for n in range(1, 31):
+        scanner._majorization_bucket(n, k_tuple=k_tuple)
+    expected = [n for n in range(1, 31) if transfer_fails(n, k_tuple)]
+    assert sent == expected
+    assert expected == {"none": [], "one": [30], "many": list(range(11, 31))}[broken]
 
 
 def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
@@ -276,7 +348,7 @@ def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
     report = verify_majorization({3, 4, 5}, 22)
     assert report.violations == () and calls == []
     # the fallback does go through the scanner's global
-    monkeypatch.setattr(scanner, "colored_count_tuple", lambda k, p: k)
+    monkeypatch.setattr(scanner, "_part_counts", every_part_counts_k)
     verify_majorization({3}, 6)
     assert calls
 
@@ -376,6 +448,27 @@ def test_scans_refuse_fewer_than_one_worker():
     for workers in (0, -3):
         with pytest.raises(UsageError):
             verify_majorization({3}, 6, workers=workers)
+
+
+SIZED_SCANS = {
+    "lemma": lambda n_max=6, p_max=2, workers=1: verify_lemma_inequalities(
+        n_max, p_max, "same_length", workers=workers
+    ),
+    "majorization": lambda n_max=6, workers=1: verify_majorization({3}, n_max, workers=workers),
+    "conjecture": lambda n_max=6, workers=1: scan_conjecture({4}, n_max, workers=workers),
+}
+
+
+@pytest.mark.parametrize(
+    "scan, size",
+    [(scan, size) for scan in SIZED_SCANS for size in ("n_max", "p_max", "workers")
+     if scan == "lemma" or size != "p_max"],
+)
+@pytest.mark.parametrize("bad", [True, False, 6.0, 2.5], ids=repr)
+def test_scans_refuse_sizes_that_are_not_plain_ints(scan, size, bad):
+    # a bool would be recorded as true in the report's parameters
+    with pytest.raises(UsageError, match=f"{size} must be a plain int"):
+        SIZED_SCANS[scan](**{size: bad})
 
 
 def test_worker_count_is_clamped(monkeypatch):
