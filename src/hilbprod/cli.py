@@ -378,6 +378,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits for usage errors, -h, --version
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        if getattr(args, "params", None) is not None and not args.surface:
+            raise UsageError("--params needs --surface: family parameters belong to a surface")
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -13,26 +13,21 @@ computed exactly by the grow-only tables of ``hilbprod.series``:
 * the Euler product ``prod (1-q^m)^-chi``, i.e. chi-coloured partition counts.
 
 Products of Hilbert schemes are handled through the Kuenneth rule: multiply
-the factors' Poincare (or ``h^{p,0}``) polynomials, as one big-integer
-product by Kronecker substitution (their coefficients are nonnegative),
-whose factors the grow-only tables keep packed, once per row and slot width.
-The product itself is kept too, once per parts tuple, in the table whose
-rows it multiplies, so each partition's vector is computed once and every
-later call only copies it out.
+the factors' Poincare (or ``h^{p,0}``) polynomials, which
+``GrowOnlyTable.product`` does once per parts tuple, in the table whose rows
+it multiplies, so every later call reads the stored product.
 Invariants that need Hodge data refuse when h10/h20 are absent instead of
 inventing values.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 from .errors import DataError, UsageError, require_plain_ints
 from .partitions import Partition, colored_count_tuple
 from .series import (
-    GrowOnlyTable,
     TruncatedSeries,
     betti_table,
     euler_table,
@@ -95,6 +90,7 @@ def betti_closed(s: SurfaceInvariants, n: int, k: int) -> int | None:
     first Betti number; elsewhere the answer is ``None`` (not applicable),
     never a silent zero.
     """
+    require_plain_ints(n=n, k=k)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     if k == 0:
@@ -127,6 +123,7 @@ class PoincarePolynomial:
         return len(self.coefficients) - 1
 
     def betti(self, i: int) -> int:
+        require_plain_ints(i=i)
         if not 0 <= i <= self.degree:
             raise UsageError(f"degree {i} out of range 0..{self.degree}")
         return self.coefficients[i]
@@ -138,57 +135,9 @@ class PoincarePolynomial:
         return self.coefficients == self.coefficients[::-1]
 
 
-def _kuenneth(table: GrowOnlyTable, parts: tuple[int, ...], length: int) -> list[int]:
-    """Coefficients 0..length-1 of the product of the table's rows ``parts``.
-
-    The product is computed once per parts tuple and kept in
-    ``table.products``, as the tuple of all its coefficients; every call
-    returns a fresh list, cut or zero-padded to ``length``.
-
-    Kronecker substitution: no coefficient of the product of nonnegative
-    integer polynomials exceeds the product of the factors' coefficient
-    sums, so a slot of ``w`` bytes that holds that bound cannot carry into
-    the next.  Each row comes packed with a coefficient per slot from
-    ``table.packed``, which packs it once per width; the ints are
-    multiplied and the slots of the product are read back (native byte
-    order, which ``cast`` reads).  A negative coefficient (a table built
-    directly from numbers no valid surface has) is a DataError, on every
-    call, and stores nothing.
-    """
-    coefficients = table.products.get(parts)
-    if coefficients is None:
-        rows = table.rows_upto(max(parts))
-        bound = prod(sum(rows[part]) for part in parts)
-        w = 1
-        while bound.bit_length() > 8 * w:
-            w *= 2
-        product = 1
-        try:
-            for part in parts:
-                product *= table.packed(part, w)
-        except OverflowError:  # with nonnegative coefficients every slot holds its value
-            raise DataError(
-                "Kuenneth product of vectors with a negative coefficient; "
-                "Betti and h^(p,0) numbers of a valid surface are nonnegative"
-            ) from None
-        size = sum(len(rows[part]) for part in parts) - len(parts) + 1
-        order = sys.byteorder
-        buf = product.to_bytes(size * w, order)
-        if w <= 8:
-            slots = memoryview(buf).cast("BHIQ"[w.bit_length() - 1]).tolist()
-        else:
-            slots = [int.from_bytes(buf[i:i + w], order) for i in range(0, len(buf), w)]
-        coefficients = table.products.setdefault(parts, tuple(slots))
-    line = list(coefficients[:length])
-    if len(line) < length:
-        line += [0] * (length - len(line))
-    return line
-
-
 def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePolynomial:
     """Poincare polynomial of the product over the parts of ``a`` (Kuenneth)."""
-    table = betti_table(s.b0, s.b1, s.b2)
-    return PoincarePolynomial(tuple(_kuenneth(table, a.parts, 4 * a.n + 1)))
+    return PoincarePolynomial(betti_table(s.b0, s.b1, s.b2).product(a.parts))
 
 
 # -- Hodge side ----------------------------------------------------------------
@@ -223,21 +172,18 @@ def require_hodge_data(s: SurfaceInvariants) -> tuple[int, int]:
 def hodge_p0(s: SurfaceInvariants, n: int, p: int) -> int:
     """``h^{p,0}`` of the n-point Hilbert scheme, exact."""
     h10, h20 = require_hodge_data(s)
+    require_plain_ints(n=n, p=p)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     if not 0 <= p <= 2 * n:
         raise UsageError(f"p must be in 0..{2 * n}, got {p}")
-    return _hodge_vector(h10, h20, n)[p]
-
-
-def _hodge_vector(h10: int, h20: int, n: int) -> list[int]:
-    return hodge_p0_table(h10, h20).rows_upto(n)[n]
+    return hodge_p0_table(h10, h20).rows_upto(n)[n][p]
 
 
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
     """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product."""
     h10, h20 = require_hodge_data(s)
-    return _kuenneth(hodge_p0_table(h10, h20), a.parts, 2 * a.n + 1)
+    return list(hodge_p0_table(h10, h20).product(a.parts))
 
 
 class HodgeDiamond:
@@ -330,6 +276,7 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
         raise DataError("diamond is not Hodge-symmetric")
     if d.h(0, 0) != 1:
         raise DataError("expected a connected surface diamond (h[0,0] = 1)")
+    require_plain_ints(n=n)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
 

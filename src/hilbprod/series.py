@@ -34,13 +34,13 @@ truncated in t only.  It is the one builder of series, so a series has one
 form.  The package never multiplies series; the test oracle multiplies
 term maps.
 
-``GrowOnlyTable.packed`` also keeps each row of a table packed into one
-int, one fixed-width byte slot per coefficient, the form in which
-``hilbprod.invariants`` multiplies rows (Kronecker substitution).  A row is
-packed at most once per slot width, and, like the rows, the packed ints are
-only ever added.  ``GrowOnlyTable.products`` keeps each Kuenneth product of
-a table's rows that ``hilbprod.invariants`` has computed, keyed by its parts
-tuple, and only grows in the same way.
+``GrowOnlyTable.product`` multiplies rows of a table (Kuenneth), as one
+big-integer product of the rows packed one coefficient per fixed-width byte
+slot (Kronecker substitution), and keeps each product, keyed by its parts
+tuple, and each packed row, keyed by row and slot width; both only grow.
+The kernel and the product share one slot format, signed and little-endian,
+behind ``_slot_width``, ``_pack`` and ``_unpack``: no other module packs
+or reads slots.
 
 Coefficients are arbitrary-precision signed integers; there is no floating
 point anywhere.  Series are immutable and canonical (no trailing zeros, no
@@ -52,10 +52,10 @@ from __future__ import annotations
 
 import sys
 import threading
-from math import comb
-from typing import Callable, Iterator, NamedTuple
+from math import comb, prod
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import UsageError, require_plain_ints
+from .errors import DataError, UsageError, require_plain_ints
 
 __all__ = [
     "Exponent",
@@ -182,19 +182,18 @@ class GrowOnlyTable:
     is a series in z too, through ``x = z^L, y = z``.  ``next_row(rows, n)``
     computes row n from rows 0..n-1.
 
-    Rows are also kept packed, once per slot width: ``packed_rows`` maps
-    ``(n, w)`` to the int ``packed(n, w)`` returned.  ``products`` maps a
-    parts tuple to the coefficient tuple of the product of those rows,
-    written by ``hilbprod.invariants._kuenneth``.  Both only grow and their
-    values never change, so a lost race between threads stores the same
-    value twice and ``dict.setdefault`` keeps one.
+    ``products`` maps a parts tuple to the coefficient tuple that
+    ``product`` returned for it, and ``_packed`` maps ``(n, w)`` to row n
+    packed in ``w``-byte slots.  Both only grow and their values never
+    change, so a lost race between threads stores the same value twice and
+    ``dict.setdefault`` keeps one.
     """
 
     def __init__(self, aux_count: int, next_row: Callable[[list[Row], int], Row]) -> None:
         self.aux_count = aux_count
         self.rows: list[Row] = [[1]]
-        self.packed_rows: dict[tuple[int, int], int] = {}
         self.products: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._packed: dict[tuple[int, int], int] = {}
         self._next_row = next_row
 
     def rows_upto(self, n: int) -> list[Row]:
@@ -206,20 +205,38 @@ class GrowOnlyTable:
                     rows.append(self._next_row(rows, len(rows)))
         return rows
 
-    def packed(self, n: int, w: int) -> int:
-        """Row n as one int, coefficient j in the j-th ``w``-byte slot.
+    def product(self, parts: tuple[int, ...]) -> tuple[int, ...]:
+        """All coefficients of the product of the rows ``parts`` (Kuenneth).
 
-        Slots are unsigned and in native byte order (``sys.byteorder``); a
-        coefficient that does not fit, a negative one included, raises
-        OverflowError and stores nothing.
+        Kronecker substitution: no coefficient of a product of nonnegative
+        integer polynomials exceeds the product of the factors' coefficient
+        sums, so slots of the width ``_slot_width`` gives that bound cannot
+        carry into each other.  Each row is packed once per width, and the
+        product once per parts tuple.  A row with a negative coefficient (a
+        table built directly from numbers no valid surface has) is a
+        DataError when it would be packed, so on every call, and nothing is
+        stored.
         """
-        value = self.packed_rows.get((n, w))
-        if value is None:
-            order = sys.byteorder
-            line = self.rows_upto(n)[n]
-            value = int.from_bytes(b"".join([c.to_bytes(w, order) for c in line]), order)
-            value = self.packed_rows.setdefault((n, w), value)
-        return value
+        coefficients = self.products.get(parts)
+        if coefficients is None:
+            rows = self.rows_upto(max(parts))
+            w = _slot_width(prod([sum(rows[part]) for part in parts]))
+            packed = self._packed
+            value = 1
+            for part in parts:
+                factor = packed.get((part, w))
+                if factor is None:
+                    line = rows[part]
+                    if min(line) < 0:
+                        raise DataError(
+                            "Kuenneth product of vectors with a negative coefficient; "
+                            "Betti and h^(p,0) numbers of a valid surface are nonnegative"
+                        )
+                    factor = packed.setdefault((part, w), _pack(line, w))
+                value *= factor
+            size = sum([len(rows[part]) for part in parts]) - len(parts) + 1
+            coefficients = self.products.setdefault(parts, tuple(_unpack(value, size, w)))
+        return coefficients
 
     def series(self, truncation: int, *, cap: int | None = None) -> TruncatedSeries:
         """Rows 0..truncation as a series.
@@ -241,6 +258,48 @@ def _stripped(line: list[int], end: int) -> tuple[int, ...]:
     while end and not line[end - 1]:
         end -= 1
     return tuple(line[:end])
+
+
+# -- the slot codec: rows of ints as one int, one signed w-byte slot each ------
+
+
+def _slot_width(bound: int, w: int = 1) -> int:
+    """The least power-of-two byte count >= ``w`` whose signed slots hold ``|c| <= bound``."""
+    while bound.bit_length() >= 8 * w:
+        w *= 2
+    return w
+
+
+def _half_slots(count: int, w: int) -> int:
+    """``2^(8w-1)`` in each of ``count`` slots of ``w`` bytes."""
+    return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * count, "little")
+
+
+def _pack(line: Sequence[int], w: int) -> int:
+    """``line`` evaluated at ``X = 2^(8w)``: coefficient j in slot j, signed.
+
+    The two's-complement slots are written little-endian; XOR with the
+    half-slot constant turns each digit into ``c + 2^(8w-1)``, and
+    subtracting the constant leaves ``sum_j c_j X^j``.
+    """
+    raw = b"".join([c.to_bytes(w, "little", signed=True) for c in line])
+    half = _half_slots(len(line), w)
+    return (int.from_bytes(raw, "little") ^ half) - half
+
+
+def _unpack(value: int, count: int, w: int) -> list[int]:
+    """The ``count`` signed ``w``-byte slots of ``value``, the inverse of ``_pack``.
+
+    Adding half a slot to every slot makes each digit ``c + 2^(8w-1)``
+    nonnegative, and XOR with the same constant turns it into ``c``'s two's
+    complement, which a signed cast reads (w <= 8 on a little-endian host)
+    or ``int.from_bytes(..., signed=True)`` does slot by slot.
+    """
+    half = _half_slots(count, w)
+    raw = ((value + half) ^ half).to_bytes(count * w, "little")
+    if w <= 8 and sys.byteorder == "little":
+        return memoryview(raw).cast("bhiq"[w.bit_length() - 1]).tolist()
+    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
 
 
 _DIVISORS: list[list[int]] = [[]]  # entry k: the divisors of k, ascending (none for 0)
@@ -300,17 +359,15 @@ def _goettsche_rows(factors: list[Factor]):
     ``X = 2^(8w)``, a ring map, so ``n F_n(X) = sum_k G_k(X) F_{n-k}(X)``
     holds as integers and ``// n`` is exact.  Each ``G_k`` term is a shift
     and a small multiple of an earlier ``F_{n-k}(X)``; the dense ``G_k(X)``
-    is never formed.  Coefficients may be negative, so slots are signed:
-    adding half a slot to every slot makes each digit ``c + 2^(8w-1)``
-    nonnegative, and XOR with the same constant turns it into ``c``'s two's
-    complement, which the signed cast (w <= 8) or
-    ``int.from_bytes(..., signed=True)`` reads.  The majorant
+    is never formed.  Coefficients may be negative, so the slots are the
+    signed ones of ``_pack`` and ``_unpack``.  The majorant
     ``prod_m (1 - t^m)^-E``, E = sum |e|, bounds the absolute coefficient
     sum of row n by ``colored_count(E, n)``, read from ``euler_table(E)``;
-    w is the smallest power-of-two byte count with ``2 n bound < 2^(8w)``.
-    It never shrinks; when it grows, the evaluations of the stored rows are
-    recomputed at the new width.  The product without z is not built here:
-    ``_euler_rows`` reads its rows from the pentagonal recurrence.
+    w is ``_slot_width(n bound)``, the smallest power-of-two byte count
+    with ``2 n bound < 2^(8w)``.  It never shrinks; when it grows, the
+    evaluations of the stored rows are recomputed at the new width.  The
+    product without z is not built here: ``_euler_rows`` reads its rows
+    from the pentagonal recurrence.
     """
     factors = [f for f in factors if f[1]]
     # the z-degrees of row n are at most span * n
@@ -321,27 +378,14 @@ def _goettsche_rows(factors: list[Factor]):
     shifted: list[list[tuple[int, int]]] = [[]]  # G_k as (bit shift, coefficient) at w
     evaluations: list[int] = []  # F_k(X) of the rows so far at w
 
-    def half_slots(count: int) -> int:
-        return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * count, "little")
-
-    def evaluate(row: Row) -> int:
-        # two's-complement slots, little-endian; the half-slot constant turns
-        # their digits into the signed coefficients
-        raw = b"".join([c.to_bytes(w, "little", signed=True) for c in row])
-        half = half_slots(len(row))
-        return (int.from_bytes(raw, "little") ^ half) - half
-
     def next_row(rows: list[Row], n: int) -> Row:
         nonlocal w
         while len(g) <= n:
             g.append(_log_derivative(factors, len(g)))
-        bound = 2 * n * euler_rows(majorant, n)[n][0]
-        width = w or 1
-        while bound.bit_length() > 8 * width:
-            width *= 2
+        width = _slot_width(n * euler_rows(majorant, n)[n][0], w or 1)
         if width != w:
             w = width
-            evaluations[:] = [evaluate(row) for row in rows]
+            evaluations[:] = [_pack(row, w) for row in rows]
             del shifted[1:]
         bits = 8 * w
         shifted.extend(
@@ -354,13 +398,8 @@ def _goettsche_rows(factors: list[Factor]):
                 acc += c * (value << shift)
         value = acc // n
         evaluations.append(value)
-        # read row n back: span n + 1 signed slots
-        count = span * n + 1
-        half = half_slots(count)
-        raw = ((value + half) ^ half).to_bytes(count * w, "little")
-        if w <= 8 and sys.byteorder == "little":
-            return memoryview(raw).cast("bhiq"[w.bit_length() - 1]).tolist()
-        return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
+        # row n has span n + 1 coefficients
+        return _unpack(value, span * n + 1, w)
 
     return next_row
 

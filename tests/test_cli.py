@@ -120,6 +120,22 @@ def test_repeated_param_exit_1(capsys):
     assert err.startswith("error:") and "'d'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "--params", "d=3"),
+        ("catalog", "--params", "d=3", "--output-format", "structured"),
+        ("aut", "--partition", "1,1,2", "--params", "d=3"),
+    ],
+)
+def test_params_without_surface_exit_1(capsys, argv):
+    # both used to ignore the parameters: catalog listed every entry and
+    # aut printed the shape, each with exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --params needs --surface")
+
+
 # -- invariants ----------------------------------------------------------------------
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import replace
 from math import comb, prod
 
@@ -13,7 +12,6 @@ from hilbprod.errors import DataError, UsageError
 from hilbprod.invariants import (
     HodgeDiamond,
     PoincarePolynomial,
-    _kuenneth,
     betti_closed,
     euler_char_tuple,
     has_hodge_data,
@@ -133,7 +131,34 @@ def test_negative_betti_data_is_a_data_error():
     with pytest.raises(DataError, match="b1 must be nonnegative"):
         synthetic(1, -3, 2)
     with pytest.raises(DataError):
-        _kuenneth(betti_table(1, -3, 2), (1, 2), 13)
+        betti_table(1, -3, 2).product((1, 2))
+
+
+K3_POLY = PoincarePolynomial((1, 0, 22, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (betti_closed, (ABELIAN, True, 1)),
+        (betti_closed, (ABELIAN, 1.5, 1)),
+        (betti_closed, (ABELIAN, 2, 1.0)),
+        (betti_closed, (ABELIAN, 2, False)),
+        (hodge_p0, (ABELIAN, 2.0, 0)),
+        (hodge_p0, (ABELIAN, 2, True)),
+        (hodge_polynomial_full, (surface_diamond(ABELIAN), 1.5)),
+        (hodge_polynomial_full, (surface_diamond(ABELIAN), True)),
+        (K3_POLY.betti, (True,)),
+        (K3_POLY.betti, (2.0,)),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else ",".join(
+        [repr(a) for a in x if isinstance(a, (int, float))]
+    ),
+)
+def test_the_invariant_getters_refuse_floats_and_bools(call, args):
+    # True == 1 and 2.0 == 2 used to answer as the int, 1.5 to fail deep inside
+    with pytest.raises(UsageError, match="plain int"):
+        call(*args)
 
 
 def test_alternating_sum_matches_euler_identity():
@@ -369,10 +394,10 @@ def test_euler_char_tuple_negative_chi():
 
 
 def slot_bytes(vectors: list[list[int]]) -> int:
-    """Smallest power-of-two byte count holding the product of the coefficient sums."""
+    """Smallest power-of-two byte count whose signed slots hold the product of the sums."""
     bound = prod(sum(v) for v in vectors)
     width = 1
-    while bound >= 256**width:
+    while bound >= 1 << 8 * width - 1:
         width *= 2
     return width
 
@@ -402,37 +427,16 @@ def test_kuenneth_products_match_dense_convolution():
         for a in partitions:
             vectors = [table.rows_upto(max(a.parts))[part] for part in a.parts]
             widths.add(slot_bytes(vectors))
-            assert _kuenneth(table, a.parts, 4 * a.n + 1) == dense_kuenneth(vectors), a
+            assert list(table.product(a.parts)) == dense_kuenneth(vectors), a
     # slots of 1, 2, 4 and 8 bytes are read by a cast, wider ones by slicing
     assert widths == {1, 2, 4, 8, 16}
 
 
-def test_truncated_kuenneth_products_are_prefixes():
-    cases = [
-        (betti_table(ABELIAN.b0, ABELIAN.b1, ABELIAN.b2), (1, 2)),
-        (betti_table(K3.b0, K3.b1, K3.b2), (1, 31)),  # 16-byte slots, read by slicing
-        (betti_table(2, 2, 5), (1, 1, 3)),
-        (hodge_p0_table(ABELIAN.h10, ABELIAN.h20), (2, 3, 3)),
-    ]
-    for table, parts in cases:
-        rows = table.rows_upto(max(parts))
-        full = dense_kuenneth([rows[part] for part in parts])
-        for length in range(1, len(full) + 1):
-            assert _kuenneth(table, parts, length) == full[:length], (parts, length)
-
-
-def test_truncated_kuenneth_product_of_a_negative_row_is_a_data_error():
-    table = betti_table(1, -3, 2)
-    for length in (1, 5, 9):
-        with pytest.raises(DataError):
-            _kuenneth(table, (1, 2), length)
-
-
-# -- packed rows: GrowOnlyTable.packed and its memo --------------------------------
+# -- packed rows: the memo of GrowOnlyTable.product --------------------------------
 
 
 class RecordingMemo(dict):
-    """A ``packed_rows`` memo that logs every key it is asked for."""
+    """A packed-row memo that logs every key it is asked for."""
 
     def __init__(self, entries: dict) -> None:
         super().__init__(entries)
@@ -444,8 +448,9 @@ class RecordingMemo(dict):
 
 
 def unpack(value: int, w: int, length: int) -> list[int]:
-    raw = value.to_bytes(length * w, sys.byteorder)
-    return [int.from_bytes(raw[i:i + w], sys.byteorder) for i in range(0, len(raw), w)]
+    """Coefficients from signed little-endian ``w``-byte slots."""
+    raw = value.to_bytes(length * w, "little")
+    return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
 
 
 def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
@@ -455,8 +460,8 @@ def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
     # repeat reads the stored product and no packed row
     fresh_tables(monkeypatch)
     table = betti_table(K3.b0, K3.b1, K3.b2)
-    memo = RecordingMemo(table.packed_rows)
-    monkeypatch.setattr(table, "packed_rows", memo)
+    memo = RecordingMemo(table._packed)
+    monkeypatch.setattr(table, "_packed", memo)
     rows = table.rows_upto(31)
     cases = [(1, 31), (1,), (1, 1), (1, 31), (2, 3), (1, 1, 1), (1, 2, 31), (1,)]
     widths_of_row_1 = set()
@@ -483,14 +488,13 @@ def test_negative_row_is_a_data_error_every_time_and_never_packed():
     table = betti_table(1, -3, 2)
     assert min(table.rows_upto(1)[1]) < 0
     for _ in range(2):
-        with pytest.raises(DataError):
-            _kuenneth(table, (1, 2), 13)
-        with pytest.raises(DataError):
-            _kuenneth(table, (1, 2), 9)
-    assert (1, 2) not in table.products
-    assert not any(n == 1 for n, _ in table.packed_rows)
+        for parts in ((1, 2), (1,), (2, 1, 1)):
+            with pytest.raises(DataError, match="negative coefficient"):
+                table.product(parts)
+    assert not table.products
+    assert not any(n == 1 for n, _ in table._packed)
     rows = table.rows_upto(2)
-    assert all(min(rows[n]) >= 0 for n, _ in table.packed_rows)
+    assert all(min(rows[n]) >= 0 for n, _ in table._packed)
 
 
 def test_returned_vectors_are_copies_of_the_stored_products():
@@ -500,22 +504,21 @@ def test_returned_vectors_are_copies_of_the_stored_products():
     hodge[0] = -1
     hodge.append(7)
     assert hodge_p0_tuple_vector(ABELIAN, a) == expected_hodge
+    # the Betti side hands out the stored tuple itself, which cannot change
     table = betti_table(ABELIAN.b0, ABELIAN.b1, ABELIAN.b2)
-    line = _kuenneth(table, a.parts, 4 * a.n + 1)
-    expected_line = list(line)
-    line[:] = [0]
-    assert _kuenneth(table, a.parts, 4 * a.n + 1) == expected_line
-    assert list(poincare_polynomial_tuple(ABELIAN, a).coefficients) == expected_line
+    line = table.product(a.parts)
+    assert type(line) is tuple
+    assert poincare_polynomial_tuple(ABELIAN, a).coefficients is line
 
 
 def test_packed_rows_stay_bounded(monkeypatch):
     table = betti_table(ABELIAN.b0, ABELIAN.b1, ABELIAN.b2)
-    monkeypatch.setattr(table, "packed_rows", {})
+    monkeypatch.setattr(table, "_packed", {})
     for n in range(1, 13):
         for a in enumerate_partitions(n):
             poincare_polynomial_tuple(ABELIAN, a)
     widths: dict[int, set[int]] = {}
-    for part, w in table.packed_rows:
+    for part, w in table._packed:
         assert 1 <= part <= 12, part
         assert w & (w - 1) == 0, w
         widths.setdefault(part, set()).add(w)
@@ -527,7 +530,7 @@ def test_packed_rows_stay_bounded(monkeypatch):
 def test_threads_share_a_fresh_table():
     s = synthetic(2, 6, 19)
     table = betti_table(s.b0, s.b1, s.b2)
-    assert len(table.rows) == 1 and not table.packed_rows, "table is not fresh"
+    assert len(table.rows) == 1 and not table._packed, "table is not fresh"
     assert not table.products, "table is not fresh"
     partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
     results: list = [None] * 4

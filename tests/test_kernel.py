@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -243,6 +244,51 @@ def test_wide_betti_rows_match_oracle(b0, b1, b2, truncation):
     assert slot_width(betti_majorant(b0, b1, b2), truncation - 1) == 8
     table = series.betti_table(b0, b1, b2)
     assert row_terms(table, truncation) == poincare_product(b0, b1, b2, truncation)
+
+
+def test_the_kernel_widths_follow_the_codec_rule():
+    # n * bound fits a signed slot exactly when 2 n bound < 2^(8w)
+    for majorant in (1, 5, 55, 140):
+        for n in range(1, 60):
+            bound = n * colored_count(majorant, n)
+            assert series._slot_width(bound) == slot_width(majorant, n), (majorant, n)
+
+
+# -- the slot codec shared by the kernel and the Kuenneth product ----------------
+
+CODEC_WIDTHS = (1, 2, 4, 8, 16)
+
+
+def test_slot_width_is_the_smallest_signed_width():
+    for w in CODEC_WIDTHS:
+        top = (1 << 8 * w - 1) - 1
+        assert series._slot_width(top) == w
+        assert series._slot_width(top + 1) == 2 * w
+        assert series._slot_width(0, w) == w  # a width never shrinks
+    assert series._slot_width(0) == 1
+
+
+def signed_lines(w: int) -> list[list[int]]:
+    top = (1 << 8 * w - 1) - 1
+    rng = random.Random(w)
+    return [
+        [0], [1], [-1], [top], [-top], [0, 0, 5], [-7, 0, 0],
+        [top, -top, 0, 1, -1, top, -top],
+        [rng.randint(-top, top) for _ in range(50)],
+    ]
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("w", CODEC_WIDTHS)
+def test_the_slot_codec_round_trips_signed_lines(monkeypatch, w, byteorder):
+    # on a big-endian host every width is read by slicing, not by a cast
+    monkeypatch.setattr(sys, "byteorder", byteorder)
+    for line in signed_lines(w):
+        value = series._pack(line, w)
+        # the packed int is the line evaluated at X = 2^(8w)
+        assert value == sum(c << 8 * w * j for j, c in enumerate(line)), line
+        assert series._unpack(value, len(line), w) == line
+        assert series._unpack(value, len(line) + 3, w) == line + [0, 0, 0]
 
 
 def _kernel_requests(requests) -> None:
