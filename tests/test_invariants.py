@@ -432,6 +432,15 @@ def test_kuenneth_products_match_dense_convolution():
     assert widths == {1, 2, 4, 8, 16}
 
 
+def test_truncated_kuenneth_product_of_a_negative_row_is_a_data_error():
+    # products are always full, so a caller after a prefix slices the stored
+    # tuple; a negative row is refused before any prefix can be read
+    table = betti_table(1, -3, 2)
+    for length in (1, 5, 9):
+        with pytest.raises(DataError, match="negative coefficient"):
+            table.product((1, 2))[:length]
+
+
 # -- packed rows: the memo of GrowOnlyTable.product --------------------------------
 
 
