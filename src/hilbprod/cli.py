@@ -100,7 +100,7 @@ def _load_surface(args: argparse.Namespace):
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     catalog = load_catalog(args.catalog)
-    if args.surface:
+    if args.surface is not None:
         surface = catalog.lookup(args.surface, _parse_params(args.params))
         _emit(surface.to_record(), [surface.describe()], args)
         return 0
@@ -253,7 +253,7 @@ def _cmd_aut(args: argparse.Namespace) -> int:
     payload = shape.to_dict()
     lines = [shape.render()]
     note = None
-    if args.surface:
+    if args.surface is not None:
         surface = _load_surface(args)
         payload["surface"] = surface.name
         if surface.structural_class is StructuralClass.GENERIC:
@@ -378,7 +378,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits for usage errors, -h, --version
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        if getattr(args, "params", None) is not None and not args.surface:
+        if getattr(args, "params", None) is not None and args.surface is None:
             raise UsageError("--params needs --surface: family parameters belong to a surface")
         code = args.handler(args)
         sys.stdout.flush()

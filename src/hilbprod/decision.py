@@ -37,7 +37,7 @@ from .invariants import (
     hodge_p0_tuple_vector,
     poincare_polynomial_tuple,
 )
-from .partitions import Majorization, Partition, majorizes
+from .partitions import Majorization, Partition, _majorizes_parts
 from .surfaces import StructuralClass, SurfaceInvariants
 
 __all__ = [
@@ -193,24 +193,25 @@ def _annotate_rules(
     so this is cheap and independent of the series machinery.
     """
     fired: list[FiredRule] = []
+    pa, pb = a.parts, b.parts
     # zeroth Betti numbers: on a disconnected base the b0 rules claim they
     # differ; no other base fires a b0 rule, so only there is the detail formatted
     b0_a = b0_b = 1
     b0_detail = ""
     if s.b0 > 1:
-        b0_a, b0_b = (prod(comb(part + s.b0 - 1, s.b0 - 1) for part in p.parts) for p in (a, b))
+        b0_a, b0_b = (prod(comb(part + s.b0 - 1, s.b0 - 1) for part in q) for q in (pa, pb))
         b0_detail = f"b0 = {s.b0} > 1, zeroth Betti numbers {b0_a} vs {b0_b}"
     if s.structural_class is StructuralClass.K3:
         fired.append(FiredRule("k3-product-rigidity", "base surface is K3"))
-    if a.length != b.length:
-        short, long_ = (a, b) if a.length < b.length else (b, a)
-        r, s_len = short.length, long_.length
-        if short.parts[0] > 1 and long_.parts[0] > 1 and (s.b0 == 1 or b0_a != b0_b):
+    if len(pa) != len(pb):
+        short, long_ = (pa, pb) if len(pa) < len(pb) else (pb, pa)
+        r, s_len = len(short), len(long_)
+        if short[0] > 1 and long_[0] > 1 and (s.b0 == 1 or b0_a != b0_b):
             detail = f"lengths {r} < {s_len}, all parts > 1"
             if s.b0 > 1:
                 detail += f"; {b0_detail}"
             fired.append(FiredRule("diff-length-min-parts", detail))
-        k, l = short.parts.count(1), long_.parts.count(1)
+        k, l = short.count(1), long_.count(1)
         margin = (s_len - r) * (s.b2 + 1)  # the degree-2 Betti gap if b0 = 1
         if s.b0 == 1 and (k >= l or l - k != margin):
             if k >= l:
@@ -227,16 +228,16 @@ def _annotate_rules(
         if b0_a != b0_b:
             fired.append(FiredRule("same-length-disconnected", b0_detail))
         j = _first_difference(a, b)
-        least = min(a.parts[j], b.parts[j])
+        least = min(pa[j], pb[j])
         if s.b0 == 1 and s.b1 >= 2 * (least + 1):
             fired.append(
                 FiredRule(
                     "same-length-first-betti",
-                    f"first differing parts {a.parts[j]} vs {b.parts[j]} at "
+                    f"first differing parts {pa[j]} vs {pb[j]} at "
                     f"index {j}; b1 = {s.b1} >= {2 * (least + 1)}",
                 )
             )
-        order = majorizes(b, a)
+        order = _majorizes_parts(pb, pa)
         if order in (Majorization.STRICTLY_MAJORIZES, Majorization.MAJORIZED_BY):
             bigger, smaller = (
                 (b, a) if order is Majorization.STRICTLY_MAJORIZES else (a, b)

@@ -10,7 +10,9 @@ on increasing tuples; e.g. (2,2) strictly majorizes (1,3).
 ``enumerate_partitions(n)`` lists the partitions of n in ascending
 lexicographic order from one iterative generator (Kelleher and O'Sullivan's
 accelAsc), with no recursion and no cache: every call enumerates afresh, so
-memory stays at one list of p(n) partitions.
+memory stays at one list of p(n) partitions.  ``parts_by_length(n)`` buckets
+the same generator's parts tuples by length, for the scans, which need no
+``Partition`` objects; ``partitions_by_length(n)`` is its view as partitions.
 
 ``colored_count(k, n)`` is the coefficient of q^n in the infinite product
 ``prod_m (1 - q^m)^-k``, the number of partitions of n with parts in k colours
@@ -33,6 +35,7 @@ __all__ = [
     "Partition",
     "Majorization",
     "enumerate_partitions",
+    "parts_by_length",
     "partitions_by_length",
     "majorizes",
     "colored_count",
@@ -156,35 +159,52 @@ def _trusted(parts: tuple[int, ...]) -> Partition:
     return partition
 
 
-def enumerate_partitions(n: int) -> list[Partition]:
-    """All partitions of ``n >= 1`` in ascending lexicographic order."""
+def _require_positive(n: int) -> None:
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
+
+
+def enumerate_partitions(n: int) -> list[Partition]:
+    """All partitions of ``n >= 1`` in ascending lexicographic order."""
+    _require_positive(n)
     return list(map(_trusted, _ascending_partitions(n)))
 
 
-def partitions_by_length(n: int) -> dict[int, list[Partition]]:
-    """Partitions of ``n`` bucketed by length, each bucket in lexicographic order."""
-    buckets: dict[int, list[Partition]] = {}
-    for p in enumerate_partitions(n):
-        buckets.setdefault(len(p.parts), []).append(p)
+def parts_by_length(n: int) -> dict[int, list[tuple[int, ...]]]:
+    """The parts tuples of the partitions of ``n >= 1`` bucketed by length.
+
+    Keys in order of first appearance, each bucket in lexicographic order.
+    """
+    _require_positive(n)
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for parts in _ascending_partitions(n):
+        buckets.setdefault(len(parts), []).append(parts)
     return buckets
+
+
+def partitions_by_length(n: int) -> dict[int, list[Partition]]:
+    """``parts_by_length(n)`` with each parts tuple as a ``Partition``."""
+    return {r: list(map(_trusted, bucket)) for r, bucket in parts_by_length(n).items()}
 
 
 def majorizes(b: Partition, a: Partition) -> Majorization:
     """Compare ``b`` against ``a`` under the increasing-tuple prefix-sum order.
 
-    Defined only for partitions of the same integer and the same length.
-    Both are checked on the way: the lengths first, n from the prefix sums.
+    Defined only for partitions of the same integer and the same length;
+    both are checked, n first.
     """
-    pa, pb = a.parts, b.parts
-    if len(pa) != len(pb):
-        if a.n != b.n:
-            raise _n_mismatch(a, b)
+    if a.n != b.n:
+        raise _n_mismatch(a, b)
+    if len(a.parts) != len(b.parts):
         raise UsageError(
             f"majorization needs partitions of the same length: "
-            f"{len(pa)} vs {len(pb)}"
+            f"{len(a.parts)} vs {len(b.parts)}"
         )
+    return _majorizes_parts(b.parts, a.parts)
+
+
+def _majorizes_parts(pb: tuple[int, ...], pa: tuple[int, ...]) -> Majorization:
+    """``majorizes`` on two parts tuples of one length and one total, unchecked."""
     if pa == pb:
         return Majorization.EQUAL
     b_ge_a = True  # prefix sums of a <= prefix sums of b throughout
@@ -197,8 +217,6 @@ def majorizes(b: Partition, a: Partition) -> Majorization:
             b_ge_a = False
         if sum_b > sum_a:
             a_ge_b = False
-    if sum_a + pa[-1] != sum_b + pb[-1]:
-        raise _n_mismatch(a, b)
     if b_ge_a:
         return Majorization.STRICTLY_MAJORIZES
     if a_ge_b:

@@ -31,15 +31,18 @@ Three scan families:
 Reports are deterministic for fixed parameters and engine version: each scan
 runs one bucket function per n through ``_scan``, which merges the buckets in
 order of n, and the worker count never affects the output (``wall_time_ms``
-is the one volatile field and is excluded from the fingerprint).  Within one
-n, pairs come from the length buckets of ``partitions_by_length``, each
-partition carrying the values computed for it once: different-length pairs
-shorter first, same-length pairs as combinations of one bucket, whose
-ascending lexicographic order already puts the partition that is smaller at
-the first differing part first.  The colour scans list their violations in
-that same pair order, k ascending within a pair, though they do not loop
-over the pairs, and multiply the per-part counts ``_part_counts(k, n)``
-over each partition's parts tuple.
+is the one volatile field and is excluded from the fingerprint).  The scans
+hold partitions as plain parts tuples, as ``Violation`` stores them; a
+``Partition`` is built only where the public ``majorizes`` needs one, on the
+pairwise fallback of the majorization scan.  Within one n, pairs come from
+the length buckets of ``parts_by_length``, each parts tuple carrying the
+values computed for it once: different-length pairs shorter first,
+same-length pairs as combinations of one bucket, whose ascending
+lexicographic order already puts the partition that is smaller at the first
+differing part first.  The colour scans list their violations in that same
+pair order, k ascending within a pair, though they do not loop over the
+pairs, and multiply the per-part counts ``_part_counts(k, n)`` over each
+parts tuple.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
 plain ints, so its three exports (``fingerprint``, ``write_records`` and
@@ -67,7 +70,7 @@ from .partitions import (
     Partition,
     colored_count_tuple,  # noqa: F401  kept importable here: perfbench traces it
     majorizes,
-    partitions_by_length,
+    parts_by_length,
 )
 from .series import euler_rows
 
@@ -324,12 +327,12 @@ class ScanReport:
 
 
 def _valued_pairs(
-    n: int, values: Callable[[Partition], Any], mode: str
-) -> tuple[int, Iterator[tuple[tuple[Partition, Any], tuple[Partition, Any]]]]:
-    """The pair count and the pairs of one n, each side as (partition, values).
+    n: int, values: Callable[[tuple[int, ...]], Any], mode: str
+) -> tuple[int, Iterator[tuple[tuple[tuple[int, ...], Any], tuple[tuple[int, ...], Any]]]]:
+    """The pair count and the pairs of one n, each side as (parts, values).
 
-    ``values`` runs once per partition of n; the count comes from the bucket
-    sizes, before any pair is made.
+    ``values`` runs once per parts tuple of n; the count comes from the
+    bucket sizes, before any pair is made.
 
     ``diff_length``: (shorter, longer) across length buckets.
     ``same_length``: distinct pairs within one bucket; a bucket is in
@@ -337,8 +340,8 @@ def _valued_pairs(
     is smaller at the first differing part.
     """
     buckets = [
-        [(p, values(p)) for p in bucket]
-        for _, bucket in sorted(partitions_by_length(n).items())
+        [(parts, values(parts)) for parts in bucket]
+        for _, bucket in sorted(parts_by_length(n).items())
     ]
     if mode == "same_length":
         count = sum(comb(len(bucket), 2) for bucket in buckets)
@@ -348,14 +351,14 @@ def _valued_pairs(
     return count, chain.from_iterable(product(*two) for two in across)
 
 
-def _shift_products(partition: Partition, p_max: int) -> tuple[list[int], list[int]]:
+def _shift_products(parts: tuple[int, ...], p_max: int) -> tuple[list[int], list[int]]:
     """Per shift p: (prod of (part+p), prod of C(part+p, p)), 1-indexed by p."""
     shift = [0] * (p_max + 1)
     binom = [0] * (p_max + 1)
     for p in range(1, p_max + 1):
         sh = 1
         bi = 1
-        for part in partition.parts:
+        for part in parts:
             sh *= part + p
             bi *= comb(part + p, p)
         shift[p] = sh
@@ -372,13 +375,12 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
     violations: list[Violation] = []
     found = violations.append
     for (a, (shift_a, binom_a)), (b, (shift_b, binom_b)) in stream:
-        a_parts, b_parts = a.parts, b.parts
-        powers_a, powers_b = powers[len(a_parts)], powers[len(b_parts)]
+        powers_a, powers_b = powers[len(a)], powers[len(b)]
         # plain product of (part + 1): the p = 1 base form
         if not shift_a[1] < shift_b[1]:
             found(
                 Violation(
-                    scan_kind, n, a_parts, b_parts, 1,
+                    scan_kind, n, a, b, 1,
                     shift_a[1], shift_b[1], "unit-shift-product",
                 )
             )
@@ -389,14 +391,14 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
             if not lhs < rhs:
                 found(
                     Violation(
-                        scan_kind, n, a_parts, b_parts, p,
+                        scan_kind, n, a, b, p,
                         lhs, rhs, "shift-ratio-cross-multiplied",
                     )
                 )
             if not binom_a[p] < binom_b[p]:
                 found(
                     Violation(
-                        scan_kind, n, a_parts, b_parts, p,
+                        scan_kind, n, a, b, p,
                         binom_a[p], binom_b[p], "binomial-product",
                     )
                 )
@@ -422,7 +424,7 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
     that lists violations, in pair order, so a failing n goes through it
     whole.
     """
-    buckets = partitions_by_length(n).values()
+    buckets = parts_by_length(n).values()
     for k in k_tuple:
         c = _part_counts(k, n)
         for x in range(1, n // 2):
@@ -436,11 +438,11 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
 def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
     rows = [_part_counts(k, n) for k in k_tuple]
     pairs, stream = _valued_pairs(
-        n, lambda p: [prod(map(c.__getitem__, p.parts)) for c in rows], "same_length"
+        n, lambda parts: [prod(map(c.__getitem__, parts)) for c in rows], "same_length"
     )
     violations: list[Violation] = []
     for (a, values_a), (b, values_b) in stream:
-        order = majorizes(b, a)
+        order = majorizes(Partition(b), Partition(a))
         if order is Majorization.MAJORIZED_BY:
             a, values_a, b, values_b = b, values_b, a, values_a
         elif order is not Majorization.STRICTLY_MAJORIZES:
@@ -450,7 +452,7 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Vio
             if not high > low:
                 violations.append(
                     Violation(
-                        "majorization", n, a.parts, b.parts, k,
+                        "majorization", n, a, b, k,
                         low, high, "strict-majorization-inequality",
                     )
                 )
@@ -466,8 +468,7 @@ def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[V
     rows = [(k, _part_counts(k, n)) for k in k_tuple]
     pairs = 0
     violations: list[Violation] = []
-    for _, bucket in sorted(partitions_by_length(n).items()):
-        parts = [p.parts for p in bucket]
+    for _, parts in sorted(parts_by_length(n).items()):
         pairs += comb(len(parts), 2)
         collisions = []
         for k, c in rows:

@@ -1,8 +1,10 @@
 """Test-only oracles for partitions, coloured counts and the two colour scans.
 
 ``recursive_partitions`` is the recursive ascending-partition generator the
-engine used before its iterative one: the oracle of ``enumerate_partitions``
-and ``partitions_by_length``.  ``brute_force_colored`` counts k-coloured
+engine used before its iterative one: the oracle of ``enumerate_partitions``,
+``parts_by_length`` and ``partitions_by_length``, and, through
+``recursive_buckets``, the enumeration of the colour oracles below, which so
+share none with the engine.  ``brute_force_colored`` counts k-coloured
 partitions by direct multiset enumeration, with no series expansion: the
 independent oracle of ``colored_count``.  ``exhaustive_majorization`` and
 ``exhaustive_conjecture`` are the pairwise scans: every same-length pair, in
@@ -14,7 +16,7 @@ All of them read the per-part counts through ``hilbprod.scanner._part_counts``
 at call time and multiply them over the parts themselves, so a test that
 monkeypatches that seam changes the engine's scan and its oracles alike.
 They compare through ``hilbprod.partitions.majorizes``, not the scanner's
-global.
+global, on partitions built from their own tuples.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 import hilbprod.scanner as scanner
 from hilbprod import __version__
 from hilbprod.errors import UsageError
-from hilbprod.partitions import Majorization, majorizes, partitions_by_length
+from hilbprod.partitions import Majorization, Partition, majorizes
 from hilbprod.scanner import ScanReport, Violation
 
 BRUTE_FORCE_BOUND = 12
@@ -120,8 +122,8 @@ def transfer_fails(n: int, k_tuple: tuple[int, ...]) -> bool:
     """Whether some count does not rise along some one-unit transfer of a
     partition of n: where the per-partition certificate compared pairwise."""
     count = counter(n, k_tuple)
-    for bucket in partitions_by_length(n).values():
-        counts = {p.parts: count(p.parts) for p in bucket}
+    for bucket in recursive_buckets(n).values():
+        counts = {parts: count(parts) for parts in bucket}
         for parts, low in counts.items():
             for bigger in transfers(parts):
                 if not all(high > value for high, value in zip(counts[bigger], low)):
@@ -132,9 +134,9 @@ def transfer_fails(n: int, k_tuple: tuple[int, ...]) -> bool:
 def _same_length_pairs(n: int, k_tuple: tuple[int, ...]):
     """Pair count and (a, values_a, b, values_b) for every same-length pair,
     combinations of each lexicographic length bucket, shortest first."""
-    buckets = [bucket for _, bucket in sorted(partitions_by_length(n).items())]
+    buckets = [bucket for _, bucket in sorted(recursive_buckets(n).items())]
     count = counter(n, k_tuple)
-    valued = [[(p, count(p.parts)) for p in bucket] for bucket in buckets]
+    valued = [[(parts, count(parts)) for parts in bucket] for bucket in buckets]
     pairs = sum(len(bucket) * (len(bucket) - 1) // 2 for bucket in buckets)
     stream = [
         (a, values_a, b, values_b)
@@ -148,7 +150,7 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]):
     pairs, stream = _same_length_pairs(n, k_tuple)
     violations = []
     for a, values_a, b, values_b in stream:
-        order = majorizes(b, a)
+        order = majorizes(Partition(b), Partition(a))
         if order is Majorization.MAJORIZED_BY:
             a, values_a, b, values_b = b, values_b, a, values_a
         elif order is not Majorization.STRICTLY_MAJORIZES:
@@ -157,7 +159,7 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]):
             if not high > low:
                 violations.append(
                     Violation(
-                        "majorization", n, a.parts, b.parts, k,
+                        "majorization", n, a, b, k,
                         low, high, "strict-majorization-inequality",
                     )
                 )
@@ -171,7 +173,7 @@ def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]):
         for k, va, vb in zip(k_tuple, values_a, values_b):
             if va == vb:
                 violations.append(
-                    Violation("conjecture", n, a.parts, b.parts, k, va, vb, "collision")
+                    Violation("conjecture", n, a, b, k, va, vb, "collision")
                 )
     return pairs, violations
 

@@ -136,6 +136,22 @@ def test_params_without_surface_exit_1(capsys, argv):
     assert err.startswith("error: --params needs --surface")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("catalog", "--surface", ""),
+        ("aut", "--partition", "2,2", "--surface", ""),
+        ("invariants", "--surface", "", "--partition", "2,2"),
+    ],
+)
+def test_empty_surface_is_an_unknown_surface(capsys, argv):
+    # catalog listed every entry and aut printed the generic note, both with
+    # exit 0, as if no surface had been named
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown surface ''")
+
+
 # -- invariants ----------------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from hilbprod.partitions import (
     colored_count_tuple,
     enumerate_partitions,
     majorizes,
+    parts_by_length,
     partitions_by_length,
 )
 from colour_oracle import brute_force_colored, recursive_buckets, recursive_partitions
@@ -121,6 +122,9 @@ def test_enumeration_matches_the_recursive_oracle():
         want = recursive_buckets(n)
         assert list(buckets) == list(want)  # key order: first appearance
         assert {r: [p.parts for p in ps] for r, ps in buckets.items()} == want
+        tuples = parts_by_length(n)
+        assert list(tuples) == list(want) and tuples == want
+        assert tuples == {r: [p.parts for p in ps] for r, ps in buckets.items()}
     for n in range(1, 31):
         assert len(enumerate_partitions(n)) == partition_count(n, n)
 
@@ -128,6 +132,8 @@ def test_enumeration_matches_the_recursive_oracle():
 def test_enumerate_zero_needs_flag():
     with pytest.raises(UsageError):
         enumerate_partitions(0)
+    with pytest.raises(UsageError):
+        parts_by_length(0)
 
 
 def test_partitions_by_length_buckets():

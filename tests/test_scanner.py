@@ -359,15 +359,16 @@ def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
     ids=["majorization", "conjecture"],
 )
 def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
-    # a tracer that wraps partitions.enumerate_partitions sees every n once
+    # a tracer that wraps partitions._ascending_partitions, the generator
+    # behind parts_by_length, sees every n once
     calls = []
-    original = partitions.enumerate_partitions
+    original = partitions._ascending_partitions
 
     def counted(n):
         calls.append(n)
         return original(n)
 
-    monkeypatch.setattr(partitions, "enumerate_partitions", counted)
+    monkeypatch.setattr(partitions, "_ascending_partitions", counted)
     scan()
     assert calls == list(range(1, 9))
 
@@ -539,6 +540,13 @@ PINNED_EXPORTS = {
         "2441a956dec600283d67c1b261118fe909f5c819173eda43be1baca1736a1958",
         "899492bb22e289b9f09bbfa9a79a99bff46aa61fb78c095220baca1d1747e43a",
         "841819c6233966221e7f8007fac28fdcd5e249a29c6e1cdb2da70e11e07e73f8",
+    ),
+    # 693 collisions
+    "conjecture_k12_n20": (
+        lambda: scan_conjecture({1, 2}, 20),
+        "c68e1984b85896817c67fcd78b0efd4f0d50b8406763f6bc5a4211c50a18f36b",
+        "b576e200badc840a4101463f8793e648696ddb48604064a42355bd8047158fea",
+        "2ffa57dc8d4875d8efe8342706e7d8f742a243bc13e758cb2e6c7885f557e84a",
     ),
 }
 
