@@ -197,11 +197,30 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    # fail on an unwritable path before the scan, not after it: append mode
-    # creates a missing file and never truncates an existing one
-    for path in (args.csv, args.records, args.output):
-        if path:
-            open(path, "a").close()
+    # fail on an unwritable path before the scan, not after it; a file the
+    # probe created is removed again if the command fails, so a refused scan
+    # leaves nothing behind, and a file that already existed is never touched
+    created: list[str] = []
+    try:
+        for path in (args.csv, args.records, args.output):
+            if path:
+                try:
+                    open(path, "x").close()
+                except FileExistsError:
+                    open(path, "a").close()  # never truncates
+                else:
+                    created.append(path)
+        return _run_scan(args)
+    except BaseException:
+        for path in created:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
+
+
+def _run_scan(args: argparse.Namespace) -> int:
     workers = args.workers
     if args.kind in ("lemma-diff-length", "lemma-same-length"):
         mode = "diff_length" if args.kind == "lemma-diff-length" else "same_length"

@@ -31,18 +31,21 @@ Three scan families:
 Reports are deterministic for fixed parameters and engine version: each scan
 runs one bucket function per n through ``_scan``, which merges the buckets in
 order of n, and the worker count never affects the output (``wall_time_ms``
-is the one volatile field and is excluded from the fingerprint).  The scans
-hold partitions as plain parts tuples, as ``Violation`` stores them; a
-``Partition`` is built only where the public ``majorizes`` needs one, on the
-pairwise fallback of the majorization scan.  Within one n, pairs come from
-the length buckets of ``parts_by_length``, each parts tuple carrying the
-values computed for it once: different-length pairs shorter first,
-same-length pairs as combinations of one bucket, whose ascending
-lexicographic order already puts the partition that is smaller at the first
-differing part first.  The colour scans list their violations in that same
-pair order, k ascending within a pair, though they do not loop over the
-pairs, and multiply the per-part counts ``_part_counts(k, n)`` over each
-parts tuple.
+is the one volatile field and is excluded from the fingerprint).  The
+process pool is imported on first use, and only for ``workers > 1``, so
+importing this module loads neither ``concurrent.futures`` nor
+``multiprocessing``.  The scans hold partitions as plain parts tuples, as
+``Violation`` stores them; a ``Partition`` is built only where the public
+``majorizes`` needs one, on the pairwise fallback of the majorization scan.
+Within one n, pairs come from the length buckets of ``parts_by_length``,
+each parts tuple carrying the values computed for it once: different-length
+pairs shorter first, same-length pairs as combinations of one bucket, whose
+ascending lexicographic order already puts the partition that is smaller at
+the first differing part first.  The colour scans list their violations in
+that same pair order, k ascending within a pair, though they do not loop
+over the pairs, and multiply the per-part counts ``_part_counts(k, n)`` over
+each parts tuple.  The majorization scan enumerates only an n whose
+certificate fails; a certified n counts its pairs from ``_length_counts(n)``.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
 plain ints, so its three exports (``fingerprint``, ``write_records`` and
@@ -55,7 +58,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product
@@ -410,6 +412,21 @@ def _part_counts(k: int, n: int) -> list[int]:
     return [row[0] for row in euler_rows(k, n)[: n + 1]]
 
 
+def _length_counts(n: int) -> list[int]:
+    """``p(n, r)`` for r = 0..n: the partitions of n into exactly r parts.
+
+    ``p(m, r) = p(m-1, r-1) + p(m-r, r)``, as a partition of m into r parts
+    has a unit part (remove it) or none (take 1 from every part).
+    """
+    rows = [[1] + [0] * n]
+    for m in range(1, n + 1):
+        row = [0] * (n + 1)
+        for r in range(1, m + 1):
+            row[r] = rows[m - 1][r - 1] + rows[m - r][r]
+        rows.append(row)
+    return rows[n]
+
+
 def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
     """Certify n by its per-part count ratios; list violations pairwise only
     if one fails.
@@ -422,9 +439,9 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
     and ``>`` is transitive, so counts that rise along every transfer rise
     along every strictly comparable pair.  The pairwise loop is the one path
     that lists violations, in pair order, so a failing n goes through it
-    whole.
+    whole.  A certified n enumerates nothing: its same-length pairs are
+    counted from ``_length_counts``.
     """
-    buckets = parts_by_length(n).values()
     for k in k_tuple:
         c = _part_counts(k, n)
         for x in range(1, n // 2):
@@ -432,7 +449,7 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
             for y in range(x + 2, n - x + 1):
                 if not up * c[y - 1] > low * c[y]:
                     return _majorization_pairs(n, k_tuple)
-    return sum(comb(len(bucket), 2) for bucket in buckets), []
+    return sum(comb(count, 2) for count in _length_counts(n)), []
 
 
 def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
@@ -527,6 +544,10 @@ def _scan(
     if workers <= 1:
         results = list(map(bucket, ns))
     else:
+        # imported here, not at module level: it loads multiprocessing, which
+        # only a pool scan needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(bucket, ns))
     return ScanReport(

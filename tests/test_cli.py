@@ -449,6 +449,39 @@ def test_scan_output_paths_keep_existing_files(tmp_path, capsys):
     assert paths["--csv"].read_text().startswith("scan_kind,")
 
 
+REFUSED_SCANS = {
+    "majorization-k2": (["--kind", "majorization", "--n-max", "5", "--k-set", "2"], "k >= 3"),
+    "lemma-n3": (["--kind", "lemma-diff-length", "--n-max", "3"], "n_max must be >= 4"),
+}
+
+
+@pytest.mark.parametrize("refused", sorted(REFUSED_SCANS))
+@pytest.mark.parametrize("flag", ["--csv", "--records", "--output"])
+def test_a_refused_scan_leaves_no_output_file(tmp_path, capsys, refused, flag):
+    argv, message = REFUSED_SCANS[refused]
+    path = tmp_path / "out"
+    code, _, err = run(capsys, "scan", *argv, flag, str(path))
+    assert code == 1 and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("refused", sorted(REFUSED_SCANS))
+def test_a_refused_scan_keeps_existing_output_files(tmp_path, capsys, refused):
+    # the files that existed keep their bytes; the one the probe made is gone
+    argv, message = REFUSED_SCANS[refused]
+    kept = {flag: tmp_path / f"out{flag}" for flag in ("--csv", "--records")}
+    for path in kept.values():
+        path.write_text("stale\n")
+    made = tmp_path / "out--output"
+    code, _, err = run(
+        capsys, "scan", *argv, "--csv", str(kept["--csv"]),
+        "--records", str(kept["--records"]), "--output", str(made),
+    )
+    assert code == 1 and message in err
+    assert not made.exists()
+    assert [path.read_text() for path in kept.values()] == ["stale\n", "stale\n"]
+
+
 def test_installed_console_script():
     """The ``hilbprod`` console script and ``python -m hilbprod`` share one entry
     point; the subprocess runs the latter so that no install is needed."""

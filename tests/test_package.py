@@ -1,11 +1,16 @@
-"""The package surface: every module's ``__all__`` names what it defines, and
-only ``hilbprod.series`` packs rows of ints into byte slots."""
+"""The package surface: every module's ``__all__`` names what it defines, only
+``hilbprod.series`` packs rows of ints into byte slots, and importing the
+package loads no process-pool machinery."""
 
 from __future__ import annotations
 
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +51,31 @@ def test_only_series_knows_the_slot_format(source):
     # the kernel and the Kuenneth product share one codec, _pack and _unpack
     # in series.py; bytes handled anywhere else would be a second format
     assert not SLOT_CODEC.findall((PACKAGE / source).read_text())
+
+
+POOL_STACK_PROBE = """
+import json, sys
+pool = ("concurrent.futures", "multiprocessing")
+loaded = {}
+import hilbprod
+loaded["import hilbprod"] = [m for m in pool if m in sys.modules]
+import hilbprod.cli
+loaded["import hilbprod.cli"] = [m for m in pool if m in sys.modules]
+from hilbprod.scanner import verify_lemma_inequalities
+verify_lemma_inequalities(8, 2, "same_length")
+loaded["serial scan"] = [m for m in pool if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_the_process_pool_stack_loads_only_for_a_pool_scan():
+    # a fresh interpreter: this one may have imported either module already
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_STACK_PROBE], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "import hilbprod": [], "import hilbprod.cli": [], "serial scan": []
+    }

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import operator
+from collections import Counter
 from math import comb, prod
 
 import pytest
@@ -34,6 +35,7 @@ from colour_oracle import (
     brute_force_colored,
     exhaustive_conjecture,
     exhaustive_majorization,
+    recursive_buckets,
     transfer_fails,
     transfers,
     tuple_counts,
@@ -41,21 +43,22 @@ from colour_oracle import (
 from export_oracle import csv_rows, oracle_exports, to_records
 
 
+def oracle_length_sizes(n: int) -> list[int]:
+    """How many partitions of n there are of each length, from ``oracle_partitions``."""
+    return list(Counter(map(len, oracle_partitions(n))).values())
+
+
 def independent_same_length_pairs(n_max: int) -> int:
-    total = 0
-    for n in range(1, n_max + 1):
-        for bucket in partitions_by_length(n).values():
-            total += comb(len(bucket), 2)
-    return total
+    return sum(
+        comb(size, 2) for n in range(1, n_max + 1) for size in oracle_length_sizes(n)
+    )
 
 
 def independent_diff_length_pairs(n_max: int) -> int:
     total = 0
     for n in range(1, n_max + 1):
-        sizes = [len(bucket) for bucket in partitions_by_length(n).values()]
-        all_pairs = comb(sum(sizes), 2)
-        same = sum(comb(size, 2) for size in sizes)
-        total += all_pairs - same
+        sizes = oracle_length_sizes(n)
+        total += comb(sum(sizes), 2) - sum(comb(size, 2) for size in sizes)
     return total
 
 
@@ -353,14 +356,11 @@ def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
     assert calls
 
 
-@pytest.mark.parametrize(
-    "scan",
-    [lambda: verify_majorization({3}, 8), lambda: scan_conjecture({4}, 8)],
-    ids=["majorization", "conjecture"],
-)
+@pytest.mark.parametrize("scan", ["majorization", "conjecture"])
 def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
     # a tracer that wraps partitions._ascending_partitions, the generator
-    # behind parts_by_length, sees every n once
+    # behind parts_by_length, sees every n once; the majorization scan counts
+    # a certified n's pairs without enumerating, so only its fallback does
     calls = []
     original = partitions._ascending_partitions
 
@@ -369,8 +369,24 @@ def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
         return original(n)
 
     monkeypatch.setattr(partitions, "_ascending_partitions", counted)
-    scan()
-    assert calls == list(range(1, 9))
+    if scan == "conjecture":
+        scan_conjecture({4}, 8)
+        assert calls == list(range(1, 9))
+    else:
+        verify_majorization({3}, 8)
+        assert calls == []
+        # equal counts fail every transfer; n <= 3 has none, so stays certified
+        monkeypatch.setattr(scanner, "_part_counts", every_part_counts_k)
+        verify_majorization({3}, 8)
+        assert calls == list(range(4, 9))
+
+
+def test_length_counts_match_the_recursive_oracle():
+    # p(n, r) from the recurrence, against the oracle's own enumeration
+    for n in range(1, 23):
+        buckets = recursive_buckets(n)
+        assert scanner._length_counts(n) == [len(buckets.get(r, ())) for r in range(n + 1)]
+    assert verify_majorization({3, 4, 5}, 22).pairs_checked == independent_same_length_pairs(22)
 
 
 # -- conjecture scan -------------------------------------------------------------------
@@ -493,7 +509,8 @@ def test_scans_apply_the_worker_clamp(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(scanner.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(scanner, "ProcessPoolExecutor", no_pool)
+    # the scan imports the pool where it starts one, from concurrent.futures
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     report = verify_majorization({3}, 9, workers=10**6)
     assert report.fingerprint() == verify_majorization({3}, 9).fingerprint()
 
