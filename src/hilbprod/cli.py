@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_params(text: str | None) -> dict[str, int]:
-    if not text:
+    if text is None:
         return {}
     params = {}
     for item in text.split(","):
@@ -124,7 +124,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     surface = _load_surface(args)
     partition = _parse_partition(args.partition)
-    show = args.show.split(",") if args.show else ["betti", "euler"]
+    show = args.show.split(",") if args.show is not None else ["betti", "euler"]
     for item in show:
         if item not in SHOW_CHOICES:
             raise UsageError(
@@ -224,17 +224,10 @@ def _run_scan(args: argparse.Namespace) -> int:
     workers = args.workers
     if args.kind in ("lemma-diff-length", "lemma-same-length"):
         mode = "diff_length" if args.kind == "lemma-diff-length" else "same_length"
-        report = verify_lemma_inequalities(
-            args.n_max, args.p_max, mode, workers=workers
-        )
-    elif args.kind == "majorization":
-        report = verify_majorization(
-            int_list(args.k_set, "integer list"), args.n_max, workers=workers
-        )
-    else:  # conjecture
-        report = scan_conjecture(
-            int_list(args.k_set, "integer list"), args.n_max, workers=workers
-        )
+        report = verify_lemma_inequalities(args.n_max, args.p_max, mode, workers=workers)
+    else:
+        scan = verify_majorization if args.kind == "majorization" else scan_conjecture
+        report = scan(int_list(args.k_set, "integer list"), args.n_max, workers=workers)
     if args.csv:
         report.write_csv(args.csv)
     if args.records:
@@ -271,20 +264,12 @@ def _cmd_aut(args: argparse.Namespace) -> int:
     shape = aut_shape(partition)
     payload = shape.to_dict()
     lines = [shape.render()]
-    note = None
+    note = "formal shape: the splitting is proved for the K3 and Kummer structural classes"
     if args.surface is not None:
         surface = _load_surface(args)
         payload["surface"] = surface.name
-        if surface.structural_class is StructuralClass.GENERIC:
-            note = (
-                "formal shape: the splitting is proved for the K3 and Kummer "
-                "structural classes, unverified for this surface"
-            )
-    else:
-        note = (
-            "formal shape: the splitting is proved for the K3 and Kummer "
-            "structural classes"
-        )
+        generic = surface.structural_class is StructuralClass.GENERIC
+        note = f"{note}, unverified for this surface" if generic else None
     if note:
         payload["note"] = note
         lines.append(f"note: {note}")
@@ -402,9 +387,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -412,7 +394,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except OSError as exc:  # an --output, --csv or --records path that cannot be written
+    # a malformed request, or an --output, --csv or --records path that cannot be written
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

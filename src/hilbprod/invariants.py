@@ -31,8 +31,8 @@ from .series import (
     TruncatedSeries,
     betti_table,
     euler_table,
+    hodge_grid,
     hodge_p0_table,
-    hodge_table,
 )
 from .surfaces import SurfaceInvariants
 
@@ -265,10 +265,8 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
     Reads row n of the infinite product whose ``t^n`` coefficient is the
     Hodge polynomial of the n-point scheme: for each k >= 1 and each (p, q),
     a factor ``(1 + x^{p+k-1} y^{q+k-1} t^k)^{h^{p,q}}`` when p+q is odd and
-    ``(1 - x^{p+k-1} y^{q+k-1} t^k)^{-h^{p,q}}`` when p+q is even.  The table
-    holds it at ``x = z^L, y = z``, with L the smallest power of two above
-    2n, the largest y-degree, so ``h^{i,j}`` is the coefficient of
-    ``z^{i L + j}``.
+    ``(1 - x^{p+k-1} y^{q+k-1} t^k)^{-h^{p,q}}`` when p+q is even
+    (``series.hodge_grid``).
     """
     if d.size != 2:
         raise DataError(f"expected a surface diamond (size 2), got size {d.size}")
@@ -279,13 +277,9 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
     require_plain_ints(n=n)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-
-    size = 2 * n
-    stride = 1 << size.bit_length()
-    line = hodge_table(tuple(d.entries()), stride).rows_upto(n)[n]
+    grid = hodge_grid(tuple(d.entries()), n)
     return HodgeDiamond(
-        size,
-        {(i, j): line[i * stride + j] for i in range(size + 1) for j in range(size + 1)},
+        2 * n, {(i, j): h for i, row in enumerate(grid) for j, h in enumerate(row)}
     )
 
 

@@ -74,7 +74,7 @@ from .partitions import (
     majorizes,
     parts_by_length,
 )
-from .series import euler_rows
+from .series import GrowOnlyTable, euler_rows
 
 __all__ = [
     "Violation",
@@ -99,16 +99,7 @@ class Violation(NamedTuple):
     form: str = ""
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "scan_kind": self.scan_kind,
-            "n": self.n,
-            "a": list(self.a),
-            "b": list(self.b),
-            "k_or_p": self.k_or_p,
-            "value_a": self.value_a,
-            "value_b": self.value_b,
-            "form": self.form,
-        }
+        return {**self._asdict(), "a": list(self.a), "b": list(self.b)}
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Violation":
@@ -239,16 +230,9 @@ class ScanReport:
         through ``_VIOLATION_JSON``: that key sorts last, so the header's
         text ends in its empty list.
         """
-        head = json.dumps(
-            {
-                "scan_kind": self.scan_kind,
-                "parameters": dict(self.parameters),
-                "pairs_checked": self.pairs_checked,
-                "engine_version": self.engine_version,
-                "violations": [],
-            },
-            sort_keys=True,
-        )
+        content = {**self._header(), "violations": []}
+        del content["wall_time_ms"], content["record"]
+        head = json.dumps(content, sort_keys=True)
         return head[:-2] + ", ".join(self._json_texts(_VIOLATION_JSON)) + "]}"
 
     def _header(self) -> dict[str, Any]:
@@ -412,19 +396,23 @@ def _part_counts(k: int, n: int) -> list[int]:
     return [row[0] for row in euler_rows(k, n)[: n + 1]]
 
 
-def _length_counts(n: int) -> list[int]:
-    """``p(n, r)`` for r = 0..n: the partitions of n into exactly r parts.
+def _length_rows(rows: list[list[int]], m: int) -> list[int]:
+    """``p(m, r)`` for r = 0..m: the partitions of m into exactly r parts.
 
     ``p(m, r) = p(m-1, r-1) + p(m-r, r)``, as a partition of m into r parts
     has a unit part (remove it) or none (take 1 from every part).
     """
-    rows = [[1] + [0] * n]
-    for m in range(1, n + 1):
-        row = [0] * (n + 1)
-        for r in range(1, m + 1):
-            row[r] = rows[m - 1][r - 1] + rows[m - r][r]
-        rows.append(row)
-    return rows[n]
+    return [0] + [
+        rows[m - 1][r - 1] + (rows[m - r][r] if 2 * r <= m else 0) for r in range(1, m + 1)
+    ]
+
+
+_LENGTH_COUNTS = GrowOnlyTable(1, _length_rows)
+
+
+def _length_counts(n: int) -> list[int]:
+    """``p(n, r)`` for r = 0..n, row n of the grow-only table (callers only read it)."""
+    return _LENGTH_COUNTS.rows_upto(n)[n]
 
 
 def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:

@@ -4,7 +4,8 @@ Every generating function of the package specializes Goettsche's product
 ``F = prod_{m >= 1} prod_j (1 + sign_j z^{slope_j m + offset_j} t^m)^{e_j}``,
 a series in t and zero or one variable z: z itself (Betti), none (Euler), or,
 for the Hodge diamond, ``x = z^L, y = z`` with a stride L above every
-y-degree that is read, so that ``x^i y^j`` lands in ``z^{i L + j}``.  The
+y-degree that is read, so that ``x^i y^j`` lands in ``z^{i L + j}``; only
+``hodge_grid`` knows that layout, and L is the table's own state.  The
 kernel builds the products in z (Betti, Hodge diamond).  Their rows ``F_n``,
 polynomials in z held as flat lists of ints, follow from the
 log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
@@ -23,8 +24,10 @@ only the coefficients ``(-1)^j`` at the generalized pentagonal numbers
 ``2 sqrt(2n/3)`` terms, with the pentagonal numbers kept in one grow-only
 list that every Euler table shares.  The ``h^{p,0}`` series (y = 0) is a
 running sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
-(b0, b1, b2), chi, (h10, h20) and (diamond, L): a table at N answers every
-n <= N, and a larger request extends it from its last row.
+(b0, b1, b2), chi, (h10, h20) and diamond: a table at N answers every
+n <= N, and a larger request extends it from its last row.  A Hodge request
+with ``2n >= L`` replaces the diamond's table with one at the L that n
+needs, holding the stored rows re-laid, so no row is built twice.
 
 ``GrowOnlyTable.series`` returns rows 0..N of a table as a
 ``TruncatedSeries``, the read-only result of ``poincare_series``,
@@ -65,7 +68,7 @@ __all__ = [
     "euler_table",
     "euler_rows",
     "hodge_p0_table",
-    "hodge_table",
+    "hodge_grid",
 ]
 
 
@@ -172,6 +175,7 @@ class TruncatedSeries:
 _GROW_LOCK = threading.RLock()  # reentrant: a kernel grows its majorant's Euler table
 Row = list[int]
 Factor = tuple[int, int, int, int]  # (sign, e, slope, offset)
+Diamond = tuple[tuple[int, int, int], ...]  # (p, q, h^{p,q}) entries
 
 
 class GrowOnlyTable:
@@ -179,8 +183,8 @@ class GrowOnlyTable:
 
     Row n is a flat list of ints, ``row[j]`` the coefficient of ``z^j``; a
     series without z has the single entry ``row[0]``.  The Hodge diamond
-    is a series in z too, through ``x = z^L, y = z``.  ``next_row(rows, n)``
-    computes row n from rows 0..n-1.
+    is a series in z too, through ``x = z^L, y = z``; its table keeps L as
+    ``stride``.  ``next_row(rows, n)`` computes row n from rows 0..n-1.
 
     ``products`` maps a parts tuple to the coefficient tuple that
     ``product`` returned for it, and ``_packed`` maps ``(n, w)`` to row n
@@ -349,6 +353,11 @@ def _log_derivative(factors: list[Factor], k: int) -> list[tuple[int, int]]:
     return [(deg, c) for deg, c in sorted(terms.items()) if c]
 
 
+def _span(factors: list[Factor]) -> int:
+    """The kernel's z-degrees of row n are at most ``span n``; the row has ``span n + 1``."""
+    return max((slope + max(offset, 0) for _, e, slope, offset in factors if e), default=0)
+
+
 def _goettsche_rows(factors: list[Factor]):
     """``next_row`` of ``prod_m prod_j (1 + sign_j z^{slope_j m + offset_j} t^m)^{e_j}``.
 
@@ -370,8 +379,7 @@ def _goettsche_rows(factors: list[Factor]):
     from the pentagonal recurrence.
     """
     factors = [f for f in factors if f[1]]
-    # the z-degrees of row n are at most span * n
-    span = max((f[2] + max(f[3], 0) for f in factors), default=0)
+    span = _span(factors)
     majorant = sum(abs(f[1]) for f in factors)
     g: list[list[tuple[int, int]]] = [[]]  # G_k as (z-degree, coefficient)
     w = 0  # slot width in bytes (0 before row 1)
@@ -445,7 +453,7 @@ def _hodge_p0_rows(h10: int, h20: int):
 _BETTI_TABLES: dict[tuple[int, int, int], GrowOnlyTable] = {}
 _EULER_TABLES: dict[int, GrowOnlyTable] = {}
 _HODGE_P0_TABLES: dict[tuple[int, int], GrowOnlyTable] = {}
-_HODGE_TABLES: dict[tuple[tuple[tuple[int, int, int], ...], int], GrowOnlyTable] = {}
+_HODGE_TABLES: dict[Diamond, GrowOnlyTable] = {}
 
 
 def _table(registry: dict, key, aux_count: int, make_next_row) -> GrowOnlyTable:
@@ -503,8 +511,10 @@ def hodge_p0_table(h10: int, h20: int) -> GrowOnlyTable:
     return _table(_HODGE_P0_TABLES, (h10, h20), 1, lambda: _hodge_p0_rows(h10, h20))
 
 
-def _hodge_factors(diamond: tuple[tuple[int, int, int], ...], stride: int) -> list[Factor]:
-    # x^{p+m-1} y^{q+m-1} at x = z^stride, y = z: z^{(stride + 1) m + (p-1) stride + q-1}
+def _hodge_factors(diamond: Diamond, n: int) -> list[Factor]:
+    """The factors at ``x = z^L, y = z``, L the least power of two above 2n:
+    ``x^{p+m-1} y^{q+m-1}`` is ``z^{(L + 1) m + (p-1) L + q-1}``, every slope L + 1."""
+    stride = 1 << (2 * n).bit_length()
     return [
         (1, h, stride + 1, (p - 1) * stride + q - 1) if (p + q) % 2
         else (-1, -h, stride + 1, (p - 1) * stride + q - 1)
@@ -512,18 +522,45 @@ def _hodge_factors(diamond: tuple[tuple[int, int, int], ...], stride: int) -> li
     ]
 
 
-def hodge_table(diamond: tuple[tuple[int, int, int], ...], stride: int) -> GrowOnlyTable:
-    """Rows in z of Goettsche's Hodge product for ``(p, q, h^{p,q})`` entries.
+def _hodge_table(diamond: Diamond, n: int, seed: GrowOnlyTable | None) -> GrowOnlyTable:
+    """The diamond's table at the stride L' that n needs, holding the seed's rows.
+
+    ``z^{iL+j}`` of the seed's stride L goes to ``z^{iL'+j}``, a slice copy per
+    i (row m has y-degrees j <= 2m < L), in a row of the kernel's length.
+    """
+    factors = _hodge_factors(diamond, n)
+    table = GrowOnlyTable(1, _goettsche_rows(factors))
+    table.stride = stride = factors[0][2] - 1  # the table's own state, like the slot width
+    for m, line in enumerate(seed.rows[1:] if seed else [], start=1):
+        row = [0] * (_span(factors) * m + 1)
+        for i in range(2 * m + 1):
+            piece = line[i * seed.stride:i * seed.stride + 2 * m + 1]
+            row[i * stride:i * stride + len(piece)] = piece
+        table.rows.append(row)
+    return table
+
+
+def hodge_grid(diamond: Diamond, n: int) -> list[Row]:
+    """``h^{i,j}``, 0 <= i, j <= 2n, in row n of Goettsche's Hodge product.
 
     Factor m is ``(1 - (-1)^{p+q} x^{p+m-1} y^{q+m-1} t^m)^{-(-1)^{p+q} h^{p,q}}``
-    at ``x = z^stride, y = z``.  Row n holds the coefficient of ``x^i y^j`` at
-    ``z^{i stride + j}`` while ``2 n < stride``, which bounds its y-degrees.
+    per ``(p, q, h^{p,q})`` entry.  The diamond's one table holds
+    ``h^{i,j}`` at ``z^{iL + j}`` (``x = z^L, y = z``), one-to-one while
+    ``L > 2n``, the bound of the y-degrees when p, q <= 2.  A cold request
+    builds at the least such L; one with ``2n >= L`` replaces the table,
+    under the lock, by one at the L that n needs, seeded with the stored
+    rows.  Rows never change, so a reader of the old table stays consistent.
     """
-    if type(stride) is not int or {type(h) for entry in diamond for h in entry} != {int}:
-        raise UsageError(f"table keys must be plain ints, got {(diamond, stride)!r}")
-    return _table(
-        _HODGE_TABLES,
-        (diamond, stride),
-        1,
-        lambda: _goettsche_rows(_hodge_factors(diamond, stride)),
-    )
+    if type(n) is not int or {type(h) for entry in diamond for h in entry} != {int}:
+        raise UsageError(f"table keys must be plain ints, got {(diamond, n)!r}")
+    if n < 0 or any(not (0 <= p <= 2 and 0 <= q <= 2) for p, q, _ in diamond):
+        raise UsageError(f"need n >= 0 and entries (p, q, h), p, q in 0..2: {(diamond, n)!r}")
+    size = 2 * n
+    with _GROW_LOCK:
+        table = _HODGE_TABLES.get(diamond)
+        if table is None or table.stride <= size:
+            table = _HODGE_TABLES[diamond] = _hodge_table(diamond, n, table)
+    stride = table.stride
+    # a diamond without h^{2,2} has shorter rows: the rest of the window is zero
+    line = table.rows_upto(n)[n] + [0] * ((size + 1) * stride)
+    return [line[i * stride:i * stride + size + 1] for i in range(size + 1)]

@@ -30,7 +30,6 @@ import enum
 import json
 import os
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -325,9 +324,7 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     if path is None:
         path = os.environ.get(CATALOG_ENV_VAR)
     if path is None:
-        text = (
-            resources.files("hilbprod").joinpath("data/catalog.json").read_text()
-        )
+        text = (Path(__file__).parent / "data" / "catalog.json").read_text(encoding="utf-8")
         return _catalog_from_dict(json.loads(text), "builtin")
     p = Path(path)
     if not p.exists():

@@ -111,6 +111,15 @@ def test_bad_params_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("params", ["", " "])
+@pytest.mark.parametrize("surface", ["k3", "ruled"])
+def test_empty_params_exit_1(capsys, surface, params):
+    # an empty list is refused as " " is, on a literal surface as on a family
+    code, out, err = run(capsys, "catalog", "--surface", surface, "--params", params)
+    assert (code, out) == (1, "")
+    assert f"empty item in parameter list: {params!r}" in err
+
+
 def test_repeated_param_exit_1(capsys):
     # the last value used to win silently: d = 9 for "d=3,d=9"
     code, out, err = run(
@@ -203,6 +212,16 @@ def test_invariants_unknown_show_item(capsys):
         "invariants", "--surface", "k3", "--partition", "2", "--show", "chern",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("show", ["", "betti,", ",", " "])
+def test_invariants_empty_show_exit_1(capsys, show):
+    # an empty list is refused like an empty item, not read as the default
+    code, out, err = run(
+        capsys, "invariants", "--surface", "k3", "--partition", "2", "--show", show
+    )
+    assert (code, out) == (1, "")
+    assert "unknown invariant" in err
 
 
 # -- series ------------------------------------------------------------------------

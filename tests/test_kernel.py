@@ -11,6 +11,7 @@ import pytest
 import hilbprod.series as series
 from hilbprod.errors import DataError, UsageError
 from hilbprod.invariants import (
+    HodgeDiamond,
     euler_series,
     hodge_p0,
     hodge_p0_series,
@@ -69,8 +70,8 @@ def test_euler_kernel_matches_oracle(chi):
 
 @pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
 def test_hodge_kernel_matches_oracle(s):
-    # rows 1..6 are read from the tables at strides L = 4, 8 and 16, and
-    # they run at more than one slot width
+    # rows 1..6 need strides L = 4, 8 and 16, which the diamond's one table
+    # reaches by re-laying its rows, and they run at more than one slot width
     diamond = surface_diamond(s)
     product = hodge_product(diamond.entries(), 6)
     for n in range(1, 7):
@@ -167,7 +168,7 @@ def trial_division_log_derivative(factors, k: int) -> dict[int, int]:
 def test_log_derivative_reads_the_shared_divisor_table(monkeypatch):
     monkeypatch.setattr(series, "_DIVISORS", [[]])
     # b1 < 0 gives factors with sign +1 and e < 0 next to sign -1 and e < 0
-    for factors in (series._betti_factors(1, -3, 2), series._hodge_factors(ABELIAN_DIAMOND, 32)):
+    for factors in (series._betti_factors(1, -3, 2), series._hodge_factors(ABELIAN_DIAMOND, 15)):
         for k in range(1, 301):
             got = series._log_derivative(factors, k)
             assert dict(got) == trial_division_log_derivative(factors, k)
@@ -296,7 +297,7 @@ def _kernel_requests(requests) -> None:
         if kind == "betti":
             series.betti_table(1, 0, 53).rows_upto(n)
         elif kind == "hodge":
-            series.hodge_table(ABELIAN_DIAMOND, 32).rows_upto(n)
+            series.hodge_grid(ABELIAN_DIAMOND, n)
         else:  # the majorant table of (1, 0, 53), grown from outside the kernel
             colored_count(55, n)
 
@@ -354,11 +355,8 @@ def test_rows_are_pinned():
         rows = series.betti_table(b0, b1, b2).rows_upto(40)[:41]
         digest.update(repr([[line] for line in rows]).encode())
     for s in PINNED_HODGE_SURFACES:
-        rows = series.hodge_table(tuple(surface_diamond(s).entries()), 32).rows_upto(10)
-        digest.update(repr([
-            [line[i * 32:i * 32 + 2 * n + 1] for i in range(2 * n + 1)]
-            for n, line in enumerate(rows[:11])
-        ]).encode())
+        diamond = tuple(surface_diamond(s).entries())
+        digest.update(repr([series.hodge_grid(diamond, n) for n in range(11)]).encode())
     assert digest.hexdigest() == PINNED_ROWS
 
 
@@ -379,38 +377,99 @@ def test_hodge_diamonds_are_pinned(monkeypatch):
     assert digest.hexdigest() == PINNED_HODGE
 
 
-def diamond_at_stride(diamond, n: int, stride: int) -> dict[tuple[int, int], int]:
-    """Row n of the Hodge table at ``stride`` read as ``h^{i,j}``, i, j <= 2n."""
-    line = series.hodge_table(diamond, stride).rows_upto(n)[n]
-    window = {
-        (i, j): line[i * stride + j] for i in range(2 * n + 1) for j in range(2 * n + 1)
-    }
-    # no coefficient lies outside the window that is read
-    assert sum(map(bool, line)) == sum(map(bool, window.values()))
-    return {key: c for key, c in window.items() if c}
-
-
 @pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
-def test_the_stride_never_changes_a_number(s):
+def test_the_stride_never_changes_a_number(monkeypatch, s):
+    # n = 1..8 in turn re-lay the diamond's table at strides 8, 16 and 32; a
+    # cold request for n = 8 builds at stride 32: the rows are equal, and
+    # every grid reads alike at either stride
     diamond = tuple(surface_diamond(s).entries())
-    for n in range(1, 8):
-        expected = diamond_at_stride(diamond, n, 16)
-        assert diamond_at_stride(diamond, n, 32) == expected, n
-        assert diamond_at_stride(diamond, n, 64) == expected, n
+    hodge_tables = fresh_tables(monkeypatch)[3]
+    grids = [series.hodge_grid(diamond, n) for n in range(1, 9)]
+    relaid = hodge_tables[diamond]
+    hodge_tables = fresh_tables(monkeypatch)[3]
+    assert series.hodge_grid(diamond, 8) == grids[-1]
+    fresh = hodge_tables[diamond]
+    assert (relaid.stride, fresh.stride) == (32, 32)
+    assert relaid.rows == fresh.rows
+    assert [series.hodge_grid(diamond, n) for n in range(1, 9)] == grids
+    for n, grid in enumerate(grids, start=1):
+        # no coefficient lies outside the window that is read
+        assert sum(map(bool, fresh.rows[n])) == sum(bool(h) for line in grid for h in line)
 
 
 def test_diamonds_across_stride_boundaries_match_oracle(monkeypatch):
-    # n = 7, 8, 15, 16 read from the tables at strides 16, 32, 32 and 64
+    # n = 7, 8, 15, 16 need strides 16, 32, 32 and 64: one table, re-laid
     hodge_tables = fresh_tables(monkeypatch)[3]
     order = [7, 8, 15, 16]
     random.Random(4).shuffle(order)
     diamond = surface_diamond(next(s for s in CATALOG if s.name == "abelian"))
     got = {n: hodge_polynomial_full(diamond, n) for n in order}
-    assert sorted(stride for _, stride in hodge_tables) == [16, 32, 64]
+    assert [table.stride for table in hodge_tables.values()] == [64]
     product = hodge_product(diamond.entries(), 16)
     for n in order:
         expected = {aux: c for (t_deg, aux), c in product.items() if t_deg == n}
         assert {(p, q): v for p, q, v in got[n].entries()} == expected, n
+
+
+def test_no_hodge_row_is_built_twice(monkeypatch):
+    # n = 15 builds rows 1..15 at stride 32; n = 16 re-lays them at stride
+    # 64 and builds row 16 alone
+    built: list[int] = []
+    goettsche_rows = series._goettsche_rows
+
+    def counting_rows(factors):
+        next_row = goettsche_rows(factors)
+        return lambda rows, n: built.append(n) or next_row(rows, n)
+
+    monkeypatch.setattr(series, "_goettsche_rows", counting_rows)
+    hodge_tables = fresh_tables(monkeypatch)[3]
+    series.hodge_grid(ABELIAN_DIAMOND, 15)
+    series.hodge_grid(ABELIAN_DIAMOND, 16)
+    assert built == list(range(1, 17))
+    assert hodge_tables[ABELIAN_DIAMOND].stride == 64
+
+
+def test_threads_share_one_hodge_table_across_a_doubling(monkeypatch):
+    # n = 6, 7 need stride 16 and n = 8, 9 stride 32: readers of the old
+    # table stay consistent while another thread replaces it
+    hodge_tables = fresh_tables(monkeypatch)[3]
+    diamond = surface_diamond(next(s for s in CATALOG if s.name == "k3"))
+    orders = [[6, 7, 8, 9] for _ in range(4)]
+    for i, order in enumerate(orders):
+        random.Random(i).shuffle(order)
+    seen: list[dict[int, HodgeDiamond]] = [{} for _ in orders]
+    race(lambda i: seen[i].update((n, hodge_polynomial_full(diamond, n)) for n in orders[i]))
+    product = hodge_product(diamond.entries(), 9)
+    for got in seen:
+        for n, found in got.items():
+            expected = {aux: c for (t_deg, aux), c in product.items() if t_deg == n}
+            assert {(p, q): v for p, q, v in found.entries()} == expected, n
+    assert [table.stride for table in hodge_tables.values()] == [32]
+
+
+def test_a_diamond_without_h22_reads_zeros_past_its_rows(monkeypatch):
+    # no (2, 2) entry: the kernel's rows stop short of the window 0..2n
+    fresh_tables(monkeypatch)
+    for entries in ({(0, 0): 1}, {(0, 0): 1, (1, 1): 3}, {(0, 0): 1, (1, 0): 2, (0, 1): 2}):
+        diamond = HodgeDiamond(2, entries)
+        product = hodge_product(diamond.entries(), 5)
+        for n in (1, 5, 2, 4):
+            expected = {aux: c for (t_deg, aux), c in product.items() if t_deg == n}
+            got = hodge_polynomial_full(diamond, n)
+            assert {(p, q): v for p, q, v in got.entries()} == expected, (entries, n)
+
+
+def test_a_hodge_entry_outside_the_surface_range_is_refused(monkeypatch):
+    # p, q <= 2 bound the y-degrees of row n by 2n < L; (3, 3) would put
+    # y-degrees past L at small strides, where they alias x-degrees
+    hodge_tables = fresh_tables(monkeypatch)[3]
+    for diamond in (((0, 0, 1), (0, 3, 1), (3, 0, 1), (3, 3, 1)), ((0, 0, 1), (-1, 1, 1))):
+        for n in (3, 20):
+            with pytest.raises(UsageError, match=r"p, q in 0\.\.2"):
+                series.hodge_grid(diamond, n)
+    with pytest.raises(UsageError, match="n >= 0"):
+        series.hodge_grid(ABELIAN_DIAMOND, -1)
+    assert hodge_tables == {}
 
 
 # -- specialization identities ---------------------------------------------------
@@ -534,7 +593,7 @@ def test_the_table_functions_check_their_keys_on_every_call(monkeypatch):
     series.euler_rows(3, 5)
     series.betti_table(1, 0, 22)
     series.hodge_p0_table(2, 1)
-    series.hodge_table(ABELIAN_DIAMOND, 32)
+    series.hodge_grid(ABELIAN_DIAMOND, 3)
     warm = [dict(registry) for registry in registries]
     float_diamond = (ABELIAN_DIAMOND[0][:2] + (1.0,),) + ABELIAN_DIAMOND[1:]
     refused = [
@@ -544,8 +603,9 @@ def test_the_table_functions_check_their_keys_on_every_call(monkeypatch):
         (series.betti_table, (1.0, 0, 22)), (series.betti_table, (1, False, 22)),
         (series.betti_table, (1, 0, 22.0)),
         (series.hodge_p0_table, (2.0, 1)), (series.hodge_p0_table, (2, True)),
-        (series.hodge_table, (ABELIAN_DIAMOND, 32.0)),
-        (series.hodge_table, (float_diamond, 32)),
+        (series.hodge_grid, (ABELIAN_DIAMOND, 3.0)),
+        (series.hodge_grid, (ABELIAN_DIAMOND, True)),
+        (series.hodge_grid, (float_diamond, 3)),
     ]
     for call, args in refused:
         with pytest.raises(UsageError, match="plain int"):

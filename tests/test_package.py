@@ -55,27 +55,32 @@ def test_only_series_knows_the_slot_format(source):
 
 POOL_STACK_PROBE = """
 import json, sys
-pool = ("concurrent.futures", "multiprocessing")
+unwanted = ("concurrent.futures", "multiprocessing", "importlib.resources", "tempfile")
 loaded = {}
 import hilbprod
-loaded["import hilbprod"] = [m for m in pool if m in sys.modules]
+loaded["import hilbprod"] = [m for m in unwanted if m in sys.modules]
 import hilbprod.cli
-loaded["import hilbprod.cli"] = [m for m in pool if m in sys.modules]
+loaded["import hilbprod.cli"] = [m for m in unwanted if m in sys.modules]
+hilbprod.load_catalog()
+loaded["builtin catalog"] = [m for m in unwanted if m in sys.modules]
 from hilbprod.scanner import verify_lemma_inequalities
 verify_lemma_inequalities(8, 2, "same_length")
-loaded["serial scan"] = [m for m in pool if m in sys.modules]
+loaded["serial scan"] = [m for m in unwanted if m in sys.modules]
 print(json.dumps(loaded))
 """
 
 
 def test_the_process_pool_stack_loads_only_for_a_pool_scan():
-    # a fresh interpreter: this one may have imported either module already
+    # a fresh interpreter without site (-S), which would import modules of
+    # its own: this one may have imported any of them already.  The builtin
+    # catalog is read as a file next to the package, not through
+    # importlib.resources, which loads tempfile, zipfile and more
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", POOL_STACK_PROBE], capture_output=True, text=True, env=env
+        [sys.executable, "-S", "-c", POOL_STACK_PROBE], capture_output=True, text=True, env=env
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
-        "import hilbprod": [], "import hilbprod.cli": [], "serial scan": []
+        "import hilbprod": [], "import hilbprod.cli": [], "builtin catalog": [], "serial scan": []
     }

@@ -15,6 +15,7 @@ import pytest
 
 import hilbprod.partitions as partitions
 import hilbprod.scanner as scanner
+from hilbprod.series import GrowOnlyTable, _goettsche_rows
 from hilbprod.errors import UsageError
 from hilbprod.partitions import (
     Majorization,
@@ -387,6 +388,13 @@ def test_length_counts_match_the_recursive_oracle():
         buckets = recursive_buckets(n)
         assert scanner._length_counts(n) == [len(buckets.get(r, ())) for r in range(n + 1)]
     assert verify_majorization({3, 4, 5}, 22).pairs_checked == independent_same_length_pairs(22)
+
+
+def test_length_counts_are_the_kernel_rows_of_prod_one_over_one_minus_z_t_m():
+    # p(n, r) is the coefficient of z^r t^n in prod_m (1 - z t^m)^-1
+    kernel = GrowOnlyTable(1, _goettsche_rows([(-1, -1, 0, 1)]))
+    for n in range(41):
+        assert scanner._length_counts(n) == kernel.rows_upto(n)[n], n
 
 
 # -- conjecture scan -------------------------------------------------------------------
