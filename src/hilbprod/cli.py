@@ -124,7 +124,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     surface = _load_surface(args)
     partition = _parse_partition(args.partition)
-    show = args.show.split(",") if args.show is not None else ["betti", "euler"]
+    show = ["betti", "euler"]
+    if args.show is not None:
+        show = [item.strip() for item in args.show.split(",")]
     for item in show:
         if item not in SHOW_CHOICES:
             raise UsageError(

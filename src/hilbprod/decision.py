@@ -25,11 +25,11 @@ complete.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, replace
 from itertools import groupby
 from math import comb, prod
 from typing import Any, Mapping
 
+from ._record import Record
 from .errors import DimensionMismatchError
 from .invariants import (
     euler_char_tuple,
@@ -103,29 +103,42 @@ RULE_STATEMENTS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
+    __slots__ = ("invariant", "index", "value_a", "value_b")
     invariant: str
     index: int | None
     value_a: int
     value_b: int
 
+    def __init__(self, invariant: str, index: int | None, value_a: int, value_b: int) -> None:
+        object.__setattr__(self, "invariant", invariant)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "value_a", value_a)
+        object.__setattr__(self, "value_b", value_b)
+
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        return {
+            "invariant": self.invariant,
+            "index": self.index,
+            "value_a": self.value_a,
+            "value_b": self.value_b,
+        }
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "Witness":
         return cls(d["invariant"], d["index"], d["value_a"], d["value_b"])
 
 
-@dataclass(frozen=True)
-class FiredRule:
+class FiredRule(Record):
+    __slots__ = ("rule_id", "detail")
     rule_id: str
     detail: str
 
-    def __post_init__(self) -> None:
-        if self.rule_id not in RULE_STATEMENTS:
-            raise ValueError(f"unknown rule id {self.rule_id!r}")
+    def __init__(self, rule_id: str, detail: str) -> None:
+        if rule_id not in RULE_STATEMENTS:
+            raise ValueError(f"unknown rule id {rule_id!r}")
+        object.__setattr__(self, "rule_id", rule_id)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def statement(self) -> str:
@@ -143,8 +156,8 @@ class FiredRule:
         return cls(d["rule_id"], d.get("detail", ""))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = ("outcome", "surface", "a", "b", "witness", "rules_fired", "notes")
     outcome: Outcome
     surface: str
     a: Partition
@@ -152,6 +165,24 @@ class Verdict:
     witness: Witness | None
     rules_fired: tuple[FiredRule, ...]
     notes: tuple[str, ...]
+
+    def __init__(
+        self,
+        outcome: Outcome,
+        surface: str,
+        a: Partition,
+        b: Partition,
+        witness: Witness | None,
+        rules_fired: tuple[FiredRule, ...],
+        notes: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "rules_fired", rules_fired)
+        object.__setattr__(self, "notes", notes)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -342,18 +373,20 @@ def kummer_reinterpretation(s: SurfaceInvariants) -> SurfaceInvariants:
     Any other surface is a DataError: the retagged surface fails the
     abelian-class check when it is built.
     """
-    return replace(
-        s,
+    return s.replace(
         name=f"kummer({s.name})",
         structural_class=StructuralClass.ABELIAN_FOR_KUMMER,
     )
 
 
-@dataclass(frozen=True)
-class AutShape:
+class AutShape(Record):
     """Multiplicity profile of a partition: distinct parts with repeat counts."""
 
+    __slots__ = ("factors",)
     factors: tuple[tuple[int, int], ...]
+
+    def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "factors", factors)
 
     def render(self) -> str:
         pieces = []

@@ -22,9 +22,9 @@ inventing values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import Record
 from .errors import DataError, UsageError, require_plain_ints
 from .partitions import Partition, colored_count_tuple
 from .series import (
@@ -104,19 +104,20 @@ def betti_closed(s: SurfaceInvariants, n: int, k: int) -> int | None:
     raise UsageError(f"closed forms exist for k in 0..2, got k={k}")
 
 
-@dataclass(frozen=True)
-class PoincarePolynomial:
+class PoincarePolynomial(Record):
     """Betti numbers of a product of Hilbert schemes, indexed by degree."""
 
+    __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coefficients or self.coefficients[0] < 1:
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        if not coefficients or coefficients[0] < 1:
             raise ValueError("constant coefficient must be >= 1")
-        if (len(self.coefficients) - 1) % 4 != 0:
+        if (len(coefficients) - 1) % 4 != 0:
             raise ValueError(
                 "length must be 4*n + 1 for a 4n-real-dimensional product"
             )
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def degree(self) -> int:

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterator
 
+from ._record import Record
 from .errors import UsageError
 from .series import euler_rows
 
@@ -63,21 +64,30 @@ def int_list(text: str, what: str) -> list[int]:
         raise UsageError(f"invalid {what}: {text!r}") from exc
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """A partition of a positive integer, parts weakly increasing."""
+@total_ordering
+class Partition(Record):
+    """A partition of a positive integer, parts weakly increasing.
 
+    Partitions order as their parts tuples do, lexicographically.
+    """
+
+    __slots__ = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, parts: tuple[int, ...]) -> None:
         # whole-tuple passes; enumerated partitions skip them (``_trusted``)
-        parts = self.parts
         if not parts:
             raise ValueError("a partition needs at least one part")
         if not {*map(type, parts)} <= {int} or min(parts) < 1:
             raise ValueError(f"parts must be positive integers, got {parts}")
         if list(parts) != sorted(parts):
             raise ValueError(f"parts must be weakly increasing, got {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts < other.parts
+        return NotImplemented
 
     @property
     def n(self) -> int:

@@ -58,13 +58,13 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, product
 from math import comb, prod
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sized
 
+from ._record import Record
 from ._version import __version__
 from .errors import UsageError, require_plain_ints
 from .partitions import (
@@ -177,8 +177,7 @@ _RECORD_JSON = (
 _VIOLATION_JSON = _RECORD_JSON.replace('"record": "violation", ', "")
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """The findings of one scan.
 
     Construction refuses (ValueError) a ``pairs_checked``, a
@@ -187,8 +186,13 @@ class ScanReport:
     ``%d`` and ``str``, which would truncate a float and print a bool as 1
     where ``json.dumps`` prints ``true``, and the header's counts with
     ``json.dumps``, which would print ``true`` or ``1.5`` as a count.
+    ``replace(**changes)`` builds a changed copy, checked in the same way.
     """
 
+    __slots__ = (
+        "scan_kind", "parameters", "pairs_checked", "violations", "wall_time_ms",
+        "engine_version",
+    )
     scan_kind: str
     parameters: tuple[tuple[str, Any], ...]
     pairs_checked: int
@@ -196,7 +200,21 @@ class ScanReport:
     wall_time_ms: int
     engine_version: str
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        scan_kind: str,
+        parameters: tuple[tuple[str, Any], ...],
+        pairs_checked: int,
+        violations: tuple[Violation, ...],
+        wall_time_ms: int,
+        engine_version: str,
+    ) -> None:
+        object.__setattr__(self, "scan_kind", scan_kind)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "pairs_checked", pairs_checked)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "wall_time_ms", wall_time_ms)
+        object.__setattr__(self, "engine_version", engine_version)
         self._check_ints()
 
     def parameter(self, name: str) -> Any:

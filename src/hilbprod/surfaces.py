@@ -29,10 +29,10 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
+from ._record import Record
 from .errors import CatalogError, DataError
 
 __all__ = [
@@ -57,20 +57,50 @@ class StructuralClass(enum.Enum):
     ABELIAN_FOR_KUMMER = "abelian_for_kummer"
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(Record):
+    """One base surface; building it raises ``DataError`` unless it is valid.
+
+    ``replace(**changes)`` builds a changed copy, checked in the same way.
+    """
+
+    __slots__ = (
+        "name", "b0", "b1", "b2", "chi", "h10", "h20",
+        "structural_class", "family_params", "provenance",
+    )
     name: str
     b0: int
     b1: int
     b2: int
     chi: int
-    h10: int | None = None
-    h20: int | None = None
-    structural_class: StructuralClass = StructuralClass.GENERIC
-    family_params: tuple[tuple[str, int], ...] = ()
-    provenance: str = ""
+    h10: int | None
+    h20: int | None
+    structural_class: StructuralClass
+    family_params: tuple[tuple[str, int], ...]
+    provenance: str
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        b0: int,
+        b1: int,
+        b2: int,
+        chi: int,
+        h10: int | None = None,
+        h20: int | None = None,
+        structural_class: StructuralClass = StructuralClass.GENERIC,
+        family_params: tuple[tuple[str, int], ...] = (),
+        provenance: str = "",
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "b0", b0)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "h10", h10)
+        object.__setattr__(self, "h20", h20)
+        object.__setattr__(self, "structural_class", structural_class)
+        object.__setattr__(self, "family_params", family_params)
+        object.__setattr__(self, "provenance", provenance)
         diagnostics = _diagnostics(self)
         if diagnostics:
             raise DataError(
@@ -254,10 +284,14 @@ def _family_record(row: Mapping[str, Any], params: Mapping[str, int]) -> dict[st
 # -- catalog ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Record):
+    __slots__ = ("version", "records")
     version: int
     records: tuple[dict[str, Any], ...]
+
+    def __init__(self, version: int, records: tuple[dict[str, Any], ...]) -> None:
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "records", records)
 
     def names(self) -> list[str]:
         return [r["name"] for r in self.records]

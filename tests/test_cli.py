@@ -214,6 +214,18 @@ def test_invariants_unknown_show_item(capsys):
     assert code == 1
 
 
+def test_invariants_show_items_are_stripped(capsys):
+    # spaces around an item were kept, so " euler" was an unknown invariant
+    base = ("invariants", "--surface", "k3", "--partition", "2", "--show")
+    assert run(capsys, *base, "betti, euler") == run(capsys, *base, "betti,euler")
+    code, out, _ = run(capsys, *base, " betti , euler ")
+    assert code == 0
+    assert "betti: [" in out and "euler characteristic: " in out
+    code, out, err = run(capsys, *base, "betti, chern")
+    assert (code, out) == (1, "")
+    assert "unknown invariant 'chern'" in err
+
+
 @pytest.mark.parametrize("show", ["", "betti,", ",", " "])
 def test_invariants_empty_show_exit_1(capsys, show):
     # an empty list is refused like an empty item, not read as the default

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
+import json
 import re
 from math import comb, prod
 
@@ -387,6 +389,35 @@ def test_verdict_round_trip():
         decide(K3, Partition((2, 2)), Partition((2, 2))),
     ):
         assert Verdict.from_dict(v.to_dict()) == v
+
+
+# sha256 of every verdict's full ``to_dict()`` JSON, rule statements and
+# details included, which the witness-only decide digest leaves out
+FULL_VERDICT_DIGEST = "2b39b4f4f30bdb75391c7d976705e1f86402aa4d85321e02995f23459b0e64c4"
+
+
+def test_every_verdict_dict_hashes_as_pinned():
+    surfaces = [
+        s for s in load_catalog().representatives() if not s.family_params
+    ] + [
+        kummer_reinterpretation(ABELIAN),
+        PAIR_OF_SURFACES,
+        SurfaceInvariants("pair_of_abelian", 2, 8, 12, 0),
+    ]
+    digest = hashlib.sha256()
+    fired = set()
+    count = 0
+    for s in surfaces:
+        for n in range(1, 11):
+            partitions = enumerate_partitions(n)
+            for a, b in itertools.product(partitions, repeat=2):
+                record = decide(s, a, b).to_dict()
+                fired.update(r["rule_id"] for r in record["rules_fired"])
+                digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+                count += 1
+    assert count == 32_238
+    assert fired == set(decision.RULE_STATEMENTS)
+    assert digest.hexdigest() == FULL_VERDICT_DIGEST
 
 
 def test_a_loaded_verdict_refuses_an_unknown_rule():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from math import comb, prod
 
 import pytest
@@ -229,7 +228,7 @@ def test_hodge_p0_stability():
 
 def test_hodge_p0_refusals():
     with pytest.raises(DataError):
-        hodge_p0(replace(catalog_lookup("quintic"), h20=None), 2, 1)  # no h20
+        hodge_p0(catalog_lookup("quintic").replace(h20=None), 2, 1)  # no h20
     with pytest.raises(DataError):
         hodge_p0(synthetic(2, 0, 2), 2, 1)  # disconnected
     with pytest.raises(UsageError):

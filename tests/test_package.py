@@ -1,6 +1,8 @@
 """The package surface: every module's ``__all__`` names what it defines, only
-``hilbprod.series`` packs rows of ints into byte slots, and importing the
-package loads no process-pool machinery."""
+``hilbprod.series`` packs rows of ints into byte slots, and a short session
+(import, catalog, one decision, one serial scan and its exports) loads
+neither the process-pool machinery nor ``dataclasses``, ``inspect``, ``ast``
+or ``dis``."""
 
 from __future__ import annotations
 
@@ -53,9 +55,12 @@ def test_only_series_knows_the_slot_format(source):
     assert not SLOT_CODEC.findall((PACKAGE / source).read_text())
 
 
-POOL_STACK_PROBE = """
+# each step of a short session, then the modules of ``unwanted`` (argv[1],
+# comma-separated) loaded after it; exports go to the directory argv[2]
+STARTUP_PROBE = """
 import json, sys
-unwanted = ("concurrent.futures", "multiprocessing", "importlib.resources", "tempfile")
+unwanted = sys.argv[1].split(",")
+out = sys.argv[2]
 loaded = {}
 import hilbprod
 loaded["import hilbprod"] = [m for m in unwanted if m in sys.modules]
@@ -63,24 +68,43 @@ import hilbprod.cli
 loaded["import hilbprod.cli"] = [m for m in unwanted if m in sys.modules]
 hilbprod.load_catalog()
 loaded["builtin catalog"] = [m for m in unwanted if m in sys.modules]
+from hilbprod.partitions import Partition
+hilbprod.decide(hilbprod.catalog_lookup("abelian"), Partition((1, 3)), Partition((2, 2))).to_dict()
+loaded["decide"] = [m for m in unwanted if m in sys.modules]
 from hilbprod.scanner import verify_lemma_inequalities
-verify_lemma_inequalities(8, 2, "same_length")
+report = verify_lemma_inequalities(8, 2, "same_length")
+report.write_csv(out + "/scan.csv")
+report.write_records(out + "/scan.jsonl")
+report.fingerprint()
 loaded["serial scan"] = [m for m in unwanted if m in sys.modules]
 print(json.dumps(loaded))
 """
+STARTUP_STEPS = ("import hilbprod", "import hilbprod.cli", "builtin catalog", "decide", "serial scan")
 
 
-def test_the_process_pool_stack_loads_only_for_a_pool_scan():
-    # a fresh interpreter without site (-S), which would import modules of
-    # its own: this one may have imported any of them already.  The builtin
-    # catalog is read as a file next to the package, not through
-    # importlib.resources, which loads tempfile, zipfile and more
+def loaded_after_each_step(unwanted: tuple[str, ...], out: Path) -> dict[str, list[str]]:
+    """Run ``STARTUP_PROBE`` in a fresh interpreter without site (-S), which
+    would import modules of its own: this one may have imported any of them
+    already."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-S", "-c", POOL_STACK_PROBE], capture_output=True, text=True, env=env
+        [sys.executable, "-S", "-c", STARTUP_PROBE, ",".join(unwanted), str(out)],
+        capture_output=True, text=True, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {
-        "import hilbprod": [], "import hilbprod.cli": [], "builtin catalog": [], "serial scan": []
-    }
+    return json.loads(done.stdout)
+
+
+def test_the_process_pool_stack_loads_only_for_a_pool_scan(tmp_path):
+    # the builtin catalog is read as a file next to the package, not through
+    # importlib.resources, which loads tempfile, zipfile and more
+    unwanted = ("concurrent.futures", "multiprocessing", "importlib.resources", "tempfile")
+    assert loaded_after_each_step(unwanted, tmp_path) == dict.fromkeys(STARTUP_STEPS, [])
+
+
+def test_records_load_no_class_generator_machinery(tmp_path):
+    # the value records are plain slotted classes: the standard library's
+    # dataclasses module loads inspect, ast and dis, the larger part of start-up
+    unwanted = ("dataclasses", "inspect", "ast", "dis")
+    assert loaded_after_each_step(unwanted, tmp_path) == dict.fromkeys(STARTUP_STEPS, [])

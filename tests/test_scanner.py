@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -247,7 +246,7 @@ def test_transfers_close_to_strict_majorization():
 
 
 def same_exports(report: ScanReport, oracle: ScanReport, tmp_path) -> bool:
-    report = dataclasses.replace(report, wall_time_ms=0)
+    report = report.replace(wall_time_ms=0)
     return exports(report, tmp_path) == exports(oracle, tmp_path)
 
 
@@ -579,7 +578,7 @@ PINNED_EXPORTS = {
 @pytest.mark.parametrize("name", sorted(PINNED_EXPORTS))
 def test_exports_are_pinned(tmp_path, name):
     scan, *expected = PINNED_EXPORTS[name]
-    report = dataclasses.replace(scan(), wall_time_ms=0)
+    report = scan().replace(wall_time_ms=0)
     report.write_csv(tmp_path / "report.csv")
     report.write_records(tmp_path / "report.jsonl")
     exported = [
@@ -762,7 +761,7 @@ def test_exports_refuse_what_is_not_a_plain_int(field, bad):
         handmade_report(*violations)
     report = handmade_report(twin, good)
     with pytest.raises(ValueError, match=f"field {field} must"):
-        dataclasses.replace(report, violations=violations)
+        report.replace(violations=violations)
 
 
 @pytest.mark.parametrize("field", ["pairs_checked", "wall_time_ms"])
@@ -789,7 +788,7 @@ def test_reports_check_their_ints_once_when_built(monkeypatch, tmp_path):
     reports = [
         scanned,
         handmade_report(*EDGE_VIOLATIONS),
-        dataclasses.replace(scanned, wall_time_ms=0),
+        scanned.replace(wall_time_ms=0),
         ScanReport.from_records(to_records(scanned)),
     ]
     assert checked == [id(report) for report in reports]

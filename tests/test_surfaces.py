@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -152,10 +151,10 @@ def test_construction_raises_the_validation_message():
         SurfaceInvariants("broken", 1, 0, 22, 25)
     # every way of building a surface passes through the same check
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-        replace(SurfaceInvariants("broken", 1, 0, 22, 24), chi=25)
+        SurfaceInvariants("broken", 1, 0, 22, 24).replace(chi=25)
     k3 = catalog_lookup("k3")
     with pytest.raises(DataError, match=re.escape("surface 'k3' fails validation: chi mismatch")):
-        replace(k3, chi=25)
+        k3.replace(chi=25)
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         SurfaceInvariants.from_record(
             {"name": "broken", "b0": 1, "b1": 0, "b2": 22, "chi": 25}
@@ -170,7 +169,7 @@ def test_structural_class_must_be_a_member():
         SurfaceInvariants("x", 1, 0, 22, 24, 0, 1, structural_class="k3")
     k3 = catalog_lookup("k3")
     with pytest.raises(DataError, match=f"^surface 'k3' {message}$"):
-        replace(k3, structural_class="k3")
+        k3.replace(structural_class="k3")
     # a record names its class by value, and only a known value converts
     record = k3.to_record()
     assert SurfaceInvariants.from_record(record).structural_class is StructuralClass.K3
