@@ -234,9 +234,10 @@ def _run_scan(args: argparse.Namespace) -> int:
         report.write_csv(args.csv)
     if args.records:
         report.write_records(args.records)
+    parameters = {name: list(v) if type(v) is tuple else v for name, v in report.parameters}
     lines = [
         f"scan: {report.scan_kind}",
-        f"parameters: {dict(report.parameters)}",
+        f"parameters: {parameters}",
         f"pairs checked: {report.pairs_checked}",
         f"violations: {len(report.violations)}",
         f"wall time: {report.wall_time_ms} ms",

@@ -22,6 +22,7 @@ inventing values.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 from ._record import Record
@@ -187,53 +188,52 @@ def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
     return list(hodge_p0_table(h10, h20).product(a.parts))
 
 
-class HodgeDiamond:
-    """Hodge numbers ``h^{p,q}`` of a variety, 0 <= p, q <= size."""
+class HodgeDiamond(Record):
+    """Hodge numbers ``h^{p,q}`` of a variety, 0 <= p, q <= size.
 
-    __slots__ = ("size", "_entries")
+    ``cells`` maps (p, q) to h, as a dict or as the stored ``((p, q), h)``
+    pairs of the nonzero cells, sorted; each number is a plain int (DataError).
+    """
 
-    def __init__(self, size: int, entries: dict[tuple[int, int], int]) -> None:
+    __slots__ = ("size", "cells")
+    size: int
+    cells: tuple[tuple[tuple[int, int], int], ...]
+
+    def __init__(self, size: int, cells: dict[tuple[int, int], int]) -> None:
+        cells = dict(cells)
+        if {type(size), *map(type, cells.values()), *map(type, chain(*cells))} != {int}:
+            raise DataError(f"Hodge diamond needs plain ints, got size {size!r} and {cells!r}")
         if size < 0:
             raise ValueError("size must be nonnegative")
-        clean = {}
-        for (p, q), value in entries.items():
-            if value == 0:
-                continue
+        nonzero = tuple(sorted([cell for cell in cells.items() if cell[1]]))
+        for (p, q), value in nonzero:
             if value < 0:
                 raise DataError(f"negative Hodge number h[{p},{q}] = {value}")
             if not (0 <= p <= size and 0 <= q <= size):
                 raise DataError(f"entry ({p},{q}) outside 0..{size}")
-            clean[(p, q)] = value
-        self.size = size
-        self._entries = clean
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "cells", nonzero)
 
     def h(self, p: int, q: int) -> int:
-        return self._entries.get((p, q), 0)
+        return dict(self.cells).get((p, q), 0)
 
     def entries(self) -> list[tuple[int, int, int]]:
-        return [(p, q, v) for (p, q), v in sorted(self._entries.items())]
+        return [(p, q, v) for (p, q), v in self.cells]
 
     def is_symmetric(self) -> bool:
-        return all(self.h(p, q) == self.h(q, p) for (p, q) in self._entries)
+        return self.cells == tuple(sorted([((q, p), v) for (p, q), v in self.cells]))
 
     def betti(self, i: int) -> int:
-        return sum(
-            v for (p, q), v in self._entries.items() if p + q == i
-        )
+        return sum(v for (p, q), v in self.cells if p + q == i)
 
     def total(self) -> int:
-        return sum(self._entries.values())
+        return sum(v for _, v in self.cells)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** (p + q) * v for (p, q), v in self._entries.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HodgeDiamond):
-            return NotImplemented
-        return self.size == other.size and self._entries == other._entries
+        return sum((-1) ** (p + q) * v for (p, q), v in self.cells)
 
     def __repr__(self) -> str:
-        return f"HodgeDiamond(size={self.size}, entries={len(self._entries)})"
+        return f"HodgeDiamond(size={self.size}, entries={len(self.cells)})"
 
 
 def surface_diamond(s: SurfaceInvariants) -> HodgeDiamond:
@@ -279,9 +279,7 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     grid = hodge_grid(tuple(d.entries()), n)
-    return HodgeDiamond(
-        2 * n, {(i, j): h for i, row in enumerate(grid) for j, h in enumerate(row)}
-    )
+    return HodgeDiamond(2 * n, {(i, j): h for i, row in enumerate(grid) for j, h in enumerate(row)})
 
 
 # -- Euler side ----------------------------------------------------------------

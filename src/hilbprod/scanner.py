@@ -210,6 +210,8 @@ class ScanReport(Record):
         engine_version: str,
     ) -> None:
         object.__setattr__(self, "scan_kind", scan_kind)
+        # a list (k_set read from JSON) is held as a tuple: the report hashes and stays as built
+        parameters = tuple([(name, tuple(v) if type(v) is list else v) for name, v in parameters])
         object.__setattr__(self, "parameters", parameters)
         object.__setattr__(self, "pairs_checked", pairs_checked)
         object.__setattr__(self, "violations", violations)
@@ -628,7 +630,7 @@ def verify_majorization(
         raise UsageError(f"n_max must be >= 1, got {n_max}")
     return _scan(
         "majorization",
-        (("k_set", list(k_tuple)), ("n_max", n_max)),
+        (("k_set", k_tuple), ("n_max", n_max)),
         partial(_majorization_bucket, k_tuple=k_tuple),
         n_max,
         workers,
@@ -652,7 +654,7 @@ def scan_conjecture(
         raise UsageError(f"n_max must be >= 1, got {n_max}")
     return _scan(
         "conjecture",
-        (("k_set", list(k_tuple)), ("n_max", n_max)),
+        (("k_set", k_tuple), ("n_max", n_max)),
         partial(_conjecture_bucket, k_tuple=k_tuple),
         n_max,
         workers,

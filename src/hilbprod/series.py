@@ -58,6 +58,7 @@ import threading
 from math import comb, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+from ._record import Record
 from .errors import DataError, UsageError, require_plain_ints
 
 __all__ = [
@@ -79,7 +80,7 @@ class Exponent(NamedTuple):
     aux_degs: tuple[int, ...] = ()
 
 
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Immutable truncated series in t and at most one auxiliary variable (z).
 
     Coefficients are big integers.  The series holds one line per t-degree
@@ -89,7 +90,10 @@ class TruncatedSeries:
     agree, that is iff their nonzero terms do.
     """
 
-    __slots__ = ("truncation", "aux_count", "_lines")
+    __slots__ = ("truncation", "aux_count", "lines")
+    truncation: int
+    aux_count: int
+    lines: tuple[tuple[int, ...], ...]
 
     def __init__(
         self, truncation: int, aux_count: int, lines: tuple[tuple[int, ...], ...]
@@ -102,10 +106,7 @@ class TruncatedSeries:
             )
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "aux_count", aux_count)
-        object.__setattr__(self, "_lines", lines)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TruncatedSeries is immutable")
+        object.__setattr__(self, "lines", lines)
 
     # -- inspection ---------------------------------------------------------
 
@@ -126,39 +127,27 @@ class TruncatedSeries:
             )
         if e.t_deg < 0 or any(d < 0 for d in e.aux_degs):
             raise ValueError(f"negative degree in exponent {tuple(e)}")
-        line = self._lines[e.t_deg]
+        line = self.lines[e.t_deg]
         j = e.aux_degs[0] if self.aux_count else 0
         return line[j] if j < len(line) else 0
 
     def terms(self) -> Iterator[tuple[Exponent, int]]:
         """Nonzero terms in deterministic order (by t-degree, then aux degree)."""
         one = self.aux_count == 1
-        for n, line in enumerate(self._lines):
+        for n, line in enumerate(self.lines):
             for j, c in enumerate(line):
                 if c:
                     yield Exponent(n, (j,) if one else ()), c
 
     def __len__(self) -> int:
-        return sum(len(line) - line.count(0) for line in self._lines)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.truncation == other.truncation
-            and self.aux_count == other.aux_count
-            and self._lines == other._lines
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.truncation, self.aux_count, self._lines))
+        return sum(len(line) - line.count(0) for line in self.lines)
 
     def dump(self) -> str:
         """Debug dump, one term per line: ``t^a z^b : coeff`` (sorted)."""
         z = " z^{}" if self.aux_count else ""
         return "\n".join([
             f"t^{n}{z.format(j)} : {c}"
-            for n, line in enumerate(self._lines)
+            for n, line in enumerate(self.lines)
             for j, c in enumerate(line)
             if c
         ])

@@ -296,7 +296,7 @@ class Catalog(Record):
     def names(self) -> list[str]:
         return [r["name"] for r in self.records]
 
-    def record(self, name: str) -> dict[str, Any]:
+    def _row(self, name: str) -> dict[str, Any]:
         for r in self.records:
             if r["name"] == name:
                 return r
@@ -304,10 +304,15 @@ class Catalog(Record):
             f"unknown surface {name!r}; known: {', '.join(self.names())}"
         )
 
+    def record(self, name: str) -> dict[str, Any]:
+        """A copy of the row of ``name``: changing it leaves the catalog as it was."""
+        from copy import deepcopy  # here, not at start-up: only this method copies
+        return deepcopy(self._row(name))
+
     def lookup(
         self, name: str, params: Mapping[str, int] | None = None
     ) -> SurfaceInvariants:
-        record = self.record(name)
+        record = self._row(name)
         declared = record.get("family_params", [])
         if declared:
             if name not in FAMILIES:

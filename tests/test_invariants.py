@@ -372,6 +372,25 @@ def test_hodge_diamond_rejects_negative_entries():
         HodgeDiamond(2, {(0, 0): -1})
 
 
+@pytest.mark.parametrize(
+    "size, cells",
+    [(2.5, {(0, 0): 1}), (2, {(2, 2): 1.0}), (2, {(1, 1): True}), (2, {(1.0, 1): 1}), (True, {})],
+)
+def test_hodge_diamond_rejects_numbers_that_are_not_plain_ints(size, cells):
+    with pytest.raises(DataError, match="plain ints"):
+        HodgeDiamond(size, cells)
+
+
+def test_hodge_diamond_stores_its_nonzero_cells_sorted():
+    # any insertion order gives one diamond; its stored cells build it again
+    d = HodgeDiamond(2, {(2, 2): 1, (1, 1): 20, (0, 0): 1, (2, 0): 0})
+    assert d.cells == (((0, 0), 1), ((1, 1), 20), ((2, 2), 1))
+    assert d == HodgeDiamond(2, d.cells) == HodgeDiamond(2, dict(reversed(d.cells)))
+    assert d.entries() == [(0, 0, 1), (1, 1, 20), (2, 2, 1)]
+    assert (d.h(1, 1), d.h(1, 0), d.total(), d.betti(2), d.euler_characteristic()) == (20, 0, 22, 20, 22)
+    assert repr(d) == "HodgeDiamond(size=2, entries=3)"
+
+
 # -- Euler characteristics -----------------------------------------------------------
 
 

@@ -204,7 +204,7 @@ def assert_series_of(built, table, truncation: int, cap: int | None = None) -> N
     assert (built.truncation, built.aux_count) == (truncation, table.aux_count)
     assert term_map(built) == row_terms(table, truncation, cap)
     assert len(built) == len(term_map(built))
-    assert all(not line or line[-1] for line in built._lines)
+    assert all(not line or line[-1] for line in built.lines)
 
 
 @pytest.mark.parametrize("truncation", [1, 2, 7, 24])
@@ -621,7 +621,7 @@ def test_a_colour_scan_refuses_a_k_that_is_not_a_plain_int(monkeypatch):
         with pytest.raises(UsageError, match="plain ints"):
             verify_majorization(k_set, 6)
     assert registries[1] == {}
-    assert scan_conjecture({4}, 6).parameter("k_set") == [4]
+    assert scan_conjecture({4}, 6).parameter("k_set") == (4,)
 
 
 def test_a_surface_with_float_numbers_is_flagged_and_fills_no_table(monkeypatch):

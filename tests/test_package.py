@@ -6,6 +6,7 @@ or ``dis``."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -53,6 +54,21 @@ def test_only_series_knows_the_slot_format(source):
     # the kernel and the Kuenneth product share one codec, _pack and _unpack
     # in series.py; bytes handled anywhere else would be a second format
     assert not SLOT_CODEC.findall((PACKAGE / source).read_text())
+
+
+def test_only_record_defines_equality_hashing_and_immutability():
+    # one implementation of immutable values: every other class that needs
+    # them subclasses hilbprod._record.Record
+    hand_rolled = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+    found = [
+        (path.name, node.name, item.name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name != "Record"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in hand_rolled
+    ]
+    assert found == []
 
 
 # each step of a short session, then the modules of ``unwanted`` (argv[1],

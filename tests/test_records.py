@@ -12,9 +12,10 @@ import pytest
 
 from hilbprod.decision import AutShape, FiredRule, Verdict, Witness, aut_shape, decide
 from hilbprod.errors import DataError
-from hilbprod.invariants import PoincarePolynomial
+from hilbprod.invariants import HodgeDiamond, PoincarePolynomial, poincare_series, surface_diamond
 from hilbprod.partitions import Partition, _trusted, enumerate_partitions
 from hilbprod.scanner import ScanReport, verify_lemma_inequalities
+from hilbprod.series import TruncatedSeries
 from hilbprod.surfaces import (
     Catalog,
     StructuralClass,
@@ -56,6 +57,11 @@ RECORDS = {
         lambda: catalog_lookup("k3"),
     ),
     Catalog: (("version", "records"), load_catalog),
+    TruncatedSeries: (
+        ("truncation", "aux_count", "lines"),
+        lambda: poincare_series(catalog_lookup("k3"), 4),
+    ),
+    HodgeDiamond: (("size", "cells"), lambda: surface_diamond(catalog_lookup("abelian"))),
 }
 CLASSES = list(RECORDS)
 

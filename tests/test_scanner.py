@@ -163,7 +163,24 @@ def test_majorization_scan_small():
     report = verify_majorization({3, 4, 5}, 10)
     assert report.violations == ()
     assert report.pairs_checked == independent_same_length_pairs(10)
-    assert report.parameter("k_set") == [3, 4, 5]
+    assert report.parameter("k_set") == (3, 4, 5)
+
+
+@pytest.mark.parametrize("scan", [verify_majorization, scan_conjecture])
+def test_a_colour_scan_report_hashes_and_keeps_its_fingerprint(scan):
+    # k_set is held as a tuple, whether the report comes from the scan, from
+    # JSON or from a list given to the constructor
+    report = scan({4, 5}, 8)
+    fingerprint = report.fingerprint()
+    loaded = ScanReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    listed = report.replace(parameters=(("k_set", [4, 5]), ("n_max", 8)))
+    for twin in (report, loaded, listed):
+        assert twin.parameter("k_set") == (4, 5)
+        assert twin == report and hash(twin) == hash(report)
+        assert twin.fingerprint() == fingerprint
+    with pytest.raises(AttributeError):
+        report.parameter("k_set").append(99)
+    assert report.fingerprint() == fingerprint
 
 
 def test_majorization_base_pair_values():

@@ -260,3 +260,13 @@ def test_family_defaults_cover_all_family_rows():
     assert family_rows == set(FAMILIES)
     for name, (params, _) in FAMILIES.items():
         assert catalog.record(name)["family_params"] == list(params)
+
+
+def test_a_changed_record_leaves_the_catalog_as_it_was():
+    catalog = load_catalog()
+    k3 = catalog.lookup("k3")
+    catalog.record("k3")["chi"] = 25
+    catalog.record("ruled")["family_params"].append("h")
+    assert catalog.lookup("k3") == k3
+    assert catalog.record("ruled")["family_params"] == ["g"]
+    assert catalog == load_catalog()
