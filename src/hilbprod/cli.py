@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import combinations
 from typing import Any, Sequence
 
 from ._version import __version__
@@ -203,15 +204,24 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # probe created is removed again if the command fails, so a refused scan
     # leaves nothing behind, and a file that already existed is never touched
     created: list[str] = []
+    named = [
+        (flag, path)
+        for flag, path in (("--csv", args.csv), ("--records", args.records), ("--output", args.output))
+        if path
+    ]
     try:
-        for path in (args.csv, args.records, args.output):
-            if path:
-                try:
-                    open(path, "x").close()
-                except FileExistsError:
-                    open(path, "a").close()  # never truncates
-                else:
-                    created.append(path)
+        for _, path in named:
+            try:
+                open(path, "x").close()
+            except FileExistsError:
+                open(path, "a").close()  # never truncates
+            else:
+                created.append(path)
+        # every path exists now, so samefile sees that ./X and X are one file,
+        # which the later export would silently overwrite
+        for (flag, path), (other, other_path) in combinations(named, 2):
+            if os.path.samefile(path, other_path):
+                raise UsageError(f"{flag} {path} and {other} {other_path} name the same file")
         return _run_scan(args)
     except BaseException:
         for path in created:

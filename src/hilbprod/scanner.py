@@ -49,12 +49,13 @@ certificate fails; a certified n counts its pairs from ``_length_counts(n)``.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
 plain ints, so its three exports (``fingerprint``, ``write_records`` and
-``write_csv``) write without checking again.
+``write_csv``) write without checking again.  Each export fills one
+``%``-template per violation, with no dict or ``csv.writer`` row per
+violation, so importing this module loads no ``csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -105,19 +106,46 @@ class Violation(NamedTuple):
     def from_dict(cls, d: Mapping[str, Any]) -> "Violation":
         """The violation of ``d``, unchecked: the report that holds it checks
         its numbers."""
-        return cls(
-            d["scan_kind"],
-            d["n"],
-            tuple(d["a"]),
-            tuple(d["b"]),
-            d["k_or_p"],
-            d["value_a"],
-            d["value_b"],
-            d.get("form", ""),
-        )
+        return _load_violations([d])[0]
 
 
 CSV_COLUMNS = Violation._fields
+
+
+def _load_violations(dicts: Iterable[Mapping[str, Any]]) -> tuple[Violation, ...]:
+    """The violations of ``dicts``, unchecked, sharing equal values as a scan does.
+
+    Equal parts tuples load as one tuple and equal kind and form strings as
+    one string, so the exports' ``id``-keyed texts are made once per value.
+    A parts tuple is keyed with its element types: ``(1, True) == (1, 1)``,
+    and merging them would let the bool past the report's check.
+    """
+    parts: dict[tuple[Any, ...], tuple[Any, ...]] = {}
+    strings: dict[str, str] = {}
+
+    def shared_parts(items: Iterable[Any]) -> tuple[Any, ...]:
+        loaded = tuple(items)
+        try:
+            return parts.setdefault((loaded, *map(type, loaded)), loaded)
+        except TypeError:  # an unhashable part, which the report's check refuses
+            return loaded
+
+    def shared_text(value: Any) -> Any:
+        return strings.setdefault(value, value) if type(value) is str else value
+
+    return tuple(
+        Violation(
+            shared_text(d["scan_kind"]),
+            d["n"],
+            shared_parts(d["a"]),
+            shared_parts(d["b"]),
+            d["k_or_p"],
+            d["value_a"],
+            d["value_b"],
+            shared_text(d.get("form", "")),
+        )
+        for d in dicts
+    )
 
 
 def _plain_ints(values: Iterable[Any]) -> bool:
@@ -138,33 +166,23 @@ def _refuse_non_ints(v: Violation) -> None:
             raise ValueError(f"violation field {name} must hold plain ints, got {parts!r}")
 
 
-def _json_parts(parts: tuple[int, ...]) -> str:
-    """``json.dumps(list(parts))`` for plain ints: ``[3, 4]``."""
-    return "[" + ", ".join(map(str, parts)) + "]"
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\r\n"
+# one violation as a CSV row; n, k_or_p and the values are plain ints, which
+# never need quotes
+_CSV_ROW = "%s,%d,%s,%s,%d,%d,%d,%s\r\n"
 
 
-def _csv_parts(parts: tuple[int, ...]) -> str:
-    """The CSV cell of a parts tuple: ``3,4``."""
-    return ",".join(map(str, parts))
+def _csv_cell(value: Any) -> str:
+    """``value`` as ``csv.writer`` writes a cell in the default dialect.
 
-
-def _memoized(render: Callable[[Any], str]) -> Callable[[Any], str]:
-    """``render``, remembered under the ``id`` of its argument.
-
-    An export call makes one per kind of text: a scan has a few hundred
-    distinct partitions behind tens of thousands of violations, which share
-    their parts tuples, kinds and forms.  The memo lives no longer than the
-    call and the report keeps every object alive until then, so no id is
-    reused.
+    ``None`` is empty, a float its ``repr``, anything else its ``str``;
+    a text holding a comma, a quote or a line break is quoted, with its
+    quotes doubled (QUOTE_MINIMAL).
     """
-    memo: dict[int, str] = {}
-
-    def text(obj: Any) -> str:
-        found = memo.get(id(obj))
-        if found is None:
-            found = memo[id(obj)] = render(obj)
-        return found
-
+    text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    if any(special in text for special in _CSV_SPECIAL):
+        return '"' + text.replace('"', '""') + '"'
     return text
 
 
@@ -238,7 +256,7 @@ class ScanReport(Record):
             scan_kind=d["scan_kind"],
             parameters=tuple(sorted(d["parameters"].items())),
             pairs_checked=d["pairs_checked"],
-            violations=tuple(Violation.from_dict(v) for v in d["violations"]),
+            violations=_load_violations(d["violations"]),
             wall_time_ms=d["wall_time_ms"],
             engine_version=d["engine_version"],
         )
@@ -284,16 +302,39 @@ class ScanReport(Record):
             handle.writelines(self._json_texts(_RECORD_JSON + "\n"))
 
     def write_csv(self, path: str | Path) -> None:
-        """``csv.writer`` over the violations in ``CSV_COLUMNS`` order, each
-        parts tuple joined by commas once."""
-        parts = _memoized(_csv_parts)
+        """The header row, then one row per violation in ``CSV_COLUMNS`` order.
+
+        Each row fills ``_CSV_ROW``; its cells quote as ``csv.writer``'s do
+        (``_csv_cell``), which the tests check byte for byte.  Each parts
+        tuple (joined by commas), scan kind and form object is turned into
+        its cell once per call, keyed by ``id``: a scan has a few hundred
+        distinct partitions behind tens of thousands of violations.  The
+        memos live no longer than the call and the report keeps every object
+        alive until then, so no id is reused.  The rows are streamed, never
+        joined into one text.
+        """
+        parts: dict[int, str] = {}
+        texts: dict[int, str] = {}
+
+        def rows() -> Iterator[str]:
+            for kind, n, a, b, k, value_a, value_b, form in self.violations:
+                cell_a = parts.get(id(a))
+                if cell_a is None:
+                    cell_a = parts[id(a)] = _csv_cell(",".join(map(str, a)))
+                cell_b = parts.get(id(b))
+                if cell_b is None:
+                    cell_b = parts[id(b)] = _csv_cell(",".join(map(str, b)))
+                cell_kind = texts.get(id(kind))
+                if cell_kind is None:
+                    cell_kind = texts[id(kind)] = _csv_cell(kind)
+                cell_form = texts.get(id(form))
+                if cell_form is None:
+                    cell_form = texts[id(form)] = _csv_cell(form)
+                yield _CSV_ROW % (cell_kind, n, cell_a, cell_b, k, value_a, value_b, cell_form)
+
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(
-                (kind, n, parts(a), parts(b), k, value_a, value_b, form)
-                for kind, n, a, b, k, value_a, value_b, form in self.violations
-            )
+            handle.write(_CSV_HEADER)
+            handle.writelines(rows())
 
     def _check_ints(self) -> None:
         """Raise ValueError unless ``pairs_checked``, ``wall_time_ms`` and
@@ -316,13 +357,29 @@ class ScanReport(Record):
                 _refuse_non_ints(v)
 
     def _json_texts(self, template: str) -> Iterator[str]:
-        """Each violation through ``template``, in its sorted key order."""
-        parts = _memoized(_json_parts)
-        quoted = _memoized(json.JSONEncoder(sort_keys=True).encode)
+        """Each violation through ``template``, in its sorted key order.
+
+        Each parts tuple, kind and form object is encoded once per call,
+        keyed by ``id`` as in ``write_csv``; one memo serves all four
+        columns, which go through the one encoder (a parts tuple of plain
+        ints as ``[3, 4]``).
+        """
+        encode = json.JSONEncoder(sort_keys=True).encode
+        texts: dict[int, str] = {}
         for kind, n, a, b, k, value_a, value_b, form in self.violations:
-            yield template % (
-                parts(a), parts(b), quoted(form), k, n, quoted(kind), value_a, value_b
-            )
+            text_a = texts.get(id(a))
+            if text_a is None:
+                text_a = texts[id(a)] = encode(a)
+            text_b = texts.get(id(b))
+            if text_b is None:
+                text_b = texts[id(b)] = encode(b)
+            text_form = texts.get(id(form))
+            if text_form is None:
+                text_form = texts[id(form)] = encode(form)
+            text_kind = texts.get(id(kind))
+            if text_kind is None:
+                text_kind = texts[id(kind)] = encode(kind)
+            yield template % (text_a, text_b, text_form, k, n, text_kind, value_a, value_b)
 
 
 # -- buckets: one function of n per scan ------------------------------------

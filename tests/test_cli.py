@@ -513,6 +513,33 @@ def test_a_refused_scan_keeps_existing_output_files(tmp_path, capsys, refused):
     assert [path.read_text() for path in kept.values()] == ["stale\n", "stale\n"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--csv", "--records"), ("--output", "--csv"), ("--records", "--output")],
+    ids="-".join,
+)
+@pytest.mark.parametrize("spelling", ["out", "./out"])
+def test_two_exports_to_one_file_are_refused(tmp_path, capsys, monkeypatch, flags, spelling):
+    # the later export would silently replace the earlier one; ./out and out
+    # are one file, and the file the probe made is gone again
+    monkeypatch.chdir(tmp_path)
+    first, second = flags
+    scan = ["scan", "--kind", "conjecture", "--n-max", "6", "--k-set", "1"]
+    code, out, err = run(capsys, *scan, first, "out", second, spelling)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "name the same file" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_two_exports_to_one_existing_file_keep_its_bytes(tmp_path, capsys):
+    path = tmp_path / "out"
+    path.write_text("stale\n")
+    scan = ["scan", "--kind", "conjecture", "--n-max", "6", "--k-set", "1"]
+    code, _, err = run(capsys, *scan, "--csv", str(path), "--records", str(tmp_path / "." / "out"))
+    assert code == 1 and "name the same file" in err
+    assert path.read_text() == "stale\n"
+
+
 def test_installed_console_script():
     """The ``hilbprod`` console script and ``python -m hilbprod`` share one entry
     point; the subprocess runs the latter so that no install is needed."""

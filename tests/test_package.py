@@ -119,6 +119,12 @@ def test_the_process_pool_stack_loads_only_for_a_pool_scan(tmp_path):
     assert loaded_after_each_step(unwanted, tmp_path) == dict.fromkeys(STARTUP_STEPS, [])
 
 
+def test_scan_exports_load_no_csv_module(tmp_path):
+    # write_csv fills one template per row and quotes its cells itself
+    unwanted = ("csv", "_csv")
+    assert loaded_after_each_step(unwanted, tmp_path) == dict.fromkeys(STARTUP_STEPS, [])
+
+
 def test_records_load_no_class_generator_machinery(tmp_path):
     # the value records are plain slotted classes: the standard library's
     # dataclasses module loads inspect, ast and dis, the larger part of start-up
