@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from itertools import combinations
 from typing import Any, Sequence
@@ -218,9 +219,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             else:
                 created.append(path)
         # every path exists now, so samefile sees that ./X and X are one file,
-        # which the later export would silently overwrite
+        # which the later export would silently overwrite; two exports to one
+        # device such as /dev/null overwrite nothing
         for (flag, path), (other, other_path) in combinations(named, 2):
-            if os.path.samefile(path, other_path):
+            if stat.S_ISREG(os.stat(path).st_mode) and os.path.samefile(path, other_path):
                 raise UsageError(f"{flag} {path} and {other} {other_path} name the same file")
         return _run_scan(args)
     except BaseException:

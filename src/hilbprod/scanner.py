@@ -106,46 +106,19 @@ class Violation(NamedTuple):
     def from_dict(cls, d: Mapping[str, Any]) -> "Violation":
         """The violation of ``d``, unchecked: the report that holds it checks
         its numbers."""
-        return _load_violations([d])[0]
-
-
-CSV_COLUMNS = Violation._fields
-
-
-def _load_violations(dicts: Iterable[Mapping[str, Any]]) -> tuple[Violation, ...]:
-    """The violations of ``dicts``, unchecked, sharing equal values as a scan does.
-
-    Equal parts tuples load as one tuple and equal kind and form strings as
-    one string, so the exports' ``id``-keyed texts are made once per value.
-    A parts tuple is keyed with its element types: ``(1, True) == (1, 1)``,
-    and merging them would let the bool past the report's check.
-    """
-    parts: dict[tuple[Any, ...], tuple[Any, ...]] = {}
-    strings: dict[str, str] = {}
-
-    def shared_parts(items: Iterable[Any]) -> tuple[Any, ...]:
-        loaded = tuple(items)
-        try:
-            return parts.setdefault((loaded, *map(type, loaded)), loaded)
-        except TypeError:  # an unhashable part, which the report's check refuses
-            return loaded
-
-    def shared_text(value: Any) -> Any:
-        return strings.setdefault(value, value) if type(value) is str else value
-
-    return tuple(
-        Violation(
-            shared_text(d["scan_kind"]),
+        return cls(
+            d["scan_kind"],
             d["n"],
-            shared_parts(d["a"]),
-            shared_parts(d["b"]),
+            tuple(d["a"]),
+            tuple(d["b"]),
             d["k_or_p"],
             d["value_a"],
             d["value_b"],
-            shared_text(d.get("form", "")),
+            d.get("form", ""),
         )
-        for d in dicts
-    )
+
+
+CSV_COLUMNS = Violation._fields
 
 
 def _plain_ints(values: Iterable[Any]) -> bool:
@@ -256,7 +229,7 @@ class ScanReport(Record):
             scan_kind=d["scan_kind"],
             parameters=tuple(sorted(d["parameters"].items())),
             pairs_checked=d["pairs_checked"],
-            violations=_load_violations(d["violations"]),
+            violations=tuple(Violation.from_dict(v) for v in d["violations"]),
             wall_time_ms=d["wall_time_ms"],
             engine_version=d["engine_version"],
         )

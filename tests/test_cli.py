@@ -540,6 +540,15 @@ def test_two_exports_to_one_existing_file_keep_its_bytes(tmp_path, capsys):
     assert path.read_text() == "stale\n"
 
 
+def test_exports_to_one_device_are_not_refused(capsys):
+    # a device is no file that one export could overwrite for another
+    scan = ["scan", "--kind", "conjecture", "--n-max", "6", "--k-set", "1"]
+    code, _, err = run(
+        capsys, *scan, "--csv", os.devnull, "--records", os.devnull, "--output", os.devnull
+    )
+    assert code == 0, err
+
+
 def test_installed_console_script():
     """The ``hilbprod`` console script and ``python -m hilbprod`` share one entry
     point; the subprocess runs the latter so that no install is needed."""
