@@ -236,12 +236,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _run_scan(args: argparse.Namespace) -> int:
     workers = args.workers
-    if args.kind in ("lemma-diff-length", "lemma-same-length"):
+    lemma = args.kind in ("lemma-diff-length", "lemma-same-length")
+    # an option of the other scan kinds would otherwise be dropped unread
+    if lemma and args.k_set is not None:
+        raise UsageError(f"--k-set is for the colour scans, not --kind {args.kind}")
+    if not lemma and args.p_max is not None:
+        raise UsageError(f"--p-max is for the lemma scans, not --kind {args.kind}")
+    if lemma:
         mode = "diff_length" if args.kind == "lemma-diff-length" else "same_length"
-        report = verify_lemma_inequalities(args.n_max, args.p_max, mode, workers=workers)
+        p_max = 6 if args.p_max is None else args.p_max
+        report = verify_lemma_inequalities(args.n_max, p_max, mode, workers=workers)
     else:
         scan = verify_majorization if args.kind == "majorization" else scan_conjecture
-        report = scan(int_list(args.k_set, "integer list"), args.n_max, workers=workers)
+        k_set = "4,5" if args.k_set is None else args.k_set
+        report = scan(int_list(k_set, "integer list"), args.n_max, workers=workers)
     if args.csv:
         report.write_csv(args.csv)
     if args.records:
@@ -368,8 +376,8 @@ def build_parser() -> _Parser:
         ),
     )
     p.add_argument("--n-max", type=int_literal, required=True)
-    p.add_argument("--p-max", type=int_literal, default=6, help="lemma scans only")
-    p.add_argument("--k-set", default="4,5", help="colour counts, e.g. 3,4,5")
+    p.add_argument("--p-max", type=int_literal, help="lemma scans only (default 6)")
+    p.add_argument("--k-set", help="colour scans only, e.g. 3,4,5 (default 4,5)")
     p.add_argument("--workers", type=int_literal, default=1)
     p.add_argument("--csv", help="also write the tabular export to this path")
     p.add_argument(

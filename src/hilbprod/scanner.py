@@ -18,11 +18,11 @@ Three scan families:
   349272).
 * ``verify_majorization`` asserts that k-coloured partition counts respect
   strict majorization (k >= 3) on every comparable same-length pair.  A
-  partition counts ``prod c_k(part)`` with every ``c_k(m) >= 1``, so moving
-  a unit from a part y to a part x <= y - 2 raises the count exactly when
-  ``c_k(x+1) c_k(y-1) > c_k(x) c_k(y)``.  These one-unit transfers generate
-  strict majorization, so the inequalities with ``1 <= x`` and ``x + y <=
-  n`` certify n; only an n where one fails is compared pair by pair.
+  partition counts ``prod c_k(part)`` with every ``c_k(m) >= 1``, and the
+  one-unit transfers that generate strict majorization raise it wherever
+  ``c_k`` is strictly log-concave, ``c_k(m)² > c_k(m-1) c_k(m+1)`` for ``2
+  <= m <= n - 2``; that certifies n, and only an n where it fails is
+  compared pair by pair.
 * ``scan_conjecture`` records every collision of coloured-count tuples on
   distinct same-length pairs.  It groups each length bucket into classes
   of equal (k, value) and emits the pairs inside each class.  It reports
@@ -45,7 +45,8 @@ the first differing part first.  The colour scans list their violations in
 that same pair order, k ascending within a pair, though they do not loop
 over the pairs, and multiply the per-part counts ``_part_counts(k, n)`` over
 each parts tuple.  The majorization scan enumerates only an n whose
-certificate fails; a certified n counts its pairs from ``_length_counts(n)``.
+log-concavity certificate fails; a certified n counts its pairs from
+``_length_counts(n)``.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
 plain ints, so its three exports (``fingerprint``, ``write_records`` and
@@ -466,15 +467,15 @@ def _length_counts(n: int) -> list[int]:
 
 
 def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
-    """Certify n by its per-part count ratios; list violations pairwise only
-    if one fails.
+    """Certify n by strict log-concavity of ``c = c_k``; list violations
+    pairwise only if it fails.
 
-    A one-unit transfer from a part y to a part x <= y - 2 multiplies the
-    count by ``c(x+1) c(y-1) / (c(x) c(y))``, whatever the other parts, and
-    some partition of n holds such x and y exactly when ``1 <= x`` and ``x
-    + y <= n``.  The transitive closure of the transfers within a length
-    bucket is strict majorization (Muirhead; Hardy, Littlewood and Polya),
-    and ``>`` is transitive, so counts that rise along every transfer rise
+    A one-unit transfer from a part y to a part x <= y - 2, with ``1 <= x``
+    and ``x + y <= n``, multiplies the count by ``c(x+1) c(y-1) / (c(x)
+    c(y))``.  As every ``c(m) >= 1``, ``c(m)² > c(m-1) c(m+1)`` for ``2 <= m
+    <= n - 2`` makes ``c(m+1) / c(m)`` fall strictly on ``1..n-2``, so that
+    factor exceeds 1.  The transfers within a length bucket close to strict
+    majorization (Muirhead; Hardy, Littlewood and Polya), so the counts rise
     along every strictly comparable pair.  The pairwise loop is the one path
     that lists violations, in pair order, so a failing n goes through it
     whole.  A certified n enumerates nothing: its same-length pairs are
@@ -482,11 +483,9 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
     """
     for k in k_tuple:
         c = _part_counts(k, n)
-        for x in range(1, n // 2):
-            up, low = c[x + 1], c[x]
-            for y in range(x + 2, n - x + 1):
-                if not up * c[y - 1] > low * c[y]:
-                    return _majorization_pairs(n, k_tuple)
+        for m in range(2, n - 1):
+            if not c[m] * c[m] > c[m - 1] * c[m + 1]:
+                return _majorization_pairs(n, k_tuple)
     return sum(comb(count, 2) for count in _length_counts(n)), []
 
 
@@ -645,10 +644,10 @@ def verify_majorization(
 
     The inequality is asserted on every strictly comparable same-length
     pair, and ``pairs_checked`` counts the distinct same-length pairs.  Each
-    n is certified by ``c_k(x+1) c_k(y-1) > c_k(x) c_k(y)`` for ``1 <= x <=
-    y - 2``, ``x + y <= n``: every one-unit transfer raises the count.  An n
-    where one fails is compared pair by pair, so its violations are listed
-    exactly as a pairwise scan lists them.
+    n is certified by ``c_k(m)² > c_k(m-1) c_k(m+1)`` for ``2 <= m <= n -
+    2``, which makes every one-unit transfer raise the count.  An n where it
+    fails is compared pair by pair, so its violations are listed exactly as
+    a pairwise scan lists them.
     """
     require_plain_ints(n_max=n_max, workers=workers)
     k_tuple = _k_tuple(k_set)

@@ -8,9 +8,10 @@ share none with the engine.  ``brute_force_colored`` counts k-coloured
 partitions by direct multiset enumeration, with no series expansion: the
 independent oracle of ``colored_count``.  ``exhaustive_majorization`` and
 ``exhaustive_conjecture`` are the pairwise scans: every same-length pair, in
-bucket order, compared directly.  ``transfer_fails`` is the per-partition
-certificate the majorization scan used before its per-part one: it walks
-every one-unit transfer (``transfers``) of every partition of n.
+bucket order, compared directly.  ``transfer_fails`` walks every one-unit
+transfer (``transfers``) of every partition of n: an n where it finds one
+that does not raise a count must be compared pairwise by the majorization
+scan, whatever its certificate.
 
 All of them read the per-part counts through ``hilbprod.scanner._part_counts``
 at call time and multiply them over the parts themselves, so a test that

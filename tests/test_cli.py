@@ -513,6 +513,24 @@ def test_a_refused_scan_keeps_existing_output_files(tmp_path, capsys, refused):
     assert [path.read_text() for path in kept.values()] == ["stale\n", "stale\n"]
 
 
+FOREIGN_OPTIONS = {
+    "lemma-k-set": (["--kind", "lemma-diff-length", "--n-max", "5", "--k-set", "zz"], "--k-set"),
+    "majorization-p-max": (["--kind", "majorization", "--n-max", "5", "--p-max", "-3"], "--p-max"),
+}
+
+
+@pytest.mark.parametrize("foreign", sorted(FOREIGN_OPTIONS))
+def test_a_scan_refuses_an_option_of_the_other_kinds(tmp_path, capsys, foreign):
+    # a lemma scan reads no --k-set and a colour scan no --p-max: either is
+    # refused before the scan runs, and the --output file the probe made is gone
+    argv, flag = FOREIGN_OPTIONS[foreign]
+    made = tmp_path / "out"
+    code, out, err = run(capsys, "scan", *argv, "--output", str(made))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag} is for the") and argv[1] in err, err
+    assert not made.exists()
+
+
 @pytest.mark.parametrize(
     "flags",
     [("--csv", "--records"), ("--output", "--csv"), ("--records", "--output")],

@@ -327,6 +327,11 @@ def broken_inequalities(c: list[int], n: int) -> list[tuple[int, int]]:
     ]
 
 
+def log_concavity_failures(c: list[int], top: int) -> list[int]:
+    """The m with 2 <= m <= top and not c(m)² > c(m-1) c(m+1)."""
+    return [m for m in range(2, top + 1) if not c[m] * c[m] > c[m - 1] * c[m + 1]]
+
+
 # (which k, x, y): raising c(23) breaks the inequality (7, 23) alone up to
 # n = 30; raising c(9) breaks (x, 9) for every x >= 2 and every (9, y)
 BROKEN = {"none": None, "one": (min, 7, 23), "many": (max, 2, 9)}
@@ -334,11 +339,12 @@ BROKEN = {"none": None, "one": (min, 7, 23), "many": (max, 2, 9)}
 
 @pytest.mark.parametrize("k_set", [{3}, {4, 5}, {3, 4, 5}], ids=["k3", "k45", "k345"])
 @pytest.mark.parametrize("broken", sorted(BROKEN))
-def test_per_part_certificate_compares_pairwise_exactly_where_a_transfer_fails(
+def test_majorization_compares_pairwise_exactly_where_log_concavity_fails(
     monkeypatch, k_set, broken
 ):
-    # the per-part inequalities against the per-partition transfer
-    # certificate, on real counts and on counts with inequalities broken
+    # the log-concavity certificate against a check written here, on real
+    # counts and on counts with transfer inequalities broken; raising c(y)
+    # breaks log-concavity at m = y - 1 from n = y + 1 on
     k_tuple = tuple(sorted(k_set))
     if BROKEN[broken] is not None:
         pick, x, y = BROKEN[broken]
@@ -352,9 +358,56 @@ def test_per_part_certificate_compares_pairwise_exactly_where_a_transfer_fails(
     )
     for n in range(1, 31):
         scanner._majorization_bucket(n, k_tuple=k_tuple)
-    expected = [n for n in range(1, 31) if transfer_fails(n, k_tuple)]
+    expected = [
+        n
+        for n in range(1, 31)
+        if any(log_concavity_failures(scanner._part_counts(k, n), n - 2) for k in k_tuple)
+    ]
     assert sent == expected
-    assert expected == {"none": [], "one": [30], "many": list(range(11, 31))}[broken]
+    assert expected == {"none": [], "one": list(range(24, 31)), "many": list(range(10, 31))}[broken]
+    # soundness: every n where some transfer fails to raise a count is compared pairwise
+    assert {n for n in range(1, 31) if transfer_fails(n, k_tuple)} <= set(sent)
+
+
+def test_log_concavity_implies_every_transfer_inequality():
+    # the (x, y) of n = 200 contain those of every smaller n
+    for k in range(3, 13):
+        c = scanner._part_counts(k, 200)
+        assert log_concavity_failures(c, 198) == []
+        assert broken_inequalities(c, 200) == []
+    # chi >= 3 on every literal catalog row and family default, and all of 3..24
+    for k in [*range(3, 25), 36, 55]:
+        assert log_concavity_failures(scanner._part_counts(k, 400), 398) == [], k
+    # the check can fail: p(n) = c_1 at the odd m up to 25 (DeSalvo and Pak), c_2 twice
+    assert log_concavity_failures(scanner._part_counts(1, 59), 58) == list(range(3, 26, 2))
+    assert log_concavity_failures(scanner._part_counts(2, 59), 58) == [3, 5]
+
+
+def coin_change_same_length_pairs(n_max: int) -> int:
+    """Same-length pairs up to n_max: a partition of n into exactly r parts,
+    less 1 from every part, is a partition of n - r into parts <= r."""
+    ways = [1] + [0] * n_max
+    at_most = [ways[:]]  # at_most[r][m]: partitions of m into parts <= r
+    for part in range(1, n_max + 1):
+        for m in range(part, n_max + 1):
+            ways[m] += ways[m - part]
+        at_most.append(ways[:])
+    return sum(
+        comb(at_most[r][n - r], 2) for n in range(1, n_max + 1) for r in range(1, n + 1)
+    )
+
+
+def test_majorization_certifies_k_3_to_24_36_and_55_at_scale(monkeypatch):
+    calls = []
+
+    def counted(b, a):
+        calls.append((b, a))
+        return majorizes(b, a)
+
+    monkeypatch.setattr(scanner, "majorizes", counted)
+    report = verify_majorization(set(range(3, 25)) | {36, 55}, 120)
+    assert report.violations == () and calls == []
+    assert report.pairs_checked == coin_change_same_length_pairs(120)
 
 
 def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
@@ -392,7 +445,7 @@ def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
     else:
         verify_majorization({3}, 8)
         assert calls == []
-        # equal counts fail every transfer; n <= 3 has none, so stays certified
+        # equal counts fail log-concavity at every m; n <= 3 has no m, so stays certified
         monkeypatch.setattr(scanner, "_part_counts", every_part_counts_k)
         verify_majorization({3}, 8)
         assert calls == list(range(4, 9))
