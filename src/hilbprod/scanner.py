@@ -6,8 +6,12 @@ Three scan families:
   inequalities between partitions of different lengths (resp. of the same
   length, oriented at the first differing part), together with their
   intermediate product forms, for every qualifying pair up to ``n_max`` and
-  every shift ``1 <= p <= p_max``.  Rational comparisons are done in exact
-  cross-multiplied integer form, never floating point.  A violation is a
+  every shift ``1 <= p <= p_max``.  Every comparison is exact, between
+  integers, never floating point: each parts tuple of n carries, per p,
+  the key ``prod(part+p) * p**(n - len)``, ordered as the shifted ratios
+  ``prod((part+p)/p)`` are, so a pair costs no big-int multiplication;
+  the cross-multiplied values are built only for a violation, and at
+  p = 1 the three forms are one comparison.  A violation is a
   first-class finding, not an engine error; these inequalities genuinely
   fail once unit parts accumulate (earliest witnesses: (3,4) vs (1,1,5) at
   p=5 for the cross-ratio form, both sides 72/25; (2,3,3) vs (1,1,1,5) at
@@ -168,6 +172,10 @@ _RECORD_JSON = (
 )
 _VIOLATION_JSON = _RECORD_JSON.replace('"record": "violation", ', "")
 
+# matches no object a violation holds: the exports' "same object as the last
+# row" checks start from it
+_UNSET = object()
+
 
 class ScanReport(Record):
     """The findings of one scan.
@@ -282,28 +290,39 @@ class ScanReport(Record):
         (``_csv_cell``), which the tests check byte for byte.  Each parts
         tuple (joined by commas), scan kind and form object is turned into
         its cell once per call, keyed by ``id``: a scan has a few hundred
-        distinct partitions behind tens of thousands of violations.  The
-        memos live no longer than the call and the report keeps every object
-        alive until then, so no id is reused.  The rows are streamed, never
-        joined into one text.
+        distinct partitions behind tens of thousands of violations.  A row
+        that holds the same object as the row before it reuses that row's
+        cell, with no lookup: a lemma pair's violations are consecutive.
+        The memos live no longer than the call and the report keeps every
+        object alive until then, so no id is reused.  The rows are streamed,
+        never joined into one text.
         """
         parts: dict[int, str] = {}
         texts: dict[int, str] = {}
 
         def rows() -> Iterator[str]:
+            last_a = last_b = last_kind = last_form = _UNSET
             for kind, n, a, b, k, value_a, value_b, form in self.violations:
-                cell_a = parts.get(id(a))
-                if cell_a is None:
-                    cell_a = parts[id(a)] = _csv_cell(",".join(map(str, a)))
-                cell_b = parts.get(id(b))
-                if cell_b is None:
-                    cell_b = parts[id(b)] = _csv_cell(",".join(map(str, b)))
-                cell_kind = texts.get(id(kind))
-                if cell_kind is None:
-                    cell_kind = texts[id(kind)] = _csv_cell(kind)
-                cell_form = texts.get(id(form))
-                if cell_form is None:
-                    cell_form = texts[id(form)] = _csv_cell(form)
+                if a is not last_a:
+                    last_a = a
+                    cell_a = parts.get(id(a))
+                    if cell_a is None:
+                        cell_a = parts[id(a)] = _csv_cell(",".join(map(str, a)))
+                if b is not last_b:
+                    last_b = b
+                    cell_b = parts.get(id(b))
+                    if cell_b is None:
+                        cell_b = parts[id(b)] = _csv_cell(",".join(map(str, b)))
+                if kind is not last_kind:
+                    last_kind = kind
+                    cell_kind = texts.get(id(kind))
+                    if cell_kind is None:
+                        cell_kind = texts[id(kind)] = _csv_cell(kind)
+                if form is not last_form:
+                    last_form = form
+                    cell_form = texts.get(id(form))
+                    if cell_form is None:
+                        cell_form = texts[id(form)] = _csv_cell(form)
                 yield _CSV_ROW % (cell_kind, n, cell_a, cell_b, k, value_a, value_b, cell_form)
 
         with open(path, "w", newline="") as handle:
@@ -334,25 +353,34 @@ class ScanReport(Record):
         """Each violation through ``template``, in its sorted key order.
 
         Each parts tuple, kind and form object is encoded once per call,
-        keyed by ``id`` as in ``write_csv``; one memo serves all four
-        columns, which go through the one encoder (a parts tuple of plain
-        ints as ``[3, 4]``).
+        keyed by ``id`` and reused from the row before as in ``write_csv``;
+        one memo serves all four columns, which go through the one encoder
+        (a parts tuple of plain ints as ``[3, 4]``).
         """
         encode = json.JSONEncoder(sort_keys=True).encode
         texts: dict[int, str] = {}
+        last_a = last_b = last_kind = last_form = _UNSET
         for kind, n, a, b, k, value_a, value_b, form in self.violations:
-            text_a = texts.get(id(a))
-            if text_a is None:
-                text_a = texts[id(a)] = encode(a)
-            text_b = texts.get(id(b))
-            if text_b is None:
-                text_b = texts[id(b)] = encode(b)
-            text_form = texts.get(id(form))
-            if text_form is None:
-                text_form = texts[id(form)] = encode(form)
-            text_kind = texts.get(id(kind))
-            if text_kind is None:
-                text_kind = texts[id(kind)] = encode(kind)
+            if a is not last_a:
+                last_a = a
+                text_a = texts.get(id(a))
+                if text_a is None:
+                    text_a = texts[id(a)] = encode(a)
+            if b is not last_b:
+                last_b = b
+                text_b = texts.get(id(b))
+                if text_b is None:
+                    text_b = texts[id(b)] = encode(b)
+            if form is not last_form:
+                last_form = form
+                text_form = texts.get(id(form))
+                if text_form is None:
+                    text_form = texts[id(form)] = encode(form)
+            if kind is not last_kind:
+                last_kind = kind
+                text_kind = texts.get(id(kind))
+                if text_kind is None:
+                    text_kind = texts[id(kind)] = encode(kind)
             yield template % (text_a, text_b, text_form, k, n, text_kind, value_a, value_b)
 
 
@@ -388,48 +416,58 @@ def _valued_pairs(
     return count, chain.from_iterable(product(*two) for two in across)
 
 
-def _shift_products(parts: tuple[int, ...], p_max: int) -> tuple[list[int], list[int]]:
-    """Per shift p: (prod of (part+p), prod of C(part+p, p)), 1-indexed by p."""
-    shift = [0] * (p_max + 1)
+def _shift_products(
+    parts: tuple[int, ...], p_max: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Per shift p, 1-indexed: the key ``prod(part+p) * p**(n - len)``, the
+    binomial product ``prod C(part+p, p)`` and the shift product
+    ``prod(part+p)``, for the partition ``parts`` of n.
+
+    ``key_a < key_b`` exactly when ``prod(a+p) * p**len(b) < prod(b+p) *
+    p**len(a)``: multiply both sides by ``p**(len(a) + len(b) - n) > 0``.
+    At p = 1 the three coincide.
+    """
+    excess = sum(parts) - len(parts)
+    key = [0] * (p_max + 1)
     binom = [0] * (p_max + 1)
+    shift = [0] * (p_max + 1)
     for p in range(1, p_max + 1):
         sh = 1
         bi = 1
         for part in parts:
             sh *= part + p
             bi *= comb(part + p, p)
-        shift[p] = sh
+        key[p] = sh * p**excess
         binom[p] = bi
-    return shift, binom
+        shift[p] = sh
+    return key, binom, shift
+
+
+_LEMMA_FORMS = ("unit-shift-product", "shift-ratio-cross-multiplied", "binomial-product")
 
 
 def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation]]:
+    """Compare each pair's keys and binomial products, shift by shift; a
+    failure at p = 1, where the three forms agree, gives three violations
+    in form order."""
     scan_kind = f"lemma_{mode}"
     pairs, stream = _valued_pairs(n, partial(_shift_products, p_max=p_max), mode)
-    # powers[length][p] = p**length, for the cross-multiplied shift ratio
-    powers = [[p**length for p in range(p_max + 1)] for length in range(n + 1)]
-    shifts = range(1, p_max + 1)
+    higher = range(2, p_max + 1)
     violations: list[Violation] = []
     found = violations.append
-    for (a, (shift_a, binom_a)), (b, (shift_b, binom_b)) in stream:
-        powers_a, powers_b = powers[len(a)], powers[len(b)]
-        # plain product of (part + 1): the p = 1 base form
-        if not shift_a[1] < shift_b[1]:
-            found(
-                Violation(
-                    scan_kind, n, a, b, 1,
-                    shift_a[1], shift_b[1], "unit-shift-product",
-                )
-            )
-        for p in shifts:
-            # prod (part+p)/p compared exactly: cross-multiply by p^length
-            lhs = shift_a[p] * powers_b[p]
-            rhs = shift_b[p] * powers_a[p]
-            if not lhs < rhs:
+    for (a, (key_a, binom_a, shift_a)), (b, (key_b, binom_b, shift_b)) in stream:
+        if not key_a[1] < key_b[1]:
+            unit_a, unit_b = key_a[1], key_b[1]
+            for form in _LEMMA_FORMS:
+                found(Violation(scan_kind, n, a, b, 1, unit_a, unit_b, form))
+        for p in higher:
+            if not key_a[p] < key_b[p]:
+                # the ratio prod (part+p)/p recorded cross-multiplied by p^length
                 found(
                     Violation(
                         scan_kind, n, a, b, p,
-                        lhs, rhs, "shift-ratio-cross-multiplied",
+                        shift_a[p] * p ** len(b), shift_b[p] * p ** len(a),
+                        "shift-ratio-cross-multiplied",
                     )
                 )
             if not binom_a[p] < binom_b[p]:
@@ -616,7 +654,11 @@ def verify_lemma_inequalities(
     ``prod((part + p)/p)`` in cross-multiplied integer form, and the
     binomial product ``prod C(part + p, p)``.  Every failed strict
     comparison is recorded as a violation; the report is the evidence
-    either way.
+    either way.  The ratios are compared through one integer key per
+    parts tuple and p, ``prod(part + p) * p**(n - len)``, and their
+    cross-multiplied values are built only for a violation.  At p = 1 the
+    three forms have the same values, so they are compared once and a
+    failure gives three violations, in form order.
     """
     require_plain_ints(n_max=n_max, p_max=p_max, workers=workers)
     if mode not in ("diff_length", "same_length"):

@@ -156,6 +156,42 @@ def test_lemma_scan_finds_the_known_equality_witnesses():
     )
 
 
+LEMMA_FORMS = ("unit-shift-product", "shift-ratio-cross-multiplied", "binomial-product")
+
+
+def unit_shift_forms(a: tuple[int, ...], b: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The three lemma forms of (a, b) at p = 1, each from its own definition."""
+    return {
+        (prod(x + 1 for x in a), prod(x + 1 for x in b)),
+        (prod(x + 1 for x in a) * 1 ** len(b), prod(x + 1 for x in b) * 1 ** len(a)),
+        (prod(comb(x + 1, 1) for x in a), prod(comb(x + 1, 1) for x in b)),
+    }
+
+
+@pytest.mark.parametrize("mode", ["diff_length", "same_length"])
+def test_lemma_forms_agree_at_unit_shift(mode):
+    # the scan compares the three forms once at p = 1; that is sound only
+    # because they give the same values there, on every pair
+    n_max = 14
+    for n in range(1, n_max + 1):
+        if mode == "same_length":
+            pairs = oracle_same_length_pairs(n)
+        else:
+            parts = oracle_partitions(n)
+            pairs = [(a, b) for a in parts for b in parts if len(a) < len(b)]
+        for a, b in pairs:
+            assert len(unit_shift_forms(a, b)) == 1, (a, b)
+    violations = verify_lemma_inequalities(n_max, 6, mode).violations
+    at_one = [i for i, v in enumerate(violations) if v.k_or_p == 1]
+    assert len(at_one) > 0 and len(at_one) % 3 == 0
+    for start in at_one[::3]:
+        triple = violations[start : start + 3]
+        assert [v.form for v in triple] == list(LEMMA_FORMS)
+        assert {v[:5] for v in triple} == {triple[0][:5]}
+        a, b = triple[0].a, triple[0].b
+        assert {(v.value_a, v.value_b) for v in triple} == unit_shift_forms(a, b)
+
+
 # -- majorization scan ---------------------------------------------------------------
 
 
@@ -764,6 +800,30 @@ EDGE_VIOLATIONS = (
 )
 
 
+# runs of one object, for the exports' reuse of the row before: a parts
+# tuple coming back after another, equal but distinct tuples side by side,
+# a kind changing mid-report, and forms alternating, among them equal forms
+# of different types
+_A, _B, _C, _TWIN = (1, 5), (2, 4), (3, 3), tuple([1, 5])
+RUN_VIOLATIONS = (
+    Violation("lemma_diff_length", 6, _A, _B, 1, 10, 12, "unit-shift-product"),
+    Violation("lemma_diff_length", 6, _A, _B, 1, 10, 12, "binomial-product"),
+    Violation("lemma_diff_length", 6, _C, _B, 2, 15, 14, "unit-shift-product"),
+    Violation("lemma_diff_length", 6, _A, _C, 2, 16, 16, "binomial-product"),
+    Violation("lemma_diff_length", 6, _C, _A, 3, 20, 20, "unit-shift-product"),
+    Violation("lemma_diff_length", 6, _TWIN, _A, 3, 21, 21, "binomial-product"),
+    Violation("lemma_diff_length", 6, _A, _TWIN, 3, 21, 21, "binomial-product"),
+    Violation("lemma_same_length", 6, _A, _B, 4, 30, 30, "unit-shift-product"),
+    Violation('kind, "quoted"', 6, _A, _B, 4, 30, 30, "unit-shift-product"),
+    Violation("lemma_diff_length", 6, _A, _B, 4, 30, 30, "unit-shift-product"),
+    Violation("lemma_diff_length", 6, _A, _B, 5, 40, 40, 1),
+    Violation("lemma_diff_length", 6, _A, _B, 5, 40, 40, True),
+    Violation("lemma_diff_length", 6, _A, _B, 5, 40, 40, 1),
+    Violation("lemma_diff_length", 6, _A, _B, 5, 40, 40, "binomial-product"),
+    Violation("lemma_diff_length", 6, _A, _B, 5, 40, 40, "unit-shift-product"),
+)
+
+
 @pytest.mark.parametrize("mode", ["diff_length", "same_length"])
 def test_lemma_exports_match_the_dict_oracles(tmp_path, mode):
     report = verify_lemma_inequalities(12, 6, mode)
@@ -781,8 +841,10 @@ def test_lemma_exports_match_the_dict_oracles(tmp_path, mode):
         handmade_report(*EDGE_VIOLATIONS),
         handmade_report(*EDGE_VIOLATIONS[:2], scan_kind="lemma_diff_length",
                         parameters=(("n_max", 5), ("p_max", 6))),
+        handmade_report(*RUN_VIOLATIONS, scan_kind="lemma_diff_length",
+                        parameters=(("n_max", 6), ("p_max", 5))),
     ],
-    ids=["empty", "edge-cases", "lemma-parameters"],
+    ids=["empty", "edge-cases", "lemma-parameters", "runs"],
 )
 def test_handmade_exports_match_the_dict_oracles(tmp_path, report):
     assert exports(report, tmp_path) == oracle_exports(report, tmp_path)
