@@ -291,8 +291,10 @@ class ScanReport(Record):
         tuple (joined by commas), scan kind and form object is turned into
         its cell once per call, keyed by ``id``: a scan has a few hundred
         distinct partitions behind tens of thousands of violations.  A row
-        that holds the same object as the row before it reuses that row's
-        cell, with no lookup: a lemma pair's violations are consecutive.
+        whose parts tuple or kind is the same object as in the row before
+        reuses that row's cell, with no lookup: a lemma pair's violations
+        are consecutive.  Forms change from row to row (the three forms at
+        p = 1, two at each higher p), so they always go through the memo.
         The memos live no longer than the call and the report keeps every
         object alive until then, so no id is reused.  The rows are streamed,
         never joined into one text.
@@ -301,7 +303,7 @@ class ScanReport(Record):
         texts: dict[int, str] = {}
 
         def rows() -> Iterator[str]:
-            last_a = last_b = last_kind = last_form = _UNSET
+            last_a = last_b = last_kind = _UNSET
             for kind, n, a, b, k, value_a, value_b, form in self.violations:
                 if a is not last_a:
                     last_a = a
@@ -318,11 +320,9 @@ class ScanReport(Record):
                     cell_kind = texts.get(id(kind))
                     if cell_kind is None:
                         cell_kind = texts[id(kind)] = _csv_cell(kind)
-                if form is not last_form:
-                    last_form = form
-                    cell_form = texts.get(id(form))
-                    if cell_form is None:
-                        cell_form = texts[id(form)] = _csv_cell(form)
+                cell_form = texts.get(id(form))
+                if cell_form is None:
+                    cell_form = texts[id(form)] = _csv_cell(form)
                 yield _CSV_ROW % (cell_kind, n, cell_a, cell_b, k, value_a, value_b, cell_form)
 
         with open(path, "w", newline="") as handle:
@@ -353,13 +353,14 @@ class ScanReport(Record):
         """Each violation through ``template``, in its sorted key order.
 
         Each parts tuple, kind and form object is encoded once per call,
-        keyed by ``id`` and reused from the row before as in ``write_csv``;
-        one memo serves all four columns, which go through the one encoder
-        (a parts tuple of plain ints as ``[3, 4]``).
+        keyed by ``id``, and parts tuples and kinds are reused from the row
+        before, as in ``write_csv``; one memo serves all four columns,
+        which go through the one encoder (a parts tuple of plain ints as
+        ``[3, 4]``).
         """
         encode = json.JSONEncoder(sort_keys=True).encode
         texts: dict[int, str] = {}
-        last_a = last_b = last_kind = last_form = _UNSET
+        last_a = last_b = last_kind = _UNSET
         for kind, n, a, b, k, value_a, value_b, form in self.violations:
             if a is not last_a:
                 last_a = a
@@ -371,11 +372,9 @@ class ScanReport(Record):
                 text_b = texts.get(id(b))
                 if text_b is None:
                     text_b = texts[id(b)] = encode(b)
-            if form is not last_form:
-                last_form = form
-                text_form = texts.get(id(form))
-                if text_form is None:
-                    text_form = texts[id(form)] = encode(form)
+            text_form = texts.get(id(form))
+            if text_form is None:
+                text_form = texts[id(form)] = encode(form)
             if kind is not last_kind:
                 last_kind = kind
                 text_kind = texts.get(id(kind))
