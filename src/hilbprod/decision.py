@@ -208,6 +208,9 @@ class Verdict(Record):
         )
 
 
+_B0_DETAIL = "b0 = {} > 1, zeroth Betti numbers {} vs {}"
+
+
 def _first_difference(a: Partition, b: Partition) -> int:
     for j, (x, y) in enumerate(zip(a.parts, b.parts)):
         if x != y:
@@ -221,67 +224,79 @@ def _annotate_rules(
     """Every sufficient-condition rule whose hypotheses hold for (s, a, b).
 
     Hypotheses only involve the partitions' shapes and the surface numbers,
-    so this is cheap and independent of the series machinery.
+    never the series machinery.  ``decide`` runs this on every pair, so each
+    rule's numeric hypothesis is tested first: the majorization test, the
+    first-difference search and a rule's detail text run only where that
+    rule can fire.
     """
     fired: list[FiredRule] = []
     pa, pb = a.parts, b.parts
+    len_a, len_b = len(pa), len(pb)
+    b0, b1 = s.b0, s.b1
     # zeroth Betti numbers: on a disconnected base the b0 rules claim they
-    # differ; no other base fires a b0 rule, so only there is the detail formatted
+    # differ; no other base fires a b0 rule
     b0_a = b0_b = 1
-    b0_detail = ""
-    if s.b0 > 1:
-        b0_a, b0_b = (prod(comb(part + s.b0 - 1, s.b0 - 1) for part in q) for q in (pa, pb))
-        b0_detail = f"b0 = {s.b0} > 1, zeroth Betti numbers {b0_a} vs {b0_b}"
+    if b0 > 1:
+        b0_a, b0_b = (prod(comb(part + b0 - 1, b0 - 1) for part in q) for q in (pa, pb))
     if s.structural_class is StructuralClass.K3:
         fired.append(FiredRule("k3-product-rigidity", "base surface is K3"))
-    if len(pa) != len(pb):
-        short, long_ = (pa, pb) if len(pa) < len(pb) else (pb, pa)
-        r, s_len = len(short), len(long_)
-        if short[0] > 1 and long_[0] > 1 and (s.b0 == 1 or b0_a != b0_b):
+    if len_a != len_b:
+        if len_a < len_b:
+            short, long_, r, s_len = pa, pb, len_a, len_b
+        else:
+            short, long_, r, s_len = pb, pa, len_b, len_a
+        if short[0] > 1 and long_[0] > 1 and (b0 == 1 or b0_a != b0_b):
             detail = f"lengths {r} < {s_len}, all parts > 1"
-            if s.b0 > 1:
-                detail += f"; {b0_detail}"
+            if b0 > 1:
+                detail += "; " + _B0_DETAIL.format(b0, b0_a, b0_b)
             fired.append(FiredRule("diff-length-min-parts", detail))
-        k, l = short.count(1), long_.count(1)
-        margin = (s_len - r) * (s.b2 + 1)  # the degree-2 Betti gap if b0 = 1
-        if s.b0 == 1 and (k >= l or l - k != margin):
-            if k >= l:
-                detail = f"unit parts {k} (shorter) >= {l} (longer)"
-            else:
-                detail = f"unit parts {k} < {l}, l - k = {l - k} != {margin} = (s-r)*(b2+1)"
-                if s.b1 == 0:
-                    detail += (
-                        f"; predicted degree-2 Betti gap (longer - shorter) = "
-                        f"{margin + k - l}"
-                    )
-            fired.append(FiredRule("diff-length-ones-margin", detail))
-    else:
-        if b0_a != b0_b:
-            fired.append(FiredRule("same-length-disconnected", b0_detail))
+        if b0 == 1:
+            k, l = short.count(1), long_.count(1)
+            margin = (s_len - r) * (s.b2 + 1)  # the degree-2 Betti gap
+            if k >= l or l - k != margin:
+                if k >= l:
+                    detail = f"unit parts {k} (shorter) >= {l} (longer)"
+                else:
+                    detail = f"unit parts {k} < {l}, l - k = {l - k} != {margin} = (s-r)*(b2+1)"
+                    if b1 == 0:
+                        detail += (
+                            f"; predicted degree-2 Betti gap (longer - shorter) = "
+                            f"{margin + k - l}"
+                        )
+                fired.append(FiredRule("diff-length-ones-margin", detail))
+        return fired
+    if b0_a != b0_b:
+        fired.append(
+            FiredRule("same-length-disconnected", _B0_DETAIL.format(b0, b0_a, b0_b))
+        )
+    # the least first differing part is >= 1, so the rule needs b1 >= 4
+    if b0 == 1 and b1 >= 4:
         j = _first_difference(a, b)
         least = min(pa[j], pb[j])
-        if s.b0 == 1 and s.b1 >= 2 * (least + 1):
+        if b1 >= 2 * (least + 1):
             fired.append(
                 FiredRule(
                     "same-length-first-betti",
                     f"first differing parts {pa[j]} vs {pb[j]} at "
-                    f"index {j}; b1 = {s.b1} >= {2 * (least + 1)}",
+                    f"index {j}; b1 = {b1} >= {2 * (least + 1)}",
                 )
             )
+    # a valid surface has b2 >= 1, so b0 = 1, b1 = 0 gives chi = 2 + b2 >= 3:
+    # both majorization rules need chi >= 3
+    if s.chi >= 3:
         order = _majorizes_parts(pb, pa)
         if order in (Majorization.STRICTLY_MAJORIZES, Majorization.MAJORIZED_BY):
             bigger, smaller = (
                 (b, a) if order is Majorization.STRICTLY_MAJORIZES else (a, b)
             )
-            if s.chi >= 3:
-                fired.append(
-                    FiredRule(
-                        "majorization-euler",
-                        f"chi = {s.chi} >= 3 and {bigger} strictly majorizes "
-                        f"{smaller}",
-                    )
+            fired.append(
+                FiredRule(
+                    "majorization-euler",
+                    f"chi = {s.chi} >= 3 and {bigger} strictly majorizes "
+                    f"{smaller}",
                 )
-            if s.b0 == 1 and s.b1 == 0:
+            )
+            if b0 == 1 and b1 == 0:
                 fired.append(
                     FiredRule(
                         "majorization-euler-b1-zero",
@@ -307,21 +322,26 @@ def _compare_invariants(
     """The first entry that differs, tier by tier, or the notes of an unknown.
 
     The Euler characteristic is a one-entry tier whose witness has no index;
-    the ``h^{p,0}`` tier runs only where the surface has Hodge data.
+    the ``h^{p,0}`` tier runs only where the surface has Hodge data.  Each
+    tier's two vectors are compared whole, and only the tier that differs
+    is walked to its first differing entry.
     """
-    hodge = has_hodge_data(s)
-    for invariant, values in _TIERS if hodge else _TIERS[:2]:
-        for i, (x, y) in enumerate(zip(values(s, a), values(s, b))):
-            if x != y:
-                index = None if invariant == "euler_characteristic" else i
-                return Witness(invariant, index, x, y), ()
-    if hodge:
-        notes: tuple[str, ...] = ("Euler, Betti and h^(p,0) data all agree",)
+    for invariant, values in _TIERS:
+        if invariant == "hodge_p0" and not has_hodge_data(s):
+            notes: tuple[str, ...] = (
+                "Euler and Betti data agree",
+                "Hodge comparison skipped: surface carries no h10/h20 data",
+            )
+            break
+        x, y = values(s, a), values(s, b)
+        if x != y:
+            i = 0
+            while x[i] == y[i]:
+                i += 1
+            index = None if invariant == "euler_characteristic" else i
+            return Witness(invariant, index, x[i], y[i]), ()
     else:
-        notes = (
-            "Euler and Betti data agree",
-            "Hodge comparison skipped: surface carries no h10/h20 data",
-        )
+        notes = ("Euler, Betti and h^(p,0) data all agree",)
     return None, notes + (
         "computed invariants do not separate the products; they are not "
         "complete invariants, so no isomorphism is asserted either",
@@ -330,7 +350,8 @@ def _compare_invariants(
 
 def decide(s: SurfaceInvariants, a: Partition, b: Partition) -> Verdict:
     """Decide non-isomorphism of the two products attached to ``a`` and ``b``."""
-    if a.n != b.n:
+    pa, pb = a.parts, b.parts
+    if sum(pa) != sum(pb):
         raise DimensionMismatchError(
             f"partitions sum to {a.n} and {b.n}: the products have real "
             f"dimensions {4 * a.n} and {4 * b.n} and are never isomorphic; "
@@ -340,10 +361,11 @@ def decide(s: SurfaceInvariants, a: Partition, b: Partition) -> Verdict:
     witness: Witness | None = None
     rules: tuple[FiredRule, ...] = ()
     notes: tuple[str, ...]
-    if a == b:
+    structural_class = s.structural_class
+    if pa == pb:
         outcome = Outcome.ISOMORPHIC
         notes = ("equal partitions give the identical product",)
-    elif s.structural_class is StructuralClass.ABELIAN_FOR_KUMMER:
+    elif structural_class is StructuralClass.ABELIAN_FOR_KUMMER:
         rules = (FiredRule("kummer-product-rigidity", "base is an abelian surface"),)
         notes = (
             "Kummer mode: each part n denotes the 2n-dimensional generalized "
@@ -351,14 +373,14 @@ def decide(s: SurfaceInvariants, a: Partition, b: Partition) -> Verdict:
             "invariant comparison skipped: the series machinery computes "
             "Hilbert-scheme data, not Kummer data",
         )
-        if 1 in a.parts or 1 in b.parts:
+        if 1 in pa or 1 in pb:
             notes += (
                 "caveat: a part equal to 1 denotes a 2-dimensional Kummer "
                 "variety, which is a K3 surface",
             )
     else:
         rules = tuple(_annotate_rules(s, a, b))
-        if s.structural_class is StructuralClass.K3:
+        if structural_class is StructuralClass.K3:
             notes = ("decided structurally; invariant comparison skipped",)
         else:
             witness, notes = _compare_invariants(s, a, b)

@@ -454,27 +454,29 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
     higher = range(2, p_max + 1)
     violations: list[Violation] = []
     found = violations.append
+    # every field is given, so skip the named tuple's Python-level __new__
+    new = tuple.__new__
     for (a, (key_a, binom_a, shift_a)), (b, (key_b, binom_b, shift_b)) in stream:
         if not key_a[1] < key_b[1]:
             unit_a, unit_b = key_a[1], key_b[1]
             for form in _LEMMA_FORMS:
-                found(Violation(scan_kind, n, a, b, 1, unit_a, unit_b, form))
+                found(new(Violation, (scan_kind, n, a, b, 1, unit_a, unit_b, form)))
         for p in higher:
             if not key_a[p] < key_b[p]:
                 # the ratio prod (part+p)/p recorded cross-multiplied by p^length
                 found(
-                    Violation(
+                    new(Violation, (
                         scan_kind, n, a, b, p,
                         shift_a[p] * p ** len(b), shift_b[p] * p ** len(a),
                         "shift-ratio-cross-multiplied",
-                    )
+                    ))
                 )
             if not binom_a[p] < binom_b[p]:
                 found(
-                    Violation(
+                    new(Violation, (
                         scan_kind, n, a, b, p,
                         binom_a[p], binom_b[p], "binomial-product",
-                    )
+                    ))
                 )
     return pairs, violations
 

@@ -445,16 +445,10 @@ _HODGE_P0_TABLES: dict[tuple[int, int], GrowOnlyTable] = {}
 _HODGE_TABLES: dict[Diamond, GrowOnlyTable] = {}
 
 
-def _table(registry: dict, key, aux_count: int, make_next_row) -> GrowOnlyTable:
-    """The table of ``key``, made on a miss.
-
-    ``3.0 == 3`` and ``True == 1`` hash alike, so each caller refuses, on
-    every call, a key that is not made of plain ints.
-    """
-    table = registry.get(key)
-    if table is None:
-        table = registry.setdefault(key, GrowOnlyTable(aux_count, make_next_row()))
-    return table
+# Each accessor below refuses, on every call, a key that is not made of plain
+# ints (``3.0 == 3`` and ``True == 1`` hash alike), then returns the registry's
+# table; only a miss makes one, and ``setdefault`` keeps the first of a race.
+# The registries are read as module globals on each call: tests swap them.
 
 
 def _betti_factors(b0: int, b1: int, b2: int) -> list[Factor]:
@@ -471,9 +465,12 @@ def betti_table(b0: int, b1: int, b2: int) -> GrowOnlyTable:
     """
     if type(b0) is not int or type(b1) is not int or type(b2) is not int:
         require_plain_ints(b0=b0, b1=b1, b2=b2)
-    return _table(
-        _BETTI_TABLES, (b0, b1, b2), 1, lambda: _goettsche_rows(_betti_factors(b0, b1, b2))
-    )
+    key = (b0, b1, b2)
+    table = _BETTI_TABLES.get(key)
+    if table is None:
+        next_row = _goettsche_rows(_betti_factors(b0, b1, b2))
+        table = _BETTI_TABLES.setdefault(key, GrowOnlyTable(1, next_row))
+    return table
 
 
 def euler_table(chi: int) -> GrowOnlyTable:
@@ -482,8 +479,12 @@ def euler_table(chi: int) -> GrowOnlyTable:
     They come from the pentagonal recurrence of ``_euler_rows``, not from
     the kernel, which handles only products in z.
     """
-    require_plain_ints(chi=chi)
-    return _table(_EULER_TABLES, chi, 0, lambda: _euler_rows(chi))
+    if type(chi) is not int:
+        require_plain_ints(chi=chi)
+    table = _EULER_TABLES.get(chi)
+    if table is None:
+        table = _EULER_TABLES.setdefault(chi, GrowOnlyTable(0, _euler_rows(chi)))
+    return table
 
 
 def euler_rows(chi: int, n: int) -> list[Row]:
@@ -496,8 +497,13 @@ def euler_rows(chi: int, n: int) -> list[Row]:
 
 def hodge_p0_table(h10: int, h20: int) -> GrowOnlyTable:
     """Rows in x of the ``h^{p,0}`` series of a connected surface."""
-    require_plain_ints(h10=h10, h20=h20)
-    return _table(_HODGE_P0_TABLES, (h10, h20), 1, lambda: _hodge_p0_rows(h10, h20))
+    if type(h10) is not int or type(h20) is not int:
+        require_plain_ints(h10=h10, h20=h20)
+    key = (h10, h20)
+    table = _HODGE_P0_TABLES.get(key)
+    if table is None:
+        table = _HODGE_P0_TABLES.setdefault(key, GrowOnlyTable(1, _hodge_p0_rows(h10, h20)))
+    return table
 
 
 def _hodge_factors(diamond: Diamond, n: int) -> list[Factor]:

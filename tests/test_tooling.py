@@ -2,7 +2,9 @@
 
 ``perfbench/tracing.py`` replaces each ``TRACE_POINTS`` target (``module:attr``
 or ``module:Class.attr``) with a timing wrapper.  A target renamed or moved
-in the engine would stop a traced benchmark run before its first job.
+in the engine would stop a traced benchmark run before its first job, and
+an engine call that no longer goes through the wrapped name would read 0 in
+the per-layer metrics without any error.
 """
 
 from __future__ import annotations
@@ -50,3 +52,36 @@ def test_a_tracer_installs_and_removes_every_trace_point():
     finally:
         tracer.uninstall()
     assert [resolve(target) for target, _, _ in tracing.TRACE_POINTS] == originals
+
+
+@pytest.mark.parametrize(
+    "surface, a, b, invariant, tiers_run",
+    [
+        # Euler separates: neither later tier runs
+        (("enriques", None), (1, 3), (2, 2), "euler_characteristic", 1),
+        # Betti separates at degree 3: the h^{p,0} tier does not run
+        (("abelian", None), (2, 4), (3, 3), "betti", 2),
+        # P^2: every tier ties, so all three run and the verdict is unknown
+        (("del_pezzo", {"d": 9}), (1, 1), (2,), None, 3),
+    ],
+)
+def test_the_decision_trace_points_see_each_tier_that_runs(surface, a, b, invariant, tiers_run):
+    from hilbprod import decision
+    from hilbprod.partitions import Partition
+    from hilbprod.surfaces import catalog_lookup
+
+    s = catalog_lookup(*surface)
+    tracer = tracing.Tracer()
+    try:
+        for target, name, how in tracing.TRACE_POINTS:
+            if target.startswith("hilbprod.decision:"):
+                tracer.install(target, name, how)
+        verdict = decision.decide(s, Partition(a), Partition(b))
+    finally:
+        tracer.uninstall()
+    assert (verdict.witness.invariant if verdict.witness else None) == invariant
+    spans = ("invariants.euler_tuple", "invariants.poincare_tuple", "invariants.hodge_tuple")
+    assert [tracer.calls(span) for span in spans] == [
+        2 if tier < tiers_run else 0 for tier in range(3)
+    ]
+    assert tracer.calls("decision.decide") == 1
