@@ -111,10 +111,11 @@ class Witness(Record):
     value_b: int
 
     def __init__(self, invariant: str, index: int | None, value_a: int, value_b: int) -> None:
-        object.__setattr__(self, "invariant", invariant)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "value_a", value_a)
-        object.__setattr__(self, "value_b", value_b)
+        set_invariant, set_index, set_value_a, set_value_b = self._setters
+        set_invariant(self, invariant)
+        set_index(self, index)
+        set_value_a(self, value_a)
+        set_value_b(self, value_b)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -137,8 +138,9 @@ class FiredRule(Record):
     def __init__(self, rule_id: str, detail: str) -> None:
         if rule_id not in RULE_STATEMENTS:
             raise ValueError(f"unknown rule id {rule_id!r}")
-        object.__setattr__(self, "rule_id", rule_id)
-        object.__setattr__(self, "detail", detail)
+        set_rule_id, set_detail = self._setters
+        set_rule_id(self, rule_id)
+        set_detail(self, detail)
 
     @property
     def statement(self) -> str:
@@ -176,13 +178,16 @@ class Verdict(Record):
         rules_fired: tuple[FiredRule, ...],
         notes: tuple[str, ...],
     ) -> None:
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "rules_fired", rules_fired)
-        object.__setattr__(self, "notes", notes)
+        set_outcome, set_surface, set_a, set_b, set_witness, set_rules, set_notes = (
+            self._setters
+        )
+        set_outcome(self, outcome)
+        set_surface(self, surface)
+        set_a(self, a)
+        set_b(self, b)
+        set_witness(self, witness)
+        set_rules(self, rules_fired)
+        set_notes(self, notes)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -207,6 +212,11 @@ class Verdict(Record):
             notes=tuple(d["notes"]),
         )
 
+
+# the two rules whose detail never changes, built once and shared: records
+# are immutable
+_K3_RULE = FiredRule("k3-product-rigidity", "base surface is K3")
+_KUMMER_RULES = (FiredRule("kummer-product-rigidity", "base is an abelian surface"),)
 
 _B0_DETAIL = "b0 = {} > 1, zeroth Betti numbers {} vs {}"
 
@@ -239,7 +249,7 @@ def _annotate_rules(
     if b0 > 1:
         b0_a, b0_b = (prod(comb(part + b0 - 1, b0 - 1) for part in q) for q in (pa, pb))
     if s.structural_class is StructuralClass.K3:
-        fired.append(FiredRule("k3-product-rigidity", "base surface is K3"))
+        fired.append(_K3_RULE)
     if len_a != len_b:
         if len_a < len_b:
             short, long_, r, s_len = pa, pb, len_a, len_b
@@ -366,7 +376,7 @@ def decide(s: SurfaceInvariants, a: Partition, b: Partition) -> Verdict:
         outcome = Outcome.ISOMORPHIC
         notes = ("equal partitions give the identical product",)
     elif structural_class is StructuralClass.ABELIAN_FOR_KUMMER:
-        rules = (FiredRule("kummer-product-rigidity", "base is an abelian surface"),)
+        rules = _KUMMER_RULES
         notes = (
             "Kummer mode: each part n denotes the 2n-dimensional generalized "
             "Kummer variety of the abelian base, not a Hilbert scheme",
@@ -408,7 +418,8 @@ class AutShape(Record):
     factors: tuple[tuple[int, int], ...]
 
     def __init__(self, factors: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "factors", factors)
+        (set_factors,) = self._setters
+        set_factors(self, factors)
 
     def render(self) -> str:
         pieces = []

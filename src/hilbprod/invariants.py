@@ -15,7 +15,9 @@ computed exactly by the grow-only tables of ``hilbprod.series``:
 Products of Hilbert schemes are handled through the Kuenneth rule: multiply
 the factors' Poincare (or ``h^{p,0}``) polynomials, which
 ``GrowOnlyTable.product`` does once per parts tuple, in the table whose rows
-it multiplies, so every later call reads the stored product.
+it multiplies, so every later call reads the stored product.  The Euler
+characteristic of a product is stored in the same way, per parts tuple in
+its Euler table's ``count_products``.
 Invariants that need Hodge data refuse when h10/h20 are absent instead of
 inventing values.
 """
@@ -118,7 +120,8 @@ class PoincarePolynomial(Record):
             raise ValueError(
                 "length must be 4*n + 1 for a 4n-real-dimensional product"
             )
-        object.__setattr__(self, "coefficients", coefficients)
+        (set_coefficients,) = self._setters
+        set_coefficients(self, coefficients)
 
     @property
     def degree(self) -> int:
@@ -211,8 +214,9 @@ class HodgeDiamond(Record):
                 raise DataError(f"negative Hodge number h[{p},{q}] = {value}")
             if not (0 <= p <= size and 0 <= q <= size):
                 raise DataError(f"entry ({p},{q}) outside 0..{size}")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "cells", nonzero)
+        set_size, set_cells = self._setters
+        set_size(self, size)
+        set_cells(self, nonzero)
 
     def h(self, p: int, q: int) -> int:
         return dict(self.cells).get((p, q), 0)
@@ -286,6 +290,15 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
 
 
 def euler_char_tuple(s: SurfaceInvariants, a: Partition) -> int:
-    """Euler characteristic of the product: chi-coloured partition counts."""
-    return colored_count_tuple(s.chi, a)
+    """Euler characteristic of the product: chi-coloured partition counts.
+
+    The product is stored per parts tuple in the ``count_products`` of the
+    Euler table of chi; only a miss multiplies the counts, through
+    ``colored_count_tuple``.
+    """
+    stored = euler_table(s.chi).count_products
+    value = stored.get(a.parts)
+    if value is None:
+        value = stored.setdefault(a.parts, colored_count_tuple(s.chi, a))
+    return value
 

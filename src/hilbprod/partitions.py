@@ -82,7 +82,8 @@ class Partition(Record):
             raise ValueError(f"parts must be positive integers, got {parts}")
         if list(parts) != sorted(parts):
             raise ValueError(f"parts must be weakly increasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        (set_parts,) = self._setters
+        set_parts(self, parts)
 
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -162,10 +163,13 @@ def _ascending_partitions(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(a[: k + 1])
 
 
+(_set_parts,) = Partition._setters
+
+
 def _trusted(parts: tuple[int, ...]) -> Partition:
     """``Partition(parts)`` without the checks, for the generator's valid tuples."""
     partition = object.__new__(Partition)
-    object.__setattr__(partition, "parts", parts)
+    _set_parts(partition, parts)
     return partition
 
 

@@ -209,14 +209,18 @@ class ScanReport(Record):
         wall_time_ms: int,
         engine_version: str,
     ) -> None:
-        object.__setattr__(self, "scan_kind", scan_kind)
+        (
+            set_scan_kind, set_parameters, set_pairs_checked, set_violations,
+            set_wall_time_ms, set_engine_version,
+        ) = self._setters
+        set_scan_kind(self, scan_kind)
         # a list (k_set read from JSON) is held as a tuple: the report hashes and stays as built
         parameters = tuple([(name, tuple(v) if type(v) is list else v) for name, v in parameters])
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "pairs_checked", pairs_checked)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "wall_time_ms", wall_time_ms)
-        object.__setattr__(self, "engine_version", engine_version)
+        set_parameters(self, parameters)
+        set_pairs_checked(self, pairs_checked)
+        set_violations(self, violations)
+        set_wall_time_ms(self, wall_time_ms)
+        set_engine_version(self, engine_version)
         self._check_ints()
 
     def parameter(self, name: str) -> Any:
@@ -534,6 +538,7 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Vio
         n, lambda parts: [prod(map(c.__getitem__, parts)) for c in rows], "same_length"
     )
     violations: list[Violation] = []
+    new = tuple.__new__  # every field is given, as in ``_lemma_bucket``
     for (a, values_a), (b, values_b) in stream:
         order = majorizes(Partition(b), Partition(a))
         if order is Majorization.MAJORIZED_BY:
@@ -544,10 +549,10 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Vio
         for k, low, high in zip(k_tuple, values_a, values_b):
             if not high > low:
                 violations.append(
-                    Violation(
+                    new(Violation, (
                         "majorization", n, a, b, k,
                         low, high, "strict-majorization-inequality",
-                    )
+                    ))
                 )
     return pairs, violations
 
@@ -561,6 +566,7 @@ def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[V
     rows = [(k, _part_counts(k, n)) for k in k_tuple]
     pairs = 0
     violations: list[Violation] = []
+    new = tuple.__new__  # every field is given, as in ``_lemma_bucket``
     for _, parts in sorted(parts_by_length(n).items()):
         pairs += comb(len(parts), 2)
         collisions = []
@@ -576,7 +582,7 @@ def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[V
                     for i, j in combinations(members, 2)
                 ]
         violations += [
-            Violation("conjecture", n, parts[i], parts[j], k, value, value, "collision")
+            new(Violation, ("conjecture", n, parts[i], parts[j], k, value, value, "collision"))
             for i, j, k, value in sorted(collisions)
         ]
     return pairs, violations

@@ -104,9 +104,10 @@ class TruncatedSeries(Record):
                 "TruncatedSeries takes one line per t-degree 0..truncation, "
                 "as GrowOnlyTable.series builds them"
             )
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "aux_count", aux_count)
-        object.__setattr__(self, "lines", lines)
+        set_truncation, set_aux_count, set_lines = self._setters
+        set_truncation(self, truncation)
+        set_aux_count(self, aux_count)
+        set_lines(self, lines)
 
     # -- inspection ---------------------------------------------------------
 
@@ -177,15 +178,19 @@ class GrowOnlyTable:
 
     ``products`` maps a parts tuple to the coefficient tuple that
     ``product`` returned for it, and ``_packed`` maps ``(n, w)`` to row n
-    packed in ``w``-byte slots.  Both only grow and their values never
-    change, so a lost race between threads stores the same value twice and
-    ``dict.setdefault`` keeps one.
+    packed in ``w``-byte slots.  ``count_products`` maps a parts tuple to the
+    product of those rows' single entries; only the Euler tables fill it
+    (``invariants.euler_char_tuple``), and unlike ``product`` it takes
+    negative rows, which an Euler table has for chi < 0.  All three only
+    grow and their values never change, so a lost race between threads
+    stores the same value twice and ``dict.setdefault`` keeps one.
     """
 
     def __init__(self, aux_count: int, next_row: Callable[[list[Row], int], Row]) -> None:
         self.aux_count = aux_count
         self.rows: list[Row] = [[1]]
         self.products: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.count_products: dict[tuple[int, ...], int] = {}
         self._packed: dict[tuple[int, int], int] = {}
         self._next_row = next_row
 

@@ -91,16 +91,20 @@ class SurfaceInvariants(Record):
         family_params: tuple[tuple[str, int], ...] = (),
         provenance: str = "",
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "h10", h10)
-        object.__setattr__(self, "h20", h20)
-        object.__setattr__(self, "structural_class", structural_class)
-        object.__setattr__(self, "family_params", family_params)
-        object.__setattr__(self, "provenance", provenance)
+        (
+            set_name, set_b0, set_b1, set_b2, set_chi, set_h10, set_h20,
+            set_structural_class, set_family_params, set_provenance,
+        ) = self._setters
+        set_name(self, name)
+        set_b0(self, b0)
+        set_b1(self, b1)
+        set_b2(self, b2)
+        set_chi(self, chi)
+        set_h10(self, h10)
+        set_h20(self, h20)
+        set_structural_class(self, structural_class)
+        set_family_params(self, family_params)
+        set_provenance(self, provenance)
         diagnostics = _diagnostics(self)
         if diagnostics:
             raise DataError(
@@ -290,8 +294,9 @@ class Catalog(Record):
     records: tuple[dict[str, Any], ...]
 
     def __init__(self, version: int, records: tuple[dict[str, Any], ...]) -> None:
-        object.__setattr__(self, "version", version)
-        object.__setattr__(self, "records", records)
+        set_version, set_records = self._setters
+        set_version(self, version)
+        set_records(self, records)
 
     def names(self) -> list[str]:
         return [r["name"] for r in self.records]

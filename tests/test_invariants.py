@@ -7,6 +7,8 @@ from math import comb, prod
 
 import pytest
 
+from hilbprod import invariants
+from hilbprod.decision import Outcome, Witness, decide
 from hilbprod.errors import DataError, UsageError
 from hilbprod.invariants import (
     HodgeDiamond,
@@ -22,8 +24,8 @@ from hilbprod.invariants import (
     poincare_series,
     surface_diamond,
 )
-from hilbprod.partitions import Partition, colored_count, enumerate_partitions
-from hilbprod.series import Exponent, betti_table, hodge_p0_table
+from hilbprod.partitions import Partition, colored_count, colored_count_tuple, enumerate_partitions
+from hilbprod.series import Exponent, betti_table, euler_table, hodge_p0_table
 from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog
 from conftest import fresh_tables, race, synthetic, valid_only
 from product_oracle import dense_kuenneth
@@ -406,6 +408,125 @@ def test_euler_char_tuple_negative_chi():
     assert euler_char_tuple(ruled, Partition((1,))) == -4
     poly = poincare_polynomial_tuple(ruled, Partition((1, 2)))
     assert poly.euler_characteristic() == euler_char_tuple(ruled, Partition((1, 2)))
+
+
+def coloured_counts(chi: int, n_max: int) -> list[int]:
+    """Coefficients of ``prod_m (1 - q^m)^-chi`` up to ``q^n_max``, directly.
+
+    The pentagonal theorem gives the Euler function ``prod (1 - q^m) = sum_k
+    (-1)^k q^{k(3k-1)/2}``, k over all integers; its inverse, the partition
+    numbers, by the pentagonal recurrence; and the power by |chi| plain
+    convolutions.
+    """
+    euler = [0] * (n_max + 1)
+    for k in range(-n_max, n_max + 1):
+        if k * (3 * k - 1) // 2 <= n_max:
+            euler[k * (3 * k - 1) // 2] += (-1) ** k
+    partitions = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        partitions[n] = -sum(euler[j] * partitions[n - j] for j in range(1, n + 1))
+    base = partitions if chi > 0 else euler
+    counts = [1] + [0] * n_max
+    for _ in range(abs(chi)):
+        counts = [sum(counts[j] * base[n - j] for j in range(n + 1)) for n in range(n_max + 1)]
+    return counts
+
+
+def euler_memo_surfaces() -> list[SurfaceInvariants]:
+    """One surface for each chi in -4, 0, 2, 12, 24."""
+    return [
+        catalog_lookup("ruled", {"g": 2}),
+        ABELIAN,
+        synthetic(1, 2, 4, h10=1, h20=0),
+        ENRIQUES,
+        K3,
+    ]
+
+
+def test_euler_char_tuple_is_the_product_of_direct_counts(monkeypatch):
+    fresh_tables(monkeypatch)
+    surfaces = euler_memo_surfaces()
+    assert [s.chi for s in surfaces] == [-4, 0, 2, 12, 24]
+    for s in surfaces:
+        counts = coloured_counts(s.chi, 12)
+        for n in range(1, 13):
+            for a in enumerate_partitions(n):
+                expected = prod(counts[part] for part in a.parts)
+                # the first call stores the product, the second reads it
+                assert euler_char_tuple(s, a) == expected, (s.chi, a)
+                assert euler_char_tuple(s, a) == expected, (s.chi, a)
+
+
+def test_euler_memo_multiplies_each_parts_tuple_once(monkeypatch):
+    fresh_tables(monkeypatch)
+    calls: list[tuple[int, tuple[int, ...]]] = []
+    real = invariants.colored_count_tuple
+
+    def counted(k, a):
+        calls.append((k, a.parts))
+        return real(k, a)
+
+    monkeypatch.setattr(invariants, "colored_count_tuple", counted)
+    partitions = [a for n in range(1, 13) for a in enumerate_partitions(n)]
+    for s in euler_memo_surfaces():
+        first = [euler_char_tuple(s, a) for a in partitions]
+        assert calls == [(s.chi, a.parts) for a in partitions]
+        calls.clear()
+        assert [euler_char_tuple(s, Partition(a.parts)) for a in partitions] == first
+        assert calls == []
+        assert set(euler_table(s.chi).count_products) == {a.parts for a in partitions}
+
+
+def test_fresh_tables_empty_the_euler_memo(monkeypatch):
+    ruled = catalog_lookup("ruled", {"g": 2})
+    a = Partition((1, 2, 3))
+    value = euler_char_tuple(ruled, a)
+    assert a.parts in euler_table(-4).count_products
+    fresh_tables(monkeypatch)
+    assert not euler_table(-4).count_products
+    calls = []
+
+    def counted(k, p):
+        calls.append(p)
+        return colored_count_tuple(k, p)
+
+    monkeypatch.setattr(invariants, "colored_count_tuple", counted)
+    assert euler_char_tuple(ruled, a) == value
+    assert calls == [a]
+
+
+def test_decide_on_negative_chi_matches_a_pairwise_oracle(monkeypatch):
+    # ruled g = 2 has chi = -4, so its Euler rows are negative and the
+    # Kuenneth packing refuses them: the memo must hold those products itself
+    ruled = catalog_lookup("ruled", {"g": 2})
+    counts = coloured_counts(ruled.chi, 8)
+    fresh_tables(monkeypatch)
+    for sweep in range(2):  # the second sweep reads every stored value
+        tiers = set()
+        for n in range(2, 9):
+            betti_rows = betti_table(ruled.b0, ruled.b1, ruled.b2).rows_upto(n)
+            hodge_rows = hodge_p0_table(ruled.h10, ruled.h20).rows_upto(n)
+            for a, b in itertools.combinations(enumerate_partitions(n), 2):
+                expected = None
+                for invariant, values in (
+                    ("euler_characteristic", lambda p: [prod(counts[part] for part in p.parts)]),
+                    ("betti", lambda p: dense_kuenneth([betti_rows[part] for part in p.parts])),
+                    ("hodge_p0", lambda p: dense_kuenneth([hodge_rows[part] for part in p.parts])),
+                ):
+                    pairs = enumerate(zip(values(a), values(b)))
+                    diffs = [(i, x, y) for i, (x, y) in pairs if x != y]
+                    if diffs:
+                        i, x, y = diffs[0]
+                        index = None if invariant == "euler_characteristic" else i
+                        expected = Witness(invariant, index, x, y)
+                        break
+                verdict = decide(ruled, a, b)
+                assert verdict.witness == expected, (sweep, a, b)
+                assert verdict.outcome is (
+                    Outcome.UNKNOWN if expected is None else Outcome.NON_ISOMORPHIC
+                ), (sweep, a, b)
+                tiers.add(expected.invariant if expected else None)
+        assert "euler_characteristic" in tiers and "betti" in tiers, tiers
 
 
 # -- Kuenneth products against a dense convolution -------------------------------------

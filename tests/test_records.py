@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from hilbprod._record import Record
 from hilbprod.decision import AutShape, FiredRule, Verdict, Witness, aut_shape, decide
 from hilbprod.errors import DataError
 from hilbprod.invariants import HodgeDiamond, PoincarePolynomial, poincare_series, surface_diamond
@@ -159,3 +160,65 @@ def test_replace_checks_the_copy():
         report.replace(wall_time_ms=True)
     with pytest.raises(TypeError):
         report.replace(no_such_field=1)
+
+
+# per class, one input its ``__init__`` refuses and the error it raises; the
+# four classes without a construction check refuse a missing field
+INVALID = {
+    Witness: (
+        lambda: Witness("betti", 1, 4),
+        TypeError,
+        "missing 1 required positional argument: 'value_b'",
+    ),
+    FiredRule: (
+        lambda: FiredRule("no-such-rule", ""), ValueError, "unknown rule id 'no-such-rule'"
+    ),
+    Verdict: (
+        lambda: Verdict(None, "k3", Partition((1,)), Partition((1,)), None, ()),
+        TypeError,
+        "missing 1 required positional argument: 'notes'",
+    ),
+    AutShape: (lambda: AutShape(), TypeError, "missing 1 required positional argument: 'factors'"),
+    PoincarePolynomial: (
+        lambda: PoincarePolynomial((1, 0, 1)),
+        ValueError,
+        "length must be 4*n + 1 for a 4n-real-dimensional product",
+    ),
+    Partition: (
+        lambda: Partition((3, 1)), ValueError, "parts must be weakly increasing, got (3, 1)"
+    ),
+    ScanReport: (
+        lambda: RECORDS[ScanReport][1]().replace(wall_time_ms=True),
+        ValueError,
+        "report field wall_time_ms must be a plain int, got True",
+    ),
+    SurfaceInvariants: (
+        lambda: SurfaceInvariants("x", 1, 0, 1, 4),
+        DataError,
+        "surface 'x' fails validation: chi mismatch: chi=4 but 2*b0 - 2*b1 + b2 = 3",
+    ),
+    Catalog: (lambda: Catalog(1), TypeError, "missing 1 required positional argument: 'records'"),
+    TruncatedSeries: (
+        lambda: TruncatedSeries(2, 0, ((1,),)),
+        TypeError,
+        "TruncatedSeries takes one line per t-degree 0..truncation",
+    ),
+    HodgeDiamond: (
+        lambda: HodgeDiamond(2, {(0, 0): 1.0}),
+        DataError,
+        "Hodge diamond needs plain ints, got size 2 and {(0, 0): 1.0}",
+    ),
+}
+
+
+def test_every_record_class_has_an_invalid_case():
+    assert set(INVALID) == set(CLASSES) == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_construction_still_refuses_invalid_input(cls):
+    build, error, message = INVALID[cls]
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error
+    assert message in str(caught.value)
