@@ -76,6 +76,8 @@ class Partition(Record):
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         # whole-tuple passes; enumerated partitions skip them (``_trusted``)
+        if type(parts) is not tuple:
+            raise ValueError(f"parts must be a tuple, got {type(parts).__name__}")
         if not parts:
             raise ValueError("a partition needs at least one part")
         if not {*map(type, parts)} <= {int} or min(parts) < 1:

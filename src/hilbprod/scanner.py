@@ -25,8 +25,9 @@ Three scan families:
   partition counts ``prod c_k(part)`` with every ``c_k(m) >= 1``, and the
   one-unit transfers that generate strict majorization raise it wherever
   ``c_k`` is strictly log-concave, ``c_k(m)² > c_k(m-1) c_k(m+1)`` for ``2
-  <= m <= n - 2``; that certifies n, and only an n where it fails is
-  compared pair by pair.
+  <= m <= n - 2``; that certifies n, one pass per k up to ``n_max`` finds
+  the largest certified n, and only an n above it is compared pair by
+  pair.
 * ``scan_conjecture`` records every collision of coloured-count tuples on
   distinct same-length pairs.  It groups each length bucket into classes
   of equal (k, value) and emits the pairs inside each class.  It reports
@@ -509,9 +510,24 @@ def _length_counts(n: int) -> list[int]:
     return _LENGTH_COUNTS.rows_upto(n)[n]
 
 
-def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
-    """Certify n by strict log-concavity of ``c = c_k``; list violations
-    pairwise only if it fails.
+def _certified_upto(k_tuple: tuple[int, ...], n_max: int) -> int:
+    """The largest ``n <= n_max`` with ``c(m)² > c(m-1) c(m+1)`` on ``2..n-2``
+    for every ``c = c_k``: a first failure at m certifies exactly the n <= m + 1."""
+    certified = n_max
+    for k in k_tuple:
+        c = _part_counts(k, n_max)
+        for m in range(2, certified - 1):
+            if not c[m] * c[m] > c[m - 1] * c[m + 1]:
+                certified = m + 1
+                break
+    return certified
+
+
+def _majorization_bucket(
+    n: int, *, k_tuple: tuple[int, ...], certified: int
+) -> tuple[int, list[Violation]]:
+    """Count the pairs of an n that strict log-concavity of every ``c = c_k``
+    certifies (``n <= certified``); list violations pairwise for any other.
 
     A one-unit transfer from a part y to a part x <= y - 2, with ``1 <= x``
     and ``x + y <= n``, multiplies the count by ``c(x+1) c(y-1) / (c(x)
@@ -522,14 +538,12 @@ def _majorization_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list
     along every strictly comparable pair.  The pairwise loop is the one path
     that lists violations, in pair order, so a failing n goes through it
     whole.  A certified n enumerates nothing: its same-length pairs are
-    counted from ``_length_counts``.
+    counted from ``_length_counts``.  ``certified`` is a plain int from
+    ``_certified_upto``, so the bucket still pickles for a pool.
     """
-    for k in k_tuple:
-        c = _part_counts(k, n)
-        for m in range(2, n - 1):
-            if not c[m] * c[m] > c[m - 1] * c[m + 1]:
-                return _majorization_pairs(n, k_tuple)
-    return sum(comb(count, 2) for count in _length_counts(n)), []
+    if n <= certified:
+        return sum(comb(count, 2) for count in _length_counts(n)), []
+    return _majorization_pairs(n, k_tuple)
 
 
 def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
@@ -694,9 +708,10 @@ def verify_majorization(
     The inequality is asserted on every strictly comparable same-length
     pair, and ``pairs_checked`` counts the distinct same-length pairs.  Each
     n is certified by ``c_k(m)² > c_k(m-1) c_k(m+1)`` for ``2 <= m <= n -
-    2``, which makes every one-unit transfer raise the count.  An n where it
-    fails is compared pair by pair, so its violations are listed exactly as
-    a pairwise scan lists them.
+    2``, which makes every one-unit transfer raise the count; one pass per k
+    up to ``n_max`` finds the largest certified n, and every smaller n is
+    certified too.  An n where it fails is compared pair by pair, so its
+    violations are listed exactly as a pairwise scan lists them.
     """
     require_plain_ints(n_max=n_max, workers=workers)
     k_tuple = _k_tuple(k_set)
@@ -706,10 +721,11 @@ def verify_majorization(
         )
     if n_max < 1:
         raise UsageError(f"n_max must be >= 1, got {n_max}")
+    certified = _certified_upto(k_tuple, n_max)
     return _scan(
         "majorization",
         (("k_set", k_tuple), ("n_max", n_max)),
-        partial(_majorization_bucket, k_tuple=k_tuple),
+        partial(_majorization_bucket, k_tuple=k_tuple, certified=certified),
         n_max,
         workers,
     )

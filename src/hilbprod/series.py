@@ -10,19 +10,20 @@ kernel builds the products in z (Betti, Hodge diamond).  Their rows ``F_n``,
 polynomials in z held as flat lists of ints, follow from the
 log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
 ``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r z^{r (slope m + offset)}``: G is
-sparse and the division by n is exact.  The divisors m of k come from one
-grow-only sieve that every kernel shares.  The recurrence runs on
-evaluations at ``X = 2^(8w)``, ``z^j`` in slot j: each term of ``G_k`` is a
-shift and a small multiple of ``F_{n-k}(X)``, and row n is read back from
-the signed slots of ``F_n(X)``.  The slot width w (bytes, a power of two,
-from the bound of the majorant ``prod (1 - t^m)^-E``, E = sum |e_j|) only
-grows; when it does, the kernel re-evaluates the stored rows.  The product
+sparse and the division by n is exact.  Each table builds each ``G_k``
+once, finding the divisors m of k by trial division up to ``sqrt(k)``.  The
+recurrence runs on evaluations at ``X = 2^(8w)``, ``z^j`` in slot j: each
+term of ``G_k`` is a shift and a small multiple of ``F_{n-k}(X)``, and row n
+is read back from the signed slots of ``F_n(X)``.  The slot width w (bytes,
+a power of two, from the bound of the majorant ``prod (1 - t^m)^-E``,
+E = sum |e_j|) only grows; when it does, the kernel re-evaluates the stored
+rows.  The product
 without z, ``g = prod_m (1 - t^m)^-chi`` (Euler), is a power of
 ``f = prod_m (1 - t^m)``, which by Euler's pentagonal number theorem has
 only the coefficients ``(-1)^j`` at the generalized pentagonal numbers
 ``j(3j -+ 1)/2``; so ``n g_n = sum_i ((1 - chi) i - n) f_i g_{n-i}``, about
-``2 sqrt(2n/3)`` terms, with the pentagonal numbers kept in one grow-only
-list that every Euler table shares.  The ``h^{p,0}`` series (y = 0) is a
+``2 sqrt(2n/3)`` terms, with the pentagonal numbers kept in a list that
+each Euler table grows for itself.  The ``h^{p,0}`` series (y = 0) is a
 running sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
 (b0, b1, b2), chi, (h10, h20) and diamond: a table at N answers every
 n <= N, and a larger request extends it from its last row.  A Hodge request
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from math import comb, prod
+from math import comb, isqrt, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._record import Record
@@ -300,50 +301,18 @@ def _unpack(value: int, count: int, w: int) -> list[int]:
     return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
 
 
-_DIVISORS: list[list[int]] = [[]]  # entry k: the divisors of k, ascending (none for 0)
-
-
-def _divisors(k: int) -> list[int]:
-    """Divisors of ``k >= 1`` from the shared sieve, grown (at least doubled) on demand."""
-    table = _DIVISORS
-    if len(table) <= k:
-        with _GROW_LOCK:
-            start = len(table)
-            if start <= k:
-                end = max(k + 1, 2 * start)
-                grown: list[list[int]] = [[] for _ in range(start, end)]
-                for d in range(1, end):
-                    for multiple in range(-(-start // d) * d, end, d):
-                        grown[multiple - start].append(d)
-                table.extend(grown)
-    return table[k]
-
-
-_PENTAGONAL: list[tuple[int, int]] = []  # (j(3j -+ 1)/2, (-1)^j) for j = 1, 2, ..., ascending
-
-
-def _pentagonal(n: int) -> list[tuple[int, int]]:
-    """The shared generalized pentagonal numbers with their signs, grown past ``n``."""
-    table = _PENTAGONAL
-    if not table or table[-1][0] <= n:
-        with _GROW_LOCK:
-            while not table or table[-1][0] <= n:
-                j = len(table) // 2 + 1
-                sign = -1 if j % 2 else 1
-                table.append((j * (3 * j - 1) // 2, sign))
-                table.append((j * (3 * j + 1) // 2, sign))
-    return table
-
-
 def _log_derivative(factors: list[Factor], k: int) -> list[tuple[int, int]]:
     """``G_k`` of the product as ``(z-degree, coefficient)`` pairs, sorted, no zeros."""
     terms: dict[int, int] = {}
-    for m in _divisors(k):
-        r = k // m
-        for sign, e, slope, offset in factors:
-            deg = slope * k + offset * r
-            c = -m * e if sign < 0 or r % 2 == 0 else m * e
-            terms[deg] = terms.get(deg, 0) + c
+    for d in range(1, isqrt(k) + 1):
+        if k % d:
+            continue
+        for m in {d, k // d}:  # the divisors of k, by trial division up to its square root
+            r = k // m
+            for sign, e, slope, offset in factors:
+                deg = slope * k + offset * r
+                c = -m * e if sign < 0 or r % 2 == 0 else m * e
+                terms[deg] = terms.get(deg, 0) + c
     return [(deg, c) for deg, c in sorted(terms.items()) if c]
 
 
@@ -362,8 +331,9 @@ def _goettsche_rows(factors: list[Factor]):
     ``X = 2^(8w)``, a ring map, so ``n F_n(X) = sum_k G_k(X) F_{n-k}(X)``
     holds as integers and ``// n`` is exact.  Each ``G_k`` term is a shift
     and a small multiple of an earlier ``F_{n-k}(X)``; the dense ``G_k(X)``
-    is never formed.  Coefficients may be negative, so the slots are the
-    signed ones of ``_pack`` and ``_unpack``.  The majorant
+    is never formed.  ``_log_derivative`` builds each ``G_k`` once, finding
+    the divisors of k by trial division.  Coefficients may be negative, so
+    the slots are the signed ones of ``_pack`` and ``_unpack``.  The majorant
     ``prod_m (1 - t^m)^-E``, E = sum |e|, bounds the absolute coefficient
     sum of row n by ``colored_count(E, n)``, read from ``euler_table(E)``;
     w is ``_slot_width(n bound)``, the smallest power-of-two byte count
@@ -413,13 +383,21 @@ def _euler_rows(chi: int):
     has about ``2 sqrt(2n/3)`` nonzero coefficients up to degree n, and the
     power ``g = f^-chi`` satisfies ``n g_n = sum_i ((1 - chi) i - n) f_i g_{n-i}``
     (Knuth, TAOCP vol. 2, 4.7), a sum over the pentagonal i <= n whose
-    division by n is exact.
+    division by n is exact.  The pentagonal numbers sit in a list of this
+    closure, grown past n by ``next_row``.  Only ``GrowOnlyTable.rows_upto``
+    calls ``next_row``, under ``_GROW_LOCK``, so the list needs no lock of
+    its own.
     """
     weight = 1 - chi
+    pentagonal = [(1, -1), (2, -1)]  # (j(3j -+ 1)/2, (-1)^j) for j = 1, 2, ..., ascending
 
     def next_row(rows: list[Row], n: int) -> Row:
+        while pentagonal[-1][0] <= n:
+            j = len(pentagonal) // 2 + 1
+            sign = -1 if j % 2 else 1
+            pentagonal.extend([(j * (3 * j - 1) // 2, sign), (j * (3 * j + 1) // 2, sign)])
         acc = 0
-        for i, sign in _pentagonal(n):
+        for i, sign in pentagonal:
             if i > n:
                 break
             acc += sign * (weight * i - n) * rows[n - i][0]

@@ -108,38 +108,18 @@ def test_euler_rows_match_divisor_sum_recurrence(monkeypatch, k):
     assert term_map(euler_series(k, 300)) == {(n, ()): c for n, c in enumerate(expected) if c}
 
 
-def pentagonal_terms(n_max: int) -> dict[int, int]:
-    """The nonzero coefficients of ``prod_m (1 - t^m)`` up to degree n_max, expanded."""
-    f = [1] + [0] * n_max
-    for m in range(1, n_max + 1):
-        for d in range(n_max, m - 1, -1):
-            f[d] -= f[d - m]
-    return {i: c for i, c in enumerate(f) if c and i}
-
-
 def test_euler_tables_read_neither_the_kernel_nor_the_divisor_sieve(monkeypatch):
     def refuse(*args):
         raise AssertionError("an Euler row called _log_derivative")
 
     fresh_tables(monkeypatch)
-    divisors: list[list[int]] = [[]]
-    pentagonal: list[tuple[int, int]] = []
-    monkeypatch.setattr(series, "_DIVISORS", divisors)
-    monkeypatch.setattr(series, "_PENTAGONAL", pentagonal)
     monkeypatch.setattr(series, "_log_derivative", refuse)
     for chi in (-30, 0, 1, 24, 60):
         assert len(series.euler_table(chi).rows_upto(300)) == 301
-    assert divisors == [[]]
-    # the shared list holds the pentagonal theorem's terms, in ascending order
-    assert pentagonal[-1][0] > 300
-    assert dict(p for p in pentagonal if p[0] <= 300) == pentagonal_terms(300)
-    assert pentagonal == sorted(pentagonal)
 
 
 def test_threads_grow_a_fresh_euler_table_alike(monkeypatch):
     fresh_tables(monkeypatch)
-    pentagonal: list[tuple[int, int]] = []
-    monkeypatch.setattr(series, "_PENTAGONAL", pentagonal)
     orders = [list(range(301)) for _ in range(4)]
     for i, order in enumerate(orders[1:]):
         random.Random(i).shuffle(order)
@@ -147,7 +127,6 @@ def test_threads_grow_a_fresh_euler_table_alike(monkeypatch):
     race(lambda i: seen[i].update((n, colored_count(24, n)) for n in orders[i]))
     assert all(got == seen[0] for got in seen)
     assert [seen[0][n] for n in range(301)] == divisor_sum_counts(24, 300)
-    assert dict(p for p in pentagonal if p[0] <= 300) == pentagonal_terms(300)
 
 
 def trial_division_log_derivative(factors, k: int) -> dict[int, int]:
@@ -165,8 +144,7 @@ def trial_division_log_derivative(factors, k: int) -> dict[int, int]:
     return {deg: c for deg, c in terms.items() if c}
 
 
-def test_log_derivative_reads_the_shared_divisor_table(monkeypatch):
-    monkeypatch.setattr(series, "_DIVISORS", [[]])
+def test_log_derivative_matches_trial_division_oracle():
     # b1 < 0 gives factors with sign +1 and e < 0 next to sign -1 and e < 0
     for factors in (series._betti_factors(1, -3, 2), series._hodge_factors(ABELIAN_DIAMOND, 15)):
         for k in range(1, 301):
@@ -175,18 +153,17 @@ def test_log_derivative_reads_the_shared_divisor_table(monkeypatch):
             assert got == sorted(got)
 
 
-def test_threads_grow_a_fresh_divisor_table_alike(monkeypatch):
-    fresh: list[list[int]] = [[]]
-    monkeypatch.setattr(series, "_DIVISORS", fresh)
-    orders = [list(range(1, 301)) for _ in range(4)]
-    for i, order in enumerate(orders[1:]):
-        random.Random(i).shuffle(order)
-    seen: list[dict[int, list[int]]] = [{} for _ in orders]
-    race(lambda i: seen[i].update((k, series._divisors(k)) for k in orders[i]))
-    assert all(got == seen[0] for got in seen)
-    assert fresh[0] == []
-    for k, divisors in enumerate(fresh[1:], start=1):
-        assert divisors == [m for m in range(1, k + 1) if k % m == 0], k
+def test_the_series_module_keeps_only_its_tables():
+    # the four registries are the module's one shared state: no sieve, no
+    # shared list beside them (the interpreter makes the two dunder dicts)
+    shared = {
+        name for name, value in vars(series).items()
+        if isinstance(value, (list, dict, set))
+        and name not in ("__builtins__", "__annotations__")
+    }
+    assert shared == {
+        "__all__", "_BETTI_TABLES", "_EULER_TABLES", "_HODGE_P0_TABLES", "_HODGE_TABLES",
+    }
 
 
 def row_terms(table, truncation: int, cap: int | None = None) -> dict:

@@ -2,7 +2,7 @@
 ``hilbprod.series`` packs rows of ints into byte slots, and a short session
 (import, catalog, one decision, one serial scan and its exports) loads
 neither the process-pool machinery nor ``dataclasses``, ``inspect``, ``ast``
-or ``dis``."""
+or ``dis``, and the package's version is the one pyproject declares."""
 
 from __future__ import annotations
 
@@ -17,6 +17,11 @@ import sys
 from pathlib import Path
 
 import pytest
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: no tomllib in the standard library
+    tomllib = None
 
 import hilbprod
 
@@ -40,6 +45,14 @@ def test_every_exported_name_exists_and_star_imports(name):
     namespace: dict = {}
     exec(f"from hilbprod.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+@pytest.mark.skipif(tomllib is None, reason="reading pyproject.toml needs tomllib")
+def test_the_package_version_is_the_project_version():
+    # every scan report stamps __version__ into its fingerprint as engine_version
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == hilbprod.__version__
 
 
 PACKAGE = Path(hilbprod.__file__).parent

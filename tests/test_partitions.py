@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import pytest
 
+from hilbprod.decision import decide
 from hilbprod.errors import UsageError
 from hilbprod.partitions import (
     Majorization,
@@ -19,6 +20,7 @@ from hilbprod.partitions import (
     parts_by_length,
     partitions_by_length,
 )
+from hilbprod.surfaces import catalog_lookup
 from colour_oracle import brute_force_colored, recursive_buckets, recursive_partitions
 
 
@@ -65,6 +67,15 @@ def test_partition_refusal_messages(parts, message):
     # the first failed check names the fault: type and sign before order
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Partition(parts)
+
+
+@pytest.mark.parametrize("surface", ["k3", "enriques"])
+def test_a_partition_of_a_list_is_refused_before_decide(surface):
+    # a list of parts once reached decide: on K3 it fired product rigidity
+    # and "(1,2) strictly majorizes (1,2)" against the tuple (1, 2), on
+    # enriques it raised TypeError on the unhashable list
+    with pytest.raises(ValueError, match="^parts must be a tuple, got list$"):
+        decide(catalog_lookup(surface), Partition([1, 2]), Partition((1, 2)))
 
 
 def test_partition_of_sorts():

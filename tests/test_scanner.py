@@ -378,8 +378,9 @@ def test_majorization_compares_pairwise_exactly_where_log_concavity_fails(
     monkeypatch.setattr(
         scanner, "_majorization_pairs", lambda n, k_tuple: sent.append(n) or (0, [])
     )
+    certified = scanner._certified_upto(k_tuple, 30)
     for n in range(1, 31):
-        scanner._majorization_bucket(n, k_tuple=k_tuple)
+        scanner._majorization_bucket(n, k_tuple=k_tuple, certified=certified)
     expected = [
         n
         for n in range(1, 31)
@@ -389,6 +390,16 @@ def test_majorization_compares_pairwise_exactly_where_log_concavity_fails(
     assert expected == {"none": [], "one": list(range(24, 31)), "many": list(range(10, 31))}[broken]
     # soundness: every n where some transfer fails to raise a count is compared pairwise
     assert {n for n in range(1, 31) if transfer_fails(n, k_tuple)} <= set(sent)
+
+
+def test_a_certified_majorization_scan_reads_the_counts_once_per_k(monkeypatch):
+    # the certificate is checked once per k up to n_max, not again at each n
+    calls = []
+    real = scanner._part_counts
+    monkeypatch.setattr(scanner, "_part_counts", lambda k, n: calls.append((k, n)) or real(k, n))
+    report = verify_majorization({3, 4, 5}, 100)
+    assert report.violations == ()
+    assert calls == [(3, 100), (4, 100), (5, 100)]
 
 
 def test_log_concavity_implies_every_transfer_inequality():
