@@ -9,12 +9,15 @@ y-degree that is read, so that ``x^i y^j`` lands in ``z^{i L + j}``; only
 kernel builds the products in z (Betti, Hodge diamond).  Their rows ``F_n``,
 polynomials in z held as flat lists of ints, follow from the
 log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
-``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r z^{r (slope m + offset)}``: G is
-sparse and the division by n is exact.  Each table builds each ``G_k``
-once, finding the divisors m of k by trial division up to ``sqrt(k)``.  The
+``G_k = sum_{m r = k} m e (-1)^{r+1} sign^r z^{r (slope m + offset)}``, the
+division by n exact.  All factors share one slope s, so the sum regroups
+by the divisor r: ``n F_n = sum_{r=1..n} sum_j e_j eps_j(r) z^{(s + o_j) r}
+W_r`` with ``W_r = sum_{m=1..n//r} m z^{s r (m-1)} F_{n-mr}`` and
+``eps_j(r) = (-1)^{r+1} sign_j^r``; ``G_k`` is never built.  The
 recurrence runs on evaluations at ``X = 2^(8w)``, ``z^j`` in slot j: each
-term of ``G_k`` is a shift and a small multiple of ``F_{n-k}(X)``, and row n
-is read back from the signed slots of ``F_n(X)``.  The slot width w (bytes,
+``W_r(X)`` is a Horner sum over m of the ``F_{n-mr}(X)``, each factor adds
+a shift and a small multiple of it, and row n is read back from the signed
+slots of ``F_n(X)``.  The slot width w (bytes,
 a power of two, from the bound of the majorant ``prod (1 - t^m)^-E``,
 E = sum |e_j|) only grows; when it does, the kernel re-evaluates the stored
 rows.  The product
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from math import comb, isqrt, prod
+from math import comb, prod
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._record import Record
@@ -252,11 +255,11 @@ class GrowOnlyTable:
 
 
 def _stripped(line: list[int], end: int) -> tuple[int, ...]:
-    """``line[:end]`` as a tuple, without its trailing zeros."""
+    """``line[:end]`` as a tuple, without its trailing zeros (one copy of the line)."""
     end = min(end, len(line))
     while end and not line[end - 1]:
         end -= 1
-    return tuple(line[:end])
+    return tuple(line) if end == len(line) else tuple(line[:end])
 
 
 # -- the slot codec: rows of ints as one int, one signed w-byte slot each ------
@@ -301,21 +304,6 @@ def _unpack(value: int, count: int, w: int) -> list[int]:
     return [int.from_bytes(raw[i:i + w], "little", signed=True) for i in range(0, len(raw), w)]
 
 
-def _log_derivative(factors: list[Factor], k: int) -> list[tuple[int, int]]:
-    """``G_k`` of the product as ``(z-degree, coefficient)`` pairs, sorted, no zeros."""
-    terms: dict[int, int] = {}
-    for d in range(1, isqrt(k) + 1):
-        if k % d:
-            continue
-        for m in {d, k // d}:  # the divisors of k, by trial division up to its square root
-            r = k // m
-            for sign, e, slope, offset in factors:
-                deg = slope * k + offset * r
-                c = -m * e if sign < 0 or r % 2 == 0 else m * e
-                terms[deg] = terms.get(deg, 0) + c
-    return [(deg, c) for deg, c in sorted(terms.items()) if c]
-
-
 def _span(factors: list[Factor]) -> int:
     """The kernel's z-degrees of row n are at most ``span n``; the row has ``span n + 1``."""
     return max((slope + max(offset, 0) for _, e, slope, offset in factors if e), default=0)
@@ -325,15 +313,21 @@ def _goettsche_rows(factors: list[Factor]):
     """``next_row`` of ``prod_m prod_j (1 + sign_j z^{slope_j m + offset_j} t^m)^{e_j}``.
 
     Each factor is ``(sign, e, slope, offset)`` with sign in {+1, -1}; every
-    z-degree ``slope m + offset`` (m >= 1) must be nonnegative.
+    z-degree ``slope m + offset`` (m >= 1) must be nonnegative, and all
+    factors must share one slope s (2 for Betti, L + 1 for Hodge), else a
+    ValueError.  An empty list gives the rows ``[1], [0], [0], ...``.
 
-    The recurrence runs on evaluations: ``z^j`` goes to slot j of
-    ``X = 2^(8w)``, a ring map, so ``n F_n(X) = sum_k G_k(X) F_{n-k}(X)``
-    holds as integers and ``// n`` is exact.  Each ``G_k`` term is a shift
-    and a small multiple of an earlier ``F_{n-k}(X)``; the dense ``G_k(X)``
-    is never formed.  ``_log_derivative`` builds each ``G_k`` once, finding
-    the divisors of k by trial division.  Coefficients may be negative, so
-    the slots are the signed ones of ``_pack`` and ``_unpack``.  The majorant
+    The recurrence ``n F_n = sum_k G_k F_{n-k}`` runs by divisor r:
+    ``n F_n = sum_{r=1..n} sum_j e_j eps_j(r) z^{(s + o_j) r} W_r``, with
+    ``W_r = sum_{m=1..n//r} m z^{s r (m-1)} F_{n-mr}`` and ``eps_j(r)`` +1
+    when sign_j = +1 and r is odd, -1 otherwise.  It runs on evaluations:
+    ``z^j`` goes to slot j of ``X = 2^(8w)``, a ring map, so the sum holds
+    as integers and ``// n`` is exact.  ``W_r(X)`` is a Horner loop,
+    ``W = (W << s r 8w) + m F_{n-mr}(X)`` for m from n // r down to 1, and
+    each factor adds ``e_j eps_j(r) W_r(X)`` shifted by ``(s + o_j) r 8w``
+    bits: about ``n H_n + J n`` big-int steps per row for J factors, and
+    no ``G_k`` is built.  Coefficients may be negative, so the slots are
+    the signed ones of ``_pack`` and ``_unpack``.  The majorant
     ``prod_m (1 - t^m)^-E``, E = sum |e|, bounds the absolute coefficient
     sum of row n by ``colored_count(E, n)``, read from ``euler_table(E)``;
     w is ``_slot_width(n bound)``, the smallest power-of-two byte count
@@ -342,32 +336,36 @@ def _goettsche_rows(factors: list[Factor]):
     product without z is not built here: ``_euler_rows`` reads its rows
     from the pentagonal recurrence.
     """
+    slopes = {f[2] for f in factors}
+    if len(slopes) > 1:
+        raise ValueError(f"the kernel's factors must share one slope, got {sorted(slopes)}")
+    slope = slopes.pop() if slopes else 0
     factors = [f for f in factors if f[1]]
     span = _span(factors)
     majorant = sum(abs(f[1]) for f in factors)
-    g: list[list[tuple[int, int]]] = [[]]  # G_k as (z-degree, coefficient)
+    # (z-degree per unit of r, e eps(r)) of each factor, for even r and for odd r
+    terms = [
+        [(slope + offset, e if sign > 0 and odd else -e) for sign, e, _, offset in factors]
+        for odd in (False, True)
+    ]
     w = 0  # slot width in bytes (0 before row 1)
-    shifted: list[list[tuple[int, int]]] = [[]]  # G_k as (bit shift, coefficient) at w
     evaluations: list[int] = []  # F_k(X) of the rows so far at w
 
     def next_row(rows: list[Row], n: int) -> Row:
         nonlocal w
-        while len(g) <= n:
-            g.append(_log_derivative(factors, len(g)))
         width = _slot_width(n * euler_rows(majorant, n)[n][0], w or 1)
         if width != w:
             w = width
             evaluations[:] = [_pack(row, w) for row in rows]
-            del shifted[1:]
         bits = 8 * w
-        shifted.extend(
-            [(bits * deg, c) for deg, c in g[k]] for k in range(len(shifted), n + 1)
-        )
         acc = 0
-        for k in range(1, n + 1):
-            value = evaluations[n - k]
-            for shift, c in shifted[k]:
-                acc += c * (value << shift)
+        for r in range(1, n + 1):
+            step = slope * r * bits
+            horner = 0  # W_r(X), m from n // r down to 1
+            for m in range(n // r, 0, -1):
+                horner = (horner << step) + m * evaluations[n - m * r]
+            for degree, c in terms[r & 1]:
+                acc += (c * horner) << degree * r * bits
         value = acc // n
         evaluations.append(value)
         # row n has span n + 1 coefficients

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from operator import add
 
 import pytest
 
@@ -110,10 +111,10 @@ def test_euler_rows_match_divisor_sum_recurrence(monkeypatch, k):
 
 def test_euler_tables_read_neither_the_kernel_nor_the_divisor_sieve(monkeypatch):
     def refuse(*args):
-        raise AssertionError("an Euler row called _log_derivative")
+        raise AssertionError("an Euler table called _goettsche_rows")
 
     fresh_tables(monkeypatch)
-    monkeypatch.setattr(series, "_log_derivative", refuse)
+    monkeypatch.setattr(series, "_goettsche_rows", refuse)
     for chi in (-30, 0, 1, 24, 60):
         assert len(series.euler_table(chi).rows_upto(300)) == 301
 
@@ -144,13 +145,39 @@ def trial_division_log_derivative(factors, k: int) -> dict[int, int]:
     return {deg: c for deg, c in terms.items() if c}
 
 
-def test_log_derivative_matches_trial_division_oracle():
-    # b1 < 0 gives factors with sign +1 and e < 0 next to sign -1 and e < 0
-    for factors in (series._betti_factors(1, -3, 2), series._hodge_factors(ABELIAN_DIAMOND, 15)):
-        for k in range(1, 301):
-            got = series._log_derivative(factors, k)
-            assert dict(got) == trial_division_log_derivative(factors, k)
-            assert got == sorted(got)
+def test_kernel_rows_satisfy_the_log_derivative_identity():
+    # n F_n = sum_k G_k F_{n-k}, with G_k from the oracle above and each
+    # product of polynomials in z taken here, term of G_k by row.  b1 < 0 gives
+    # sign +1 and e < 0 next to sign -1 and e < 0; (1, 0, 53) crosses slot
+    # widths 1 to 16; the Hodge factors have slope L + 1 = 33; the last list
+    # has slope 0 (the p(n, r) table of the scanner tests)
+    assert series._slot_width(40 * colored_count(55, 40)) == 16
+    for factors in (
+        series._betti_factors(1, -3, 2),
+        series._betti_factors(1, 0, 53),
+        series._hodge_factors(ABELIAN_DIAMOND, 15),
+        [(-1, -1, 0, 1)],
+    ):
+        rows = series.GrowOnlyTable(1, series._goettsche_rows(factors)).rows_upto(40)
+        g = [{}] + [trial_division_log_derivative(factors, k) for k in range(1, 41)]
+        for n in range(1, 41):
+            total = [0] * len(rows[n])
+            for k in range(1, n + 1):
+                row = rows[n - k]
+                for deg, coefficient in g[k].items():
+                    end = deg + len(row)
+                    assert end <= len(total)  # row n holds every degree of the sum
+                    total[deg:end] = map(add, total[deg:end], map(coefficient.__mul__, row))
+            assert total == [n * c for c in rows[n]]
+
+
+def test_kernel_factors_share_one_slope():
+    with pytest.raises(ValueError, match="one slope"):
+        series._goettsche_rows([(1, 1, 2, 0), (-1, -1, 1, 0)])
+    # b0 = b1 = b2 = 0: no factor is left, and the product is 1
+    for factors in ([], series._betti_factors(0, 0, 0)):
+        rows = series.GrowOnlyTable(1, series._goettsche_rows(factors)).rows_upto(6)
+        assert rows == [[1]] + [[0]] * 6
 
 
 def test_the_series_module_keeps_only_its_tables():
