@@ -54,10 +54,8 @@ log-concavity certificate fails; a certified n counts its pairs from
 ``_length_counts(n)``.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
-plain ints, so its three exports (``fingerprint``, ``write_records`` and
-``write_csv``) write without checking again.  Each export fills one
-``%``-template per violation, with no dict or ``csv.writer`` row per
-violation, so importing this module loads no ``csv``.
+plain ints; its three exports write the rows of ``ScanReport._cells``
+through ``%``-templates, so importing this module loads no ``csv``.
 """
 
 from __future__ import annotations
@@ -68,6 +66,7 @@ import time
 from functools import partial
 from itertools import chain, combinations, product
 from math import comb, prod
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sized
 
@@ -173,7 +172,10 @@ _RECORD_JSON = (
 )
 _VIOLATION_JSON = _RECORD_JSON.replace('"record": "violation", ', "")
 
-# matches no object a violation holds: the exports' "same object as the last
+# a ``_cells`` row in the sorted key order of ``_RECORD_JSON``
+_JSON_ORDER = itemgetter(2, 3, 7, 4, 1, 0, 5, 6)
+
+# matches no object a violation holds: ``_cells``'s "same object as the last
 # row" checks start from it
 _UNSET = object()
 
@@ -219,7 +221,8 @@ class ScanReport(Record):
         parameters = tuple([(name, tuple(v) if type(v) is list else v) for name, v in parameters])
         set_parameters(self, parameters)
         set_pairs_checked(self, pairs_checked)
-        set_violations(self, violations)
+        # so is a list of violations; tuple() keeps a tuple as the same object
+        set_violations(self, tuple(violations))
         set_wall_time_ms(self, wall_time_ms)
         set_engine_version(self, engine_version)
         self._check_ints()
@@ -249,14 +252,11 @@ class ScanReport(Record):
         )
 
     def fingerprint(self) -> str:
-        """Canonical JSON of everything except the volatile wall time.
-
-        ``json.dumps(content, sort_keys=True)`` with ``violations`` written
-        through ``_VIOLATION_JSON``: that key sorts last, so the header's
-        text ends in its empty list.
-        """
+        """Canonical JSON of everything except the volatile wall time, as
+        ``json.dumps(content, sort_keys=True)`` writes it."""
         content = {**self._header(), "violations": []}
         del content["wall_time_ms"], content["record"]
+        # ``violations`` sorts last, so the header's text ends in its empty list
         head = json.dumps(content, sort_keys=True)
         return head[:-2] + ", ".join(self._json_texts(_VIOLATION_JSON)) + "]}"
 
@@ -278,61 +278,19 @@ class ScanReport(Record):
         return cls.from_dict({**records[0], "violations": violations})
 
     def write_records(self, path: str | Path) -> None:
-        """JSON Lines: the header record, then one record per violation.
-
-        Each line is the bytes of ``json.dumps(record, sort_keys=True)`` over
-        the record's dict, written with no dict built per violation;
-        ``from_records`` reads the records back.
-        """
+        """JSON Lines: the header record, then one record per violation
+        (``_json_texts``); ``from_records`` reads them back."""
         with open(path, "w") as handle:
             handle.write(json.dumps(self._header(), sort_keys=True) + "\n")
             handle.writelines(self._json_texts(_RECORD_JSON + "\n"))
 
     def write_csv(self, path: str | Path) -> None:
-        """The header row, then one row per violation in ``CSV_COLUMNS`` order.
-
-        Each row fills ``_CSV_ROW``; its cells quote as ``csv.writer``'s do
-        (``_csv_cell``), which the tests check byte for byte.  Each parts
-        tuple (joined by commas), scan kind and form object is turned into
-        its cell once per call, keyed by ``id``: a scan has a few hundred
-        distinct partitions behind tens of thousands of violations.  A row
-        whose parts tuple or kind is the same object as in the row before
-        reuses that row's cell, with no lookup: a lemma pair's violations
-        are consecutive.  Forms change from row to row (the three forms at
-        p = 1, two at each higher p), so they always go through the memo.
-        The memos live no longer than the call and the report keeps every
-        object alive until then, so no id is reused.  The rows are streamed,
-        never joined into one text.
-        """
-        parts: dict[int, str] = {}
-        texts: dict[int, str] = {}
-
-        def rows() -> Iterator[str]:
-            last_a = last_b = last_kind = _UNSET
-            for kind, n, a, b, k, value_a, value_b, form in self.violations:
-                if a is not last_a:
-                    last_a = a
-                    cell_a = parts.get(id(a))
-                    if cell_a is None:
-                        cell_a = parts[id(a)] = _csv_cell(",".join(map(str, a)))
-                if b is not last_b:
-                    last_b = b
-                    cell_b = parts.get(id(b))
-                    if cell_b is None:
-                        cell_b = parts[id(b)] = _csv_cell(",".join(map(str, b)))
-                if kind is not last_kind:
-                    last_kind = kind
-                    cell_kind = texts.get(id(kind))
-                    if cell_kind is None:
-                        cell_kind = texts[id(kind)] = _csv_cell(kind)
-                cell_form = texts.get(id(form))
-                if cell_form is None:
-                    cell_form = texts[id(form)] = _csv_cell(form)
-                yield _CSV_ROW % (cell_kind, n, cell_a, cell_b, k, value_a, value_b, cell_form)
-
+        """The header row, then one row per violation in ``CSV_COLUMNS``
+        order, quoted as ``csv.writer`` quotes it (``_cells``)."""
+        rows = self._cells(lambda parts: _csv_cell(",".join(map(str, parts))), _csv_cell)
         with open(path, "w", newline="") as handle:
             handle.write(_CSV_HEADER)
-            handle.writelines(rows())
+            handle.writelines(map(_CSV_ROW.__mod__, rows))
 
     def _check_ints(self) -> None:
         """Raise ValueError unless ``pairs_checked``, ``wall_time_ms`` and
@@ -355,37 +313,51 @@ class ScanReport(Record):
                 _refuse_non_ints(v)
 
     def _json_texts(self, template: str) -> Iterator[str]:
-        """Each violation through ``template``, in its sorted key order.
-
-        Each parts tuple, kind and form object is encoded once per call,
-        keyed by ``id``, and parts tuples and kinds are reused from the row
-        before, as in ``write_csv``; one memo serves all four columns,
-        which go through the one encoder (a parts tuple of plain ints as
-        ``[3, 4]``).
-        """
+        """Each violation through ``template``: the ``_cells`` row JSON-encoded,
+        in sorted key order."""
         encode = json.JSONEncoder(sort_keys=True).encode
+        return map(template.__mod__, map(_JSON_ORDER, self._cells(encode, encode)))
+
+    def _cells(
+        self, parts_text: Callable[[tuple[int, ...]], str], text: Callable[[Any], str]
+    ) -> Iterator[tuple[Any, ...]]:
+        """Each violation in ``CSV_COLUMNS`` order, its parts tuples through
+        ``parts_text`` and its kind and form through ``text``.
+
+        Each object becomes text once per call, through one memo keyed by
+        ``id`` for the parts tuples and one for the kinds and forms (a kind
+        or form may be the very tuple a part is, and the CSV writes the two
+        differently): a scan has a few hundred distinct partitions behind
+        tens of thousands of violations.  A row whose parts tuple or kind is
+        the same object as in the row before reuses its text with no lookup,
+        as a lemma pair's violations are consecutive; forms change from row
+        to row, so they always go through the memo.  The memos live no
+        longer than the call and the report keeps every object alive until
+        then, so no id is reused.
+        """
+        parts: dict[int, str] = {}
         texts: dict[int, str] = {}
         last_a = last_b = last_kind = _UNSET
         for kind, n, a, b, k, value_a, value_b, form in self.violations:
             if a is not last_a:
                 last_a = a
-                text_a = texts.get(id(a))
+                text_a = parts.get(id(a))
                 if text_a is None:
-                    text_a = texts[id(a)] = encode(a)
+                    text_a = parts[id(a)] = parts_text(a)
             if b is not last_b:
                 last_b = b
-                text_b = texts.get(id(b))
+                text_b = parts.get(id(b))
                 if text_b is None:
-                    text_b = texts[id(b)] = encode(b)
-            text_form = texts.get(id(form))
-            if text_form is None:
-                text_form = texts[id(form)] = encode(form)
+                    text_b = parts[id(b)] = parts_text(b)
             if kind is not last_kind:
                 last_kind = kind
                 text_kind = texts.get(id(kind))
                 if text_kind is None:
-                    text_kind = texts[id(kind)] = encode(kind)
-            yield template % (text_a, text_b, text_form, k, n, text_kind, value_a, value_b)
+                    text_kind = texts[id(kind)] = text(kind)
+            text_form = texts.get(id(form))
+            if text_form is None:
+                text_form = texts[id(form)] = text(form)
+            yield text_kind, n, text_a, text_b, k, value_a, value_b, text_form
 
 
 # -- buckets: one function of n per scan ------------------------------------

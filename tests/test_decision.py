@@ -509,6 +509,22 @@ def test_b0_rules_fire_only_where_zeroth_betti_numbers_differ():
             assert pa.betti(0) == pb.betti(0) == zeroth(Partition(a))
 
 
+def named_values(rule_id: str, s: SurfaceInvariants, a: Partition, b: Partition):
+    """The invariant of ``s^[a]`` and ``s^[b]`` that a firing of the shape rule
+    ``rule_id`` claims differs."""
+    if rule_id in (
+        "diff-length-min-parts", "diff-length-ones-margin", "same-length-disconnected"
+    ):
+        degree = 0 if s.b0 > 1 else 1 if s.b1 > 0 else 2
+        return [poincare_polynomial_tuple(s, q).betti(degree) for q in (a, b)]
+    if rule_id == "same-length-first-betti":
+        j = decision._first_difference(a, b)
+        p = min(a.parts[j], b.parts[j]) + 1
+        return [hodge_p0_tuple_vector(s, q)[p] for q in (a, b)]
+    assert rule_id in ("majorization-euler", "majorization-euler-b1-zero")
+    return [euler_char_tuple(s, q) for q in (a, b)]
+
+
 def test_rule_statements_hold_where_they_fire():
     # every firing of a shape rule names an invariant that must differ; check
     # that invariant on grids of valid bases, every pair n <= 8
@@ -519,19 +535,6 @@ def test_rule_statements_hold_where_they_fire():
     assert len(connected) == 30
     disconnected = valid_only(itertools.product((2, 3), (0, 2, 4), range(1, 9)))
     assert len(disconnected) == 39
-
-    def named_values(rule_id: str, s: SurfaceInvariants, a: Partition, b: Partition):
-        if rule_id in (
-            "diff-length-min-parts", "diff-length-ones-margin", "same-length-disconnected"
-        ):
-            degree = 0 if s.b0 > 1 else 1 if s.b1 > 0 else 2
-            return [poincare_polynomial_tuple(s, q).betti(degree) for q in (a, b)]
-        if rule_id == "same-length-first-betti":
-            j = decision._first_difference(a, b)
-            p = min(a.parts[j], b.parts[j]) + 1
-            return [hodge_p0_tuple_vector(s, q)[p] for q in (a, b)]
-        assert rule_id in ("majorization-euler", "majorization-euler-b1-zero")
-        return [euler_char_tuple(s, q) for q in (a, b)]
 
     # on a disconnected base the ones-margin rule (a connected base's
     # degree-2 Betti gap) must not fire
@@ -559,6 +562,26 @@ def test_rule_statements_hold_where_they_fire():
                         x, y = named_values(rule.rule_id, s, a, b)
                         assert x != y, (rule.rule_id, s, a, b)
         assert fired == expected[kind]
+
+
+def test_rule_statements_hold_on_p2_at_every_pair_up_to_18():
+    s = catalog_lookup("del_pezzo", {"d": 9})
+    fired = set()
+    pairs = 0
+    for n in range(2, 19):
+        for a, b in itertools.combinations(enumerate_partitions(n), 2):
+            pairs += 1
+            for rule in decision._annotate_rules(s, a, b):
+                fired.add(rule.rule_id)
+                x, y = named_values(rule.rule_id, s, a, b)
+                assert x != y, (rule.rule_id, a, b)
+    assert pairs == 180_124
+    assert fired == {
+        "diff-length-min-parts",
+        "diff-length-ones-margin",
+        "majorization-euler",
+        "majorization-euler-b1-zero",
+    }
 
 
 def expected_rule_ids(s: SurfaceInvariants, a: Partition, b: Partition) -> set[str]:

@@ -1,8 +1,9 @@
-"""The package surface: every module's ``__all__`` names what it defines, only
-``hilbprod.series`` packs rows of ints into byte slots, and a short session
-(import, catalog, one decision, one serial scan and its exports) loads
-neither the process-pool machinery nor ``dataclasses``, ``inspect``, ``ast``
-or ``dis``, and the package's version is the one pyproject declares."""
+"""The package surface: every module's ``__all__`` names what it defines, every
+imported name is used, only ``hilbprod.series`` packs rows of ints into byte
+slots, and a short session (import, catalog, one decision, one serial scan
+and its exports) loads neither the process-pool machinery nor
+``dataclasses``, ``inspect``, ``ast`` or ``dis``, and the package's version
+is the one pyproject declares."""
 
 from __future__ import annotations
 
@@ -67,6 +68,31 @@ def test_only_series_knows_the_slot_format(source):
     # the kernel and the Kuenneth product share one codec, _pack and _unpack
     # in series.py; bytes handled anywhere else would be a second format
     assert not SLOT_CODEC.findall((PACKAGE / source).read_text())
+
+
+def test_every_imported_name_is_used():
+    # no linter runs with the tests: a name imported and never read is an
+    # import that a change left stale.  __init__.py only re-exports, and a
+    # line marked "# noqa: F401" keeps its name on purpose
+    unused, kept = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in read:
+                    marked = "# noqa: F401" in lines[alias.lineno - 1]
+                    (kept if marked else unused).append(f"{path.name}:{name}")
+    assert unused == []
+    assert kept == ["scanner.py:colored_count_tuple"]
 
 
 def test_only_record_defines_equality_hashing_and_immutability():

@@ -9,6 +9,7 @@ import json
 import operator
 from collections import Counter
 from math import comb, prod
+from typing import Any
 
 import pytest
 
@@ -831,6 +832,25 @@ def test_lemma_exports_match_the_dict_oracles(tmp_path, mode):
     assert exports(loaded, tmp_path) == oracle_exports(report, tmp_path)
 
 
+# a kind or form that is a tuple, or the very tuple object a part is: the CSV
+# writes it as "(1, 5)", where the part's cell is "1,5"
+_PART = (1, 5)
+TUPLE_TEXT_VIOLATIONS = {
+    "tuple-kind-and-form": (
+        Violation(("conjecture", 4), 6, (1, 5), (2, 4), 4, 10, 10, (3, 3)),
+        Violation(("conjecture", 5), 6, (1, 5), (2, 4), 5, 11, 11, ("a", "b")),
+    ),
+    "kind-is-a-part": (
+        Violation(_PART, 6, _PART, (2, 4), 4, 10, 10, "collision"),
+        Violation(_PART, 6, (2, 4), _PART, 5, 11, 11, "collision"),
+    ),
+    "form-is-a-part": (
+        Violation("conjecture", 6, _PART, (2, 4), 4, 10, 10, _PART),
+        Violation("conjecture", 6, (2, 4), _PART, 5, 11, 11, _PART),
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "report",
     [
@@ -840,11 +860,29 @@ def test_lemma_exports_match_the_dict_oracles(tmp_path, mode):
                         parameters=(("n_max", 5), ("p_max", 6))),
         handmade_report(*RUN_VIOLATIONS, scan_kind="lemma_diff_length",
                         parameters=(("n_max", 6), ("p_max", 5))),
+        *(handmade_report(*violations) for violations in TUPLE_TEXT_VIOLATIONS.values()),
     ],
-    ids=["empty", "edge-cases", "lemma-parameters", "runs"],
+    ids=["empty", "edge-cases", "lemma-parameters", "runs", *TUPLE_TEXT_VIOLATIONS],
 )
 def test_handmade_exports_match_the_dict_oracles(tmp_path, report):
     assert exports(report, tmp_path) == oracle_exports(report, tmp_path)
+
+
+def test_each_object_becomes_text_once_per_export(monkeypatch, tmp_path):
+    report = verify_lemma_inequalities(12, 6, "diff_length")
+    parts = {id(q) for v in report.violations for q in (v.a, v.b)}
+    texts = {id(x) for v in report.violations for x in (v.scan_kind, v.form)}
+    cells: list[Any] = []
+    cell = scanner._csv_cell
+
+    def counting(value: Any) -> str:
+        cells.append(value)
+        return cell(value)
+
+    monkeypatch.setattr(scanner, "_csv_cell", counting)
+    report.write_csv(tmp_path / "report.csv")
+    assert len(cells) == len(parts) + len(texts)
+    assert len(parts) < 300 and len(report.violations) > 1000
 
 
 # cells that csv.writer quotes (a comma, a quote, a line break) or writes
@@ -894,6 +932,17 @@ def test_violation_from_dict_refuses_what_is_not_a_plain_int(field, bad):
         ScanReport.from_records([header, {"record": "violation", **record}])
     with pytest.raises(ValueError, match=f"field {field} "):
         ScanReport.from_dict({**header, "violations": [record]})
+
+
+def test_a_report_holds_its_violations_as_a_tuple():
+    report = scan_conjecture({4}, 6)
+    v = Violation("conjecture", 6, (1, 5), (2, 4), 4, 10, 10, "collision")
+    listed = report.replace(violations=[v])
+    assert listed.violations == (v,) and type(listed.violations) is tuple
+    assert listed == report.replace(violations=(v,))
+    assert hash(listed) == hash(report.replace(violations=(v,)))
+    # a scan's tuple is kept as it is
+    assert report.replace(wall_time_ms=0).violations is report.violations
 
 
 @pytest.mark.parametrize("field", ["n", "k_or_p", "value_a", "value_b", "a", "b"])
