@@ -13,6 +13,8 @@ accelAsc), with no recursion and no cache: every call enumerates afresh, so
 memory stays at one list of p(n) partitions.  ``parts_by_length(n)`` buckets
 the same generator's parts tuples by length, for the scans, which need no
 ``Partition`` objects; ``partitions_by_length(n)`` is its view as partitions.
+``_products_by_length(n, c)`` runs the same walk for the conjecture scan,
+keeping the product of ``c`` over each partition's parts instead of its tuple.
 
 ``colored_count(k, n)`` is the coefficient of q^n in the infinite product
 ``prod_m (1 - q^m)^-k``, the number of partitions of n with parts in k colours
@@ -163,6 +165,42 @@ def _ascending_partitions(n: int) -> Iterator[tuple[int, ...]]:
         a[k] = x + y
         y = x + y - 1
         yield tuple(a[: k + 1])
+
+
+def _products_by_length(n: int, c: list[int]) -> list[list[int]]:
+    """For each length r = 0..n, ``prod(c[part])`` over the partitions of
+    ``n >= 1`` with r parts, in the order of ``parts_by_length(n)[r]``.
+
+    The walk of ``_ascending_partitions``, building no tuple: ``head[i]``
+    is the product of ``c`` over the first i parts, so each partition
+    costs one or two multiplications.  ``a`` keeps the head's parts, whose
+    last starts the next pass; the tails are never stored.
+    """
+    by_length: list[list[int]] = [[] for _ in range(n + 2)]
+    a = [0] * (n + 1)
+    head = [1] * (n + 1)
+    k = 1
+    y = n - 1
+    while k:
+        x = a[k - 1] + 1
+        k -= 1
+        h = head[k]
+        while 2 * x <= y:
+            a[k] = x
+            h *= c[x]
+            y -= x
+            k += 1
+            head[k] = h
+        append = by_length[k + 2].append
+        while x <= y:
+            append(h * c[x] * c[y])
+            x += 1
+            y -= 1
+        by_length[k + 1].append(h * c[x + y])
+        y = x + y - 1
+    # no partition of n has n + 1 parts
+    del by_length[n + 1]
+    return by_length
 
 
 (_set_parts,) = Partition._setters

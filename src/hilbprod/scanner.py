@@ -48,14 +48,17 @@ pairs shorter first, same-length pairs as combinations of one bucket, whose
 ascending lexicographic order already puts the partition that is smaller at
 the first differing part first.  The colour scans list their violations in
 that same pair order, k ascending within a pair, though they do not loop
-over the pairs, and multiply the per-part counts ``_part_counts(k, n)`` over
-each parts tuple.  The majorization scan enumerates only an n whose
-log-concavity certificate fails; a certified n counts its pairs from
-``_length_counts(n)``.
+over the pairs.  The conjecture scan multiplies the per-part counts
+``_part_counts(k, n)`` along one partition walk per k
+(``_products_by_length``) and builds the parts tuples of n only where two
+partitions share a value.  The majorization scan enumerates only an n whose
+log-concavity certificate fails.  Both count the pairs of an n without
+enumerating, from ``_length_counts(n)``.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
-plain ints; its three exports write the rows of ``ScanReport._cells``
-through ``%``-templates, so importing this module loads no ``csv``.
+plain ints or whose parts are not tuples; its three exports write the rows
+of ``ScanReport._cells`` through ``%``-templates, so importing this module
+loads no ``csv``.
 """
 
 from __future__ import annotations
@@ -64,11 +67,10 @@ import json
 import os
 import time
 from functools import partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb, prod
-from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sized
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sized
 
 from ._record import Record
 from ._version import __version__
@@ -76,6 +78,7 @@ from .errors import UsageError, require_plain_ints
 from .partitions import (
     Majorization,
     Partition,
+    _products_by_length,
     colored_count_tuple,  # noqa: F401  kept importable here: perfbench traces it
     majorizes,
     parts_by_length,
@@ -131,15 +134,18 @@ def _plain_ints(values: Iterable[Any]) -> bool:
     return {*map(type, values)} <= {int}
 
 
-def _refuse_non_ints(v: Violation) -> None:
+def _refuse_bad_field(v: Violation) -> None:
     """Raise ValueError naming the first field of ``v`` whose numbers are not
-    plain ints; a bool is refused although it is an int."""
+    plain ints, or whose parts are not a tuple; a bool is refused although it
+    is an int."""
     for name in ("n", "k_or_p", "value_a", "value_b"):
         value = getattr(v, name)
         if type(value) is not int:
             raise ValueError(f"violation field {name} must be a plain int, got {value!r}")
     for name in ("a", "b"):
         parts = getattr(v, name)
+        if type(parts) is not tuple:
+            raise ValueError(f"violation field {name} must be a tuple, got {parts!r}")
         if not _plain_ints(parts):
             raise ValueError(f"violation field {name} must hold plain ints, got {parts!r}")
 
@@ -172,8 +178,8 @@ _RECORD_JSON = (
 )
 _VIOLATION_JSON = _RECORD_JSON.replace('"record": "violation", ', "")
 
-# a ``_cells`` row in the sorted key order of ``_RECORD_JSON``
-_JSON_ORDER = itemgetter(2, 3, 7, 4, 1, 0, 5, 6)
+# rows per write: one write per row costs more than joining a few hundred
+_CHUNK_ROWS = 512
 
 # matches no object a violation holds: ``_cells``'s "same object as the last
 # row" checks start from it
@@ -184,8 +190,9 @@ class ScanReport(Record):
     """The findings of one scan.
 
     Construction refuses (ValueError) a ``pairs_checked``, a
-    ``wall_time_ms`` or a violation number that is not a plain int, so every
-    report can be exported: the exports write the violations' numbers with
+    ``wall_time_ms`` or a violation number that is not a plain int, and
+    violation parts that are not a tuple, so every report hashes and can be
+    exported: the exports write the violations' numbers with
     ``%d`` and ``str``, which would truncate a float and print a bool as 1
     where ``json.dumps`` prints ``true``, and the header's counts with
     ``json.dumps``, which would print ``true`` or ``1.5`` as a count.
@@ -279,22 +286,24 @@ class ScanReport(Record):
 
     def write_records(self, path: str | Path) -> None:
         """JSON Lines: the header record, then one record per violation
-        (``_json_texts``); ``from_records`` reads them back."""
+        (``_cells``); ``from_records`` reads them back."""
         with open(path, "w") as handle:
             handle.write(json.dumps(self._header(), sort_keys=True) + "\n")
-            handle.writelines(self._json_texts(_RECORD_JSON + "\n"))
+            _write_chunks(handle, self._json_texts(_RECORD_JSON + "\n"))
 
     def write_csv(self, path: str | Path) -> None:
         """The header row, then one row per violation in ``CSV_COLUMNS``
         order, quoted as ``csv.writer`` quotes it (``_cells``)."""
-        rows = self._cells(lambda parts: _csv_cell(",".join(map(str, parts))), _csv_cell)
+        rows = self._cells(
+            _CSV_ROW, lambda parts: _csv_cell(",".join(map(str, parts))), _csv_cell
+        )
         with open(path, "w", newline="") as handle:
             handle.write(_CSV_HEADER)
-            handle.writelines(map(_CSV_ROW.__mod__, rows))
+            _write_chunks(handle, rows)
 
     def _check_ints(self) -> None:
         """Raise ValueError unless ``pairs_checked``, ``wall_time_ms`` and
-        every violation's numbers are plain ints.
+        every violation's numbers are plain ints, and its parts tuples.
 
         One pass over the columns, each parts tuple object once; only a
         report that fails goes row by row, to name the field.
@@ -308,21 +317,31 @@ class ScanReport(Record):
         _, ns, a, b, ks, values_a, values_b, _ = zip(*self.violations)
         parts = a + b
         distinct = dict(zip(map(id, parts), parts)).values()
-        if not _plain_ints(chain(ns, ks, values_a, values_b, chain.from_iterable(distinct))):
+        if not (
+            {*map(type, distinct)} <= {tuple}
+            and _plain_ints(chain(ns, ks, values_a, values_b, chain.from_iterable(distinct)))
+        ):
             for v in self.violations:
-                _refuse_non_ints(v)
+                _refuse_bad_field(v)
 
     def _json_texts(self, template: str) -> Iterator[str]:
-        """Each violation through ``template``: the ``_cells`` row JSON-encoded,
-        in sorted key order."""
+        """Each violation through the JSON ``template``, every text cell
+        JSON-encoded (``_cells``)."""
         encode = json.JSONEncoder(sort_keys=True).encode
-        return map(template.__mod__, map(_JSON_ORDER, self._cells(encode, encode)))
+        return self._cells(template, encode, encode)
 
     def _cells(
-        self, parts_text: Callable[[tuple[int, ...]], str], text: Callable[[Any], str]
-    ) -> Iterator[tuple[Any, ...]]:
-        """Each violation in ``CSV_COLUMNS`` order, its parts tuples through
+        self,
+        template: str,
+        parts_text: Callable[[tuple[int, ...]], str],
+        text: Callable[[Any], str],
+    ) -> Iterator[str]:
+        """Each violation through ``template``, its parts tuples through
         ``parts_text`` and its kind and form through ``text``.
+
+        ``_CSV_ROW`` takes the cells in ``CSV_COLUMNS`` order, the JSON
+        templates in the sorted key order of ``_RECORD_JSON``; each row is
+        formatted once, in its template's order.
 
         Each object becomes text once per call, through one memo keyed by
         ``id`` for the parts tuples and one for the kinds and forms (a kind
@@ -335,6 +354,7 @@ class ScanReport(Record):
         longer than the call and the report keeps every object alive until
         then, so no id is reused.
         """
+        csv_order = template is _CSV_ROW
         parts: dict[int, str] = {}
         texts: dict[int, str] = {}
         last_a = last_b = last_kind = _UNSET
@@ -357,7 +377,17 @@ class ScanReport(Record):
             text_form = texts.get(id(form))
             if text_form is None:
                 text_form = texts[id(form)] = text(form)
-            yield text_kind, n, text_a, text_b, k, value_a, value_b, text_form
+            if csv_order:
+                yield template % (text_kind, n, text_a, text_b, k, value_a, value_b, text_form)
+            else:
+                yield template % (text_a, text_b, text_form, k, n, text_kind, value_a, value_b)
+
+
+def _write_chunks(handle: IO[str], rows: Iterable[str]) -> None:
+    """Write ``rows`` joined ``_CHUNK_ROWS`` at a time; no row is empty."""
+    rows = iter(rows)
+    while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+        handle.write(chunk)
 
 
 # -- buckets: one function of n per scan ------------------------------------
@@ -482,6 +512,11 @@ def _length_counts(n: int) -> list[int]:
     return _LENGTH_COUNTS.rows_upto(n)[n]
 
 
+def _same_length_pairs(n: int) -> int:
+    """The distinct same-length pairs of partitions of n, from ``_length_counts``."""
+    return sum(comb(count, 2) for count in _length_counts(n))
+
+
 def _certified_upto(k_tuple: tuple[int, ...], n_max: int) -> int:
     """The largest ``n <= n_max`` with ``c(m)² > c(m-1) c(m+1)`` on ``2..n-2``
     for every ``c = c_k``: a first failure at m certifies exactly the n <= m + 1."""
@@ -510,11 +545,11 @@ def _majorization_bucket(
     along every strictly comparable pair.  The pairwise loop is the one path
     that lists violations, in pair order, so a failing n goes through it
     whole.  A certified n enumerates nothing: its same-length pairs are
-    counted from ``_length_counts``.  ``certified`` is a plain int from
+    counted by ``_same_length_pairs``.  ``certified`` is a plain int from
     ``_certified_upto``, so the bucket still pickles for a pool.
     """
     if n <= certified:
-        return sum(comb(count, 2) for count in _length_counts(n)), []
+        return _same_length_pairs(n), []
     return _majorization_pairs(n, k_tuple)
 
 
@@ -546,32 +581,36 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Vio
 def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
     """Collisions as the pairs inside each (length, k, value) class.
 
-    Sorted by (length, i, j, k), with i < j positions in the lexicographic
-    length bucket: the order of a loop over the bucket's combinations.
+    The values of each length bucket come from one ``_products_by_length``
+    walk per k, and the pairs are counted by ``_same_length_pairs``; the
+    parts tuples of n are built only where a class has two members, to name
+    the witnesses at positions i < j of the lexicographic length bucket.
+    Sorted by (length, i, j, k): the order of a loop over each bucket's
+    combinations.
     """
-    rows = [(k, _part_counts(k, n)) for k in k_tuple]
-    pairs = 0
-    violations: list[Violation] = []
-    new = tuple.__new__  # every field is given, as in ``_lemma_bucket``
-    for _, parts in sorted(parts_by_length(n).items()):
-        pairs += comb(len(parts), 2)
-        collisions = []
-        for k, c in rows:
-            values = [prod(map(c.__getitem__, q)) for q in parts]
+    pairs = _same_length_pairs(n)
+    collisions = []
+    for k in k_tuple:
+        for r, values in enumerate(_products_by_length(n, _part_counts(k, n))):
             if len(set(values)) < len(values):
                 classes: dict[int, list[int]] = {}
                 for i, value in enumerate(values):
                     classes.setdefault(value, []).append(i)
                 collisions += [
-                    (i, j, k, value)
+                    (r, i, j, k, value)
                     for value, members in classes.items()
                     for i, j in combinations(members, 2)
                 ]
-        violations += [
-            new(Violation, ("conjecture", n, parts[i], parts[j], k, value, value, "collision"))
-            for i, j, k, value in sorted(collisions)
-        ]
-    return pairs, violations
+    if not collisions:
+        return pairs, []
+    buckets = parts_by_length(n)
+    new = tuple.__new__  # every field is given, as in ``_lemma_bucket``
+    return pairs, [
+        new(Violation, (
+            "conjecture", n, buckets[r][i], buckets[r][j], k, value, value, "collision",
+        ))
+        for r, i, j, k, value in sorted(collisions)
+    ]
 
 
 # -- the driver ------------------------------------------------------------

@@ -463,8 +463,9 @@ def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
 @pytest.mark.parametrize("scan", ["majorization", "conjecture"])
 def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
     # a tracer that wraps partitions._ascending_partitions, the generator
-    # behind parts_by_length, sees every n once; the majorization scan counts
-    # a certified n's pairs without enumerating, so only its fallback does
+    # behind parts_by_length, sees each n that builds parts tuples: for the
+    # conjecture scan an n with a collision, for the majorization scan an n
+    # whose certificate fails; every other n is counted without enumerating
     calls = []
     original = partitions._ascending_partitions
 
@@ -475,7 +476,9 @@ def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
     monkeypatch.setattr(partitions, "_ascending_partitions", counted)
     if scan == "conjecture":
         scan_conjecture({4}, 8)
-        assert calls == list(range(1, 9))
+        assert calls == []
+        report = scan_conjecture({1, 2}, 8)
+        assert calls == sorted({v.n for v in report.violations}) and calls
     else:
         verify_majorization({3}, 8)
         assert calls == []
@@ -542,12 +545,29 @@ def test_conjecture_exploratory_small_k_allowed():
     assert all(v.value_a == v.value_b for v in report.violations)
 
 
-# k = -1 adds classes of up to 21 partitions and pairs that collide at two k
-@pytest.mark.parametrize("k_set", [{1, 2}, {1, 2, 3}, {-1, 1, 2}], ids=["k12", "k123", "k-112"])
+# k = -1 adds classes of up to 21 partitions and pairs that collide at two k;
+# with k = 0 every partition counts 0 (c_0(m) = 0 for m >= 1), so every
+# length bucket collides and every n names its witnesses
+@pytest.mark.parametrize(
+    "k_set", [{1, 2}, {1, 2, 3}, {-1, 1, 2}, {0, 4}], ids=["k12", "k123", "k-112", "k04"]
+)
 def test_conjecture_matches_the_exhaustive_oracle(tmp_path, k_set):
     oracle = exhaustive_conjecture(k_set, 14)
     assert len(oracle.violations) >= 72
     assert same_exports(scan_conjecture(k_set, 14), oracle, tmp_path)
+
+
+def test_the_partition_walk_multiplies_the_counts_of_each_length_bucket():
+    # against the products over the oracle's own enumeration, in its order
+    for n in range(1, 23):
+        buckets = recursive_buckets(n)
+        for k in (-4, -1, 0, 1, 2, 5, 24):
+            c = scanner._part_counts(k, n)
+            products = partitions._products_by_length(n, c)
+            assert len(products) == n + 1 and products[0] == []
+            for r in range(1, n + 1):
+                expected = [prod(c[p] for p in q) for q in buckets.get(r, [])]
+                assert products[r] == expected, (n, k, r)
 
 
 # -- determinism and serialization ------------------------------------------------------
@@ -960,6 +980,19 @@ def test_exports_refuse_what_is_not_a_plain_int(field, bad):
     report = handmade_report(twin, good)
     with pytest.raises(ValueError, match=f"field {field} must"):
         report.replace(violations=violations)
+
+
+@pytest.mark.parametrize("field", ["a", "b"])
+def test_reports_refuse_parts_that_are_not_tuples(field):
+    # a list of plain ints would leave the report unhashable, and a value
+    # appended to it later would be exported
+    good = EDGE_VIOLATIONS[2]
+    for parts in ([1, 5], range(1, 3), "15"):
+        bad = good._replace(**{field: parts})
+        with pytest.raises(ValueError, match=f"field {field} must be a tuple"):
+            handmade_report(good, bad)
+        with pytest.raises(ValueError, match=f"field {field} must be a tuple"):
+            handmade_report(good).replace(violations=[bad])
 
 
 @pytest.mark.parametrize("field", ["pairs_checked", "wall_time_ms"])
