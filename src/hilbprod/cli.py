@@ -235,7 +235,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _run_scan(args: argparse.Namespace) -> int:
-    workers = args.workers
     lemma = args.kind in ("lemma-diff-length", "lemma-same-length")
     # an option of the other scan kinds would otherwise be dropped unread
     if lemma and args.k_set is not None:
@@ -245,11 +244,11 @@ def _run_scan(args: argparse.Namespace) -> int:
     if lemma:
         mode = "diff_length" if args.kind == "lemma-diff-length" else "same_length"
         p_max = 6 if args.p_max is None else args.p_max
-        report = verify_lemma_inequalities(args.n_max, p_max, mode, workers=workers)
+        report = verify_lemma_inequalities(args.n_max, p_max, mode)
     else:
         scan = verify_majorization if args.kind == "majorization" else scan_conjecture
         k_set = "4,5" if args.k_set is None else args.k_set
-        report = scan(int_list(k_set, "integer list"), args.n_max, workers=workers)
+        report = scan(int_list(k_set, "integer list"), args.n_max)
     if args.csv:
         report.write_csv(args.csv)
     if args.records:
@@ -378,7 +377,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int_literal, required=True)
     p.add_argument("--p-max", type=int_literal, help="lemma scans only (default 6)")
     p.add_argument("--k-set", help="colour scans only, e.g. 3,4,5 (default 4,5)")
-    p.add_argument("--workers", type=int_literal, default=1)
     p.add_argument("--csv", help="also write the tabular export to this path")
     p.add_argument(
         "--records",

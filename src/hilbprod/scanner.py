@@ -34,12 +34,9 @@ Three scan families:
   and never asserts: a collision would be a finding, not a test failure.
 
 Reports are deterministic for fixed parameters and engine version: each scan
-runs one bucket function per n through ``_scan``, which merges the buckets in
-order of n, and the worker count never affects the output (``wall_time_ms``
-is the one volatile field and is excluded from the fingerprint).  The
-process pool is imported on first use, and only for ``workers > 1``, so
-importing this module loads neither ``concurrent.futures`` nor
-``multiprocessing``.  The scans hold partitions as plain parts tuples, as
+runs one bucket function per n, in order of n and in one process, through
+``_scan`` (``wall_time_ms`` is the one volatile field and is excluded from
+the fingerprint).  The scans hold partitions as plain parts tuples, as
 ``Violation`` stores them; a ``Partition`` is built only where the public
 ``majorizes`` needs one, on the pairwise fallback of the majorization scan.
 Within one n, pairs come from the length buckets of ``parts_by_length``,
@@ -64,13 +61,12 @@ loads no ``csv``.
 from __future__ import annotations
 
 import json
-import os
 import time
 from functools import partial
 from itertools import chain, combinations, islice, product
 from math import comb, prod
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sized
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from ._record import Record
 from ._version import __version__
@@ -545,8 +541,8 @@ def _majorization_bucket(
     along every strictly comparable pair.  The pairwise loop is the one path
     that lists violations, in pair order, so a failing n goes through it
     whole.  A certified n enumerates nothing: its same-length pairs are
-    counted by ``_same_length_pairs``.  ``certified`` is a plain int from
-    ``_certified_upto``, so the bucket still pickles for a pool.
+    counted by ``_same_length_pairs``; ``certified`` comes from
+    ``_certified_upto``.
     """
     if n <= certified:
         return _same_length_pairs(n), []
@@ -616,11 +612,6 @@ def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[V
 # -- the driver ------------------------------------------------------------
 
 
-def _clamp_workers(request: int, tasks: Sized) -> int:
-    """Worker processes worth starting: never more than tasks or CPUs."""
-    return min(request, len(tasks), os.cpu_count() or 1)
-
-
 def _k_tuple(k_set: Iterable[int]) -> tuple[int, ...]:
     ks = set(k_set)
     if not ks:
@@ -637,26 +628,14 @@ def _scan(
     n_max: int,
     workers: int,
 ) -> ScanReport:
-    """Run ``bucket`` on every n in 1..n_max and merge the buckets in order of n.
+    """Run ``bucket`` on every n in 1..n_max, in order, and merge the buckets.
 
-    ``executor.map`` keeps that order, so the report is byte-identical for
-    any worker count; ``bucket`` must pickle (a ``partial`` of a module-level
-    function does).
+    ``workers`` is only checked: every scan runs serially in this process.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    ns = range(1, n_max + 1)
-    workers = _clamp_workers(workers, ns)
-    if workers <= 1:
-        results = list(map(bucket, ns))
-    else:
-        # imported here, not at module level: it loads multiprocessing, which
-        # only a pool scan needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(bucket, ns))
+    results = list(map(bucket, range(1, n_max + 1)))
     return ScanReport(
         scan_kind=scan_kind,
         parameters=parameters,
@@ -691,6 +670,9 @@ def verify_lemma_inequalities(
     cross-multiplied values are built only for a violation.  At p = 1 the
     three forms have the same values, so they are compared once and a
     failure gives three violations, in form order.
+
+    ``workers`` is checked (a plain int, at least 1) and has no effect; it
+    stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
     """
     require_plain_ints(n_max=n_max, p_max=p_max, workers=workers)
     if mode not in ("diff_length", "same_length"):
@@ -723,6 +705,9 @@ def verify_majorization(
     up to ``n_max`` finds the largest certified n, and every smaller n is
     certified too.  An n where it fails is compared pair by pair, so its
     violations are listed exactly as a pairwise scan lists them.
+
+    ``workers`` is checked (a plain int, at least 1) and has no effect; it
+    stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
     """
     require_plain_ints(n_max=n_max, workers=workers)
     k_tuple = _k_tuple(k_set)
@@ -752,6 +737,9 @@ def scan_conjecture(
 
     Purely exploratory: any k (including 1, 2, 3) is accepted and collisions
     are reported as findings with full witnesses, never raised.
+
+    ``workers`` is checked (a plain int, at least 1) and has no effect; it
+    stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
     """
     require_plain_ints(n_max=n_max, workers=workers)
     k_tuple = _k_tuple(k_set)

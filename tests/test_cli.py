@@ -292,12 +292,12 @@ def test_scan_lemma_human(capsys):
     assert "violations: 0" in out
 
 
-def test_scan_workers_and_records_export(tmp_path, capsys):
+def test_scan_records_export(tmp_path, capsys):
     records_path = tmp_path / "report.jsonl"
     code, out, _ = run(
         capsys,
         "scan", "--kind", "conjecture", "--n-max", "8", "--k-set", "4",
-        "--workers", "2", "--records", str(records_path),
+        "--records", str(records_path),
         "--output-format", "structured",
     )
     assert code == 0
@@ -371,8 +371,8 @@ def test_integer_literals_take_ascii_digits_only(capsys, literal):
     assert (code, out) == (1, "") and "invalid integer list" in err
     code, out, err = run(capsys, "catalog", "--surface", "ruled", "--params", f"g={literal}")
     assert (code, out) == (1, "") and "is not an integer" in err
-    for option in ("--n-max", "--p-max", "--workers"):
-        args = {"--n-max": "6", "--p-max": "2", "--workers": "1", option: literal}
+    for option in ("--n-max", "--p-max"):
+        args = {"--n-max": "6", "--p-max": "2", option: literal}
         code, out, err = run(
             capsys, "scan", "--kind", "lemma-same-length", *itertools.chain(*args.items())
         )
@@ -394,13 +394,14 @@ def test_integer_literals_keep_signs_and_surrounding_spaces(capsys):
     assert code == 1 and "must be positive" in err
 
 
-def test_scan_zero_workers_exit_1(capsys):
-    code, _, err = run(
+def test_scan_refuses_the_removed_workers_flag(capsys):
+    # scans run serially: the flag is gone, not ignored
+    code, out, err = run(
         capsys, "scan", "--kind", "majorization", "--n-max", "6", "--k-set", "3",
-        "--workers", "0",
+        "--workers", "2",
     )
-    assert code == 1
-    assert err.startswith("error:") and "workers" in err
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --workers 2" in err
 
 
 # -- aut ---------------------------------------------------------------------------

@@ -584,6 +584,37 @@ def test_rule_statements_hold_on_p2_at_every_pair_up_to_18():
     }
 
 
+def test_rule_statements_hold_on_the_catalog_up_to_12(monkeypatch):
+    # the catalog reaches bases the grids above do not: b1 = 8
+    # (product_of_curves) and b2 = 53 (quintic); the tables this fills are
+    # dropped afterwards, as other tests watch the shared ones grow
+    fresh_tables(monkeypatch)
+    generic = [
+        s for s in load_catalog().representatives()
+        if s.structural_class is StructuralClass.GENERIC
+    ]
+    assert len(generic) == 12
+    pairs_by_n = [list(itertools.combinations(enumerate_partitions(n), 2)) for n in range(2, 13)]
+    fired = set()
+    checked = 0
+    for s in generic:
+        for pairs in pairs_by_n:
+            checked += len(pairs)
+            for a, b in pairs:
+                for rule in decision._annotate_rules(s, a, b):
+                    fired.add(rule.rule_id)
+                    x, y = named_values(rule.rule_id, s, a, b)
+                    assert x != y, (rule.rule_id, s.name, a, b)
+    assert checked == 12 * 6_188 == 74_256
+    assert fired == {
+        "diff-length-min-parts",
+        "diff-length-ones-margin",
+        "same-length-first-betti",
+        "majorization-euler",
+        "majorization-euler-b1-zero",
+    }
+
+
 def expected_rule_ids(s: SurfaceInvariants, a: Partition, b: Partition) -> set[str]:
     """The shape rules whose hypotheses, as ``RULE_STATEMENTS`` states them,
     hold for (s, a, b), restated from the parts and the surface numbers."""

@@ -1,9 +1,9 @@
 """The package surface: every module's ``__all__`` names what it defines, every
 imported name is used, only ``hilbprod.series`` packs rows of ints into byte
-slots, and a short session (import, catalog, one decision, one serial scan
-and its exports) loads neither the process-pool machinery nor
-``dataclasses``, ``inspect``, ``ast`` or ``dis``, and the package's version
-is the one pyproject declares."""
+slots, and a short session (import, catalog, one decision, one scan and its
+exports, one scan asked for two workers) loads neither the process-pool
+machinery nor ``dataclasses``, ``inspect``, ``ast`` or ``dis``, and the
+package's version is the one pyproject declares."""
 
 from __future__ import annotations
 
@@ -132,9 +132,14 @@ report.write_csv(out + "/scan.csv")
 report.write_records(out + "/scan.jsonl")
 report.fingerprint()
 loaded["serial scan"] = [m for m in unwanted if m in sys.modules]
+verify_lemma_inequalities(8, 2, "same_length", workers=2)
+loaded["workers=2 scan"] = [m for m in unwanted if m in sys.modules]
 print(json.dumps(loaded))
 """
-STARTUP_STEPS = ("import hilbprod", "import hilbprod.cli", "builtin catalog", "decide", "serial scan")
+STARTUP_STEPS = (
+    "import hilbprod", "import hilbprod.cli", "builtin catalog", "decide", "serial scan",
+    "workers=2 scan",
+)
 
 
 def loaded_after_each_step(unwanted: tuple[str, ...], out: Path) -> dict[str, list[str]]:
@@ -151,7 +156,7 @@ def loaded_after_each_step(unwanted: tuple[str, ...], out: Path) -> dict[str, li
     return json.loads(done.stdout)
 
 
-def test_the_process_pool_stack_loads_only_for_a_pool_scan(tmp_path):
+def test_no_scan_loads_the_process_pool_stack(tmp_path):
     # the builtin catalog is read as a file next to the package, not through
     # importlib.resources, which loads tempfile, zipfile and more
     unwanted = ("concurrent.futures", "multiprocessing", "importlib.resources", "tempfile")

@@ -619,31 +619,20 @@ def test_scans_refuse_sizes_that_are_not_plain_ints(scan, size, bad):
         SIZED_SCANS[scan](**{size: bad})
 
 
-def test_worker_count_is_clamped(monkeypatch):
-    # pure arithmetic: no pool is started here, whatever the request
-    monkeypatch.setattr(scanner.os, "cpu_count", lambda: 2)
-    tasks = [("lemma", n, 6, "diff_length") for n in range(1, 5)]
-    assert scanner._clamp_workers(10**6, tasks) == 2
-    assert scanner._clamp_workers(10**6, tasks[:1]) == 1
-    assert scanner._clamp_workers(3, tasks) == 2
-    assert scanner._clamp_workers(1, tasks) == 1
-    assert scanner._clamp_workers(0, tasks) == 0
-    monkeypatch.setattr(scanner.os, "cpu_count", lambda: None)
-    assert scanner._clamp_workers(10**6, tasks) == 1
-    monkeypatch.setattr(scanner.os, "cpu_count", lambda: 64)
-    assert scanner._clamp_workers(10**6, tasks) == len(tasks)
-
-
-def test_scans_apply_the_worker_clamp(monkeypatch):
-    # with one CPU a huge request runs serially: starting a pool is an error
+def test_no_scan_starts_a_pool(monkeypatch):
+    # workers= is checked and ignored: every scan runs serially
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(scanner.os, "cpu_count", lambda: 1)
-    # the scan imports the pool where it starts one, from concurrent.futures
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    report = verify_majorization({3}, 9, workers=10**6)
-    assert report.fingerprint() == verify_majorization({3}, 9).fingerprint()
+    for scan in (
+        lambda **kw: verify_lemma_inequalities(9, 6, "diff_length", **kw),
+        lambda **kw: verify_majorization({3, 4}, 9, **kw),
+        lambda **kw: scan_conjecture({4, 5}, 9, **kw),
+    ):
+        serial = scan(workers=1).fingerprint()
+        for workers in (2, 10**6):
+            assert scan(workers=workers).fingerprint() == serial
 
 
 def test_report_round_trip():

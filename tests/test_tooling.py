@@ -4,18 +4,24 @@
 or ``module:Class.attr``) with a timing wrapper.  A target renamed or moved
 in the engine would stop a traced benchmark run before its first job, and
 an engine call that no longer goes through the wrapped name would read 0 in
-the per-layer metrics without any error.
+the per-layer metrics without any error.  The benchmark's pool probe still
+passes ``workers=`` to a scan, which must accept it.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -85,3 +91,14 @@ def test_the_decision_trace_points_see_each_tier_that_runs(surface, a, b, invari
         2 if tier < tiers_run else 0 for tier in range(3)
     ]
     assert tracer.calls("decision.decide") == 1
+
+
+def test_the_pool_probe_still_runs():
+    # scans ignore workers=, but the probe passes it; the scan must accept it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--probe", "pool2", "--seed", "1"],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["failed"] == 0
