@@ -3,11 +3,10 @@
 Two products attached to distinct partitions of the same integer are compared
 in two complementary ways:
 
-* direct invariant comparison over one ordered list of tiers: the Euler
-  characteristic (a one-entry vector), the full Betti vector, then the
-  ``h^{p,0}`` vector when the surface has Hodge data (b0 = 1, with h10 and
-  h20 given); the first entry that differs is the witness and the actual
-  certificate;
+* direct invariant comparison, tier by tier in straight-line code: the
+  Euler characteristic, the full Betti vector, then the ``h^{p,0}`` vector
+  when the surface has Hodge data (b0 = 1, with h10 and h20 given); the
+  first entry that differs is the witness and the actual certificate;
 * structural rules for the two rigid classes (K3 bases, and generalized
   Kummer varieties over an abelian base), where distinct partitions are never
   isomorphic by uniqueness of the decomposition into irreducible
@@ -221,13 +220,6 @@ _KUMMER_RULES = (FiredRule("kummer-product-rigidity", "base is an abelian surfac
 _B0_DETAIL = "b0 = {} > 1, zeroth Betti numbers {} vs {}"
 
 
-def _first_difference(a: Partition, b: Partition) -> int:
-    for j, (x, y) in enumerate(zip(a.parts, b.parts)):
-        if x != y:
-            return j
-    raise AssertionError("called on equal partitions")
-
-
 def _annotate_rules(
     s: SurfaceInvariants, a: Partition, b: Partition
 ) -> list[FiredRule]:
@@ -281,7 +273,9 @@ def _annotate_rules(
         )
     # the least first differing part is >= 1, so the rule needs b1 >= 4
     if b0 == 1 and b1 >= 4:
-        j = _first_difference(a, b)
+        j = 0
+        while pa[j] == pb[j]:
+            j += 1
         least = min(pa[j], pb[j])
         if b1 >= 2 * (least + 1):
             fired.append(
@@ -317,12 +311,9 @@ def _annotate_rules(
     return fired
 
 
-# the invariant tiers in comparison order: each maps a partition to its vector;
-# the names are looked up at call time, so monkeypatching this module reaches them
-_TIERS = (
-    ("euler_characteristic", lambda s, p: (euler_char_tuple(s, p),)),
-    ("betti", lambda s, p: poincare_polynomial_tuple(s, p).coefficients),
-    ("hodge_p0", lambda s, p: hodge_p0_tuple_vector(s, p)),
+_NOT_COMPLETE = (
+    "computed invariants do not separate the products; they are not "
+    "complete invariants, so no isomorphism is asserted either"
 )
 
 
@@ -331,31 +322,33 @@ def _compare_invariants(
 ) -> tuple[Witness | None, tuple[str, ...]]:
     """The first entry that differs, tier by tier, or the notes of an unknown.
 
-    The Euler characteristic is a one-entry tier whose witness has no index;
-    the ``h^{p,0}`` tier runs only where the surface has Hodge data.  Each
-    tier's two vectors are compared whole, and only the tier that differs
-    is walked to its first differing entry.
+    The Euler characteristic's witness has no index; the ``h^{p,0}`` tier
+    runs only where the surface has Hodge data.  Each tier's two values are
+    compared whole, and only the tier that differs is walked to its first
+    differing entry.  The invariant functions are read as module globals at
+    call time, so monkeypatching this module reaches them.
     """
-    for invariant, values in _TIERS:
-        if invariant == "hodge_p0" and not has_hodge_data(s):
-            notes: tuple[str, ...] = (
+    x, y = euler_char_tuple(s, a), euler_char_tuple(s, b)
+    if x != y:
+        return Witness("euler_characteristic", None, x, y), ()
+    invariant = "betti"
+    x = poincare_polynomial_tuple(s, a).coefficients
+    y = poincare_polynomial_tuple(s, b).coefficients
+    if x == y:
+        if not has_hodge_data(s):
+            return None, (
                 "Euler and Betti data agree",
                 "Hodge comparison skipped: surface carries no h10/h20 data",
+                _NOT_COMPLETE,
             )
-            break
-        x, y = values(s, a), values(s, b)
-        if x != y:
-            i = 0
-            while x[i] == y[i]:
-                i += 1
-            index = None if invariant == "euler_characteristic" else i
-            return Witness(invariant, index, x[i], y[i]), ()
-    else:
-        notes = ("Euler, Betti and h^(p,0) data all agree",)
-    return None, notes + (
-        "computed invariants do not separate the products; they are not "
-        "complete invariants, so no isomorphism is asserted either",
-    )
+        invariant = "hodge_p0"
+        x, y = hodge_p0_tuple_vector(s, a), hodge_p0_tuple_vector(s, b)
+        if x == y:
+            return None, ("Euler, Betti and h^(p,0) data all agree", _NOT_COMPLETE)
+    i = 0
+    while x[i] == y[i]:
+        i += 1
+    return Witness(invariant, i, x[i], y[i]), ()
 
 
 def decide(s: SurfaceInvariants, a: Partition, b: Partition) -> Verdict:

@@ -32,7 +32,7 @@ from typing import Iterator
 
 from ._record import Record
 from .errors import UsageError
-from .series import euler_rows
+from .series import euler_table
 
 __all__ = [
     "Partition",
@@ -298,14 +298,14 @@ def colored_count(k: int, n: int) -> int:
         raise UsageError(f"k and n must be plain ints, got k={k!r}, n={n!r}")
     if n < 0:
         raise UsageError(f"n must be nonnegative, got {n}")
-    return euler_rows(k, n)[n][0]
+    return euler_table(k).rows_upto(n)[n][0]
 
 
 def colored_count_tuple(k: int, a: Partition) -> int:
     """Product of ``colored_count(k, part)`` over the parts of ``a``."""
     if type(k) is not int:
         raise UsageError(f"k must be a plain int, got {k!r}")
-    rows = euler_rows(k, a.parts[-1])
+    rows = euler_table(k).rows_upto(a.parts[-1])
     result = 1
     for part in a.parts:
         result *= rows[part][0]

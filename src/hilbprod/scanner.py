@@ -79,7 +79,7 @@ from .partitions import (
     majorizes,
     parts_by_length,
 )
-from .series import GrowOnlyTable, euler_rows
+from .series import GrowOnlyTable, euler_table
 
 __all__ = [
     "Violation",
@@ -486,7 +486,7 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
 
 def _part_counts(k: int, n: int) -> list[int]:
     """``c_k(0..n)`` from the Euler rows: a partition counts ``prod c_k(part)``."""
-    return [row[0] for row in euler_rows(k, n)[: n + 1]]
+    return [row[0] for row in euler_table(k).rows_upto(n)[: n + 1]]
 
 
 def _length_rows(rows: list[list[int]], m: int) -> list[int]:

@@ -71,7 +71,6 @@ __all__ = [
     "GrowOnlyTable",
     "betti_table",
     "euler_table",
-    "euler_rows",
     "hodge_p0_table",
     "hodge_grid",
 ]
@@ -353,7 +352,7 @@ def _goettsche_rows(factors: list[Factor]):
 
     def next_row(rows: list[Row], n: int) -> Row:
         nonlocal w
-        width = _slot_width(n * euler_rows(majorant, n)[n][0], w or 1)
+        width = _slot_width(n * euler_table(majorant).rows_upto(n)[n][0], w or 1)
         if width != w:
             w = width
             evaluations[:] = [_pack(row, w) for row in rows]
@@ -466,14 +465,6 @@ def euler_table(chi: int) -> GrowOnlyTable:
     if table is None:
         table = _EULER_TABLES.setdefault(chi, GrowOnlyTable(0, _euler_rows(chi)))
     return table
-
-
-def euler_rows(chi: int, n: int) -> list[Row]:
-    """Rows 0..n (at least) of the Euler table: the fast path of ``colored_count``."""
-    if type(chi) is not int or type(n) is not int:
-        require_plain_ints(chi=chi, n=n)
-    table = _EULER_TABLES.get(chi) or euler_table(chi)
-    return table.rows if len(table.rows) > n else table.rows_upto(n)
 
 
 def hodge_p0_table(h10: int, h20: int) -> GrowOnlyTable:

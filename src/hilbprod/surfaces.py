@@ -318,13 +318,7 @@ class Catalog(Record):
         self, name: str, params: Mapping[str, int] | None = None
     ) -> SurfaceInvariants:
         record = self._row(name)
-        declared = record.get("family_params", [])
-        if declared:
-            if name not in FAMILIES:
-                raise CatalogError(
-                    f"surface {name!r} declares family parameters {declared} "
-                    "but no family formula is registered for it"
-                )
+        if record.get("family_params"):
             record = _family_record(record, params or {})
         elif params:
             raise CatalogError(f"surface {name!r} takes no parameters, got {params}")
@@ -336,7 +330,7 @@ class Catalog(Record):
         for record in self.records:
             name = record["name"]
             params = None
-            if record.get("family_params") and name in FAMILIES:
+            if record.get("family_params"):
                 params = {p: v.default for p, v in FAMILIES[name][0].items()}
             result.append(self.lookup(name, params))
         return result
@@ -358,8 +352,19 @@ def _catalog_from_dict(data: dict[str, Any], source: str) -> Catalog:
         if name in seen:
             raise CatalogError(f"catalog {source} has duplicate surface {name!r}")
         seen.add(name)
-        if not record.get("family_params"):
+        declared = record.get("family_params")
+        if not declared:
             SurfaceInvariants.from_record(record)  # a malformed or invalid literal row fails here
+        elif name not in FAMILIES:
+            raise CatalogError(
+                f"catalog {source}: surface {name!r} declares family parameters "
+                f"{declared!r} but no family formula is registered for it"
+            )
+        elif declared != list(FAMILIES[name][0]):
+            raise CatalogError(
+                f"catalog {source}: family {name!r} takes parameters "
+                f"{list(FAMILIES[name][0])}, its row declares {declared!r}"
+            )
     return Catalog(version=version, records=records)
 
 

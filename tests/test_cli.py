@@ -642,18 +642,24 @@ def test_broken_pipe_exits_quietly():
         ' "b0": "1", "b1": 0, "b2": 22, "chi": 24}]}',
         '{"version": 1, "surfaces": [{"name": "s", "family_params": [],'
         ' "b0": 1, "b1": 0, "b2": 22, "chi": 25}]}',
+        # refused when the catalog loads, not first when the row is looked up
+        '{"version": 1, "surfaces": [{"name": "del_pezzo", "family_params": ["q"]}]}',
+        '{"version": 1, "surfaces": [{"name": "s", "family_params": ["d"]}]}',
     ],
-    ids=["truncated-json", "record-not-an-object", "non-integer-invariant", "chi-mismatch"],
+    ids=[
+        "truncated-json", "record-not-an-object", "non-integer-invariant", "chi-mismatch",
+        "family-wrong-parameters", "family-unregistered",
+    ],
 )
 def test_malformed_catalog_exit_2(tmp_path, capsys, monkeypatch, text):
     # a traceback would be an exception escaping main(), which fails the test
     path = tmp_path / "catalog.json"
     path.write_text(text)
     code, _, err = run(capsys, "catalog", "--catalog", str(path))
-    assert code == 2 and err.startswith("error:"), err
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
     monkeypatch.setenv("HILBPROD_CATALOG", str(path))
     code, _, err = run(capsys, "decide", "--surface", "s", "--a", "1,1", "--b", "2")
-    assert code == 2 and err.startswith("error:"), err
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_catalog_directory_exit_2(tmp_path, capsys, monkeypatch):

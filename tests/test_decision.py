@@ -268,6 +268,23 @@ def test_unknown_when_invariants_tie(monkeypatch):
     assert any("not" in note for note in v.notes)
 
 
+def test_hodge_p0_tier_witnesses_its_first_difference(monkeypatch):
+    # no catalog pair reaches h^{p,0}: tie Euler and Betti so that tier decides
+    monkeypatch.setattr(decision, "euler_char_tuple", lambda s, a: 0)
+    monkeypatch.setattr(
+        decision,
+        "poincare_polynomial_tuple",
+        lambda s, a: poincare_polynomial_tuple(QUINTIC, Partition((1, 1))),
+    )
+    vectors = {(1, 1): [1, 0, 2, 0, 1], (2,): [1, 0, 3, 0, 1]}
+    monkeypatch.setattr(decision, "hodge_p0_tuple_vector", lambda s, a: vectors[a.parts])
+    surface = SurfaceInvariants("stub", 1, 2, 2, 0, h10=1, h20=0)
+    v = decide(surface, Partition((1, 1)), Partition((2,)))
+    assert v.outcome is Outcome.NON_ISOMORPHIC
+    assert v.witness == decision.Witness("hodge_p0", 2, 2, 3)
+    assert v.notes == ()
+
+
 def test_unknown_notes_hodge_skip(monkeypatch):
     monkeypatch.setattr(decision, "euler_char_tuple", lambda s, a: 5)
     monkeypatch.setattr(
@@ -518,7 +535,7 @@ def named_values(rule_id: str, s: SurfaceInvariants, a: Partition, b: Partition)
         degree = 0 if s.b0 > 1 else 1 if s.b1 > 0 else 2
         return [poincare_polynomial_tuple(s, q).betti(degree) for q in (a, b)]
     if rule_id == "same-length-first-betti":
-        j = decision._first_difference(a, b)
+        j = next(j for j, (x, y) in enumerate(zip(a.parts, b.parts)) if x != y)
         p = min(a.parts[j], b.parts[j]) + 1
         return [hodge_p0_tuple_vector(s, q)[p] for q in (a, b)]
     assert rule_id in ("majorization-euler", "majorization-euler-b1-zero")

@@ -8,6 +8,7 @@ package's version is the one pyproject declares."""
 from __future__ import annotations
 
 import ast
+import collections
 import importlib
 import json
 import os
@@ -93,6 +94,27 @@ def test_every_imported_name_is_used():
                     (kept if marked else unused).append(f"{path.name}:{name}")
     assert unused == []
     assert kept == ["scanner.py:colored_count_tuple"]
+
+
+def test_every_private_helper_has_a_caller():
+    # a module-level private function or class that nothing in the package
+    # reads, outside its own definition, is a helper that a change left stale
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))]
+    helpers = [
+        node for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    assert len(helpers) >= 50  # the walk finds the package's helpers at all
+
+    def reads(tree: ast.AST) -> collections.Counter:
+        return collections.Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    everywhere = sum(map(reads, trees), collections.Counter())
+    unread = [h.name for h in helpers if everywhere[h.name] == reads(h)[h.name]]
+    assert unread == []
 
 
 def test_only_record_defines_equality_hashing_and_immutability():

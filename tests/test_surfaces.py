@@ -254,6 +254,22 @@ def test_custom_catalog_file(tmp_path, monkeypatch):
         load_catalog()
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"name": "del_pezzo", "family_params": ["q"]}, "takes parameters ['d']"),
+        ({"name": "s", "family_params": ["d"]}, "no family formula is registered"),
+    ],
+    ids=["wrong-parameters", "unregistered-family"],
+)
+def test_a_family_row_must_declare_its_registered_parameters(tmp_path, row, message):
+    # refused when the catalog loads, not first when the row is looked up
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"version": 1, "surfaces": [row]}))
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        load_catalog(path)
+
+
 def test_family_defaults_cover_all_family_rows():
     catalog = load_catalog()
     family_rows = {r["name"] for r in catalog.records if r.get("family_params")}
