@@ -53,9 +53,9 @@ log-concavity certificate fails.  Both count the pairs of an n without
 enumerating, from ``_length_counts(n)``.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
-plain ints or whose parts are not tuples; its three exports write the rows
-of ``ScanReport._cells`` through ``%``-templates, so importing this module
-loads no ``csv``.
+plain ints or whose parts are not tuples; each of its three exports writes
+the rows of ``ScanReport._cells``, one f-string per violation, so importing
+this module loads no ``csv``.
 """
 
 from __future__ import annotations
@@ -148,9 +148,6 @@ def _refuse_bad_field(v: Violation) -> None:
 
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 _CSV_HEADER = ",".join(CSV_COLUMNS) + "\r\n"
-# one violation as a CSV row; n, k_or_p and the values are plain ints, which
-# never need quotes
-_CSV_ROW = "%s,%d,%s,%s,%d,%d,%d,%s\r\n"
 
 
 def _csv_cell(value: Any) -> str:
@@ -166,14 +163,6 @@ def _csv_cell(value: Any) -> str:
     return text
 
 
-# One violation as ``json.dumps(record, sort_keys=True)`` writes it, keys in
-# sorted order; the fingerprint form is the same without the record marker.
-_RECORD_JSON = (
-    '{"a": %s, "b": %s, "form": %s, "k_or_p": %d, "n": %d, '
-    '"record": "violation", "scan_kind": %s, "value_a": %d, "value_b": %d}'
-)
-_VIOLATION_JSON = _RECORD_JSON.replace('"record": "violation", ', "")
-
 # rows per write: one write per row costs more than joining a few hundred
 _CHUNK_ROWS = 512
 
@@ -188,10 +177,10 @@ class ScanReport(Record):
     Construction refuses (ValueError) a ``pairs_checked``, a
     ``wall_time_ms`` or a violation number that is not a plain int, and
     violation parts that are not a tuple, so every report hashes and can be
-    exported: the exports write the violations' numbers with
-    ``%d`` and ``str``, which would truncate a float and print a bool as 1
-    where ``json.dumps`` prints ``true``, and the header's counts with
-    ``json.dumps``, which would print ``true`` or ``1.5`` as a count.
+    exported: the exports write the violations' numbers into f-strings,
+    which would print a bool as ``True`` where ``json.dumps`` prints
+    ``true``, and the header's counts with ``json.dumps``, which would print
+    ``true`` or ``1.5`` as a count.
     ``replace(**changes)`` builds a changed copy, checked in the same way.
     """
 
@@ -261,7 +250,14 @@ class ScanReport(Record):
         del content["wall_time_ms"], content["record"]
         # ``violations`` sorts last, so the header's text ends in its empty list
         head = json.dumps(content, sort_keys=True)
-        return head[:-2] + ", ".join(self._json_texts(_VIOLATION_JSON)) + "]}"
+        texts = list(self._json_texts("fingerprint"))
+        if not texts:
+            return head
+        # the list's brackets ride on its first and last texts, so the one
+        # join is the only copy of the whole
+        texts[0] = head[:-2] + texts[0]
+        texts[-1] += "]}"
+        return ", ".join(texts)
 
     def _header(self) -> dict[str, Any]:
         return {
@@ -285,13 +281,13 @@ class ScanReport(Record):
         (``_cells``); ``from_records`` reads them back."""
         with open(path, "w") as handle:
             handle.write(json.dumps(self._header(), sort_keys=True) + "\n")
-            _write_chunks(handle, self._json_texts(_RECORD_JSON + "\n"))
+            _write_chunks(handle, self._json_texts("records"))
 
     def write_csv(self, path: str | Path) -> None:
         """The header row, then one row per violation in ``CSV_COLUMNS``
         order, quoted as ``csv.writer`` quotes it (``_cells``)."""
         rows = self._cells(
-            _CSV_ROW, lambda parts: _csv_cell(",".join(map(str, parts))), _csv_cell
+            "csv", lambda parts: _csv_cell(",".join(map(str, parts))), _csv_cell
         )
         with open(path, "w", newline="") as handle:
             handle.write(_CSV_HEADER)
@@ -320,24 +316,28 @@ class ScanReport(Record):
             for v in self.violations:
                 _refuse_bad_field(v)
 
-    def _json_texts(self, template: str) -> Iterator[str]:
-        """Each violation through the JSON ``template``, every text cell
+    def _json_texts(self, export: str) -> Iterator[str]:
+        """Each violation as the JSON of ``export``, every text cell
         JSON-encoded (``_cells``)."""
         encode = json.JSONEncoder(sort_keys=True).encode
-        return self._cells(template, encode, encode)
+        return self._cells(export, encode, encode)
 
     def _cells(
         self,
-        template: str,
+        export: str,
         parts_text: Callable[[tuple[int, ...]], str],
         text: Callable[[Any], str],
     ) -> Iterator[str]:
-        """Each violation through ``template``, its parts tuples through
+        """Each violation as one row of ``export``, its parts tuples through
         ``parts_text`` and its kind and form through ``text``.
 
-        ``_CSV_ROW`` takes the cells in ``CSV_COLUMNS`` order, the JSON
-        templates in the sorted key order of ``_RECORD_JSON``; each row is
-        formatted once, in its template's order.
+        Each row is one f-string: ``"csv"`` a CSV row in ``CSV_COLUMNS``
+        order, ending in CRLF; ``"records"`` a JSON Lines violation record
+        and ``"fingerprint"`` the same object without its record marker,
+        keys in sorted order, as ``json.dumps(..., sort_keys=True)`` writes
+        them.  The numbers go in as they are: ``_check_ints`` has made them
+        plain ints, which need no quotes and print as ``json.dumps`` prints
+        them.
 
         Each object becomes text once per call, through one memo keyed by
         ``id`` for the parts tuples and one for the kinds and forms (a kind
@@ -350,7 +350,8 @@ class ScanReport(Record):
         longer than the call and the report keeps every object alive until
         then, so no id is reused.
         """
-        csv_order = template is _CSV_ROW
+        csv_row = export == "csv"
+        record = export == "records"
         parts: dict[int, str] = {}
         texts: dict[int, str] = {}
         last_a = last_b = last_kind = _UNSET
@@ -373,10 +374,20 @@ class ScanReport(Record):
             text_form = texts.get(id(form))
             if text_form is None:
                 text_form = texts[id(form)] = text(form)
-            if csv_order:
-                yield template % (text_kind, n, text_a, text_b, k, value_a, value_b, text_form)
+            if csv_row:
+                yield f"{text_kind},{n},{text_a},{text_b},{k},{value_a},{value_b},{text_form}\r\n"
+            elif record:
+                yield (
+                    f'{{"a": {text_a}, "b": {text_b}, "form": {text_form}, "k_or_p": {k}, '
+                    f'"n": {n}, "record": "violation", "scan_kind": {text_kind}, '
+                    f'"value_a": {value_a}, "value_b": {value_b}}}\n'
+                )
             else:
-                yield template % (text_a, text_b, text_form, k, n, text_kind, value_a, value_b)
+                yield (
+                    f'{{"a": {text_a}, "b": {text_b}, "form": {text_form}, "k_or_p": {k}, '
+                    f'"n": {n}, "scan_kind": {text_kind}, '
+                    f'"value_a": {value_a}, "value_b": {value_b}}}'
+                )
 
 
 def _write_chunks(handle: IO[str], rows: Iterable[str]) -> None:
@@ -635,12 +646,12 @@ def _scan(
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    results = list(map(bucket, range(1, n_max + 1)))
+    pairs, found = zip(*map(bucket, range(1, n_max + 1)))
     return ScanReport(
         scan_kind=scan_kind,
         parameters=parameters,
-        pairs_checked=sum(pairs for pairs, _ in results),
-        violations=tuple(v for _, found in results for v in found),
+        pairs_checked=sum(pairs),
+        violations=tuple(chain.from_iterable(found)),
         wall_time_ms=int((time.perf_counter() - start) * 1000),
         engine_version=__version__,
     )

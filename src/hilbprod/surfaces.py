@@ -349,6 +349,8 @@ def _catalog_from_dict(data: dict[str, Any], source: str) -> Catalog:
         name = record.get("name")
         if not name:
             raise CatalogError(f"catalog {source} has a record without a name")
+        if not isinstance(name, str):
+            raise CatalogError(f"catalog {source} has a surface name {name!r} that is not a string")
         if name in seen:
             raise CatalogError(f"catalog {source} has duplicate surface {name!r}")
         seen.add(name)

@@ -1,9 +1,9 @@
 """Test-only oracle: a scan report's exports from its dict forms.
 
-The report writes its CSV, JSON Lines and fingerprint by filling one
-template per violation.  The oracle builds one dict (or row) per violation
-instead and hands it to ``json.dumps(sort_keys=True)`` or ``csv.writer``,
-so agreement byte for byte is an independent check of the templates.
+The report writes its CSV, JSON Lines and fingerprint as one f-string
+per violation.  The oracle builds one dict (or row) per violation instead
+and hands it to ``json.dumps(sort_keys=True)`` or ``csv.writer``, so
+agreement byte for byte is an independent check of those row formats.
 """
 
 from __future__ import annotations

@@ -645,10 +645,15 @@ def test_broken_pipe_exits_quietly():
         # refused when the catalog loads, not first when the row is looked up
         '{"version": 1, "surfaces": [{"name": "del_pezzo", "family_params": ["q"]}]}',
         '{"version": 1, "surfaces": [{"name": "s", "family_params": ["d"]}]}',
+        # a name that is not a string: a list is unhashable, and a number on a
+        # complete literal row would load
+        '{"version": 1, "surfaces": [{"name": ["x"], "family_params": []}]}',
+        '{"version": 1, "surfaces": [{"name": 7, "family_params": [],'
+        ' "b0": 1, "b1": 0, "b2": 22, "chi": 24}]}',
     ],
     ids=[
         "truncated-json", "record-not-an-object", "non-integer-invariant", "chi-mismatch",
-        "family-wrong-parameters", "family-unregistered",
+        "family-wrong-parameters", "family-unregistered", "name-a-list", "name-a-number",
     ],
 )
 def test_malformed_catalog_exit_2(tmp_path, capsys, monkeypatch, text):

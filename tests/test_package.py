@@ -186,7 +186,7 @@ def test_no_scan_loads_the_process_pool_stack(tmp_path):
 
 
 def test_scan_exports_load_no_csv_module(tmp_path):
-    # write_csv fills one template per row and quotes its cells itself
+    # write_csv writes one f-string per row and quotes its cells itself
     unwanted = ("csv", "_csv")
     assert loaded_after_each_step(unwanted, tmp_path) == dict.fromkeys(STARTUP_STEPS, [])
 

@@ -864,6 +864,8 @@ TUPLE_TEXT_VIOLATIONS = {
     "report",
     [
         handmade_report(),
+        # one violation: the fingerprint's first and last texts are one string
+        handmade_report(EDGE_VIOLATIONS[0]),
         handmade_report(*EDGE_VIOLATIONS),
         handmade_report(*EDGE_VIOLATIONS[:2], scan_kind="lemma_diff_length",
                         parameters=(("n_max", 5), ("p_max", 6))),
@@ -871,7 +873,7 @@ TUPLE_TEXT_VIOLATIONS = {
                         parameters=(("n_max", 6), ("p_max", 5))),
         *(handmade_report(*violations) for violations in TUPLE_TEXT_VIOLATIONS.values()),
     ],
-    ids=["empty", "edge-cases", "lemma-parameters", "runs", *TUPLE_TEXT_VIOLATIONS],
+    ids=["empty", "one", "edge-cases", "lemma-parameters", "runs", *TUPLE_TEXT_VIOLATIONS],
 )
 def test_handmade_exports_match_the_dict_oracles(tmp_path, report):
     assert exports(report, tmp_path) == oracle_exports(report, tmp_path)

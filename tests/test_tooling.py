@@ -5,11 +5,14 @@ or ``module:Class.attr``) with a timing wrapper.  A target renamed or moved
 in the engine would stop a traced benchmark run before its first job, and
 an engine call that no longer goes through the wrapped name would read 0 in
 the per-layer metrics without any error.  The benchmark's pool probe still
-passes ``workers=`` to a scan, which must accept it.
+passes ``workers=`` to a scan, which must accept it.  The workloads that
+``BENCHMARK.json`` declares are the keys of ``WORKLOADS`` in
+``perfbench/jobs.py``, read without importing it.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -22,6 +25,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+JOBS = ROOT / "perfbench" / "jobs.py"
 
 
 def load_tracing():
@@ -102,3 +106,15 @@ def test_the_pool_probe_still_runs():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1])["failed"] == 0
+
+
+def test_the_declared_workloads_are_the_ones_the_benchmark_runs():
+    # a workload added in BENCHMARK.json or in perfbench/jobs.py alone would
+    # be declared and never run, or run and never compared
+    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    (workloads,) = [
+        node.value for node in ast.parse(JOBS.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"]
+    ]
+    assert sorted(declared) == sorted(ast.literal_eval(key) for key in workloads.keys)
