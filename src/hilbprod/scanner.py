@@ -45,10 +45,12 @@ pairs shorter first, same-length pairs as combinations of one bucket, whose
 ascending lexicographic order already puts the partition that is smaller at
 the first differing part first.  The colour scans list their violations in
 that same pair order, k ascending within a pair, though they do not loop
-over the pairs.  The conjecture scan multiplies the per-part counts
-``_part_counts(k, n)`` along one partition walk per k
-(``_products_by_length``) and builds the parts tuples of n only where two
-partitions share a value.  The majorization scan enumerates only an n whose
+over the pairs.  The conjecture scan carries each k's length buckets of
+values from n - 1 to n (``_products_by_length``): bucket r of n is
+``c_k(1)`` times bucket r - 1 of n - 1, followed by a walk that multiplies
+the per-part counts ``_part_counts(k, n)`` over the partitions whose least
+part is 2; it builds the parts tuples of n only where two partitions share
+a value.  The majorization scan enumerates only an n whose
 log-concavity certificate fails.  Both count the pairs of an n without
 enumerating, from ``_length_counts(n)``.
 
@@ -585,20 +587,27 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Vio
     return pairs, violations
 
 
-def _conjecture_bucket(n: int, *, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
+def _conjecture_bucket(
+    n: int, *, k_tuple: tuple[int, ...], carried: dict[int, list[list[int]]]
+) -> tuple[int, list[Violation]]:
     """Collisions as the pairs inside each (length, k, value) class.
 
-    The values of each length bucket come from one ``_products_by_length``
-    walk per k, and the pairs are counted by ``_same_length_pairs``; the
-    parts tuples of n are built only where a class has two members, to name
-    the witnesses at positions i < j of the lexicographic length bucket.
+    ``carried[k]`` holds the values of each length bucket of n - 1 for k
+    and is replaced by those of n, so the buckets of one scan run for n =
+    1, 2, ... in order, from ``scan_conjecture``'s ``[[1]]`` per k.  Per
+    k, ``_products_by_length`` makes bucket r of n ``c_k(1)`` times bucket
+    r - 1 of n - 1, followed by the walk over the partitions whose least
+    part is 2.  The pairs are counted by ``_same_length_pairs``; the parts
+    tuples of n are built only where a class has two members, to name the
+    witnesses at positions i < j of the lexicographic length bucket.
     Sorted by (length, i, j, k): the order of a loop over each bucket's
     combinations.
     """
     pairs = _same_length_pairs(n)
     collisions = []
     for k in k_tuple:
-        for r, values in enumerate(_products_by_length(n, _part_counts(k, n))):
+        carried[k] = by_length = _products_by_length(n, _part_counts(k, n), carried[k])
+        for r, values in enumerate(by_length):
             if len(set(values)) < len(values):
                 classes: dict[int, list[int]] = {}
                 for i, value in enumerate(values):
@@ -759,7 +768,7 @@ def scan_conjecture(
     return _scan(
         "conjecture",
         (("k_set", k_tuple), ("n_max", n_max)),
-        partial(_conjecture_bucket, k_tuple=k_tuple),
+        partial(_conjecture_bucket, k_tuple=k_tuple, carried={k: [[1]] for k in k_tuple}),
         n_max,
         workers,
     )

@@ -84,7 +84,8 @@ def test_k3_structural_rule():
 def test_dimension_mismatch_is_a_usage_error():
     with pytest.raises(DimensionMismatchError) as excinfo:
         decide(K3, Partition((1, 2)), Partition((2, 2)))
-    assert "dimension" in str(excinfo.value)
+    assert "partitions sum to 3 and 4" in str(excinfo.value)
+    assert "real dimensions 12 and 16" in str(excinfo.value)
 
 
 def test_invalid_surface_is_a_data_error():

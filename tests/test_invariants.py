@@ -60,6 +60,15 @@ def test_poincare_series_k3_low_degrees():
     assert poincare_polynomial_tuple(K3, Partition((2,))).betti(4) == 276
 
 
+
+def test_the_poincare_polynomial_of_k3_2_has_degree_8():
+    # real dimension 8: betti(8) is the top class, 9 and -1 are out of range
+    poly = poincare_polynomial_tuple(K3, Partition((2,)))
+    assert poly.degree == 8 and poly.betti(8) == 1
+    for i in (9, -1):
+        with pytest.raises(UsageError, match=rf"degree {i} out of range 0\.\.8"):
+            poly.betti(i)
+
 def test_poincare_series_disconnected_b0():
     s = synthetic(2, 0, 2)
     assert poincare_series(s, 3).coeff(Exponent(3, (0,))) == comb(4, 1) == 4

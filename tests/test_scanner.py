@@ -41,6 +41,7 @@ from colour_oracle import (
     transfers,
     tuple_counts,
 )
+from conftest import fresh_tables
 from export_oracle import csv_rows, oracle_exports, to_records
 
 
@@ -558,16 +559,44 @@ def test_conjecture_matches_the_exhaustive_oracle(tmp_path, k_set):
 
 
 def test_the_partition_walk_multiplies_the_counts_of_each_length_bucket():
-    # against the products over the oracle's own enumeration, in its order
+    # against the products over the oracle's own enumeration, in its order;
+    # each n's lists are carried from n - 1's, from the empty partition's
+    ks = (-4, -1, 0, 1, 2, 5, 24)
+    carried = {k: [[1]] for k in ks}
     for n in range(1, 23):
         buckets = recursive_buckets(n)
-        for k in (-4, -1, 0, 1, 2, 5, 24):
+        for k in ks:
             c = scanner._part_counts(k, n)
-            products = partitions._products_by_length(n, c)
+            carried[k] = products = partitions._products_by_length(n, c, carried[k])
             assert len(products) == n + 1 and products[0] == []
             for r in range(1, n + 1):
                 expected = [prod(c[p] for p in q) for q in buckets.get(r, [])]
                 assert products[r] == expected, (n, k, r)
+
+
+
+SCOPED_K_SETS = {"k12": {1, 2}, "k04": {0, 4}, "k-112": {-1, 1, 2}}
+
+
+@pytest.mark.parametrize("k_set", SCOPED_K_SETS.values(), ids=SCOPED_K_SETS)
+def test_a_shorter_conjecture_scan_lists_the_prefix_of_a_longer_one(k_set):
+    # each scan carries its walk from n - 1 to n afresh, so stopping early
+    # leaves out the larger n and changes nothing below them
+    full = scan_conjecture(k_set, 14).violations
+    for m in range(1, 15):
+        assert scan_conjecture(k_set, m).violations == tuple(v for v in full if v.n <= m), m
+
+
+def test_conjecture_scans_run_back_to_back_match_fresh_ones(monkeypatch):
+    # the carried walk lives for one scan: no k-set, n_max or shared k of an
+    # earlier scan reaches a later one
+    runs = [({1, 2}, 14), ({-1, 1, 2}, 10), ({0, 4}, 12), ({1, 2}, 9), ({4}, 14)]
+    fresh = []
+    for k_set, n_max in runs:
+        fresh_tables(monkeypatch)
+        fresh.append(scan_conjecture(k_set, n_max).fingerprint())
+    assert [scan_conjecture(*run).fingerprint() for run in runs] == fresh
+    assert [scan_conjecture(*run).fingerprint() for run in reversed(runs)] == fresh[::-1]
 
 
 # -- determinism and serialization ------------------------------------------------------

@@ -32,6 +32,11 @@ def test_fixed_rows_match_table():
         assert (s.b0, s.b1, s.b2, s.chi) == numbers, name
 
 
+
+def test_describe_shows_hodge_data_only_where_the_surface_has_it():
+    assert catalog_lookup("k3").describe() == "k3: b0=1, b1=0, b2=22, chi=24, h10=0, h20=1"
+    assert SurfaceInvariants("x", 1, 0, 22, 24).describe() == "x: b0=1, b1=0, b2=22, chi=24"
+
 def test_family_rows_match_table():
     # (b0, b1, b2, chi, h10, h20); every family has a row
     expected = [
