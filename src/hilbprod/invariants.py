@@ -15,9 +15,11 @@ computed exactly by the grow-only tables of ``hilbprod.series``:
 Products of Hilbert schemes are handled through the Kuenneth rule: multiply
 the factors' Poincare (or ``h^{p,0}``) polynomials, which
 ``GrowOnlyTable.product`` does once per parts tuple, in the table whose rows
-it multiplies, so every later call reads the stored product.  The Euler
-characteristic of a product is stored in the same way, per parts tuple in
-its Euler table's ``count_products``.
+it multiplies, so every later call reads the stored product.  The
+``PoincarePolynomial`` record around a Betti product is built once too, per
+parts tuple in its Betti table's ``polynomials``, and every later call
+returns that same record.  The Euler characteristic of a product is stored
+in the same way, per parts tuple in its Euler table's ``count_products``.
 Invariants that need Hodge data refuse when h10/h20 are absent instead of
 inventing values.
 """
@@ -141,8 +143,18 @@ class PoincarePolynomial(Record):
 
 
 def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePolynomial:
-    """Poincare polynomial of the product over the parts of ``a`` (Kuenneth)."""
-    return PoincarePolynomial(betti_table(s.b0, s.b1, s.b2).product(a.parts))
+    """Poincare polynomial of the product over the parts of ``a`` (Kuenneth).
+
+    One record per parts tuple, stored in the ``polynomials`` of the Betti
+    table next to the product it wraps; only a miss builds it.
+    """
+    table = betti_table(s.b0, s.b1, s.b2)
+    polynomial = table.polynomials.get(a.parts)
+    if polynomial is None:
+        polynomial = table.polynomials.setdefault(
+            a.parts, PoincarePolynomial(table.product(a.parts))
+        )
+    return polynomial
 
 
 # -- Hodge side ----------------------------------------------------------------

@@ -73,7 +73,8 @@ def int_list(text: str, what: str) -> list[int]:
 class Partition(Record):
     """A partition of a positive integer, parts weakly increasing.
 
-    Partitions order as their parts tuples do, lexicographically.
+    Partitions order as their parts tuples do, lexicographically.  ``str``
+    renders each parts tuple once and reads its text from ``_TEXTS`` after.
     """
 
     __slots__ = ("parts",)
@@ -123,10 +124,19 @@ class Partition(Record):
         return cls(tuple(ordered)), ordered != values
 
     def render(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(map(str, self.parts))
 
     def __str__(self) -> str:
-        return f"({self.render()})"
+        parts = self.parts
+        text = _TEXTS.get(parts)
+        if text is None:
+            text = _TEXTS.setdefault(parts, f"({self.render()})")
+        return text
+
+
+# the text of each parts tuple ``str`` has rendered: it never changes, and
+# decide's majorization details name the same partitions pair after pair
+_TEXTS: dict[tuple[int, ...], str] = {}
 
 
 class Majorization(enum.Enum):

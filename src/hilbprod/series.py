@@ -184,9 +184,12 @@ class GrowOnlyTable:
     packed in ``w``-byte slots.  ``count_products`` maps a parts tuple to the
     product of those rows' single entries; only the Euler tables fill it
     (``invariants.euler_char_tuple``), and unlike ``product`` it takes
-    negative rows, which an Euler table has for chi < 0.  All three only
-    grow and their values never change, so a lost race between threads
-    stores the same value twice and ``dict.setdefault`` keeps one.
+    negative rows, which an Euler table has for chi < 0.  ``polynomials``
+    maps a parts tuple to the one ``PoincarePolynomial`` record that wraps
+    its stored product; only the Betti tables fill it
+    (``invariants.poincare_polynomial_tuple``).  All four only grow and
+    their values never change, so a lost race between threads stores the
+    same value twice and ``dict.setdefault`` keeps one.
     """
 
     def __init__(self, aux_count: int, next_row: Callable[[list[Row], int], Row]) -> None:
@@ -194,6 +197,7 @@ class GrowOnlyTable:
         self.rows: list[Row] = [[1]]
         self.products: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.count_products: dict[tuple[int, ...], int] = {}
+        self.polynomials: dict[tuple[int, ...], Record] = {}
         self._packed: dict[tuple[int, int], int] = {}
         self._next_row = next_row
 

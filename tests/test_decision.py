@@ -34,7 +34,7 @@ from hilbprod.surfaces import (
     catalog_lookup,
     load_catalog,
 )
-from conftest import fresh_tables, valid_only
+from conftest import fresh_tables, synthetic, valid_only
 from product_oracle import dense_kuenneth
 
 K3 = catalog_lookup("k3")
@@ -687,3 +687,108 @@ def test_fired_rules_match_the_restated_hypotheses():
                 assert ids == expected_rule_ids(s, a, b), (s.name, a.parts, b.parts)
                 fired |= ids
     assert fired == set(decision.RULE_STATEMENTS) - {"kummer-product-rigidity"}
+
+
+# -- shared rule records ------------------------------------------------------------
+
+SHARED_RULE_IDS = {
+    "diff-length-min-parts",
+    "diff-length-ones-margin",
+    "same-length-disconnected",
+    "same-length-first-betti",
+}
+
+
+def restated_detail(rule_id: str, s: SurfaceInvariants, a: Partition, b: Partition) -> str:
+    """The detail text of the rule ``rule_id``, built from numbers alone,
+    restated from the parts and the surface numbers."""
+    pa, pb = a.parts, b.parts
+    zeroth_a, zeroth_b = (
+        prod(comb(part + s.b0 - 1, s.b0 - 1) for part in q) for q in (pa, pb)
+    )
+    b0_text = f"b0 = {s.b0} > 1, zeroth Betti numbers {zeroth_a} vs {zeroth_b}"
+    if rule_id == "same-length-disconnected":
+        return b0_text
+    if rule_id == "same-length-first-betti":
+        j, x, y = next((j, x, y) for j, (x, y) in enumerate(zip(pa, pb)) if x != y)
+        return f"first differing parts {x} vs {y} at index {j}; b1 = {s.b1} >= {2 * min(x, y) + 2}"
+    (r, k), (s_len, l) = sorted((len(q), q.count(1)) for q in (pa, pb))
+    if rule_id == "diff-length-min-parts":
+        return f"lengths {r} < {s_len}, all parts > 1" + (f"; {b0_text}" if s.b0 > 1 else "")
+    assert rule_id == "diff-length-ones-margin"
+    if k >= l:
+        return f"unit parts {k} (shorter) >= {l} (longer)"
+    margin = (s_len - r) * (s.b2 + 1)
+    text = f"unit parts {k} < {l}, l - k = {l - k} != {margin} = (s-r)*(b2+1)"
+    if s.b1 == 0:
+        text += f"; predicted degree-2 Betti gap (longer - shorter) = {margin - (l - k)}"
+    return text
+
+
+def test_pairs_with_the_same_detail_numbers_share_one_fired_rule():
+    # each case: two pairs whose rule detail is built from the same numbers
+    cases = [
+        (QUINTIC, "diff-length-min-parts", ((2, 4), (2, 2, 2)), ((3, 4), (2, 2, 3))),
+        (QUINTIC, "diff-length-ones-margin", ((2, 3), (1, 1, 3)), ((2, 4), (1, 1, 4))),
+        (
+            PAIR_OF_SURFACES,
+            "same-length-disconnected",
+            ((1, 1, 1, 3), (1, 1, 2, 2)),
+            ((1, 3, 3), (2, 2, 3)),
+        ),
+        (ABELIAN, "same-length-first-betti", ((1, 3), (2, 2)), ((1, 4), (2, 3))),
+    ]
+    assert {rule_id for _, rule_id, _, _ in cases} == SHARED_RULE_IDS
+    for s, rule_id, first, second in cases:
+        found = []
+        for a, b in (first, second, first):
+            verdict = decide(s, Partition(a), Partition(b))
+            found += [r for r in verdict.rules_fired if r.rule_id == rule_id]
+        assert len(found) == 3 and found[0] is found[1] is found[2], rule_id
+        assert found[0].detail == restated_detail(rule_id, s, Partition(first[0]), Partition(first[1]))
+
+
+def test_shared_rule_details_match_their_restated_formulas(monkeypatch):
+    # a record shared under too coarse a key shows another surface's or
+    # another pair's numbers; visiting the surfaces in both orders from an
+    # empty store catches a key that drops a number either way.  With b0 = 2
+    # and b0 = 3, some zeroth Betti numbers agree across the bases, so a key
+    # without b0 would show the wrong b0.
+    surfaces = list(load_catalog().representatives()) + [
+        PAIR_OF_SURFACES,
+        SurfaceInvariants("pair_of_abelian", 2, 8, 12, 0),
+        SurfaceInvariants("three_copies", 3, 0, 6, 12),
+    ]
+    pairs = [
+        pair for n in range(2, 9) for pair in itertools.permutations(enumerate_partitions(n), 2)
+    ]
+    for order in (surfaces, surfaces[::-1]):
+        monkeypatch.setattr(decision, "_SHARED_RULES", {})
+        checked = collections.Counter()
+        for s in order:
+            for a, b in pairs:
+                for rule in decision._annotate_rules(s, a, b):
+                    if rule.rule_id in SHARED_RULE_IDS:
+                        expected = restated_detail(rule.rule_id, s, a, b)
+                        assert rule.detail == expected, (s.name, a.parts, b.parts)
+                        checked[rule.rule_id] += 1
+        assert set(checked) == SHARED_RULE_IDS
+        assert len(decision._SHARED_RULES) < sum(checked.values())
+
+
+def test_the_ones_margin_detail_depends_on_whether_b1_vanishes(monkeypatch):
+    # both bases have b2 = 6, so (2,3) vs (1,1,3) gives both the same
+    # k = 0, l = 2 and margin 7; only the b1 = 0 base predicts the gap
+    b1_zero, b1_positive = synthetic(1, 0, 6), ABELIAN
+    assert (b1_zero.b2, b1_positive.b2) == (6, 6) and b1_positive.b1 > 0
+    a, b = Partition((2, 3)), Partition((1, 1, 3))
+    for order in ((b1_zero, b1_positive), (b1_positive, b1_zero)):
+        monkeypatch.setattr(decision, "_SHARED_RULES", {})
+        details = {}
+        for s in order:
+            (details[s.b1],) = [
+                r.detail for r in decide(s, a, b).rules_fired
+                if r.rule_id == "diff-length-ones-margin"
+            ]
+        assert details[4] == "unit parts 0 < 2, l - k = 2 != 7 = (s-r)*(b2+1)"
+        assert details[0] == details[4] + "; predicted degree-2 Betti gap (longer - shorter) = 5"

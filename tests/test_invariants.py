@@ -504,6 +504,40 @@ def test_fresh_tables_empty_the_euler_memo(monkeypatch):
     assert calls == [a]
 
 
+def test_poincare_memo_builds_each_polynomial_once(monkeypatch):
+    fresh_tables(monkeypatch)
+    built: list[tuple[int, ...]] = []
+    real = invariants.PoincarePolynomial
+
+    def counted(coefficients):
+        built.append(coefficients)
+        return real(coefficients)
+
+    monkeypatch.setattr(invariants, "PoincarePolynomial", counted)
+    partitions = [a for n in range(1, 11) for a in enumerate_partitions(n)]
+    for s in (K3, ABELIAN, ENRIQUES):
+        table = betti_table(s.b0, s.b1, s.b2)
+        first = [poincare_polynomial_tuple(s, a) for a in partitions]
+        assert built == [table.product(a.parts) for a in partitions]
+        built.clear()
+        again = [poincare_polynomial_tuple(s, Partition(a.parts)) for a in partitions]
+        assert all(x is y for x, y in zip(again, first))
+        assert built == []
+        assert set(table.polynomials) == {a.parts for a in partitions}
+        assert all(table.polynomials[a.parts] is p for a, p in zip(partitions, first))
+        assert all(p.coefficients is table.product(a.parts) for a, p in zip(partitions, first))
+
+
+def test_fresh_tables_empty_the_poincare_memo(monkeypatch):
+    a = Partition((1, 2, 3))
+    before = poincare_polynomial_tuple(QUINTIC, a)
+    assert betti_table(QUINTIC.b0, QUINTIC.b1, QUINTIC.b2).polynomials[a.parts] is before
+    fresh_tables(monkeypatch)
+    assert not betti_table(QUINTIC.b0, QUINTIC.b1, QUINTIC.b2).polynomials
+    after = poincare_polynomial_tuple(QUINTIC, a)
+    assert after == before and after is not before
+
+
 def test_decide_on_negative_chi_matches_a_pairwise_oracle(monkeypatch):
     # ruled g = 2 has chi = -4, so its Euler rows are negative and the
     # Kuenneth packing refuses them: the memo must hold those products itself

@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import pytest
 
+from hilbprod import partitions
 from hilbprod.decision import decide
 from hilbprod.errors import UsageError
 from hilbprod.partitions import (
@@ -48,6 +49,19 @@ def test_partition_refuses_bool_parts():
         with pytest.raises(ValueError, match="positive integers"):
             Partition(parts)
     assert Partition((1, 2)).render() == "1,2"
+
+
+def test_a_partition_text_is_rendered_once_per_parts_tuple(monkeypatch):
+    # a two-digit part: a join without separators would give (1210)
+    monkeypatch.setattr(partitions, "_TEXTS", {})
+    first = str(Partition((1, 2, 10)))
+    assert first == "(1,2,10)"
+    assert Partition((1, 2, 10)).render() == "1,2,10"
+    for _ in range(2):
+        again = str(Partition((1, 2, 10)))
+        assert again == "(1,2,10)" and again is first
+    assert str(Partition((3,))) == "(3)"
+    assert set(partitions._TEXTS) == {(1, 2, 10), (3,)}
 
 
 @pytest.mark.parametrize(
