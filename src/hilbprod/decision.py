@@ -21,15 +21,16 @@ computed invariants yield "Unknown", because these invariants are not
 complete.
 
 Records are immutable, so verdicts share them: a rule whose detail is
-built from numbers alone is built once per rule id and numbers
-(``_SHARED_RULES``), the Betti tier reads the one ``PoincarePolynomial``
-its table keeps per parts tuple, and a majorization detail reads the one
-text of each partition.
+built from numbers alone comes from a ``functools.cache`` builder whose
+parameters are exactly those numbers, so it is built once per detail; the
+Betti tier reads the one ``PoincarePolynomial`` its table keeps per parts
+tuple, and a majorization detail reads the one text of each partition.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cache
 from itertools import groupby
 from math import comb, prod
 from typing import Any, Mapping
@@ -222,11 +223,45 @@ class Verdict(Record):
 # are immutable
 _K3_RULE = FiredRule("k3-product-rigidity", "base surface is K3")
 _KUMMER_RULES = (FiredRule("kummer-product-rigidity", "base is an abelian surface"),)
-# the rules whose detail is built from numbers alone, keyed by rule id and
-# those numbers; grows with the distinct keys, never with the pairs
-_SHARED_RULES: dict[tuple[Any, ...], FiredRule] = {}
 
 _B0_DETAIL = "b0 = {} > 1, zeroth Betti numbers {} vs {}"
+
+
+# the four rules whose detail is built from numbers alone: each builder's
+# parameters are the numbers its detail prints, so the cache keeps one
+# record per detail, shared by every pair that prints it
+
+
+@cache
+def _min_parts_rule(r: int, s_len: int, b0: int, b0_a: int, b0_b: int) -> FiredRule:
+    detail = f"lengths {r} < {s_len}, all parts > 1"
+    if b0 > 1:
+        detail += "; " + _B0_DETAIL.format(b0, b0_a, b0_b)
+    return FiredRule("diff-length-min-parts", detail)
+
+
+@cache
+def _ones_margin_rule(k: int, l: int, margin: int | None, gap: int | None) -> FiredRule:
+    """The margin is given where the detail prints it (k < l), and the
+    predicted degree-2 Betti gap where it does too (k < l and b1 = 0)."""
+    if margin is None:
+        detail = f"unit parts {k} (shorter) >= {l} (longer)"
+    else:
+        detail = f"unit parts {k} < {l}, l - k = {l - k} != {margin} = (s-r)*(b2+1)"
+        if gap is not None:
+            detail += f"; predicted degree-2 Betti gap (longer - shorter) = {gap}"
+    return FiredRule("diff-length-ones-margin", detail)
+
+
+@cache
+def _disconnected_rule(b0: int, b0_a: int, b0_b: int) -> FiredRule:
+    return FiredRule("same-length-disconnected", _B0_DETAIL.format(b0, b0_a, b0_b))
+
+
+@cache
+def _first_betti_rule(x: int, y: int, j: int, b1: int) -> FiredRule:
+    detail = f"first differing parts {x} vs {y} at index {j}; b1 = {b1} >= {2 * (min(x, y) + 1)}"
+    return FiredRule("same-length-first-betti", detail)
 
 
 def _annotate_rules(
@@ -238,9 +273,8 @@ def _annotate_rules(
     never the series machinery.  ``decide`` runs this on every pair, so each
     rule's numeric hypothesis is tested first: the majorization test, the
     first-difference search and a rule's detail text run only where that
-    rule can fire.  A rule whose detail is built from numbers alone is read
-    from ``_SHARED_RULES`` under its id and those numbers; only a miss
-    formats the detail, and ``setdefault`` keeps the first record.
+    rule can fire.  A rule whose detail is built from numbers alone comes
+    from its cached builder, which formats the detail only on a miss.
     """
     fired: list[FiredRule] = []
     pa, pb = a.parts, b.parts
@@ -259,58 +293,26 @@ def _annotate_rules(
         else:
             short, long_, r, s_len = pb, pa, len_b, len_a
         if short[0] > 1 and long_[0] > 1 and (b0 == 1 or b0_a != b0_b):
-            key = ("diff-length-min-parts", r, s_len, b0, b0_a, b0_b)
-            rule = _SHARED_RULES.get(key)
-            if rule is None:
-                detail = f"lengths {r} < {s_len}, all parts > 1"
-                if b0 > 1:
-                    detail += "; " + _B0_DETAIL.format(b0, b0_a, b0_b)
-                rule = _SHARED_RULES.setdefault(key, FiredRule(key[0], detail))
-            fired.append(rule)
+            fired.append(_min_parts_rule(r, s_len, b0, b0_a, b0_b))
         if b0 == 1:
             k, l = short.count(1), long_.count(1)
             margin = (s_len - r) * (s.b2 + 1)  # the degree-2 Betti gap
-            if k >= l or l - k != margin:
-                key = ("diff-length-ones-margin", k, l, margin, b1 == 0)
-                rule = _SHARED_RULES.get(key)
-                if rule is None:
-                    if k >= l:
-                        detail = f"unit parts {k} (shorter) >= {l} (longer)"
-                    else:
-                        detail = f"unit parts {k} < {l}, l - k = {l - k} != {margin} = (s-r)*(b2+1)"
-                        if b1 == 0:
-                            detail += (
-                                f"; predicted degree-2 Betti gap (longer - shorter) = "
-                                f"{margin + k - l}"
-                            )
-                    rule = _SHARED_RULES.setdefault(key, FiredRule(key[0], detail))
-                fired.append(rule)
+            if k >= l:
+                fired.append(_ones_margin_rule(k, l, None, None))
+            elif l - k != margin:
+                gap = margin + k - l if b1 == 0 else None
+                fired.append(_ones_margin_rule(k, l, margin, gap))
         return fired
     if b0_a != b0_b:
-        key = ("same-length-disconnected", b0, b0_a, b0_b)
-        rule = _SHARED_RULES.get(key)
-        if rule is None:
-            rule = _SHARED_RULES.setdefault(
-                key, FiredRule(key[0], _B0_DETAIL.format(b0, b0_a, b0_b))
-            )
-        fired.append(rule)
+        fired.append(_disconnected_rule(b0, b0_a, b0_b))
     # the least first differing part is >= 1, so the rule needs b1 >= 4
     if b0 == 1 and b1 >= 4:
         j = 0
         while pa[j] == pb[j]:
             j += 1
         x, y = pa[j], pb[j]
-        least = min(x, y)
-        if b1 >= 2 * (least + 1):
-            key = ("same-length-first-betti", x, y, j, b1)
-            rule = _SHARED_RULES.get(key)
-            if rule is None:
-                detail = (
-                    f"first differing parts {x} vs {y} at "
-                    f"index {j}; b1 = {b1} >= {2 * (least + 1)}"
-                )
-                rule = _SHARED_RULES.setdefault(key, FiredRule(key[0], detail))
-            fired.append(rule)
+        if b1 >= 2 * (min(x, y) + 1):
+            fired.append(_first_betti_rule(x, y, j, b1))
     # a valid surface has b2 >= 1, so b0 = 1, b1 = 0 gives chi = 2 + b2 >= 3:
     # both majorization rules need chi >= 3
     if s.chi >= 3:

@@ -14,12 +14,12 @@ computed exactly by the grow-only tables of ``hilbprod.series``:
 
 Products of Hilbert schemes are handled through the Kuenneth rule: multiply
 the factors' Poincare (or ``h^{p,0}``) polynomials, which
-``GrowOnlyTable.product`` does once per parts tuple, in the table whose rows
-it multiplies, so every later call reads the stored product.  The
-``PoincarePolynomial`` record around a Betti product is built once too, per
-parts tuple in its Betti table's ``polynomials``, and every later call
-returns that same record.  The Euler characteristic of a product is stored
-in the same way, per parts tuple in its Euler table's ``count_products``.
+``GrowOnlyTable.product`` does in the table whose rows it multiplies, on
+every call.  A Betti product is kept once, as the ``PoincarePolynomial``
+record built per parts tuple in its Betti table's ``polynomials``, and every
+later call returns that same record; an ``h^{p,0}`` product is multiplied
+again on each call.  The Euler characteristic of a product is stored per
+parts tuple in its Euler table's ``count_products``.
 Invariants that need Hodge data refuse when h10/h20 are absent instead of
 inventing values.
 """
@@ -146,7 +146,7 @@ def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePol
     """Poincare polynomial of the product over the parts of ``a`` (Kuenneth).
 
     One record per parts tuple, stored in the ``polynomials`` of the Betti
-    table next to the product it wraps; only a miss builds it.
+    table whose rows it multiplies; only a miss multiplies them.
     """
     table = betti_table(s.b0, s.b1, s.b2)
     polynomial = table.polynomials.get(a.parts)
@@ -198,7 +198,10 @@ def hodge_p0(s: SurfaceInvariants, n: int, p: int) -> int:
 
 
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
-    """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product."""
+    """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product.
+
+    The product is multiplied on each call and not stored.
+    """
     h10, h20 = require_hodge_data(s)
     return list(hodge_p0_table(h10, h20).product(a.parts))
 

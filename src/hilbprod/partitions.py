@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import re
-from functools import total_ordering
+from functools import cache, total_ordering
 from typing import Iterator
 
 from ._record import Record
@@ -74,7 +74,7 @@ class Partition(Record):
     """A partition of a positive integer, parts weakly increasing.
 
     Partitions order as their parts tuples do, lexicographically.  ``str``
-    renders each parts tuple once and reads its text from ``_TEXTS`` after.
+    reads the text of the parts tuple from the cached ``_partition_text``.
     """
 
     __slots__ = ("parts",)
@@ -127,16 +127,15 @@ class Partition(Record):
         return ",".join(map(str, self.parts))
 
     def __str__(self) -> str:
-        parts = self.parts
-        text = _TEXTS.get(parts)
-        if text is None:
-            text = _TEXTS.setdefault(parts, f"({self.render()})")
-        return text
+        return _partition_text(self.parts)
 
 
-# the text of each parts tuple ``str`` has rendered: it never changes, and
-# decide's majorization details name the same partitions pair after pair
-_TEXTS: dict[tuple[int, ...], str] = {}
+@cache
+def _partition_text(parts: tuple[int, ...]) -> str:
+    """``str`` of the partition with these parts, rendered once per parts
+    tuple: decide's majorization details name the same partitions pair after
+    pair."""
+    return f"({','.join(map(str, parts))})"
 
 
 class Majorization(enum.Enum):

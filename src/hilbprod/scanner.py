@@ -570,12 +570,10 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Vio
     violations: list[Violation] = []
     new = tuple.__new__  # every field is given, as in ``_lemma_bucket``
     for (a, values_a), (b, values_b) in stream:
-        order = majorizes(Partition(b), Partition(a))
-        if order is Majorization.MAJORIZED_BY:
-            a, values_a, b, values_b = b, values_b, a, values_a
-        elif order is not Majorization.STRICTLY_MAJORIZES:
+        # a precedes b in one lexicographic length bucket, so a's prefix sum
+        # is smaller at the first differing part: a never majorizes b
+        if majorizes(Partition(b), Partition(a)) is not Majorization.STRICTLY_MAJORIZES:
             continue
-        # now b strictly majorizes a
         for k, low, high in zip(k_tuple, values_a, values_b):
             if not high > low:
                 violations.append(

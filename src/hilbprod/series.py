@@ -5,7 +5,7 @@ Every generating function of the package specializes Goettsche's product
 a series in t and zero or one variable z: z itself (Betti), none (Euler), or,
 for the Hodge diamond, ``x = z^L, y = z`` with a stride L above every
 y-degree that is read, so that ``x^i y^j`` lands in ``z^{i L + j}``; only
-``hodge_grid`` knows that layout, and L is the table's own state.  The
+``hodge_grid`` knows that layout, and L is part of the table's key.  The
 kernel builds the products in z (Betti, Hodge diamond).  Their rows ``F_n``,
 polynomials in z held as flat lists of ints, follow from the
 log-derivative recurrence ``n F_n = sum_{k=1..n} G_k F_{n-k}`` with
@@ -28,10 +28,9 @@ only the coefficients ``(-1)^j`` at the generalized pentagonal numbers
 ``2 sqrt(2n/3)`` terms, with the pentagonal numbers kept in a list that
 each Euler table grows for itself.  The ``h^{p,0}`` series (y = 0) is a
 running sum of its closed form instead.  One ``GrowOnlyTable`` is kept per
-(b0, b1, b2), chi, (h10, h20) and diamond: a table at N answers every
-n <= N, and a larger request extends it from its last row.  A Hodge request
-with ``2n >= L`` replaces the diamond's table with one at the L that n
-needs, holding the stored rows re-laid, so no row is built twice.
+(b0, b1, b2), chi, (h10, h20) and (diamond, L), L the least power of two
+above 2n: a table at N answers every n <= N, and a larger request extends
+it from its last row.  No table is ever replaced.
 
 ``GrowOnlyTable.series`` returns rows 0..N of a table as a
 ``TruncatedSeries``, the read-only result of ``poincare_series``,
@@ -43,8 +42,9 @@ term maps.
 
 ``GrowOnlyTable.product`` multiplies rows of a table (Kuenneth), as one
 big-integer product of the rows packed one coefficient per fixed-width byte
-slot (Kronecker substitution), and keeps each product, keyed by its parts
-tuple, and each packed row, keyed by row and slot width; both only grow.
+slot (Kronecker substitution).  It keeps each packed row, keyed by row and
+slot width, and returns the product without storing it: the caller that
+keeps a product keeps it once (``invariants.poincare_polynomial_tuple``).
 The kernel and the product share one slot format, signed and little-endian,
 behind ``_slot_width``, ``_pack`` and ``_unpack``: no other module packs
 or reads slots.
@@ -176,26 +176,25 @@ class GrowOnlyTable:
 
     Row n is a flat list of ints, ``row[j]`` the coefficient of ``z^j``; a
     series without z has the single entry ``row[0]``.  The Hodge diamond
-    is a series in z too, through ``x = z^L, y = z``; its table keeps L as
-    ``stride``.  ``next_row(rows, n)`` computes row n from rows 0..n-1.
+    is a series in z too, through ``x = z^L, y = z``, one table per L.
+    ``next_row(rows, n)`` computes row n from rows 0..n-1.
 
-    ``products`` maps a parts tuple to the coefficient tuple that
-    ``product`` returned for it, and ``_packed`` maps ``(n, w)`` to row n
-    packed in ``w``-byte slots.  ``count_products`` maps a parts tuple to the
-    product of those rows' single entries; only the Euler tables fill it
+    ``_packed`` maps ``(n, w)`` to row n packed in ``w``-byte slots.
+    ``count_products`` maps a parts tuple to the product of those rows'
+    single entries; only the Euler tables fill it
     (``invariants.euler_char_tuple``), and unlike ``product`` it takes
     negative rows, which an Euler table has for chi < 0.  ``polynomials``
     maps a parts tuple to the one ``PoincarePolynomial`` record that wraps
-    its stored product; only the Betti tables fill it
-    (``invariants.poincare_polynomial_tuple``).  All four only grow and
-    their values never change, so a lost race between threads stores the
-    same value twice and ``dict.setdefault`` keeps one.
+    the product of those rows, the only place that product is kept; only
+    the Betti tables fill it (``invariants.poincare_polynomial_tuple``).
+    All three only grow and their values never change, so a lost race
+    between threads stores the same value twice and ``dict.setdefault``
+    keeps one.
     """
 
     def __init__(self, aux_count: int, next_row: Callable[[list[Row], int], Row]) -> None:
         self.aux_count = aux_count
         self.rows: list[Row] = [[1]]
-        self.products: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.count_products: dict[tuple[int, ...], int] = {}
         self.polynomials: dict[tuple[int, ...], Record] = {}
         self._packed: dict[tuple[int, int], int] = {}
@@ -216,32 +215,29 @@ class GrowOnlyTable:
         Kronecker substitution: no coefficient of a product of nonnegative
         integer polynomials exceeds the product of the factors' coefficient
         sums, so slots of the width ``_slot_width`` gives that bound cannot
-        carry into each other.  Each row is packed once per width, and the
-        product once per parts tuple.  A row with a negative coefficient (a
-        table built directly from numbers no valid surface has) is a
-        DataError when it would be packed, so on every call, and nothing is
-        stored.
+        carry into each other.  Each row is packed once per width; the
+        product is multiplied on every call and not stored.  A row with a
+        negative coefficient (a table built directly from numbers no valid
+        surface has) is a DataError when it would be packed, so on every
+        call, and that row is not packed.
         """
-        coefficients = self.products.get(parts)
-        if coefficients is None:
-            rows = self.rows_upto(max(parts))
-            w = _slot_width(prod([sum(rows[part]) for part in parts]))
-            packed = self._packed
-            value = 1
-            for part in parts:
-                factor = packed.get((part, w))
-                if factor is None:
-                    line = rows[part]
-                    if min(line) < 0:
-                        raise DataError(
-                            "Kuenneth product of vectors with a negative coefficient; "
-                            "Betti and h^(p,0) numbers of a valid surface are nonnegative"
-                        )
-                    factor = packed.setdefault((part, w), _pack(line, w))
-                value *= factor
-            size = sum([len(rows[part]) for part in parts]) - len(parts) + 1
-            coefficients = self.products.setdefault(parts, tuple(_unpack(value, size, w)))
-        return coefficients
+        rows = self.rows_upto(max(parts))
+        w = _slot_width(prod([sum(rows[part]) for part in parts]))
+        packed = self._packed
+        value = 1
+        for part in parts:
+            factor = packed.get((part, w))
+            if factor is None:
+                line = rows[part]
+                if min(line) < 0:
+                    raise DataError(
+                        "Kuenneth product of vectors with a negative coefficient; "
+                        "Betti and h^(p,0) numbers of a valid surface are nonnegative"
+                    )
+                factor = packed.setdefault((part, w), _pack(line, w))
+            value *= factor
+        size = sum([len(rows[part]) for part in parts]) - len(parts) + 1
+        return tuple(_unpack(value, size, w))
 
     def series(self, truncation: int, *, cap: int | None = None) -> TruncatedSeries:
         """Rows 0..truncation as a series.
@@ -426,7 +422,7 @@ def _hodge_p0_rows(h10: int, h20: int):
 _BETTI_TABLES: dict[tuple[int, int, int], GrowOnlyTable] = {}
 _EULER_TABLES: dict[int, GrowOnlyTable] = {}
 _HODGE_P0_TABLES: dict[tuple[int, int], GrowOnlyTable] = {}
-_HODGE_TABLES: dict[Diamond, GrowOnlyTable] = {}
+_HODGE_TABLES: dict[tuple[Diamond, int], GrowOnlyTable] = {}
 
 
 # Each accessor below refuses, on every call, a key that is not made of plain
@@ -482,10 +478,9 @@ def hodge_p0_table(h10: int, h20: int) -> GrowOnlyTable:
     return table
 
 
-def _hodge_factors(diamond: Diamond, n: int) -> list[Factor]:
-    """The factors at ``x = z^L, y = z``, L the least power of two above 2n:
-    ``x^{p+m-1} y^{q+m-1}`` is ``z^{(L + 1) m + (p-1) L + q-1}``, every slope L + 1."""
-    stride = 1 << (2 * n).bit_length()
+def _hodge_factors(diamond: Diamond, stride: int) -> list[Factor]:
+    """The factors at ``x = z^L, y = z``, L = ``stride``: ``x^{p+m-1} y^{q+m-1}``
+    is ``z^{(L + 1) m + (p-1) L + q-1}``, every slope L + 1."""
     return [
         (1, h, stride + 1, (p - 1) * stride + q - 1) if (p + q) % 2
         else (-1, -h, stride + 1, (p - 1) * stride + q - 1)
@@ -493,45 +488,27 @@ def _hodge_factors(diamond: Diamond, n: int) -> list[Factor]:
     ]
 
 
-def _hodge_table(diamond: Diamond, n: int, seed: GrowOnlyTable | None) -> GrowOnlyTable:
-    """The diamond's table at the stride L' that n needs, holding the seed's rows.
-
-    ``z^{iL+j}`` of the seed's stride L goes to ``z^{iL'+j}``, a slice copy per
-    i (row m has y-degrees j <= 2m < L), in a row of the kernel's length.
-    """
-    factors = _hodge_factors(diamond, n)
-    table = GrowOnlyTable(1, _goettsche_rows(factors))
-    table.stride = stride = factors[0][2] - 1  # the table's own state, like the slot width
-    for m, line in enumerate(seed.rows[1:] if seed else [], start=1):
-        row = [0] * (_span(factors) * m + 1)
-        for i in range(2 * m + 1):
-            piece = line[i * seed.stride:i * seed.stride + 2 * m + 1]
-            row[i * stride:i * stride + len(piece)] = piece
-        table.rows.append(row)
-    return table
-
-
 def hodge_grid(diamond: Diamond, n: int) -> list[Row]:
     """``h^{i,j}``, 0 <= i, j <= 2n, in row n of Goettsche's Hodge product.
 
     Factor m is ``(1 - (-1)^{p+q} x^{p+m-1} y^{q+m-1} t^m)^{-(-1)^{p+q} h^{p,q}}``
-    per ``(p, q, h^{p,q})`` entry.  The diamond's one table holds
-    ``h^{i,j}`` at ``z^{iL + j}`` (``x = z^L, y = z``), one-to-one while
-    ``L > 2n``, the bound of the y-degrees when p, q <= 2.  A cold request
-    builds at the least such L; one with ``2n >= L`` replaces the table,
-    under the lock, by one at the L that n needs, seeded with the stored
-    rows.  Rows never change, so a reader of the old table stays consistent.
+    per ``(p, q, h^{p,q})`` entry.  The table of (diamond, L), L the least
+    power of two above 2n, holds ``h^{i,j}`` at ``z^{iL + j}`` (``x = z^L,
+    y = z``), one-to-one because 2n bounds the y-degrees when p, q <= 2.
+    The rows of every n with that L come from the one table; another L is
+    another table, grown from row 0.
     """
     if type(n) is not int or {type(h) for entry in diamond for h in entry} != {int}:
         raise UsageError(f"table keys must be plain ints, got {(diamond, n)!r}")
     if n < 0 or any(not (0 <= p <= 2 and 0 <= q <= 2) for p, q, _ in diamond):
         raise UsageError(f"need n >= 0 and entries (p, q, h), p, q in 0..2: {(diamond, n)!r}")
     size = 2 * n
-    with _GROW_LOCK:
-        table = _HODGE_TABLES.get(diamond)
-        if table is None or table.stride <= size:
-            table = _HODGE_TABLES[diamond] = _hodge_table(diamond, n, table)
-    stride = table.stride
+    stride = 1 << size.bit_length()
+    key = (diamond, stride)
+    table = _HODGE_TABLES.get(key)
+    if table is None:
+        next_row = _goettsche_rows(_hodge_factors(diamond, stride))
+        table = _HODGE_TABLES.setdefault(key, GrowOnlyTable(1, next_row))
     # a diamond without h^{2,2} has shorter rows: the rest of the window is zero
     line = table.rows_upto(n)[n] + [0] * ((size + 1) * stride)
     return [line[i * stride:i * stride + size + 1] for i in range(size + 1)]

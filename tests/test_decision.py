@@ -697,6 +697,18 @@ SHARED_RULE_IDS = {
     "same-length-disconnected",
     "same-length-first-betti",
 }
+# the cached builders of those rules' records
+SHARED_RULE_BUILDERS = (
+    decision._min_parts_rule,
+    decision._ones_margin_rule,
+    decision._disconnected_rule,
+    decision._first_betti_rule,
+)
+
+
+def clear_shared_rules() -> None:
+    for builder in SHARED_RULE_BUILDERS:
+        builder.cache_clear()
 
 
 def restated_detail(rule_id: str, s: SurfaceInvariants, a: Partition, b: Partition) -> str:
@@ -748,7 +760,7 @@ def test_pairs_with_the_same_detail_numbers_share_one_fired_rule():
         assert found[0].detail == restated_detail(rule_id, s, Partition(first[0]), Partition(first[1]))
 
 
-def test_shared_rule_details_match_their_restated_formulas(monkeypatch):
+def test_shared_rule_details_match_their_restated_formulas():
     # a record shared under too coarse a key shows another surface's or
     # another pair's numbers; visiting the surfaces in both orders from an
     # empty store catches a key that drops a number either way.  With b0 = 2
@@ -763,7 +775,7 @@ def test_shared_rule_details_match_their_restated_formulas(monkeypatch):
         pair for n in range(2, 9) for pair in itertools.permutations(enumerate_partitions(n), 2)
     ]
     for order in (surfaces, surfaces[::-1]):
-        monkeypatch.setattr(decision, "_SHARED_RULES", {})
+        clear_shared_rules()
         checked = collections.Counter()
         for s in order:
             for a, b in pairs:
@@ -773,17 +785,18 @@ def test_shared_rule_details_match_their_restated_formulas(monkeypatch):
                         assert rule.detail == expected, (s.name, a.parts, b.parts)
                         checked[rule.rule_id] += 1
         assert set(checked) == SHARED_RULE_IDS
-        assert len(decision._SHARED_RULES) < sum(checked.values())
+        records = sum(builder.cache_info().currsize for builder in SHARED_RULE_BUILDERS)
+        assert records < sum(checked.values())
 
 
-def test_the_ones_margin_detail_depends_on_whether_b1_vanishes(monkeypatch):
+def test_the_ones_margin_detail_depends_on_whether_b1_vanishes():
     # both bases have b2 = 6, so (2,3) vs (1,1,3) gives both the same
     # k = 0, l = 2 and margin 7; only the b1 = 0 base predicts the gap
     b1_zero, b1_positive = synthetic(1, 0, 6), ABELIAN
     assert (b1_zero.b2, b1_positive.b2) == (6, 6) and b1_positive.b1 > 0
     a, b = Partition((2, 3)), Partition((1, 1, 3))
     for order in ((b1_zero, b1_positive), (b1_positive, b1_zero)):
-        monkeypatch.setattr(decision, "_SHARED_RULES", {})
+        clear_shared_rules()
         details = {}
         for s in order:
             (details[s.b1],) = [

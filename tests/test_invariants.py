@@ -15,6 +15,7 @@ from hilbprod.invariants import (
     PoincarePolynomial,
     betti_closed,
     euler_char_tuple,
+    euler_series,
     has_hodge_data,
     hodge_p0,
     hodge_p0_series,
@@ -392,6 +393,51 @@ def test_hodge_diamond_rejects_numbers_that_are_not_plain_ints(size, cells):
         HodgeDiamond(size, cells)
 
 
+# symmetric and of size 2, but h^{0,0} = 2: two components
+TWO_POINT_DIAMOND = HodgeDiamond(2, {(0, 0): 2, (1, 1): 1, (2, 2): 2})
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        (poincare_series, (K3, 0), UsageError, "truncation must be >= 1, got 0"),
+        (euler_series, (24, 0), UsageError, "truncation must be >= 1, got 0"),
+        (hodge_p0_series, (2, 1, 0), UsageError, "truncation must be >= 1, got 0"),
+        (betti_closed, (K3, 0, 0), UsageError, "n must be >= 1, got 0"),
+        (betti_closed, (K3, 2, 3), UsageError, "closed forms exist for k in 0..2, got k=3"),
+        (hodge_p0, (K3, 0, 0), UsageError, "n must be >= 1, got 0"),
+        (HodgeDiamond, (-1, {}), ValueError, "size must be nonnegative"),
+        (HodgeDiamond, (2, {(3, 0): 1}), DataError, "entry (3,0) outside 0..2"),
+        (HodgeDiamond, (2, {(0, 3): 1}), DataError, "entry (0,3) outside 0..2"),
+        (HodgeDiamond, (2, {(-1, 1): 1}), DataError, "entry (-1,1) outside 0..2"),
+        (HodgeDiamond, (2, {(1, -1): 1}), DataError, "entry (1,-1) outside 0..2"),
+        (
+            hodge_polynomial_full, (TWO_POINT_DIAMOND, 2), DataError,
+            "expected a connected surface diamond (h[0,0] = 1)",
+        ),
+        (hodge_polynomial_full, (surface_diamond(K3), 0), UsageError, "n must be >= 1, got 0"),
+    ],
+    ids=[
+        "poincare-truncation-0", "euler-truncation-0", "hodge-p0-truncation-0",
+        "betti-closed-n-0", "betti-closed-k-3", "hodge-p0-n-0", "diamond-size-minus-1",
+        "diamond-p-above", "diamond-q-above", "diamond-p-below", "diamond-q-below",
+        "full-h00-not-1", "full-n-0",
+    ],
+)
+def test_each_refusal_states_its_condition(call, args, error, message):
+    # each of these would answer, not raise, without its check
+    with pytest.raises(ValueError) as excinfo:
+        call(*args)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+def test_a_diamond_of_size_zero_and_the_edge_cells_are_accepted():
+    # the bounds of the size and cell checks are inclusive
+    assert HodgeDiamond(0, {(0, 0): 1}).cells == (((0, 0), 1),)
+    corners = {(0, 0): 1, (0, 2): 1, (2, 0): 1, (2, 2): 1}
+    assert len(HodgeDiamond(2, corners).cells) == 4
+
+
 def test_hodge_diamond_stores_its_nonzero_cells_sorted():
     # any insertion order gives one diamond; its stored cells build it again
     d = HodgeDiamond(2, {(2, 2): 1, (1, 1): 20, (0, 0): 1, (2, 0): 0})
@@ -525,7 +571,7 @@ def test_poincare_memo_builds_each_polynomial_once(monkeypatch):
         assert built == []
         assert set(table.polynomials) == {a.parts for a in partitions}
         assert all(table.polynomials[a.parts] is p for a, p in zip(partitions, first))
-        assert all(p.coefficients is table.product(a.parts) for a, p in zip(partitions, first))
+        assert all(p.coefficients == table.product(a.parts) for a, p in zip(partitions, first))
 
 
 def test_fresh_tables_empty_the_poincare_memo(monkeypatch):
@@ -615,7 +661,7 @@ def test_kuenneth_products_match_dense_convolution():
 
 
 def test_truncated_kuenneth_product_of_a_negative_row_is_a_data_error():
-    # products are always full, so a caller after a prefix slices the stored
+    # products are always full, so a caller after a prefix slices the returned
     # tuple; a negative row is refused before any prefix can be read
     table = betti_table(1, -3, 2)
     for length in (1, 5, 9):
@@ -648,7 +694,7 @@ def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
     # (1, 31) on K3 needs 16-byte slots, the small products around it 1, 2
     # or 4 bytes, and most of them read row 1 too; the first call for a
     # partition reads each of its rows packed at the product's width, a
-    # repeat reads the stored product and no packed row
+    # repeat reads the stored polynomial and no packed row
     fresh_tables(monkeypatch)
     table = betti_table(K3.b0, K3.b1, K3.b2)
     memo = RecordingMemo(table._packed)
@@ -669,7 +715,7 @@ def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
         assert memo.reads == expected_reads, parts
         seen.add(parts)
     assert widths_of_row_1 == {1, 2, 16}
-    assert set(table.products) == seen
+    assert set(table.polynomials) == seen
     for (n, w), value in memo.items():
         assert unpack(value, w, len(rows[n])) == rows[n], (n, w)
 
@@ -682,7 +728,6 @@ def test_negative_row_is_a_data_error_every_time_and_never_packed():
         for parts in ((1, 2), (1,), (2, 1, 1)):
             with pytest.raises(DataError, match="negative coefficient"):
                 table.product(parts)
-    assert not table.products
     assert not any(n == 1 for n, _ in table._packed)
     rows = table.rows_upto(2)
     assert all(min(rows[n]) >= 0 for n, _ in table._packed)
@@ -695,15 +740,15 @@ def test_returned_vectors_are_copies_of_the_stored_products():
     hodge[0] = -1
     hodge.append(7)
     assert hodge_p0_tuple_vector(ABELIAN, a) == expected_hodge
-    # the Betti side hands out the stored tuple itself, which cannot change
+    # the Betti side hands out the kept polynomial's tuple, which cannot change
     table = betti_table(ABELIAN.b0, ABELIAN.b1, ABELIAN.b2)
     line = table.product(a.parts)
     assert type(line) is tuple
-    assert poincare_polynomial_tuple(ABELIAN, a).coefficients is line
+    assert poincare_polynomial_tuple(ABELIAN, a).coefficients == line
 
 
 def test_packed_rows_stay_bounded(monkeypatch):
-    # a fresh table: products stored by an earlier test would skip the packing
+    # a fresh table: polynomials kept by an earlier test would skip the packing
     fresh_tables(monkeypatch)
     table = betti_table(ABELIAN.b0, ABELIAN.b1, ABELIAN.b2)
     for n in range(1, 13):
@@ -723,7 +768,7 @@ def test_threads_share_a_fresh_table():
     s = synthetic(2, 6, 19)
     table = betti_table(s.b0, s.b1, s.b2)
     assert len(table.rows) == 1 and not table._packed, "table is not fresh"
-    assert not table.products, "table is not fresh"
+    assert not table.polynomials, "table is not fresh"
     partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
     results: list = [None] * 4
 
@@ -736,4 +781,4 @@ def test_threads_share_a_fresh_table():
         tuple(dense_kuenneth([rows[part] for part in a.parts])) for a in partitions
     ]
     assert results == [expected] * len(results)
-    assert set(table.products) == {a.parts for a in partitions}
+    assert set(table.polynomials) == {a.parts for a in partitions}

@@ -71,8 +71,8 @@ def test_euler_kernel_matches_oracle(chi):
 
 @pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
 def test_hodge_kernel_matches_oracle(s):
-    # rows 1..6 need strides L = 4, 8 and 16, which the diamond's one table
-    # reaches by re-laying its rows, and they run at more than one slot width
+    # rows 1..6 need strides L = 4, 8 and 16, one table each, and they run
+    # at more than one slot width
     diamond = surface_diamond(s)
     product = hodge_product(diamond.entries(), 6)
     for n in range(1, 7):
@@ -155,7 +155,7 @@ def test_kernel_rows_satisfy_the_log_derivative_identity():
     for factors in (
         series._betti_factors(1, -3, 2),
         series._betti_factors(1, 0, 53),
-        series._hodge_factors(ABELIAN_DIAMOND, 15),
+        series._hodge_factors(ABELIAN_DIAMOND, 32),
         [(-1, -1, 0, 1)],
     ):
         rows = series.GrowOnlyTable(1, series._goettsche_rows(factors)).rows_upto(40)
@@ -225,7 +225,7 @@ def test_series_match_the_row_terms(truncation):
         assert_series_of(built, series.hodge_p0_table(s.h10, s.h20), truncation)
 
 
-# -- the evaluation kernel: signed slots, slot width and stride growth -------------
+# -- the evaluation kernel: signed slots and slot width ---------------------------
 
 
 def slot_width(majorant: int, n: int) -> int:
@@ -322,13 +322,14 @@ def test_shuffled_kernel_growth_matches_one_ascending_build(monkeypatch):
 
 
 def test_threads_share_a_fresh_table_across_width_changes(monkeypatch):
+    requests = [("betti", n) for n in range(1, 21)] + [("hodge", n) for n in range(1, 9)]
     registries = fresh_tables(monkeypatch)
-    _kernel_requests([("betti", 20), ("hodge", 8)])
+    _kernel_requests(requests)
     expected = all_rows(registries)
     registries = fresh_tables(monkeypatch)
     orders = []
     for i in range(4):
-        order = [("betti", n) for n in range(1, 21)] + [("hodge", n) for n in range(1, 9)]
+        order = list(requests)
         random.Random(i).shuffle(order)
         orders.append(order)
     race(lambda i: _kernel_requests(orders[i]))
@@ -383,59 +384,43 @@ def test_hodge_diamonds_are_pinned(monkeypatch):
 
 @pytest.mark.parametrize("s", HODGE_SURFACES, ids=lambda s: s.name)
 def test_the_stride_never_changes_a_number(monkeypatch, s):
-    # n = 1..8 in turn re-lay the diamond's table at strides 8, 16 and 32; a
-    # cold request for n = 8 builds at stride 32: the rows are equal, and
-    # every grid reads alike at either stride
+    # n = 1..8 in turn build the tables of strides 4, 8, 16 and 32; row
+    # m <= 7 reads alike from the stride-16 table and from the stride-32 one
+    # that n = 8 grows, and the rows hold no coefficient outside the window
     diamond = tuple(surface_diamond(s).entries())
     hodge_tables = fresh_tables(monkeypatch)[3]
     grids = [series.hodge_grid(diamond, n) for n in range(1, 9)]
-    relaid = hodge_tables[diamond]
-    hodge_tables = fresh_tables(monkeypatch)[3]
-    assert series.hodge_grid(diamond, 8) == grids[-1]
-    fresh = hodge_tables[diamond]
-    assert (relaid.stride, fresh.stride) == (32, 32)
-    assert relaid.rows == fresh.rows
-    assert [series.hodge_grid(diamond, n) for n in range(1, 9)] == grids
-    for n, grid in enumerate(grids, start=1):
-        # no coefficient lies outside the window that is read
-        assert sum(map(bool, fresh.rows[n])) == sum(bool(h) for line in grid for h in line)
+    assert list(hodge_tables) == [(diamond, stride) for stride in (4, 8, 16, 32)]
+    narrow, wide = hodge_tables[diamond, 16], hodge_tables[diamond, 32]
+    for m in range(1, 8):
+        window = range(2 * m + 1)
+        at_16 = [narrow.rows[m][16 * i:16 * i + 2 * m + 1] for i in window]
+        at_32 = [wide.rows[m][32 * i:32 * i + 2 * m + 1] for i in window]
+        assert at_16 == at_32 == grids[m - 1], m
+    for m, grid in enumerate(grids, start=1):
+        nonzero = sum(bool(h) for line in grid for h in line)
+        assert sum(map(bool, wide.rows[m])) == nonzero, m
+        if m <= 7:
+            assert sum(map(bool, narrow.rows[m])) == nonzero, m
 
 
 def test_diamonds_across_stride_boundaries_match_oracle(monkeypatch):
-    # n = 7, 8, 15, 16 need strides 16, 32, 32 and 64: one table, re-laid
+    # n = 7, 8, 15, 16 need strides 16, 32, 32 and 64: one table per stride
     hodge_tables = fresh_tables(monkeypatch)[3]
     order = [7, 8, 15, 16]
     random.Random(4).shuffle(order)
     diamond = surface_diamond(next(s for s in CATALOG if s.name == "abelian"))
     got = {n: hodge_polynomial_full(diamond, n) for n in order}
-    assert [table.stride for table in hodge_tables.values()] == [64]
+    assert set(hodge_tables) == {(tuple(diamond.entries()), stride) for stride in (16, 32, 64)}
     product = hodge_product(diamond.entries(), 16)
     for n in order:
         expected = {aux: c for (t_deg, aux), c in product.items() if t_deg == n}
         assert {(p, q): v for p, q, v in got[n].entries()} == expected, n
 
 
-def test_no_hodge_row_is_built_twice(monkeypatch):
-    # n = 15 builds rows 1..15 at stride 32; n = 16 re-lays them at stride
-    # 64 and builds row 16 alone
-    built: list[int] = []
-    goettsche_rows = series._goettsche_rows
-
-    def counting_rows(factors):
-        next_row = goettsche_rows(factors)
-        return lambda rows, n: built.append(n) or next_row(rows, n)
-
-    monkeypatch.setattr(series, "_goettsche_rows", counting_rows)
-    hodge_tables = fresh_tables(monkeypatch)[3]
-    series.hodge_grid(ABELIAN_DIAMOND, 15)
-    series.hodge_grid(ABELIAN_DIAMOND, 16)
-    assert built == list(range(1, 17))
-    assert hodge_tables[ABELIAN_DIAMOND].stride == 64
-
-
 def test_threads_share_one_hodge_table_across_a_doubling(monkeypatch):
-    # n = 6, 7 need stride 16 and n = 8, 9 stride 32: readers of the old
-    # table stay consistent while another thread replaces it
+    # n = 6, 7 need stride 16 and n = 8, 9 stride 32: the threads share the
+    # one table of each stride
     hodge_tables = fresh_tables(monkeypatch)[3]
     diamond = surface_diamond(next(s for s in CATALOG if s.name == "k3"))
     orders = [[6, 7, 8, 9] for _ in range(4)]
@@ -448,7 +433,7 @@ def test_threads_share_one_hodge_table_across_a_doubling(monkeypatch):
         for n, found in got.items():
             expected = {aux: c for (t_deg, aux), c in product.items() if t_deg == n}
             assert {(p, q): v for p, q, v in found.entries()} == expected, n
-    assert [table.stride for table in hodge_tables.values()] == [32]
+    assert set(hodge_tables) == {(tuple(diamond.entries()), stride) for stride in (16, 32)}
 
 
 def test_a_diamond_without_h22_reads_zeros_past_its_rows(monkeypatch):
@@ -467,7 +452,10 @@ def test_a_hodge_entry_outside_the_surface_range_is_refused(monkeypatch):
     # p, q <= 2 bound the y-degrees of row n by 2n < L; (3, 3) would put
     # y-degrees past L at small strides, where they alias x-degrees
     hodge_tables = fresh_tables(monkeypatch)[3]
-    for diamond in (((0, 0, 1), (0, 3, 1), (3, 0, 1), (3, 3, 1)), ((0, 0, 1), (-1, 1, 1))):
+    # (3, 0) and (0, 3) alone: each bound is checked on its own
+    outside = [((0, 0, 1), (0, 3, 1), (3, 0, 1), (3, 3, 1)), ((0, 0, 1), (-1, 1, 1))]
+    outside += [((0, 0, 1), (3, 0, 1)), ((0, 0, 1), (0, 3, 1)), ((0, 0, 1), (1, -1, 1))]
+    for diamond in outside:
         for n in (3, 20):
             with pytest.raises(UsageError, match=r"p, q in 0\.\.2"):
                 series.hodge_grid(diamond, n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import re
 from functools import lru_cache
@@ -51,9 +52,9 @@ def test_partition_refuses_bool_parts():
     assert Partition((1, 2)).render() == "1,2"
 
 
-def test_a_partition_text_is_rendered_once_per_parts_tuple(monkeypatch):
+def test_a_partition_text_is_rendered_once_per_parts_tuple():
     # a two-digit part: a join without separators would give (1210)
-    monkeypatch.setattr(partitions, "_TEXTS", {})
+    partitions._partition_text.cache_clear()
     first = str(Partition((1, 2, 10)))
     assert first == "(1,2,10)"
     assert Partition((1, 2, 10)).render() == "1,2,10"
@@ -61,7 +62,8 @@ def test_a_partition_text_is_rendered_once_per_parts_tuple(monkeypatch):
         again = str(Partition((1, 2, 10)))
         assert again == "(1,2,10)" and again is first
     assert str(Partition((3,))) == "(3)"
-    assert set(partitions._TEXTS) == {(1, 2, 10), (3,)}
+    info = partitions._partition_text.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -234,7 +236,28 @@ def test_majorization_is_a_partial_order_exhaustively():
                         assert majorizes(z, x) is Majorization.STRICTLY_MAJORIZES
 
 
+def test_a_length_bucket_never_lists_a_majorized_pair_first():
+    # the majorization scan pairs each length bucket in ascending lexicographic
+    # order: the first partition is smaller at the first differing part, so its
+    # prefix sum is smaller there, and it never majorizes the second
+    counts = collections.Counter()
+    for n in range(1, 23):
+        for bucket in parts_by_length(n).values():
+            for a, b in itertools.combinations(bucket, 2):
+                counts[majorizes(Partition(b), Partition(a))] += 1
+    assert counts == {
+        Majorization.STRICTLY_MAJORIZES: 104_980, Majorization.INCOMPARABLE: 20_616,
+    }
+
+
 # -- coloured counts ------------------------------------------------------------------
+
+
+def test_colored_count_refuses_a_negative_n():
+    # row -1 would be the table's last row
+    colored_count(3, 10)
+    with pytest.raises(UsageError, match="n must be nonnegative, got -1"):
+        colored_count(3, -1)
 
 
 def test_colored_count_trivial():

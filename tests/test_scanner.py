@@ -131,6 +131,13 @@ def test_lemma_usage_errors():
         verify_lemma_inequalities(6, 2, "mixed")
 
 
+@pytest.mark.parametrize("scan", [verify_majorization, scan_conjecture])
+def test_colour_scans_refuse_n_max_0(scan):
+    # without the check the scan would report 0 pairs checked
+    with pytest.raises(UsageError, match="n_max must be >= 1, got 0"):
+        scan({4}, 0)
+
+
 def test_lemma_subset_property():
     small = verify_lemma_inequalities(8, 6, "diff_length")
     large = verify_lemma_inequalities(10, 6, "diff_length")
@@ -1024,6 +1031,13 @@ def test_reports_refuse_counts_that_are_not_plain_ints(field, bad):
         ScanReport.from_records([header])
     with pytest.raises(ValueError, match=f"field {field} must"):
         handmade_report(*EDGE_VIOLATIONS, **{field: bad})
+
+
+def test_a_record_set_must_start_with_its_header():
+    records = to_records(handmade_report(*EDGE_VIOLATIONS[:2]))
+    for broken in ([], records[1:], records[::-1]):
+        with pytest.raises(ValueError, match="must start with a header record"):
+            ScanReport.from_records(broken)
 
 
 def test_reports_check_their_ints_once_when_built(monkeypatch, tmp_path):

@@ -156,6 +156,17 @@ def test_coeff_beyond_truncation_is_an_error():
             s.coeff(beyond)
 
 
+def test_coeff_with_the_wrong_number_of_auxiliary_degrees_is_an_error():
+    # an Euler series would read the z-less line, a Betti one index an empty tuple
+    for s, bad, message in (
+        (euler_series(24, 4), Exponent(1, (0,)), "1 auxiliary degrees, series declares 0"),
+        (poincare_series(CATALOG["k3"], 4), Exponent(1, ()), "0 auxiliary degrees, series declares 1"),
+        (poincare_series(CATALOG["k3"], 4), Exponent(1, (0, 0)), "2 auxiliary degrees, series declares 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            s.coeff(bad)
+
+
 def test_coeff_of_a_negative_degree_is_an_error():
     k3 = CATALOG["k3"]
     for s in (poincare_series(k3, 4), poincare_series(k3, 4, z_cap=2)):

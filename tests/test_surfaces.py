@@ -137,6 +137,24 @@ def test_validate_k3_class_forced_tuple():
         )
 
 
+@pytest.mark.parametrize(
+    "numbers, hodge, diagnostics",
+    [
+        ((0, 0, 1, 1), {}, "b0 must be positive, got 0"),
+        (
+            (1, -2, 2, 8), {"h10": -1, "h20": 0},
+            "b1 must be nonnegative, got -2; h10 must be nonnegative, got -1",
+        ),
+        ((1, 0, 2, 4), {"h10": 0, "h20": -1}, "h20 must be nonnegative, got -1"),
+    ],
+    ids=["b0-zero", "h10-negative", "h20-negative"],
+)
+def test_validate_reports_each_sign_condition(numbers, hodge, diagnostics):
+    with pytest.raises(DataError) as excinfo:
+        SurfaceInvariants("x", *numbers, **hodge)
+    assert str(excinfo.value) == f"surface 'x' fails validation: {diagnostics}"
+
+
 def test_validate_disconnected_skips_duality():
     assert SurfaceInvariants("pair", 2, 0, 4, 8).chi == 8
 
@@ -272,6 +290,30 @@ def test_a_family_row_must_declare_its_registered_parameters(tmp_path, row, mess
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({"version": 1, "surfaces": [row]}))
     with pytest.raises(CatalogError, match=re.escape(message)):
+        load_catalog(path)
+
+
+K3_ROW = load_catalog().record("k3")
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"surfaces": [K3_ROW]}, "malformed catalog .*: 'version'"),
+        ({"version": 1}, "malformed catalog .*: 'surfaces'"),
+        ({"version": 1, "surfaces": [{**K3_ROW, "name": ""}]}, "a record without a name"),
+        (
+            {"version": 1, "surfaces": [{k: v for k, v in K3_ROW.items() if k != "name"}]},
+            "a record without a name",
+        ),
+        ({"version": 1, "surfaces": [K3_ROW, K3_ROW]}, "duplicate surface 'k3'"),
+    ],
+    ids=["no-version", "no-surfaces", "empty-name", "row-without-name", "duplicate-name"],
+)
+def test_a_malformed_catalog_document_is_refused(tmp_path, document, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(CatalogError, match=message):
         load_catalog(path)
 
 

@@ -7,12 +7,16 @@ an engine call that no longer goes through the wrapped name would read 0 in
 the per-layer metrics without any error.  The benchmark's pool probe still
 passes ``workers=`` to a scan, which must accept it.  The workloads that
 ``BENCHMARK.json`` declares are the keys of ``WORKLOADS`` in
-``perfbench/jobs.py``, read without importing it.
+``perfbench/jobs.py``, read without importing it.  The mutation audit of
+``tools/mutants.py`` is tested in its parts that need no subprocess: which
+functions it finds, which nodes it counts as sites, the change it makes and
+the module text it writes.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import importlib
 import importlib.util
 import json
@@ -118,3 +122,101 @@ def test_the_declared_workloads_are_the_ones_the_benchmark_runs():
         and [getattr(t, "id", None) for t in node.targets] == ["WORKLOADS"]
     ]
     assert sorted(declared) == sorted(ast.literal_eval(key) for key in workloads.keys)
+
+
+# -- tools/mutants.py, the mutation audit: its parts that need no subprocess --------
+
+MUTANTS = ROOT / "tools" / "mutants.py"
+
+
+def load_mutants():
+    spec = importlib.util.spec_from_file_location("mutants_tool", MUTANTS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+mutants = load_mutants()
+
+FUNCTIONS_SAMPLE = """
+from functools import cache
+
+
+def plain(x):
+    return x
+
+
+@cache
+def cached(x):
+    return x
+
+
+class Holder:
+    def method(self, x):
+        return x
+"""
+
+
+def test_the_mutation_audit_finds_plain_decorated_and_method_functions(capsys):
+    tree = ast.parse(FUNCTIONS_SAMPLE)
+    assert [name for name, _ in mutants.functions(tree, [])] == ["plain", "cached", "Holder.method"]
+    named = mutants.functions(tree, ["Holder.method", "cached"])
+    assert [(name, node.name) for name, node in named] == [
+        ("Holder.method", "method"), ("cached", "cached"),
+    ]
+    with pytest.raises(SystemExit) as excinfo:
+        mutants.functions(tree, ["plain", "missing"])
+    assert excinfo.value.code == 2
+    assert "no function missing" in capsys.readouterr().err
+
+
+def test_the_mutation_audit_counts_each_site():
+    # a comparison chain is one site per operator; a bool constant is no site
+    tree = ast.parse("def f(x):\n    return 0 < x <= 3 and x != 7 or True\n")
+    kinds = collections.Counter(type(node).__name__ for _, node, _ in mutants.sites(tree, ["f"]))
+    assert kinds == {"Compare": 3, "BoolOp": 2, "Constant": 3}
+    chain = [i for _, node, i in mutants.sites(tree, ["f"]) if isinstance(node, ast.Compare)]
+    assert sorted(chain) == [0, 0, 1]
+
+
+def test_the_mutation_audit_makes_one_change_per_site():
+    source = "def f(x):\n    return x < 3 and x"
+    expected = {
+        "And -> Or": "return x < 3 or x",
+        "Lt -> GtE": "return x >= 3 and x",
+        "3 -> 4": "return x < 4 and x",
+    }
+    found = {}
+    for k in range(len(mutants.sites(ast.parse(source), ["f"]))):
+        tree = ast.parse(source)
+        _, node, i = mutants.sites(tree, ["f"])[k]
+        change = mutants.mutate(node, i)
+        found[change] = ast.unparse(tree).splitlines()[-1].strip()
+    assert found == expected
+
+
+SPLICE_SAMPLE = """import os  # noqa: F401
+
+
+@cache
+def f(x):
+    # a comment inside the audited function goes with its unparse
+    return x < 3
+
+
+class C:
+    def g(self):
+        return 1
+"""
+
+
+def test_the_mutation_audit_rewrites_only_the_audited_functions():
+    tree = ast.parse(SPLICE_SAMPLE)
+    (_, node, i), = [site for site in mutants.sites(tree, ["f"]) if isinstance(site[1], ast.Compare)]
+    mutants.mutate(node, i)
+    assert mutants.spliced(SPLICE_SAMPLE, tree, ["f"]) == (
+        "import os  # noqa: F401\n\n\n@cache\ndef f(x):\n    return x >= 3\n\n\n"
+        "class C:\n    def g(self):\n        return 1\n"
+    )
+    # a method keeps its indentation, and an unchanged one its text
+    assert mutants.spliced(SPLICE_SAMPLE, ast.parse(SPLICE_SAMPLE), ["C.g"]) == SPLICE_SAMPLE

@@ -10,10 +10,11 @@ the module when none is named; ``Class.method`` names a method): a
 comparison operator becomes its negation (``==``/``!=``, ``<``/``>=``,
 ``>``/``<=``, ``is``/``is not``, ``in``/``not in``), ``and`` becomes ``or``
 and back, or an int constant c becomes c + 1.  The checkout is copied once
-to a temporary directory, and the tree itself is never written.  The module
-in the copy is the ``ast.unparse`` of its syntax tree, so the first run, of
-the unparsed module without a change, must pass.  Then each mutant is
-written there in turn, and tier-1 runs on it with ``-x`` and without
+to a temporary directory, and the tree itself is never written.  In the
+copy each audited function is the ``ast.unparse`` of its syntax tree, and
+the rest of the module keeps its text, comments included (a test may read a
+``# noqa`` mark), so the first run, of the functions unparsed without a
+change, must pass.  Then each mutant is written there in turn, and tier-1 runs on it with ``-x`` and without
 bytecode files, so a mutant of the same size as the last is never read from
 a stale cache.  A mutant survives when tier-1 passes on it; a run that
 outlasts five times the first one is stopped and counts as killed (a hang).
@@ -30,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
@@ -91,6 +93,20 @@ def mutate(node: ast.AST, i: int) -> str:
     return f"{node.value - 1} -> {node.value}"
 
 
+def spliced(source: str, tree: ast.Module, names: list[str]) -> str:
+    """``source`` with each function of ``names`` (every function when none is
+    named) replaced by the unparse of its node in ``tree``, decorators
+    included, at the function's own indentation."""
+    lines = source.splitlines(keepends=True)
+    # from the bottom up, so the functions above keep their line numbers
+    for _, node in sorted(functions(tree, names), key=lambda item: -item[1].lineno):
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
+        lines[start:node.end_lineno] = [
+            textwrap.indent(ast.unparse(node), " " * node.col_offset) + "\n"
+        ]
+    return "".join(lines)
+
+
 def tier_1(root: Path, timeout: float | None) -> str:
     """``"passed"``, ``"failed"`` or ``"timeout"``: tier-1 run in ``root``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -120,7 +136,7 @@ def main(argv: list[str]) -> int:
         root = Path(tmp) / "tree"
         shutil.copytree(Path.cwd(), root, ignore=IGNORED)
         target = root / module
-        target.write_text(ast.unparse(ast.parse(source)))
+        target.write_text(spliced(source, ast.parse(source), names))
         start = time.perf_counter()
         if tier_1(root, None) != "passed":
             print("error: tier-1 fails on the unparsed module", file=sys.stderr)
@@ -131,7 +147,7 @@ def main(argv: list[str]) -> int:
             tree = ast.parse(source)
             name, node, i = sites(tree, names)[k]
             change = mutate(node, i)
-            target.write_text(ast.unparse(tree))
+            target.write_text(spliced(source, tree, names))
             label = f"{module}:{node.lineno} {name}: {change}"
             status = tier_1(root, timeout)
             print(f"[{k + 1}/{count}] {status} {label}", file=sys.stderr)
