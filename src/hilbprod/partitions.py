@@ -13,11 +13,10 @@ accelAsc), with no recursion and no cache: every call enumerates afresh, so
 memory stays at one list of p(n) partitions.  ``parts_by_length(n)`` buckets
 the same generator's parts tuples by length, for the scans, which need no
 ``Partition`` objects; ``partitions_by_length(n)`` is its view as partitions.
-``_products_by_length(n, c, previous)`` gives the conjecture scan the product
-of ``c`` over each partition's parts instead of its tuple, from the lists of
-n - 1: bucket r of n is ``c[1]`` times bucket r - 1 of n - 1 (the partitions
-with a unit part), followed by the same walk over the partitions whose least
-part is 2, p(n) - p(n - 1) of them.
+``_products_by_length(n, c)`` gives the conjecture scan the product of ``c``
+over each partition's parts instead of its tuple, from the same walk with
+the product of each prefix of parts kept: p(n) partitions, one or two
+multiplications each, and no tuple.
 
 ``colored_count(k, n)`` is the coefficient of q^n in the infinite product
 ``prod_m (1 - q^m)^-k``, the number of partitions of n with parts in k colours
@@ -179,32 +178,21 @@ def _ascending_partitions(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(a[: k + 1])
 
 
-def _products_by_length(n: int, c: list[int], previous: list[list[int]]) -> list[list[int]]:
+def _products_by_length(n: int, c: list[int]) -> list[list[int]]:
     """For each length r = 0..n, ``prod(c[part])`` over the partitions of
     ``n >= 1`` with r parts, in the order of ``parts_by_length(n)[r]``.
 
-    ``previous`` is this function's result for n - 1, or ``[[1]]`` (the
-    empty partition) for n = 1, and is consumed: each of its buckets is
-    dropped once it has been mapped.  In ascending lexicographic order a
-    length bucket starts with the partitions that have a unit part, each
-    ``(1,) + q`` for q a partition of n - 1 in order, so bucket r of n
-    starts as ``c[1]`` times bucket r - 1 of n - 1.  The partitions whose
-    least part is 2 follow, from the walk of ``_ascending_partitions`` in
-    its state after ``(1, n - 1)``, building no tuple: ``head[i]`` is the
-    product of ``c`` over the first i parts, so each partition costs one or
-    two multiplications.  ``a`` keeps the head's parts, whose last starts
-    the next pass; the tails are never stored.
+    The walk of ``_ascending_partitions``, building no tuple: ``head[i]``
+    is the product of ``c`` over the first i parts, so each partition costs
+    one or two multiplications.  ``a`` keeps the head's parts, whose last
+    starts the next pass; the tails are never stored.
     """
-    unit = c[1].__mul__
-    previous.reverse()
-    by_length: list[list[int]] = [[]]
-    while previous:
-        by_length.append(list(map(unit, previous.pop())))
-    a = [1] + [0] * n
+    # one spare bucket: a pass picks its two-part bucket before it knows it has one
+    by_length: list[list[int]] = [[] for _ in range(n + 2)]
+    a = [0] * (n + 1)
     head = [1] * (n + 1)
-    # n = 1 has no partition without a unit part
-    k = 1 if n > 1 else 0
-    y = n - 2
+    k = 1
+    y = n - 1
     while k:
         x = a[k - 1] + 1
         k -= 1
@@ -222,6 +210,7 @@ def _products_by_length(n: int, c: list[int], previous: list[list[int]]) -> list
             y -= 1
         by_length[k + 1].append(h * c[x + y])
         y = x + y - 1
+    by_length.pop()
     return by_length
 
 

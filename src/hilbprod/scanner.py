@@ -29,14 +29,18 @@ Three scan families:
   the largest certified n, and only an n above it is compared pair by
   pair.
 * ``scan_conjecture`` records every collision of coloured-count tuples on
-  distinct same-length pairs.  It groups each length bucket into classes
-  of equal (k, value) and emits the pairs inside each class.  It reports
-  and never asserts: a collision would be a finding, not a test failure.
+  distinct same-length pairs.  It groups each length bucket of ``n_max``
+  into classes of equal (k, value) and emits the pairs inside each class;
+  adding u unit parts to both sides of a pair multiplies both counts by
+  ``c_k(1)^u = k^u``, so every smaller n's collisions are those of
+  ``n_max`` whose sides share u = n_max - n unit parts, with them sliced
+  off.  It reports and never asserts: a collision would be a finding, not
+  a test failure.
 
 Reports are deterministic for fixed parameters and engine version: each scan
-runs one bucket function per n, in order of n and in one process, through
-``_scan`` (``wall_time_ms`` is the one volatile field and is excluded from
-the fingerprint).  The scans hold partitions as plain parts tuples, as
+draws one bucket per n, in order of n and in one process, through ``_scan``
+(``wall_time_ms`` is the one volatile field and is excluded from the
+fingerprint).  The scans hold partitions as plain parts tuples, as
 ``Violation`` stores them; a ``Partition`` is built only where the public
 ``majorizes`` needs one, on the pairwise fallback of the majorization scan.
 Within one n, pairs come from the length buckets of ``parts_by_length``,
@@ -45,13 +49,12 @@ pairs shorter first, same-length pairs as combinations of one bucket, whose
 ascending lexicographic order already puts the partition that is smaller at
 the first differing part first.  The colour scans list their violations in
 that same pair order, k ascending within a pair, though they do not loop
-over the pairs.  The conjecture scan carries each k's length buckets of
-values from n - 1 to n (``_products_by_length``): bucket r of n is
-``c_k(1)`` times bucket r - 1 of n - 1, followed by a walk that multiplies
-the per-part counts ``_part_counts(k, n)`` over the partitions whose least
-part is 2; it builds the parts tuples of n only where two partitions share
-a value.  The majorization scan enumerates only an n whose
-log-concavity certificate fails.  Both count the pairs of an n without
+over the pairs.  The conjecture scan walks the partitions of ``n_max``
+once per k (``_products_by_length``), multiplying the per-part counts
+``_part_counts(k, n_max)`` along each partition's parts, and walks no
+smaller n; it builds the parts tuples of ``n_max`` only where two
+partitions share a value.  The majorization scan enumerates only an n
+whose log-concavity certificate fails.  Both count the pairs of an n without
 enumerating, from ``_length_counts(n)``.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
@@ -585,46 +588,87 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Vio
     return pairs, violations
 
 
-def _conjecture_bucket(
-    n: int, *, k_tuple: tuple[int, ...], carried: dict[int, list[list[int]]]
-) -> tuple[int, list[Violation]]:
-    """Collisions as the pairs inside each (length, k, value) class.
+def _conjecture_buckets(
+    k_tuple: tuple[int, ...], n_max: int
+) -> Iterator[tuple[int, list[Violation]]]:
+    """The pair count and the collisions of each n = 1..n_max, in order,
+    all read off the partitions of ``n_max``.
 
-    ``carried[k]`` holds the values of each length bucket of n - 1 for k
-    and is replaced by those of n, so the buckets of one scan run for n =
-    1, 2, ... in order, from ``scan_conjecture``'s ``[[1]]`` per k.  Per
-    k, ``_products_by_length`` makes bucket r of n ``c_k(1)`` times bucket
-    r - 1 of n - 1, followed by the walk over the partitions whose least
-    part is 2.  The pairs are counted by ``_same_length_pairs``; the parts
-    tuples of n are built only where a class has two members, to name the
-    witnesses at positions i < j of the lexicographic length bucket.
-    Sorted by (length, i, j, k): the order of a loop over each bucket's
-    combinations.
+    A collision only grows upward: ``(1^u) + a`` and ``(1^u) + b`` count
+    ``c_k(1)^u`` times what a and b count.  As ``c_k(1) = k``, and for k =
+    0 every partition of n >= 1 counts 0, a pair of ``n_max`` whose sides
+    both start with u unit parts collides exactly when the pair without
+    them, of ``n_max - u``, does.  So each k's walk of ``n_max``
+    (``_products_by_length``) is the only one, and its values are dropped
+    before the next k's: a length bucket holding some value twice is
+    grouped into classes of equal value, and the pairs inside each class
+    are the collisions of ``n_max``, at positions i < j of the
+    lexicographic bucket.  Sorted by (length, i, j, k), the order of a loop
+    over each bucket's combinations, they name their parts tuples from
+    ``parts_by_length(n_max)``, built only when there is a collision.  The
+    collisions of ``n = n_max - u`` are those whose sides share u unit
+    parts, with the parts sliced off: slicing u leading units keeps the
+    order, and the value is recomputed over the sliced parts.  The pairs
+    of each n are counted by ``_same_length_pairs``.
     """
-    pairs = _same_length_pairs(n)
-    collisions = []
+    found = []
     for k in k_tuple:
-        carried[k] = by_length = _products_by_length(n, _part_counts(k, n), carried[k])
-        for r, values in enumerate(by_length):
+        for r, values in enumerate(_products_by_length(n_max, _part_counts(k, n_max))):
             if len(set(values)) < len(values):
                 classes: dict[int, list[int]] = {}
                 for i, value in enumerate(values):
                     classes.setdefault(value, []).append(i)
-                collisions += [
-                    (r, i, j, k, value)
-                    for value, members in classes.items()
+                found += [
+                    (r, i, j, k)
+                    for members in classes.values()
                     for i, j in combinations(members, 2)
                 ]
-    if not collisions:
-        return pairs, []
-    buckets = parts_by_length(n)
-    new = tuple.__new__  # every field is given, as in ``_lemma_bucket``
-    return pairs, [
-        new(Violation, (
-            "conjecture", n, buckets[r][i], buckets[r][j], k, value, value, "collision",
-        ))
-        for r, i, j, k, value in sorted(collisions)
-    ]
+    by_n: list[list[Violation]] = [[] for _ in range(n_max + 1)]
+    if found:
+        buckets = parts_by_length(n_max)
+        counts = {k: _part_counts(k, n_max).__getitem__ for k in k_tuple}
+        # each witness of n_max, at (length, position), once: its tails are
+        # shared by every pair it is in
+        witnesses = {(r, x) for r, i, j, _ in found for x in (i, j)}
+        tails = {(r, x): _unit_tails(buckets[r][x]) for r, x in witnesses}
+        new = tuple.__new__  # every field is given, as in ``_lemma_bucket``
+        for r, i, j, k in sorted(found):
+            count = counts[k]
+            for u, (tail_a, tail_b) in enumerate(zip(tails[r, i], tails[r, j])):
+                value = prod(map(count, tail_a))
+                by_n[n_max - u].append(
+                    new(Violation, (
+                        "conjecture", n_max - u, tail_a, tail_b, k, value, value, "collision",
+                    ))
+                )
+    for n in range(1, n_max + 1):
+        yield _same_length_pairs(n), by_n[n]
+
+
+def _unit_tails(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """``parts[u:]`` for u = 0 up to the number of unit parts."""
+    return [parts[u:] for u in range(parts.count(1) + 1)]
+
+
+# partitions of n_max that the conjecture scan walks per k, holding one k's
+# values at a time: p(71) = 4,697,205 is the largest p(n) within it
+_WALK_LIMIT = 5_000_000
+
+
+def _refuse_a_long_walk(n_max: int) -> None:
+    """Raise UsageError when ``p(n_max)`` exceeds ``_WALK_LIMIT``.
+
+    p(n) grows with n, so the rows of ``_length_counts`` are read up to
+    ``n_max`` or the first n over the limit, whichever comes first.
+    """
+    for n in range(1, n_max + 1):
+        walked = sum(_length_counts(n))
+        if walked > _WALK_LIMIT:
+            estimate = f"p({n_max}) = " if n == n_max else f"p({n_max}) >= p({n}) = "
+            raise UsageError(
+                f"the conjecture scan at n_max = {n_max} would walk {estimate}{walked:,} "
+                f"partitions per k; the limit is {_WALK_LIMIT:,} (n_max <= {n - 1})"
+            )
 
 
 # -- the driver ------------------------------------------------------------
@@ -642,18 +686,18 @@ def _k_tuple(k_set: Iterable[int]) -> tuple[int, ...]:
 def _scan(
     scan_kind: str,
     parameters: tuple[tuple[str, Any], ...],
-    bucket: Callable[[int], tuple[int, list[Violation]]],
-    n_max: int,
+    buckets: Iterable[tuple[int, list[Violation]]],
     workers: int,
 ) -> ScanReport:
-    """Run ``bucket`` on every n in 1..n_max, in order, and merge the buckets.
+    """Draw the lazy ``buckets``, one per n in 1..n_max, in order, and merge
+    them; ``wall_time_ms`` covers all of their work.
 
     ``workers`` is only checked: every scan runs serially in this process.
     """
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    pairs, found = zip(*map(bucket, range(1, n_max + 1)))
+    pairs, found = zip(*buckets)
     return ScanReport(
         scan_kind=scan_kind,
         parameters=parameters,
@@ -702,8 +746,7 @@ def verify_lemma_inequalities(
     return _scan(
         f"lemma_{mode}",
         (("n_max", n_max), ("p_max", p_max)),
-        partial(_lemma_bucket, p_max=p_max, mode=mode),
-        n_max,
+        map(partial(_lemma_bucket, p_max=p_max, mode=mode), range(1, n_max + 1)),
         workers,
     )
 
@@ -739,8 +782,10 @@ def verify_majorization(
     return _scan(
         "majorization",
         (("k_set", k_tuple), ("n_max", n_max)),
-        partial(_majorization_bucket, k_tuple=k_tuple, certified=certified),
-        n_max,
+        map(
+            partial(_majorization_bucket, k_tuple=k_tuple, certified=certified),
+            range(1, n_max + 1),
+        ),
         workers,
     )
 
@@ -756,6 +801,13 @@ def scan_conjecture(
     Purely exploratory: any k (including 1, 2, 3) is accepted and collisions
     are reported as findings with full witnesses, never raised.
 
+    Only the partitions of ``n_max`` are walked, once per k: two partitions
+    of n collide exactly when they do with u unit parts added to both
+    (``c_k(1) = k``), so each smaller n's collisions are those of ``n_max``
+    with u = n_max - n shared unit parts sliced off.  An ``n_max`` with
+    more than 5,000,000 partitions (``n_max > 71``) is refused before any
+    walk, with the count and the limit in the message.
+
     ``workers`` is checked (a plain int, at least 1) and has no effect; it
     stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
     """
@@ -763,10 +815,10 @@ def scan_conjecture(
     k_tuple = _k_tuple(k_set)
     if n_max < 1:
         raise UsageError(f"n_max must be >= 1, got {n_max}")
+    _refuse_a_long_walk(n_max)
     return _scan(
         "conjecture",
         (("k_set", k_tuple), ("n_max", n_max)),
-        partial(_conjecture_bucket, k_tuple=k_tuple, carried={k: [[1]] for k in k_tuple}),
-        n_max,
+        _conjecture_buckets(k_tuple, n_max),
         workers,
     )

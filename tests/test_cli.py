@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,17 @@ def test_scan_checks_output_paths_before_scanning(tmp_path, capsys, monkeypatch)
         code, _, err = run(capsys, *scan, flag, str(missing / "out"))
         assert code == 1, flag
         assert err.startswith("error:"), (flag, err)
+
+
+def test_a_conjecture_scan_over_the_partition_limit_exits_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "scan", "--kind", "conjecture", "--n-max", "100000", "--k-set", "4"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "5,392,783" in err and "5,000,000" in err
 
 
 def test_scan_output_paths_keep_existing_files(tmp_path, capsys):

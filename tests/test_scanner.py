@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import operator
+import tracemalloc
 from collections import Counter
 from math import comb, prod
 from typing import Any
@@ -472,8 +473,9 @@ def test_majorization_certificate_makes_no_pairwise_comparison(monkeypatch):
 def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
     # a tracer that wraps partitions._ascending_partitions, the generator
     # behind parts_by_length, sees each n that builds parts tuples: for the
-    # conjecture scan an n with a collision, for the majorization scan an n
-    # whose certificate fails; every other n is counted without enumerating
+    # conjecture scan n_max alone, where it has a collision, for the
+    # majorization scan an n whose certificate fails; every other n is
+    # counted without enumerating
     calls = []
     original = partitions._ascending_partitions
 
@@ -486,7 +488,7 @@ def test_colour_scans_enumerate_through_the_module_global(monkeypatch, scan):
         scan_conjecture({4}, 8)
         assert calls == []
         report = scan_conjecture({1, 2}, 8)
-        assert calls == sorted({v.n for v in report.violations}) and calls
+        assert calls == [8] and 8 in {v.n for v in report.violations}
     else:
         verify_majorization({3}, 8)
         assert calls == []
@@ -565,16 +567,77 @@ def test_conjecture_matches_the_exhaustive_oracle(tmp_path, k_set):
     assert same_exports(scan_conjecture(k_set, 14), oracle, tmp_path)
 
 
+@pytest.mark.parametrize("n_max", range(18, 25))
+def test_conjecture_collisions_below_n_max_match_the_exhaustive_oracle(tmp_path, n_max):
+    # k = 3 first collides at n = 18, and at n = 20 a pair starts that no
+    # unit part carries up from 19: each smaller n is read off n_max
+    oracle = exhaustive_conjecture({3}, n_max)
+    assert same_exports(scan_conjecture({3}, n_max), oracle, tmp_path)
+    first = oracle.violations[0]
+    assert (first.n, first.a, first.b) == (18, (1, 1, 3, 5, 8), (2, 2, 2, 2, 10))
+    if n_max >= 20:
+        assert (20, (1, 1, 2, 3, 5, 8), (2, 2, 2, 2, 2, 10)) in {
+            (v.n, v.a, v.b) for v in oracle.violations
+        }
+
+
+def test_conjecture_scan_memory_does_not_grow_with_the_k_set():
+    # one k's values are held at a time; warm runs first, so the grow-only
+    # tables of every k are built before either peak is read
+    def peak(k_set):
+        scan_conjecture(k_set, 30)
+        tracemalloc.start()
+        try:
+            scan_conjecture(k_set, 30)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak({4, 5, 6}) <= 1.3 * peak({4})
+
+
+def test_wall_time_covers_the_walk_of_every_k(monkeypatch):
+    # a clock that moves 1.5 s per walk and not otherwise: the walks run
+    # between the two readings of the driver, and the report counts ms
+    clock = [0.0]
+    real = scanner._products_by_length
+
+    def walk(n, c):
+        clock[0] += 1.5
+        return real(n, c)
+
+    class Clock:
+        @staticmethod
+        def perf_counter():
+            return clock[0]
+
+    monkeypatch.setattr(scanner, "_products_by_length", walk)
+    monkeypatch.setattr(scanner, "time", Clock)
+    assert scan_conjecture({4, 5}, 9).wall_time_ms == 3000
+
+
+def test_conjecture_scan_refuses_more_than_five_million_partitions(monkeypatch):
+    # p(71) = 4,697,205 and p(72) = 5,392,783; the refusal walks nothing
+    def no_walk(*args):
+        pytest.fail("the scan walked a partition of a refused n_max")
+
+    assert sum(scanner._length_counts(71)) == 4_697_205
+    scanner._refuse_a_long_walk(71)
+    monkeypatch.setattr(scanner, "_products_by_length", no_walk)
+    with pytest.raises(UsageError, match=r"p\(72\) = 5,392,783 .* limit is 5,000,000 \(n_max <= 71\)"):
+        scan_conjecture({4}, 72)
+    with pytest.raises(UsageError, match=r"p\(10000000\) >= p\(72\) = 5,392,783"):
+        scan_conjecture({4, 5}, 10**7)
+
+
 def test_the_partition_walk_multiplies_the_counts_of_each_length_bucket():
-    # against the products over the oracle's own enumeration, in its order;
-    # each n's lists are carried from n - 1's, from the empty partition's
+    # against the products over the oracle's own enumeration, in its order
     ks = (-4, -1, 0, 1, 2, 5, 24)
-    carried = {k: [[1]] for k in ks}
     for n in range(1, 23):
         buckets = recursive_buckets(n)
         for k in ks:
             c = scanner._part_counts(k, n)
-            carried[k] = products = partitions._products_by_length(n, c, carried[k])
+            products = partitions._products_by_length(n, c)
             assert len(products) == n + 1 and products[0] == []
             for r in range(1, n + 1):
                 expected = [prod(c[p] for p in q) for q in buckets.get(r, [])]
@@ -587,15 +650,15 @@ SCOPED_K_SETS = {"k12": {1, 2}, "k04": {0, 4}, "k-112": {-1, 1, 2}}
 
 @pytest.mark.parametrize("k_set", SCOPED_K_SETS.values(), ids=SCOPED_K_SETS)
 def test_a_shorter_conjecture_scan_lists_the_prefix_of_a_longer_one(k_set):
-    # each scan carries its walk from n - 1 to n afresh, so stopping early
-    # leaves out the larger n and changes nothing below them
+    # each scan reads every n off its own n_max, so stopping early leaves
+    # out the larger n and changes nothing below them
     full = scan_conjecture(k_set, 14).violations
     for m in range(1, 15):
         assert scan_conjecture(k_set, m).violations == tuple(v for v in full if v.n <= m), m
 
 
 def test_conjecture_scans_run_back_to_back_match_fresh_ones(monkeypatch):
-    # the carried walk lives for one scan: no k-set, n_max or shared k of an
+    # the walk lives for one scan: no k-set, n_max or shared k of an
     # earlier scan reaches a later one
     runs = [({1, 2}, 14), ({-1, 1, 2}, 10), ({0, 4}, 12), ({1, 2}, 9), ({4}, 14)]
     fresh = []
