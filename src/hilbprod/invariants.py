@@ -14,12 +14,12 @@ computed exactly by the grow-only tables of ``hilbprod.series``:
 
 Products of Hilbert schemes are handled through the Kuenneth rule: multiply
 the factors' Poincare (or ``h^{p,0}``) polynomials, which
-``GrowOnlyTable.product`` does in the table whose rows it multiplies, on
-every call.  A Betti product is kept once, as the ``PoincarePolynomial``
-record built per parts tuple in its Betti table's ``polynomials``, and every
-later call returns that same record; an ``h^{p,0}`` product is multiplied
-again on each call.  The Euler characteristic of a product is stored per
-parts tuple in its Euler table's ``count_products``.
+``GrowOnlyTable.product`` does in the table whose rows it multiplies.  Each
+tier keeps its product once per parts tuple, in the ``by_parts`` of the
+table of its own series, and only a miss multiplies: the Euler
+characteristic as an int, the Betti numbers as the one
+``PoincarePolynomial`` record that every later call returns, and the
+``h^{p,0}`` numbers as the product tuple, copied into a new list per call.
 Invariants that need Hodge data refuse when h10/h20 are absent instead of
 inventing values.
 """
@@ -145,13 +145,13 @@ class PoincarePolynomial(Record):
 def poincare_polynomial_tuple(s: SurfaceInvariants, a: Partition) -> PoincarePolynomial:
     """Poincare polynomial of the product over the parts of ``a`` (Kuenneth).
 
-    One record per parts tuple, stored in the ``polynomials`` of the Betti
+    One record per parts tuple, stored in the ``by_parts`` of the Betti
     table whose rows it multiplies; only a miss multiplies them.
     """
     table = betti_table(s.b0, s.b1, s.b2)
-    polynomial = table.polynomials.get(a.parts)
+    polynomial = table.by_parts.get(a.parts)
     if polynomial is None:
-        polynomial = table.polynomials.setdefault(
+        polynomial = table.by_parts.setdefault(
             a.parts, PoincarePolynomial(table.product(a.parts))
         )
     return polynomial
@@ -200,10 +200,16 @@ def hodge_p0(s: SurfaceInvariants, n: int, p: int) -> int:
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
     """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product.
 
-    The product is multiplied on each call and not stored.
+    The product tuple is stored per parts tuple in the ``by_parts`` of the
+    ``h^{p,0}`` table whose rows it multiplies; only a miss multiplies them.
+    Each call returns a new list.
     """
     h10, h20 = require_hodge_data(s)
-    return list(hodge_p0_table(h10, h20).product(a.parts))
+    table = hodge_p0_table(h10, h20)
+    vector = table.by_parts.get(a.parts)
+    if vector is None:
+        vector = table.by_parts.setdefault(a.parts, table.product(a.parts))
+    return list(vector)
 
 
 class HodgeDiamond(Record):
@@ -307,11 +313,12 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
 def euler_char_tuple(s: SurfaceInvariants, a: Partition) -> int:
     """Euler characteristic of the product: chi-coloured partition counts.
 
-    The product is stored per parts tuple in the ``count_products`` of the
-    Euler table of chi; only a miss multiplies the counts, through
-    ``colored_count_tuple``.
+    The product is stored per parts tuple in the ``by_parts`` of the Euler
+    table of chi; only a miss multiplies the counts, through
+    ``colored_count_tuple``, as ``GrowOnlyTable.product`` refuses the
+    negative rows that chi < 0 gives.
     """
-    stored = euler_table(s.chi).count_products
+    stored = euler_table(s.chi).by_parts
     value = stored.get(a.parts)
     if value is None:
         value = stored.setdefault(a.parts, colored_count_tuple(s.chi, a))

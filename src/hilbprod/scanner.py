@@ -57,6 +57,11 @@ partitions share a value.  The majorization scan enumerates only an n
 whose log-concavity certificate fails.  Both count the pairs of an n without
 enumerating, from ``_length_counts(n)``.
 
+Each scan refuses, before any work, an input whose cost estimated in closed
+form exceeds a fixed budget (``_refuse_above``): the conjecture scan by
+p(n_max), the majorization scan by the counts p(m, r) it holds, and the
+lemma scans by 3 p_max violations per pair.  No option lifts a budget.
+
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
 plain ints or whose parts are not tuples; each of its three exports writes
 the rows of ``ScanReport._cells``, one f-string per violation, so importing
@@ -68,7 +73,7 @@ from __future__ import annotations
 import json
 import time
 from functools import partial
-from itertools import chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, count, islice, product
 from math import comb, prod
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -529,6 +534,12 @@ def _same_length_pairs(n: int) -> int:
     return sum(comb(count, 2) for count in _length_counts(n))
 
 
+def _diff_length_pairs(n: int) -> int:
+    """The pairs of partitions of n of different lengths, from ``_length_counts``."""
+    counts = _length_counts(n)
+    return (sum(counts) ** 2 - sum(c * c for c in counts)) // 2
+
+
 def _certified_upto(k_tuple: tuple[int, ...], n_max: int) -> int:
     """The largest ``n <= n_max`` with ``c(m)² > c(m-1) c(m+1)`` on ``2..n-2``
     for every ``c = c_k``: a first failure at m certifies exactly the n <= m + 1."""
@@ -650,25 +661,49 @@ def _unit_tails(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [parts[u:] for u in range(parts.count(1) + 1)]
 
 
+# -- budgets: each scan's cost, estimated in closed form before any work ----
+#
+# No option lifts a limit.
+
 # partitions of n_max that the conjecture scan walks per k, holding one k's
 # values at a time: p(71) = 4,697,205 is the largest p(n) within it
 _WALK_LIMIT = 5_000_000
+# counts p(m, r), m <= n_max, that the majorization scan's pair counts hold,
+# C(n_max + 2, 2) of them: n_max = 3,000 peaks at about 260 MB
+_COUNT_LIMIT = comb(3_000 + 2, 2)
+# violations a lemma scan can record, at most 2 p_max + 1 per pair, bounded
+# by 3 p_max per pair: diff_length at n_max = 20, p_max = 6 (8.03M) peaks at
+# about 130 MB, at n_max = 22 (21.3M) at about 330 MB
+_VIOLATION_LIMIT = 10_000_000
+
+
+def _refuse_above(
+    n_max: int, estimates: Iterable[int], limit: int, name: str, text: str
+) -> None:
+    """Raise UsageError when the estimate at ``n_max`` exceeds ``limit``.
+
+    ``estimates`` yields the estimate at n = 1, 2, ..., which never falls as
+    n grows, so it is read up to ``n_max`` or the first n over the limit,
+    whichever comes first.  The message is ``text`` with the estimate,
+    written ``name.format(n)``, in place of its ``{}``.
+    """
+    for n, estimate in zip(range(1, n_max + 1), estimates):
+        if estimate > limit:
+            at = name.format(n_max) if n == n_max else f"{name.format(n_max)} >= {name.format(n)}"
+            raise UsageError(
+                f"{text.format(f'{at} = {estimate:,}')}; the limit is {limit:,} (n_max <= {n - 1})"
+            )
 
 
 def _refuse_a_long_walk(n_max: int) -> None:
-    """Raise UsageError when ``p(n_max)`` exceeds ``_WALK_LIMIT``.
-
-    p(n) grows with n, so the rows of ``_length_counts`` are read up to
-    ``n_max`` or the first n over the limit, whichever comes first.
-    """
-    for n in range(1, n_max + 1):
-        walked = sum(_length_counts(n))
-        if walked > _WALK_LIMIT:
-            estimate = f"p({n_max}) = " if n == n_max else f"p({n_max}) >= p({n}) = "
-            raise UsageError(
-                f"the conjecture scan at n_max = {n_max} would walk {estimate}{walked:,} "
-                f"partitions per k; the limit is {_WALK_LIMIT:,} (n_max <= {n - 1})"
-            )
+    """Raise UsageError when ``p(n_max)`` exceeds ``_WALK_LIMIT``."""
+    _refuse_above(
+        n_max,
+        (sum(_length_counts(n)) for n in count(1)),
+        _WALK_LIMIT,
+        "p({})",
+        f"the conjecture scan at n_max = {n_max} would walk {{}} partitions per k",
+    )
 
 
 # -- the driver ------------------------------------------------------------
@@ -733,6 +768,11 @@ def verify_lemma_inequalities(
     three forms have the same values, so they are compared once and a
     failure gives three violations, in form order.
 
+    A scan that could record more than 10,000,000 violations, bounded by
+    3 p_max per pair, is refused before any pair is made, with the bound
+    and the limit in the message: at p_max = 6, diff_length above
+    n_max = 20 and same_length above n_max = 25.
+
     ``workers`` is checked (a plain int, at least 1) and has no effect; it
     stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
     """
@@ -743,6 +783,15 @@ def verify_lemma_inequalities(
         raise UsageError(f"n_max must be >= 4, got {n_max}")
     if p_max < 1:
         raise UsageError(f"p_max must be >= 1, got {p_max}")
+    pairs = _diff_length_pairs if mode == "diff_length" else _same_length_pairs
+    _refuse_above(
+        n_max,
+        (3 * p_max * total for total in accumulate(map(pairs, count(1)))),
+        _VIOLATION_LIMIT,
+        "3 p_max pairs({})",
+        f"the lemma_{mode} scan at n_max = {n_max}, p_max = {p_max} would record up to "
+        "{} violations, pairs(n) its pairs up to n",
+    )
     return _scan(
         f"lemma_{mode}",
         (("n_max", n_max), ("p_max", p_max)),
@@ -767,6 +816,10 @@ def verify_majorization(
     certified too.  An n where it fails is compared pair by pair, so its
     violations are listed exactly as a pairwise scan lists them.
 
+    The pair counts hold C(n_max + 2, 2) counts p(m, r), m <= n_max, so an
+    ``n_max`` above 3,000 is refused before any work, with the count and
+    the limit in the message.
+
     ``workers`` is checked (a plain int, at least 1) and has no effect; it
     stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
     """
@@ -778,6 +831,13 @@ def verify_majorization(
         )
     if n_max < 1:
         raise UsageError(f"n_max must be >= 1, got {n_max}")
+    _refuse_above(
+        n_max,
+        (comb(n + 2, 2) for n in count(1)),
+        _COUNT_LIMIT,
+        "C({} + 2, 2)",
+        f"the majorization scan at n_max = {n_max} would hold {{}} partition counts p(m, r)",
+    )
     certified = _certified_upto(k_tuple, n_max)
     return _scan(
         "majorization",

@@ -43,8 +43,9 @@ term maps.
 ``GrowOnlyTable.product`` multiplies rows of a table (Kuenneth), as one
 big-integer product of the rows packed one coefficient per fixed-width byte
 slot (Kronecker substitution).  It keeps each packed row, keyed by row and
-slot width, and returns the product without storing it: the caller that
-keeps a product keeps it once (``invariants.poincare_polynomial_tuple``).
+slot width, and returns the product without storing it.  A caller that
+keeps a product keeps it once, per parts tuple, in the table's
+``by_parts``, which no method of the table reads or writes.
 The kernel and the product share one slot format, signed and little-endian,
 behind ``_slot_width``, ``_pack`` and ``_unpack``: no other module packs
 or reads slots.
@@ -180,23 +181,17 @@ class GrowOnlyTable:
     ``next_row(rows, n)`` computes row n from rows 0..n-1.
 
     ``_packed`` maps ``(n, w)`` to row n packed in ``w``-byte slots.
-    ``count_products`` maps a parts tuple to the product of those rows'
-    single entries; only the Euler tables fill it
-    (``invariants.euler_char_tuple``), and unlike ``product`` it takes
-    negative rows, which an Euler table has for chi < 0.  ``polynomials``
-    maps a parts tuple to the one ``PoincarePolynomial`` record that wraps
-    the product of those rows, the only place that product is kept; only
-    the Betti tables fill it (``invariants.poincare_polynomial_tuple``).
-    All three only grow and their values never change, so a lost race
-    between threads stores the same value twice and ``dict.setdefault``
-    keeps one.
+    ``by_parts`` maps a parts tuple to the value a caller keeps for the
+    product of those rows, whole and never a truncated prefix; no method of
+    the table reads or writes it.  Both only grow and their values never change, so a lost
+    race between threads stores the same value twice and
+    ``dict.setdefault`` keeps one.
     """
 
     def __init__(self, aux_count: int, next_row: Callable[[list[Row], int], Row]) -> None:
         self.aux_count = aux_count
         self.rows: list[Row] = [[1]]
-        self.count_products: dict[tuple[int, ...], int] = {}
-        self.polynomials: dict[tuple[int, ...], Record] = {}
+        self.by_parts: dict[tuple[int, ...], object] = {}
         self._packed: dict[tuple[int, int], int] = {}
         self._next_row = next_row
 

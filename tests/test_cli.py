@@ -480,6 +480,26 @@ def test_a_conjecture_scan_over_the_partition_limit_exits_1(capsys):
     assert "5,392,783" in err and "5,000,000" in err
 
 
+@pytest.mark.parametrize(
+    "argv, estimate, limit",
+    [
+        (
+            ["--kind", "majorization", "--n-max", "100000", "--k-set", "3"],
+            "4,507,503",
+            "4,504,501",
+        ),
+        (["--kind", "lemma-diff-length", "--n-max", "22"], "13,138,830", "10,000,000"),
+    ],
+)
+def test_a_scan_over_its_budget_exits_1(capsys, argv, estimate, limit):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert estimate in err and limit in err
+
+
 def test_scan_output_paths_keep_existing_files(tmp_path, capsys):
     paths = {flag: tmp_path / f"out{flag}" for flag in ("--csv", "--records", "--output")}
     argv = ["scan", "--kind", "conjecture", "--n-max", "6", "--k-set", "1"]

@@ -26,7 +26,7 @@ from hilbprod.invariants import (
     surface_diamond,
 )
 from hilbprod.partitions import Partition, colored_count, colored_count_tuple, enumerate_partitions
-from hilbprod.series import Exponent, betti_table, euler_table, hodge_p0_table
+from hilbprod.series import Exponent, GrowOnlyTable, betti_table, euler_table, hodge_p0_table
 from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog
 from conftest import fresh_tables, race, synthetic, valid_only
 from product_oracle import dense_kuenneth
@@ -529,16 +529,16 @@ def test_euler_memo_multiplies_each_parts_tuple_once(monkeypatch):
         calls.clear()
         assert [euler_char_tuple(s, Partition(a.parts)) for a in partitions] == first
         assert calls == []
-        assert set(euler_table(s.chi).count_products) == {a.parts for a in partitions}
+        assert set(euler_table(s.chi).by_parts) == {a.parts for a in partitions}
 
 
 def test_fresh_tables_empty_the_euler_memo(monkeypatch):
     ruled = catalog_lookup("ruled", {"g": 2})
     a = Partition((1, 2, 3))
     value = euler_char_tuple(ruled, a)
-    assert a.parts in euler_table(-4).count_products
+    assert a.parts in euler_table(-4).by_parts
     fresh_tables(monkeypatch)
-    assert not euler_table(-4).count_products
+    assert not euler_table(-4).by_parts
     calls = []
 
     def counted(k, p):
@@ -569,19 +569,54 @@ def test_poincare_memo_builds_each_polynomial_once(monkeypatch):
         again = [poincare_polynomial_tuple(s, Partition(a.parts)) for a in partitions]
         assert all(x is y for x, y in zip(again, first))
         assert built == []
-        assert set(table.polynomials) == {a.parts for a in partitions}
-        assert all(table.polynomials[a.parts] is p for a, p in zip(partitions, first))
+        assert set(table.by_parts) == {a.parts for a in partitions}
+        assert all(table.by_parts[a.parts] is p for a, p in zip(partitions, first))
         assert all(p.coefficients == table.product(a.parts) for a, p in zip(partitions, first))
 
 
 def test_fresh_tables_empty_the_poincare_memo(monkeypatch):
     a = Partition((1, 2, 3))
     before = poincare_polynomial_tuple(QUINTIC, a)
-    assert betti_table(QUINTIC.b0, QUINTIC.b1, QUINTIC.b2).polynomials[a.parts] is before
+    assert betti_table(QUINTIC.b0, QUINTIC.b1, QUINTIC.b2).by_parts[a.parts] is before
     fresh_tables(monkeypatch)
-    assert not betti_table(QUINTIC.b0, QUINTIC.b1, QUINTIC.b2).polynomials
+    assert not betti_table(QUINTIC.b0, QUINTIC.b1, QUINTIC.b2).by_parts
     after = poincare_polynomial_tuple(QUINTIC, a)
     assert after == before and after is not before
+
+
+def test_hodge_p0_memo_multiplies_each_parts_tuple_once(monkeypatch):
+    fresh_tables(monkeypatch)
+    calls: list[tuple[GrowOnlyTable, tuple[int, ...]]] = []
+    real = GrowOnlyTable.product
+
+    def counted(table, parts):
+        calls.append((table, parts))
+        return real(table, parts)
+
+    monkeypatch.setattr(GrowOnlyTable, "product", counted)
+    partitions = [a for n in range(1, 11) for a in enumerate_partitions(n)]
+    for s in (ABELIAN, K3):
+        table = hodge_p0_table(s.h10, s.h20)
+        rows = table.rows_upto(10)
+        calls.clear()
+        first = [hodge_p0_tuple_vector(s, a) for a in partitions]
+        assert calls == [(table, a.parts) for a in partitions]
+        assert first == [dense_kuenneth([rows[part] for part in a.parts]) for a in partitions]
+        calls.clear()
+        assert [hodge_p0_tuple_vector(s, Partition(a.parts)) for a in partitions] == first
+        assert calls == []
+        assert set(table.by_parts) == {a.parts for a in partitions}
+        assert all(table.by_parts[a.parts] == tuple(v) for a, v in zip(partitions, first))
+
+
+def test_fresh_tables_empty_the_hodge_p0_memo(monkeypatch):
+    a = Partition((1, 2, 3))
+    before = hodge_p0_tuple_vector(K3, a)
+    assert hodge_p0_table(K3.h10, K3.h20).by_parts[a.parts] == tuple(before)
+    fresh_tables(monkeypatch)
+    assert not hodge_p0_table(K3.h10, K3.h20).by_parts
+    assert hodge_p0_tuple_vector(K3, a) == before
+    assert set(hodge_p0_table(K3.h10, K3.h20).by_parts) == {a.parts}
 
 
 def test_decide_on_negative_chi_matches_a_pairwise_oracle(monkeypatch):
@@ -715,7 +750,7 @@ def test_packed_rows_are_read_only_at_their_own_width(monkeypatch):
         assert memo.reads == expected_reads, parts
         seen.add(parts)
     assert widths_of_row_1 == {1, 2, 16}
-    assert set(table.polynomials) == seen
+    assert set(table.by_parts) == seen
     for (n, w), value in memo.items():
         assert unpack(value, w, len(rows[n])) == rows[n], (n, w)
 
@@ -768,7 +803,7 @@ def test_threads_share_a_fresh_table():
     s = synthetic(2, 6, 19)
     table = betti_table(s.b0, s.b1, s.b2)
     assert len(table.rows) == 1 and not table._packed, "table is not fresh"
-    assert not table.polynomials, "table is not fresh"
+    assert not table.by_parts, "table is not fresh"
     partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
     results: list = [None] * 4
 
@@ -781,4 +816,23 @@ def test_threads_share_a_fresh_table():
         tuple(dense_kuenneth([rows[part] for part in a.parts])) for a in partitions
     ]
     assert results == [expected] * len(results)
-    assert set(table.polynomials) == {a.parts for a in partitions}
+    assert set(table.by_parts) == {a.parts for a in partitions}
+
+
+def test_threads_share_a_fresh_hodge_p0_table(monkeypatch):
+    # the b0 = 2 base above has no Hodge data: the h^(p,0) tier needs b0 = 1
+    fresh_tables(monkeypatch)
+    table = hodge_p0_table(ABELIAN.h10, ABELIAN.h20)
+    assert len(table.rows) == 1 and not table._packed and not table.by_parts
+    partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
+    results: list = [None] * 4
+
+    def work(i: int) -> None:
+        results[i] = [hodge_p0_tuple_vector(ABELIAN, a) for a in partitions]
+
+    race(work)
+    rows = table.rows_upto(10)
+    expected = [dense_kuenneth([rows[part] for part in a.parts]) for a in partitions]
+    assert results == [expected] * len(results)
+    assert set(table.by_parts) == {a.parts for a in partitions}
+    assert all(table.by_parts[a.parts] == tuple(v) for a, v in zip(partitions, expected))

@@ -139,6 +139,13 @@ def test_colour_scans_refuse_n_max_0(scan):
         scan({4}, 0)
 
 
+@pytest.mark.parametrize("scan", [verify_majorization, scan_conjecture])
+def test_colour_scans_accept_n_max_1(scan):
+    # the least n_max: one partition, so no pair and no violation
+    report = scan({4}, 1)
+    assert report.pairs_checked == 0 and report.violations == ()
+
+
 def test_lemma_subset_property():
     small = verify_lemma_inequalities(8, 6, "diff_length")
     large = verify_lemma_inequalities(10, 6, "diff_length")
@@ -628,6 +635,62 @@ def test_conjecture_scan_refuses_more_than_five_million_partitions(monkeypatch):
         scan_conjecture({4}, 72)
     with pytest.raises(UsageError, match=r"p\(10000000\) >= p\(72\) = 5,392,783"):
         scan_conjecture({4, 5}, 10**7)
+
+
+def test_lemma_pair_counts_in_closed_form_match_the_oracle():
+    for n_max in range(1, 13):
+        diff = sum(map(scanner._diff_length_pairs, range(1, n_max + 1)))
+        same = sum(map(scanner._same_length_pairs, range(1, n_max + 1)))
+        assert diff == independent_diff_length_pairs(n_max), n_max
+        assert same == independent_same_length_pairs(n_max), n_max
+
+
+@pytest.mark.parametrize(
+    "mode, largest, refused",
+    [
+        # 3 * 6 * 446,222 = 8,031,996 at diff_length's n_max = 20
+        ("diff_length", 20, r"3 p_max pairs\(21\) = 13,138,830 violations"),
+        ("same_length", 25, r"3 p_max pairs\(26\) = 12,934,368 violations"),
+    ],
+)
+def test_lemma_scans_refuse_more_than_ten_million_violations(monkeypatch, mode, largest, refused):
+    # a lemma scan records at most 2 p_max + 1 violations per pair: the
+    # refusal bounds them by 3 p_max per pair and scans nothing
+    def no_bucket(n, **kwargs):
+        pytest.fail("the scan ran a bucket of a refused n_max")
+
+    monkeypatch.setattr(scanner, "_lemma_bucket", no_bucket)
+    limit = rf"the limit is 10,000,000 \(n_max <= {largest}\)"
+    message = rf"n_max = {largest + 1}, p_max = 6 .*{refused}.*{limit}"
+    with pytest.raises(UsageError, match=message):
+        verify_lemma_inequalities(largest + 1, 6, mode)
+    with pytest.raises(UsageError, match=rf"pairs\(10000000\) >= 3 p_max pairs\({largest + 1}\)"):
+        verify_lemma_inequalities(10**7, 6, mode)
+    # the bound grows with p_max: the refused n_max runs at p_max = 1
+    monkeypatch.setattr(scanner, "_lemma_bucket", lambda n, **kwargs: (0, []))
+    assert verify_lemma_inequalities(largest, 6, mode).pairs_checked == 0
+    assert verify_lemma_inequalities(largest + 1, 1, mode).pairs_checked == 0
+
+
+def test_majorization_scan_refuses_more_than_n_max_3000(monkeypatch):
+    # its pair counts hold C(n_max + 2, 2) counts p(m, r); the refusal
+    # certifies nothing and counts no pair
+    def no_work(*args, **kwargs):
+        pytest.fail("the scan worked on a refused n_max")
+
+    monkeypatch.setattr(scanner, "_certified_upto", no_work)
+    monkeypatch.setattr(scanner, "_majorization_bucket", no_work)
+    with pytest.raises(
+        UsageError,
+        match=r"n_max = 3001 would hold C\(3001 \+ 2, 2\) = 4,507,503 partition counts"
+        r".* limit is 4,504,501 \(n_max <= 3000\)",
+    ):
+        verify_majorization({3}, 3001)
+    with pytest.raises(UsageError, match=r"C\(100000 \+ 2, 2\) >= C\(3001 \+ 2, 2\) = 4,507,503"):
+        verify_majorization({3, 4}, 100_000)
+    monkeypatch.setattr(scanner, "_certified_upto", lambda k_tuple, n_max: n_max)
+    monkeypatch.setattr(scanner, "_majorization_bucket", lambda n, **kwargs: (1, []))
+    assert verify_majorization({3}, 3000).pairs_checked == 3000
 
 
 def test_the_partition_walk_multiplies_the_counts_of_each_length_bucket():
