@@ -265,9 +265,8 @@ def _run_scan(args: argparse.Namespace) -> int:
     shown = 20
     for v in report.violations[:shown]:
         lines.append(
-            f"  {v.form}: n={v.n} a=({','.join(map(str, v.a))}) "
-            f"b=({','.join(map(str, v.b))}) k_or_p={v.k_or_p} "
-            f"values {v.value_a} vs {v.value_b}"
+            f"  {v.form}: n={v.n} a={Partition(v.a)} b={Partition(v.b)} "
+            f"k_or_p={v.k_or_p} values {v.value_a} vs {v.value_b}"
         )
     if len(report.violations) > shown:
         lines.append(

@@ -38,29 +38,32 @@ Three scan families:
   a test failure.
 
 Reports are deterministic for fixed parameters and engine version: each scan
-draws one bucket per n, in order of n and in one process, through ``_scan``
-(``wall_time_ms`` is the one volatile field and is excluded from the
-fingerprint).  The scans hold partitions as plain parts tuples, as
-``Violation`` stores them; a ``Partition`` is built only where the public
-``majorizes`` needs one, on the pairwise fallback of the majorization scan.
-Within one n, pairs come from the length buckets of ``parts_by_length``,
-each parts tuple carrying the values computed for it once: different-length
-pairs shorter first, same-length pairs as combinations of one bucket, whose
-ascending lexicographic order already puts the partition that is smaller at
-the first differing part first.  The colour scans list their violations in
-that same pair order, k ascending within a pair, though they do not loop
-over the pairs.  The conjecture scan walks the partitions of ``n_max``
-once per k (``_products_by_length``), multiplying the per-part counts
-``_part_counts(k, n_max)`` along each partition's parts, and walks no
-smaller n; it builds the parts tuples of ``n_max`` only where two
-partitions share a value.  The majorization scan enumerates only an n
-whose log-concavity certificate fails.  Both count the pairs of an n without
-enumerating, from ``_length_counts(n)``.
+merges the violations of each n, in order of n and in one process, through
+``_scan`` (``wall_time_ms`` is the one volatile field and is excluded from
+the fingerprint).  No scan counts the pairs it makes: ``pairs_checked`` is
+the sum over n <= n_max of the closed forms ``_diff_length_pairs`` or
+``_same_length_pairs``, read off ``_length_counts(n)``.  The scans hold
+partitions as plain parts tuples, as ``Violation`` stores them; a
+``Partition`` is built only where the public ``majorizes`` needs one, on the
+pairwise fallback of the majorization scan.  Within one n, pairs come from
+the length buckets of ``parts_by_length``, each parts tuple carrying the
+values computed for it once: different-length pairs shorter first,
+same-length pairs as combinations of one bucket, whose ascending
+lexicographic order already puts the partition that is smaller at the first
+differing part first.  The colour scans list their violations in that same
+pair order, k ascending within a pair, though they do not loop over the
+pairs.  The conjecture scan walks the partitions of ``n_max`` once per k
+(``_products_by_length``), multiplying the per-part counts ``_part_counts(k,
+n_max)`` along each partition's parts, and walks no smaller n; it builds the
+parts tuples of ``n_max`` only where two partitions share a value.  The
+majorization scan enumerates only an n whose log-concavity certificate
+fails.
 
 Each scan refuses, before any work, an input whose cost estimated in closed
 form exceeds a fixed budget (``_refuse_above``): the conjecture scan by
 p(n_max), the majorization scan by the counts p(m, r) it holds, and the
-lemma scans by 3 p_max violations per pair.  No option lifts a budget.
+lemma scans by 3 p_max violations per pair and by the 3 (p_max + 1)
+shift-product ints a bucket holds per partition.  No option lifts a budget.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
 plain ints or whose parts are not tuples; each of its three exports writes
@@ -72,7 +75,6 @@ from __future__ import annotations
 
 import json
 import time
-from functools import partial
 from itertools import accumulate, chain, combinations, count, islice, product
 from math import comb, prod
 from pathlib import Path
@@ -407,20 +409,19 @@ def _write_chunks(handle: IO[str], rows: Iterable[str]) -> None:
         handle.write(chunk)
 
 
-# -- buckets: one function of n per scan ------------------------------------
+# -- buckets: the violations of one n per scan -----------------------------
 #
-# A lemma bucket, and a majorization bucket whose certificate fails, make one
-# call of ``_valued_pairs``, then one loop over the pairs it returns.  The
-# colour buckets otherwise work per partition and count pairs in closed form.
+# A lemma bucket, and a majorization n whose certificate fails, make one call
+# of ``_valued_pairs``, then one loop over the pairs it returns.  The colour
+# scans otherwise work per partition.  No bucket counts its pairs: ``_scan``
+# sums the closed forms ``_diff_length_pairs`` and ``_same_length_pairs``.
 
 
 def _valued_pairs(
     n: int, values: Callable[[tuple[int, ...]], Any], mode: str
-) -> tuple[int, Iterator[tuple[tuple[tuple[int, ...], Any], tuple[tuple[int, ...], Any]]]]:
-    """The pair count and the pairs of one n, each side as (parts, values).
-
-    ``values`` runs once per parts tuple of n; the count comes from the
-    bucket sizes, before any pair is made.
+) -> Iterator[tuple[tuple[tuple[int, ...], Any], tuple[tuple[int, ...], Any]]]:
+    """The pairs of one n, each side as (parts, values); ``values`` runs once
+    per parts tuple of n.
 
     ``diff_length``: (shorter, longer) across length buckets.
     ``same_length``: distinct pairs within one bucket; a bucket is in
@@ -432,11 +433,8 @@ def _valued_pairs(
         for _, bucket in sorted(parts_by_length(n).items())
     ]
     if mode == "same_length":
-        count = sum(comb(len(bucket), 2) for bucket in buckets)
-        return count, chain.from_iterable(combinations(bucket, 2) for bucket in buckets)
-    across = list(combinations(buckets, 2))
-    count = sum(len(shorter) * len(longer) for shorter, longer in across)
-    return count, chain.from_iterable(product(*two) for two in across)
+        return chain.from_iterable(combinations(bucket, 2) for bucket in buckets)
+    return chain.from_iterable(product(*two) for two in combinations(buckets, 2))
 
 
 def _shift_products(
@@ -469,12 +467,12 @@ def _shift_products(
 _LEMMA_FORMS = ("unit-shift-product", "shift-ratio-cross-multiplied", "binomial-product")
 
 
-def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation]]:
+def _lemma_bucket(n: int, p_max: int, mode: str) -> list[Violation]:
     """Compare each pair's keys and binomial products, shift by shift; a
     failure at p = 1, where the three forms agree, gives three violations
     in form order."""
     scan_kind = f"lemma_{mode}"
-    pairs, stream = _valued_pairs(n, partial(_shift_products, p_max=p_max), mode)
+    stream = _valued_pairs(n, lambda parts: _shift_products(parts, p_max), mode)
     higher = range(2, p_max + 1)
     violations: list[Violation] = []
     found = violations.append
@@ -502,7 +500,7 @@ def _lemma_bucket(n: int, *, p_max: int, mode: str) -> tuple[int, list[Violation
                         binom_a[p], binom_b[p], "binomial-product",
                     ))
                 )
-    return pairs, violations
+    return violations
 
 
 def _part_counts(k: int, n: int) -> list[int]:
@@ -542,7 +540,19 @@ def _diff_length_pairs(n: int) -> int:
 
 def _certified_upto(k_tuple: tuple[int, ...], n_max: int) -> int:
     """The largest ``n <= n_max`` with ``c(m)² > c(m-1) c(m+1)`` on ``2..n-2``
-    for every ``c = c_k``: a first failure at m certifies exactly the n <= m + 1."""
+    for every ``c = c_k``: a first failure at m certifies exactly the n <= m + 1.
+
+    A certified n needs no enumeration.  A one-unit transfer from a part y
+    to a part x <= y - 2, with ``1 <= x`` and ``x + y <= n``, multiplies the
+    count by ``c(x+1) c(y-1) / (c(x) c(y))``.  As every ``c(m) >= 1``,
+    ``c(m)² > c(m-1) c(m+1)`` for ``2 <= m <= n - 2`` makes ``c(m+1) /
+    c(m)`` fall strictly on ``1..n-2``, so that factor exceeds 1.  The
+    transfers within a length bucket close to strict majorization
+    (Muirhead; Hardy, Littlewood and Polya), so the counts rise along every
+    strictly comparable pair.  The pairwise loop of ``_majorization_pairs``
+    is the one path that lists violations, in pair order, so every n above
+    the certified one goes through it whole.
+    """
     certified = n_max
     for k in k_tuple:
         c = _part_counts(k, n_max)
@@ -553,32 +563,9 @@ def _certified_upto(k_tuple: tuple[int, ...], n_max: int) -> int:
     return certified
 
 
-def _majorization_bucket(
-    n: int, *, k_tuple: tuple[int, ...], certified: int
-) -> tuple[int, list[Violation]]:
-    """Count the pairs of an n that strict log-concavity of every ``c = c_k``
-    certifies (``n <= certified``); list violations pairwise for any other.
-
-    A one-unit transfer from a part y to a part x <= y - 2, with ``1 <= x``
-    and ``x + y <= n``, multiplies the count by ``c(x+1) c(y-1) / (c(x)
-    c(y))``.  As every ``c(m) >= 1``, ``c(m)² > c(m-1) c(m+1)`` for ``2 <= m
-    <= n - 2`` makes ``c(m+1) / c(m)`` fall strictly on ``1..n-2``, so that
-    factor exceeds 1.  The transfers within a length bucket close to strict
-    majorization (Muirhead; Hardy, Littlewood and Polya), so the counts rise
-    along every strictly comparable pair.  The pairwise loop is the one path
-    that lists violations, in pair order, so a failing n goes through it
-    whole.  A certified n enumerates nothing: its same-length pairs are
-    counted by ``_same_length_pairs``; ``certified`` comes from
-    ``_certified_upto``.
-    """
-    if n <= certified:
-        return _same_length_pairs(n), []
-    return _majorization_pairs(n, k_tuple)
-
-
-def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Violation]]:
+def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> list[Violation]:
     rows = [_part_counts(k, n) for k in k_tuple]
-    pairs, stream = _valued_pairs(
+    stream = _valued_pairs(
         n, lambda parts: [prod(map(c.__getitem__, parts)) for c in rows], "same_length"
     )
     violations: list[Violation] = []
@@ -596,14 +583,12 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> tuple[int, list[Vio
                         low, high, "strict-majorization-inequality",
                     ))
                 )
-    return pairs, violations
+    return violations
 
 
-def _conjecture_buckets(
-    k_tuple: tuple[int, ...], n_max: int
-) -> Iterator[tuple[int, list[Violation]]]:
-    """The pair count and the collisions of each n = 1..n_max, in order,
-    all read off the partitions of ``n_max``.
+def _conjecture_buckets(k_tuple: tuple[int, ...], n_max: int) -> Iterator[list[Violation]]:
+    """The collisions of each n = 1..n_max, in order, all read off the
+    partitions of ``n_max``.
 
     A collision only grows upward: ``(1^u) + a`` and ``(1^u) + b`` count
     ``c_k(1)^u`` times what a and b count.  As ``c_k(1) = k``, and for k =
@@ -619,8 +604,7 @@ def _conjecture_buckets(
     ``parts_by_length(n_max)``, built only when there is a collision.  The
     collisions of ``n = n_max - u`` are those whose sides share u unit
     parts, with the parts sliced off: slicing u leading units keeps the
-    order, and the value is recomputed over the sliced parts.  The pairs
-    of each n are counted by ``_same_length_pairs``.
+    order, and the value is recomputed over the sliced parts.
     """
     found = []
     for k in k_tuple:
@@ -652,8 +636,7 @@ def _conjecture_buckets(
                         "conjecture", n_max - u, tail_a, tail_b, k, value, value, "collision",
                     ))
                 )
-    for n in range(1, n_max + 1):
-        yield _same_length_pairs(n), by_n[n]
+    yield from by_n[1:]
 
 
 def _unit_tails(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -675,23 +658,36 @@ _COUNT_LIMIT = comb(3_000 + 2, 2)
 # by 3 p_max per pair: diff_length at n_max = 20, p_max = 6 (8.03M) peaks at
 # about 130 MB, at n_max = 22 (21.3M) at about 330 MB
 _VIOLATION_LIMIT = 10_000_000
+# ints of ``_shift_products`` a lemma bucket holds, 3 (p_max + 1) per
+# partition of n: same_length just under it, at (n_max, p_max) = (4, 133,332),
+# (8, 30,300) and (10, 15,290), peaks at 113-118 MB in 0.7-2.8 s
+_HELD_LIMIT = 2_000_000
 
 
 def _refuse_above(
-    n_max: int, estimates: Iterable[int], limit: int, name: str, text: str
+    n_max: int,
+    estimates: Iterable[int],
+    limit: int,
+    name: str,
+    text: str,
+    least: int = 1,
+    too_large: str = "",
 ) -> None:
     """Raise UsageError when the estimate at ``n_max`` exceeds ``limit``.
 
     ``estimates`` yields the estimate at n = 1, 2, ..., which never falls as
     n grows, so it is read up to ``n_max`` or the first n over the limit,
     whichever comes first.  The message is ``text`` with the estimate,
-    written ``name.format(n)``, in place of its ``{}``.
+    written ``name.format(n)``, in place of its ``{}``, and then the largest
+    n_max under the limit, or ``too_large`` when that is below ``least``,
+    the smallest n_max the scan runs.
     """
     for n, estimate in zip(range(1, n_max + 1), estimates):
         if estimate > limit:
             at = name.format(n_max) if n == n_max else f"{name.format(n_max)} >= {name.format(n)}"
+            largest = f"n_max <= {n - 1}" if n > least else too_large
             raise UsageError(
-                f"{text.format(f'{at} = {estimate:,}')}; the limit is {limit:,} (n_max <= {n - 1})"
+                f"{text.format(f'{at} = {estimate:,}')}; the limit is {limit:,} ({largest})"
             )
 
 
@@ -721,23 +717,21 @@ def _k_tuple(k_set: Iterable[int]) -> tuple[int, ...]:
 def _scan(
     scan_kind: str,
     parameters: tuple[tuple[str, Any], ...],
-    buckets: Iterable[tuple[int, list[Violation]]],
-    workers: int,
+    pairs: Callable[[int], int],
+    found: Iterable[list[Violation]],
 ) -> ScanReport:
-    """Draw the lazy ``buckets``, one per n in 1..n_max, in order, and merge
-    them; ``wall_time_ms`` covers all of their work.
-
-    ``workers`` is only checked: every scan runs serially in this process.
+    """Merge the lazy ``found``, violation lists in order of n, and count
+    ``pairs(n)`` for every n up to the parameter ``n_max``, in closed form;
+    ``wall_time_ms`` covers both.
     """
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    pairs, found = zip(*buckets)
+    violations = tuple(chain.from_iterable(found))
+    pairs_checked = sum(map(pairs, range(1, dict(parameters)["n_max"] + 1)))
     return ScanReport(
         scan_kind=scan_kind,
         parameters=parameters,
-        pairs_checked=sum(pairs),
-        violations=tuple(chain.from_iterable(found)),
+        pairs_checked=pairs_checked,
+        violations=violations,
         wall_time_ms=int((time.perf_counter() - start) * 1000),
         engine_version=__version__,
     )
@@ -771,7 +765,10 @@ def verify_lemma_inequalities(
     A scan that could record more than 10,000,000 violations, bounded by
     3 p_max per pair, is refused before any pair is made, with the bound
     and the limit in the message: at p_max = 6, diff_length above
-    n_max = 20 and same_length above n_max = 25.
+    n_max = 20 and same_length above n_max = 25.  So is one whose buckets
+    would hold more than 2,000,000 shift-product ints, 3 (p_max + 1) per
+    partition of ``n_max``; a message whose largest n_max would be below 4
+    says that p_max is too large.
 
     ``workers`` is checked (a plain int, at least 1) and has no effect; it
     stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
@@ -783,29 +780,38 @@ def verify_lemma_inequalities(
         raise UsageError(f"n_max must be >= 4, got {n_max}")
     if p_max < 1:
         raise UsageError(f"p_max must be >= 1, got {p_max}")
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
     pairs = _diff_length_pairs if mode == "diff_length" else _same_length_pairs
+    scan = f"the lemma_{mode} scan at n_max = {n_max}, p_max = {p_max} would"
+    too_large = f"p_max = {p_max} is too large for every n_max >= 4"
     _refuse_above(
         n_max,
         (3 * p_max * total for total in accumulate(map(pairs, count(1)))),
         _VIOLATION_LIMIT,
         "3 p_max pairs({})",
-        f"the lemma_{mode} scan at n_max = {n_max}, p_max = {p_max} would record up to "
-        "{} violations, pairs(n) its pairs up to n",
+        f"{scan} record up to {{}} violations, pairs(n) its pairs up to n",
+        least=4,
+        too_large=too_large,
+    )
+    _refuse_above(
+        n_max,
+        (3 * (p_max + 1) * sum(_length_counts(n)) for n in count(1)),
+        _HELD_LIMIT,
+        "3 (p_max + 1) p({})",
+        f"{scan} hold {{}} shift-product ints, p(n) the partitions of n",
+        least=4,
+        too_large=too_large,
     )
     return _scan(
         f"lemma_{mode}",
         (("n_max", n_max), ("p_max", p_max)),
-        map(partial(_lemma_bucket, p_max=p_max, mode=mode), range(1, n_max + 1)),
-        workers,
+        pairs,
+        (_lemma_bucket(n, p_max, mode) for n in range(1, n_max + 1)),
     )
 
 
-def verify_majorization(
-    k_set: Iterable[int],
-    n_max: int,
-    *,
-    workers: int = 1,
-) -> ScanReport:
+def verify_majorization(k_set: Iterable[int], n_max: int) -> ScanReport:
     """Assert coloured counts respect strict majorization for every k in k_set.
 
     The inequality is asserted on every strictly comparable same-length
@@ -813,17 +819,15 @@ def verify_majorization(
     n is certified by ``c_k(m)² > c_k(m-1) c_k(m+1)`` for ``2 <= m <= n -
     2``, which makes every one-unit transfer raise the count; one pass per k
     up to ``n_max`` finds the largest certified n, and every smaller n is
-    certified too.  An n where it fails is compared pair by pair, so its
-    violations are listed exactly as a pairwise scan lists them.
+    certified too (``_certified_upto`` gives the reasoning).  Only an n
+    where it fails is compared pair by pair, so its violations are listed
+    exactly as a pairwise scan lists them.
 
     The pair counts hold C(n_max + 2, 2) counts p(m, r), m <= n_max, so an
     ``n_max`` above 3,000 is refused before any work, with the count and
     the limit in the message.
-
-    ``workers`` is checked (a plain int, at least 1) and has no effect; it
-    stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
     """
-    require_plain_ints(n_max=n_max, workers=workers)
+    require_plain_ints(n_max=n_max)
     k_tuple = _k_tuple(k_set)
     if min(k_tuple) < 3:
         raise UsageError(
@@ -842,20 +846,12 @@ def verify_majorization(
     return _scan(
         "majorization",
         (("k_set", k_tuple), ("n_max", n_max)),
-        map(
-            partial(_majorization_bucket, k_tuple=k_tuple, certified=certified),
-            range(1, n_max + 1),
-        ),
-        workers,
+        _same_length_pairs,
+        (_majorization_pairs(n, k_tuple) for n in range(certified + 1, n_max + 1)),
     )
 
 
-def scan_conjecture(
-    k_set: Iterable[int],
-    n_max: int,
-    *,
-    workers: int = 1,
-) -> ScanReport:
+def scan_conjecture(k_set: Iterable[int], n_max: int) -> ScanReport:
     """Record coloured-count collisions on distinct same-length pairs.
 
     Purely exploratory: any k (including 1, 2, 3) is accepted and collisions
@@ -867,11 +863,8 @@ def scan_conjecture(
     with u = n_max - n shared unit parts sliced off.  An ``n_max`` with
     more than 5,000,000 partitions (``n_max > 71``) is refused before any
     walk, with the count and the limit in the message.
-
-    ``workers`` is checked (a plain int, at least 1) and has no effect; it
-    stays only until ROADMAP item 4 drops the benchmark's ``probe_pool2``.
     """
-    require_plain_ints(n_max=n_max, workers=workers)
+    require_plain_ints(n_max=n_max)
     k_tuple = _k_tuple(k_set)
     if n_max < 1:
         raise UsageError(f"n_max must be >= 1, got {n_max}")
@@ -879,6 +872,6 @@ def scan_conjecture(
     return _scan(
         "conjecture",
         (("k_set", k_tuple), ("n_max", n_max)),
+        _same_length_pairs,
         _conjecture_buckets(k_tuple, n_max),
-        workers,
     )

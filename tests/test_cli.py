@@ -50,6 +50,20 @@ def test_decide_same_n_different_lengths_is_valid(capsys):
     assert "non_isomorphic" in out
 
 
+def test_decide_human_output_names_a_betti_witness_at_its_index(capsys):
+    code, out, _ = run(capsys, "decide", "--surface", "abelian", "--a", "2,4", "--b", "3,3")
+    assert code == 0
+    assert "witness: betti at index 3: 176 vs 184" in out.splitlines()
+
+
+def test_decide_human_output_names_an_euler_witness_without_an_index(capsys):
+    # chi(S^[1]) chi(S^[3]) = 55 * 32340 against chi(S^[2])^2 = 1595^2
+    code, out, _ = run(capsys, "decide", "--surface", "quintic", "--a", "1,3", "--b", "2,2")
+    assert code == 0
+    assert "witness: euler_characteristic: 1778700 vs 2544025" in out.splitlines()
+    assert "at index" not in out
+
+
 def test_decide_dimension_mismatch_exit_1(capsys):
     code, _, err = run(capsys, "decide", "--surface", "k3", "--a", "1,2", "--b", "2,2")
     assert code == 1
@@ -197,6 +211,19 @@ def no_h20_catalog(tmp_path) -> str:
     return str(path)
 
 
+def test_invariants_show_hodge(capsys):
+    # A's h^(p,0) = (1, 2, 1) times A^[2]'s (1, 2, 2, 2, 1)
+    base = ("invariants", "--surface", "abelian", "--partition", "1,2", "--show", "hodge")
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert out.splitlines()[-1] == "h^(p,0) for p = 0..6: [1, 4, 7, 8, 7, 4, 1]"
+    code, out, _ = run(capsys, *base, "--output-format", "structured")
+    assert code == 0
+    assert json.loads(out) == {
+        "surface": "abelian", "partition": [1, 2], "hodge_p0": [1, 4, 7, 8, 7, 4, 1]
+    }
+
+
 def test_invariants_hodge_refusal_exit_2(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -291,6 +318,15 @@ def test_scan_lemma_human(capsys):
     )
     assert code == 0
     assert "violations: 0" in out
+
+
+def test_scan_human_output_prints_each_side_as_a_partition(capsys):
+    code, out, _ = run(capsys, "scan", "--kind", "conjecture", "--n-max", "7", "--k-set", "2")
+    assert code == 0
+    assert out.splitlines()[6:] == [
+        "  collision: n=6 a=(2,4) b=(3,3) k_or_p=2 values 100 vs 100",
+        "  collision: n=7 a=(1,2,4) b=(1,3,3) k_or_p=2 values 200 vs 200",
+    ]
 
 
 def test_scan_records_export(tmp_path, capsys):
@@ -489,6 +525,16 @@ def test_a_conjecture_scan_over_the_partition_limit_exits_1(capsys):
             "4,504,501",
         ),
         (["--kind", "lemma-diff-length", "--n-max", "22"], "13,138,830", "10,000,000"),
+        (
+            ["--kind", "lemma-same-length", "--n-max", "4", "--p-max", "300000"],
+            "3 (p_max + 1) p(3) = 2,700,009",
+            "2,000,000 (p_max = 300000 is too large",
+        ),
+        (
+            ["--kind", "lemma-diff-length", "--n-max", "4", "--p-max", "1000000"],
+            "3 p_max pairs(3) = 12,000,000",
+            "10,000,000 (p_max = 1000000 is too large",
+        ),
     ],
 )
 def test_a_scan_over_its_budget_exits_1(capsys, argv, estimate, limit):

@@ -393,11 +393,9 @@ def test_majorization_compares_pairwise_exactly_where_log_concavity_fails(
         monkeypatch.setattr(scanner, "_part_counts", counts)
     sent = []
     monkeypatch.setattr(
-        scanner, "_majorization_pairs", lambda n, k_tuple: sent.append(n) or (0, [])
+        scanner, "_majorization_pairs", lambda n, k_tuple: sent.append(n) or []
     )
-    certified = scanner._certified_upto(k_tuple, 30)
-    for n in range(1, 31):
-        scanner._majorization_bucket(n, k_tuple=k_tuple, certified=certified)
+    verify_majorization(k_set, 30)
     expected = [
         n
         for n in range(1, 31)
@@ -623,6 +621,38 @@ def test_wall_time_covers_the_walk_of_every_k(monkeypatch):
     assert scan_conjecture({4, 5}, 9).wall_time_ms == 3000
 
 
+@pytest.mark.parametrize(
+    "scan, counter",
+    [
+        (lambda: verify_lemma_inequalities(9, 2, "diff_length"), "_diff_length_pairs"),
+        (lambda: verify_lemma_inequalities(9, 2, "same_length"), "_same_length_pairs"),
+        (lambda: verify_majorization({3}, 9), "_same_length_pairs"),
+        (lambda: scan_conjecture({4}, 9), "_same_length_pairs"),
+    ],
+    ids=["diff_length", "same_length", "majorization", "conjecture"],
+)
+def test_wall_time_covers_the_pair_count_of_every_n(monkeypatch, scan, counter):
+    # a clock that moves 1 s per closed-form pair count and not otherwise:
+    # the nine counts of pairs_checked fall inside the report's wall time
+    clock = [0.0]
+    real = getattr(scanner, counter)
+
+    def pairs(n):
+        clock[0] += 1.0
+        return real(n)
+
+    class Clock:
+        @staticmethod
+        def perf_counter():
+            return clock[0]
+
+    monkeypatch.setattr(scanner, counter, pairs)
+    monkeypatch.setattr(scanner, "time", Clock)
+    report = scan()
+    assert report.wall_time_ms == 9000
+    assert report.pairs_checked == sum(map(real, range(1, 10)))
+
+
 def test_conjecture_scan_refuses_more_than_five_million_partitions(monkeypatch):
     # p(71) = 4,697,205 and p(72) = 5,392,783; the refusal walks nothing
     def no_walk(*args):
@@ -656,7 +686,7 @@ def test_lemma_pair_counts_in_closed_form_match_the_oracle():
 def test_lemma_scans_refuse_more_than_ten_million_violations(monkeypatch, mode, largest, refused):
     # a lemma scan records at most 2 p_max + 1 violations per pair: the
     # refusal bounds them by 3 p_max per pair and scans nothing
-    def no_bucket(n, **kwargs):
+    def no_bucket(*args):
         pytest.fail("the scan ran a bucket of a refused n_max")
 
     monkeypatch.setattr(scanner, "_lemma_bucket", no_bucket)
@@ -667,9 +697,53 @@ def test_lemma_scans_refuse_more_than_ten_million_violations(monkeypatch, mode, 
     with pytest.raises(UsageError, match=rf"pairs\(10000000\) >= 3 p_max pairs\({largest + 1}\)"):
         verify_lemma_inequalities(10**7, 6, mode)
     # the bound grows with p_max: the refused n_max runs at p_max = 1
-    monkeypatch.setattr(scanner, "_lemma_bucket", lambda n, **kwargs: (0, []))
-    assert verify_lemma_inequalities(largest, 6, mode).pairs_checked == 0
-    assert verify_lemma_inequalities(largest + 1, 1, mode).pairs_checked == 0
+    monkeypatch.setattr(scanner, "_lemma_bucket", lambda *args: [])
+    assert verify_lemma_inequalities(largest, 6, mode).violations == ()
+    assert verify_lemma_inequalities(largest + 1, 1, mode).violations == ()
+
+
+def test_lemma_scans_refuse_more_than_two_million_held_ints(monkeypatch):
+    # a lemma bucket holds 3 (p_max + 1) shift-product ints per partition
+    # of n: p(8) = 22 gives 3 * 30,303 * 22 = 1,999,998 at p_max = 30,302
+    def no_bucket(*args):
+        pytest.fail("the scan ran a bucket of a refused input")
+
+    monkeypatch.setattr(scanner, "_lemma_bucket", no_bucket)
+    with pytest.raises(
+        UsageError,
+        match=r"n_max = 8, p_max = 30303 would hold 3 \(p_max \+ 1\) p\(8\) = 2,000,064 "
+        r"shift-product ints.* the limit is 2,000,000 \(n_max <= 7\)$",
+    ):
+        verify_lemma_inequalities(8, 30_303, "same_length")
+    # p(5) = 7 and p(4) = 5: n_max = 4 still runs at p_max = 100,000
+    with pytest.raises(UsageError, match=r"p\(5\) = 2,100,021 .*\(n_max <= 4\)$"):
+        verify_lemma_inequalities(5, 100_000, "diff_length")
+    monkeypatch.setattr(scanner, "_lemma_bucket", lambda *args: [])
+    assert verify_lemma_inequalities(8, 30_302, "same_length").violations == ()
+    assert verify_lemma_inequalities(4, 100_000, "diff_length").violations == ()
+
+
+@pytest.mark.parametrize(
+    "mode, p_max, refused",
+    [
+        # 3 p_max pairs(3) = 12,000,000 violations: no n_max >= 4 runs
+        ("diff_length", 10**6, r"3 p_max pairs\(4\) >= 3 p_max pairs\(3\) = 12,000,000"),
+        # one pair, but 3 (p_max + 1) p(3) = 2,700,009 held ints
+        ("same_length", 300_000, r"3 \(p_max \+ 1\) p\(4\) >= 3 \(p_max \+ 1\) p\(3\) = 2,700,009"),
+    ],
+)
+def test_a_lemma_refusal_below_n_max_4_names_p_max(mode, p_max, refused):
+    # the scan's least n_max is 4, so a limit reached below it is p_max's fault
+    with pytest.raises(
+        UsageError, match=rf"{refused} .*\(p_max = {p_max} is too large for every n_max >= 4\)$"
+    ):
+        verify_lemma_inequalities(4, p_max, mode)
+
+
+def test_a_lemma_refusal_at_n_max_5_names_n_max_4():
+    # 3 p_max pairs(4) = 4,680,000 runs; pairs(5) = 32 does not
+    with pytest.raises(UsageError, match=r"pairs\(5\) = 11,520,000 .*\(n_max <= 4\)$"):
+        verify_lemma_inequalities(5, 120_000, "diff_length")
 
 
 def test_majorization_scan_refuses_more_than_n_max_3000(monkeypatch):
@@ -679,7 +753,7 @@ def test_majorization_scan_refuses_more_than_n_max_3000(monkeypatch):
         pytest.fail("the scan worked on a refused n_max")
 
     monkeypatch.setattr(scanner, "_certified_upto", no_work)
-    monkeypatch.setattr(scanner, "_majorization_bucket", no_work)
+    monkeypatch.setattr(scanner, "_same_length_pairs", no_work)
     with pytest.raises(
         UsageError,
         match=r"n_max = 3001 would hold C\(3001 \+ 2, 2\) = 4,507,503 partition counts"
@@ -689,7 +763,7 @@ def test_majorization_scan_refuses_more_than_n_max_3000(monkeypatch):
     with pytest.raises(UsageError, match=r"C\(100000 \+ 2, 2\) >= C\(3001 \+ 2, 2\) = 4,507,503"):
         verify_majorization({3, 4}, 100_000)
     monkeypatch.setattr(scanner, "_certified_upto", lambda k_tuple, n_max: n_max)
-    monkeypatch.setattr(scanner, "_majorization_bucket", lambda n, **kwargs: (1, []))
+    monkeypatch.setattr(scanner, "_same_length_pairs", lambda n: 1)
     assert verify_majorization({3}, 3000).pairs_checked == 3000
 
 
@@ -742,12 +816,6 @@ def test_reports_are_deterministic_across_runs():
 
 
 def test_reports_are_deterministic_across_worker_counts():
-    r1 = scan_conjecture({4}, 9, workers=1)
-    r2 = scan_conjecture({4}, 9, workers=2)
-    assert r1.fingerprint() == r2.fingerprint()
-    m1 = verify_majorization({3}, 9, workers=1)
-    m2 = verify_majorization({3}, 9, workers=3)
-    assert m1.fingerprint() == m2.fingerprint()
     for mode in ("diff_length", "same_length"):
         l1 = verify_lemma_inequalities(9, 6, mode, workers=1)
         l2 = verify_lemma_inequalities(9, 6, mode, workers=2)
@@ -756,23 +824,23 @@ def test_reports_are_deterministic_across_worker_counts():
 
 def test_scans_refuse_fewer_than_one_worker():
     for workers in (0, -3):
-        with pytest.raises(UsageError):
-            verify_majorization({3}, 6, workers=workers)
+        with pytest.raises(UsageError, match=f"workers must be >= 1, got {workers}"):
+            verify_lemma_inequalities(6, 2, "same_length", workers=workers)
 
 
 SIZED_SCANS = {
     "lemma": lambda n_max=6, p_max=2, workers=1: verify_lemma_inequalities(
         n_max, p_max, "same_length", workers=workers
     ),
-    "majorization": lambda n_max=6, workers=1: verify_majorization({3}, n_max, workers=workers),
-    "conjecture": lambda n_max=6, workers=1: scan_conjecture({4}, n_max, workers=workers),
+    "majorization": lambda n_max=6: verify_majorization({3}, n_max),
+    "conjecture": lambda n_max=6: scan_conjecture({4}, n_max),
 }
 
 
 @pytest.mark.parametrize(
     "scan, size",
     [(scan, size) for scan in SIZED_SCANS for size in ("n_max", "p_max", "workers")
-     if scan == "lemma" or size != "p_max"],
+     if scan == "lemma" or size == "n_max"],
 )
 @pytest.mark.parametrize("bad", [True, False, 6.0, 2.5], ids=repr)
 def test_scans_refuse_sizes_that_are_not_plain_ints(scan, size, bad):
@@ -782,19 +850,22 @@ def test_scans_refuse_sizes_that_are_not_plain_ints(scan, size, bad):
 
 
 def test_no_scan_starts_a_pool(monkeypatch):
-    # workers= is checked and ignored: every scan runs serially
+    # the lemma scan's workers= is checked and ignored: every scan runs serially
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    for scan in (
-        lambda **kw: verify_lemma_inequalities(9, 6, "diff_length", **kw),
-        lambda **kw: verify_majorization({3, 4}, 9, **kw),
-        lambda **kw: scan_conjecture({4, 5}, 9, **kw),
-    ):
-        serial = scan(workers=1).fingerprint()
-        for workers in (2, 10**6):
-            assert scan(workers=workers).fingerprint() == serial
+    verify_majorization({3, 4}, 9)
+    scan_conjecture({4, 5}, 9)
+    serial = verify_lemma_inequalities(9, 6, "diff_length").fingerprint()
+    for workers in (2, 10**6):
+        assert verify_lemma_inequalities(9, 6, "diff_length", workers=workers).fingerprint() == serial
+
+
+def test_colour_scans_take_no_workers():
+    for scan in (verify_majorization, scan_conjecture):
+        with pytest.raises(TypeError, match="workers"):
+            scan({4}, 6, workers=1)
 
 
 def test_report_round_trip():

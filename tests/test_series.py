@@ -288,6 +288,14 @@ def test_equality_requires_same_context():
     assert euler_series(1, 3) != euler_series(1, 4)
 
 
+def test_repr_names_the_context_and_the_nonzero_terms():
+    # K3 up to t^2: 1; 1 + 22 z^2 + z^4; 1 + 23 z^2 + 276 z^4 + 23 z^6 + z^8
+    assert repr(poincare_series(CATALOG["k3"], 2)) == (
+        "TruncatedSeries(truncation=2, aux_count=1, nterms=9)"
+    )
+    assert repr(euler_series(24, 3)) == "TruncatedSeries(truncation=3, aux_count=0, nterms=4)"
+
+
 def test_a_term_map_is_not_a_series():
     # the constructor takes the lines GrowOnlyTable.series builds, not terms
     with pytest.raises(TypeError):
