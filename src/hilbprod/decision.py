@@ -4,9 +4,8 @@ Two products attached to distinct partitions of the same integer are compared
 in two complementary ways:
 
 * direct invariant comparison, tier by tier in straight-line code: the
-  Euler characteristic, the full Betti vector, then the ``h^{p,0}`` vector
-  when the surface has Hodge data (b0 = 1, with h10 and h20 given); the
-  first entry that differs is the witness and the actual certificate;
+  Euler characteristic, then the full Betti vector; the first entry that
+  differs is the witness and the actual certificate;
 * structural rules for the two rigid classes (K3 bases, and generalized
   Kummer varieties over an abelian base), where distinct partitions are never
   isomorphic by uniqueness of the decomposition into irreducible
@@ -39,8 +38,7 @@ from ._record import Record
 from .errors import DimensionMismatchError
 from .invariants import (
     euler_char_tuple,
-    has_hodge_data,
-    hodge_p0_tuple_vector,
+    hodge_p0_tuple_vector,  # noqa: F401  kept importable here: perfbench traces it
     poincare_polynomial_tuple,
 )
 from .partitions import Majorization, Partition, _majorizes_parts
@@ -348,35 +346,27 @@ _NOT_COMPLETE = (
 def _compare_invariants(
     s: SurfaceInvariants, a: Partition, b: Partition
 ) -> tuple[Witness | None, tuple[str, ...]]:
-    """The first entry that differs, tier by tier, or the notes of an unknown.
+    """The first entry that differs, Euler then Betti, or the notes of an unknown.
 
-    The Euler characteristic's witness has no index; the ``h^{p,0}`` tier
-    runs only where the surface has Hodge data.  Each tier's two values are
-    compared whole, and only the tier that differs is walked to its first
-    differing entry.  The invariant functions are read as module globals at
-    call time, so monkeypatching this module reaches them.
+    The Euler characteristic's witness has no index.  The Betti vectors are
+    compared whole, and only where they differ is the first differing degree
+    found.  No ``h^{p,0}`` tier follows: in the range README states, Euler
+    and Betti tie only on b0 = 1, b1 = 0, b2 = 1, where validity forces
+    h10 = h20 = 0, so every product there has the same ``h^{p,0}`` vector.
+    The invariant functions are read as module globals at call time, so
+    monkeypatching this module reaches them.
     """
     x, y = euler_char_tuple(s, a), euler_char_tuple(s, b)
     if x != y:
         return Witness("euler_characteristic", None, x, y), ()
-    invariant = "betti"
     x = poincare_polynomial_tuple(s, a).coefficients
     y = poincare_polynomial_tuple(s, b).coefficients
     if x == y:
-        if not has_hodge_data(s):
-            return None, (
-                "Euler and Betti data agree",
-                "Hodge comparison skipped: surface carries no h10/h20 data",
-                _NOT_COMPLETE,
-            )
-        invariant = "hodge_p0"
-        x, y = hodge_p0_tuple_vector(s, a), hodge_p0_tuple_vector(s, b)
-        if x == y:
-            return None, ("Euler, Betti and h^(p,0) data all agree", _NOT_COMPLETE)
+        return None, ("Euler and Betti data agree", _NOT_COMPLETE)
     i = 0
     while x[i] == y[i]:
         i += 1
-    return Witness(invariant, i, x[i], y[i]), ()
+    return Witness("betti", i, x[i], y[i]), ()
 
 
 def decide(s: SurfaceInvariants, a: Partition, b: Partition) -> Verdict:

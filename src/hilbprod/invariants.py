@@ -14,14 +14,14 @@ computed exactly by the grow-only tables of ``hilbprod.series``:
 
 Products of Hilbert schemes are handled through the Kuenneth rule: multiply
 the factors' Poincare (or ``h^{p,0}``) polynomials, which
-``GrowOnlyTable.product`` does in the table whose rows it multiplies.  Each
-tier keeps its product once per parts tuple, in the ``by_parts`` of the
-table of its own series, and only a miss multiplies: the Euler
-characteristic as an int, the Betti numbers as the one
-``PoincarePolynomial`` record that every later call returns, and the
-``h^{p,0}`` numbers as the product tuple, copied into a new list per call.
-Invariants that need Hodge data refuse when h10/h20 are absent instead of
-inventing values.
+``GrowOnlyTable.product`` does in the table whose rows it multiplies.  The
+two products ``decide`` compares are kept once per parts tuple, in the
+``by_parts`` of the table of their own series, and only a miss multiplies:
+the Euler characteristic as an int, and the Betti numbers as the one
+``PoincarePolynomial`` record that every later call returns.  The
+``h^{p,0}`` numbers of a product are multiplied on every call.  Invariants
+that need Hodge data refuse when h10/h20 are absent instead of inventing
+values.
 """
 
 from __future__ import annotations
@@ -198,18 +198,8 @@ def hodge_p0(s: SurfaceInvariants, n: int, p: int) -> int:
 
 
 def hodge_p0_tuple_vector(s: SurfaceInvariants, a: Partition) -> list[int]:
-    """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product.
-
-    The product tuple is stored per parts tuple in the ``by_parts`` of the
-    ``h^{p,0}`` table whose rows it multiplies; only a miss multiplies them.
-    Each call returns a new list.
-    """
-    h10, h20 = require_hodge_data(s)
-    table = hodge_p0_table(h10, h20)
-    vector = table.by_parts.get(a.parts)
-    if vector is None:
-        vector = table.by_parts.setdefault(a.parts, table.product(a.parts))
-    return list(vector)
+    """All ``h^{p,0}`` of the product, p = 0..2n, via the Kuenneth product."""
+    return list(hodge_p0_table(*require_hodge_data(s)).product(a.parts))
 
 
 class HodgeDiamond(Record):

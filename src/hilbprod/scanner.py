@@ -586,6 +586,13 @@ def _majorization_pairs(n: int, k_tuple: tuple[int, ...]) -> list[Violation]:
     return violations
 
 
+def _majorization_buckets(k_tuple: tuple[int, ...], n_max: int) -> Iterator[list[Violation]]:
+    """The violations of each n above the certified one, in order; the
+    certificate runs on the first draw, so ``_scan``'s clock covers it."""
+    for n in range(_certified_upto(k_tuple, n_max) + 1, n_max + 1):
+        yield _majorization_pairs(n, k_tuple)
+
+
 def _conjecture_buckets(k_tuple: tuple[int, ...], n_max: int) -> Iterator[list[Violation]]:
     """The collisions of each n = 1..n_max, in order, all read off the
     partitions of ``n_max``.
@@ -842,12 +849,11 @@ def verify_majorization(k_set: Iterable[int], n_max: int) -> ScanReport:
         "C({} + 2, 2)",
         f"the majorization scan at n_max = {n_max} would hold {{}} partition counts p(m, r)",
     )
-    certified = _certified_upto(k_tuple, n_max)
     return _scan(
         "majorization",
         (("k_set", k_tuple), ("n_max", n_max)),
         _same_length_pairs,
-        (_majorization_pairs(n, k_tuple) for n in range(certified + 1, n_max + 1)),
+        _majorization_buckets(k_tuple, n_max),
     )
 
 

@@ -64,6 +64,26 @@ def test_decide_human_output_names_an_euler_witness_without_an_index(capsys):
     assert "at index" not in out
 
 
+def test_decide_p2_unit_pair_is_unknown_with_two_notes(capsys):
+    # Euler and Betti tie on P^2 at (1,1) vs (2), and no tier follows them
+    argv = ["decide", "--surface", "del_pezzo", "--params", "d=9", "--a", "1,1", "--b", "2"]
+    notes = [
+        "Euler and Betti data agree",
+        "computed invariants do not separate the products; they are not "
+        "complete invariants, so no isomorphism is asserted either",
+    ]
+    code, out, _ = run(capsys, *argv, "--output-format", "structured")
+    assert code == 0
+    verdict = json.loads(out)
+    assert (verdict["outcome"], verdict["witness"], verdict["notes"]) == ("unknown", None, notes)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert "outcome: unknown" in lines
+    assert not any(line.startswith("witness") for line in lines)
+    assert [line for line in lines if line.startswith("note: ")] == [f"note: {n}" for n in notes]
+
+
 def test_decide_dimension_mismatch_exit_1(capsys):
     code, _, err = run(capsys, "decide", "--surface", "k3", "--a", "1,2", "--b", "2,2")
     assert code == 1

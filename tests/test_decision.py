@@ -261,7 +261,6 @@ def test_unknown_when_invariants_tie(monkeypatch):
         "poincare_polynomial_tuple",
         lambda s, a: poincare_polynomial_tuple(QUINTIC, Partition((1, 1))),
     )
-    monkeypatch.setattr(decision, "hodge_p0_tuple_vector", lambda s, a: [1, 0, 0, 0, 0])
     surface = SurfaceInvariants("stub", 1, 2, 2, 0, h10=1, h20=0)
     v = decide(surface, Partition((1, 1)), Partition((2,)))
     assert v.outcome is Outcome.UNKNOWN
@@ -269,34 +268,24 @@ def test_unknown_when_invariants_tie(monkeypatch):
     assert any("not" in note for note in v.notes)
 
 
-def test_hodge_p0_tier_witnesses_its_first_difference(monkeypatch):
-    # no catalog pair reaches h^{p,0}: tie Euler and Betti so that tier decides
-    monkeypatch.setattr(decision, "euler_char_tuple", lambda s, a: 0)
-    monkeypatch.setattr(
-        decision,
-        "poincare_polynomial_tuple",
-        lambda s, a: poincare_polynomial_tuple(QUINTIC, Partition((1, 1))),
-    )
-    vectors = {(1, 1): [1, 0, 2, 0, 1], (2,): [1, 0, 3, 0, 1]}
-    monkeypatch.setattr(decision, "hodge_p0_tuple_vector", lambda s, a: vectors[a.parts])
-    surface = SurfaceInvariants("stub", 1, 2, 2, 0, h10=1, h20=0)
-    v = decide(surface, Partition((1, 1)), Partition((2,)))
-    assert v.outcome is Outcome.NON_ISOMORPHIC
-    assert v.witness == decision.Witness("hodge_p0", 2, 2, 3)
-    assert v.notes == ()
-
-
 def test_unknown_notes_hodge_skip(monkeypatch):
+    # decide has no h^{p,0} tier and reads no Hodge data: a base with
+    # h10/h20 and one without give the same two notes
     monkeypatch.setattr(decision, "euler_char_tuple", lambda s, a: 5)
     monkeypatch.setattr(
         decision,
         "poincare_polynomial_tuple",
         lambda s, a: poincare_polynomial_tuple(QUINTIC, Partition((1, 1))),
     )
-    surface = SurfaceInvariants("stub", 1, 0, 4, 6)  # no Hodge data
-    v = decide(surface, Partition((1, 1)), Partition((2,)))
-    assert v.outcome is Outcome.UNKNOWN
-    assert any("Hodge comparison skipped" in note for note in v.notes)
+    notes = []
+    for surface in (
+        SurfaceInvariants("stub", 1, 0, 4, 6),  # no Hodge data
+        SurfaceInvariants("stub", 1, 0, 4, 6, h10=0, h20=1),
+    ):
+        v = decide(surface, Partition((1, 1)), Partition((2,)))
+        assert v.outcome is Outcome.UNKNOWN and v.witness is None
+        notes.append(v.notes)
+    assert notes == [("Euler and Betti data agree", decision._NOT_COMPLETE)] * 2
 
 
 def oracle_witness(
@@ -348,6 +337,46 @@ def test_verdicts_follow_the_first_oracle_difference():
                 tiers[expected.invariant if expected else None] += 1
     # both comparison tiers decide pairs here; no pair reaches h^{p,0} or Unknown
     assert set(tiers) == {"euler_characteristic", "betti"}
+
+
+def test_betti_ties_lie_on_one_base_where_the_hodge_p0_vectors_agree():
+    # why decide has no h^{p,0} tier, in a finite range: on connected bases
+    # with b1 in {0, 2, 4, 6, 8} and 1 <= b2 <= 40, two partitions of the
+    # same n <= 12 with equal Betti vectors (so equal Euler characteristics)
+    # occur only on (b1, b2) = (0, 1), and there every valid h20 gives them
+    # equal h^{p,0} vectors.  Nothing is asserted outside this range.  Equal
+    # Betti vectors have equal values at z = 2, so only partitions sharing
+    # that value are multiplied out
+    partitions = [a.parts for n in range(1, 13) for a in enumerate_partitions(n)]
+    tied_pairs = collections.Counter()
+    for b1, b2 in itertools.product(range(0, 10, 2), range(1, 41)):
+        rows = betti_table(1, b1, b2).rows_upto(12)
+        at_two = [sum(c << i for i, c in enumerate(row)) for row in rows]
+        sieve = collections.defaultdict(list)
+        for parts in partitions:
+            sieve[sum(parts), prod(at_two[part] for part in parts)].append(parts)
+        for candidates in sieve.values():
+            if len(candidates) < 2:
+                continue
+            classes = collections.defaultdict(list)
+            for parts in candidates:
+                classes[tuple(dense_kuenneth([rows[part] for part in parts]))].append(parts)
+            for members in classes.values():
+                if len(members) < 2:
+                    continue
+                assert (b1, b2) == (0, 1), members
+                tied_pairs[b1, b2] += comb(len(members), 2)
+                hodge = valid_only((1, b1, b2, b1 // 2, h20) for h20 in range(b2 + 1))
+                assert hodge, (b1, b2)
+                for s in hodge:
+                    hodge_rows = hodge_p0_table(s.h10, s.h20).rows_upto(12)
+                    vectors = {
+                        tuple(dense_kuenneth([hodge_rows[part] for part in parts]))
+                        for parts in members
+                    }
+                    assert len(vectors) == 1, (s.h20, members)
+    # the 253 Betti-equal pairs of P^2 at n <= 12
+    assert tied_pairs == {(0, 1): 253}
 
 
 def test_decide_order_never_changes_a_verdict(monkeypatch):

@@ -584,41 +584,6 @@ def test_fresh_tables_empty_the_poincare_memo(monkeypatch):
     assert after == before and after is not before
 
 
-def test_hodge_p0_memo_multiplies_each_parts_tuple_once(monkeypatch):
-    fresh_tables(monkeypatch)
-    calls: list[tuple[GrowOnlyTable, tuple[int, ...]]] = []
-    real = GrowOnlyTable.product
-
-    def counted(table, parts):
-        calls.append((table, parts))
-        return real(table, parts)
-
-    monkeypatch.setattr(GrowOnlyTable, "product", counted)
-    partitions = [a for n in range(1, 11) for a in enumerate_partitions(n)]
-    for s in (ABELIAN, K3):
-        table = hodge_p0_table(s.h10, s.h20)
-        rows = table.rows_upto(10)
-        calls.clear()
-        first = [hodge_p0_tuple_vector(s, a) for a in partitions]
-        assert calls == [(table, a.parts) for a in partitions]
-        assert first == [dense_kuenneth([rows[part] for part in a.parts]) for a in partitions]
-        calls.clear()
-        assert [hodge_p0_tuple_vector(s, Partition(a.parts)) for a in partitions] == first
-        assert calls == []
-        assert set(table.by_parts) == {a.parts for a in partitions}
-        assert all(table.by_parts[a.parts] == tuple(v) for a, v in zip(partitions, first))
-
-
-def test_fresh_tables_empty_the_hodge_p0_memo(monkeypatch):
-    a = Partition((1, 2, 3))
-    before = hodge_p0_tuple_vector(K3, a)
-    assert hodge_p0_table(K3.h10, K3.h20).by_parts[a.parts] == tuple(before)
-    fresh_tables(monkeypatch)
-    assert not hodge_p0_table(K3.h10, K3.h20).by_parts
-    assert hodge_p0_tuple_vector(K3, a) == before
-    assert set(hodge_p0_table(K3.h10, K3.h20).by_parts) == {a.parts}
-
-
 def test_decide_on_negative_chi_matches_a_pairwise_oracle(monkeypatch):
     # ruled g = 2 has chi = -4, so its Euler rows are negative and the
     # Kuenneth packing refuses them: the memo must hold those products itself
@@ -820,10 +785,10 @@ def test_threads_share_a_fresh_table():
 
 
 def test_threads_share_a_fresh_hodge_p0_table(monkeypatch):
-    # the b0 = 2 base above has no Hodge data: the h^(p,0) tier needs b0 = 1
+    # the b0 = 2 base above has no Hodge data: h^(p,0) needs b0 = 1
     fresh_tables(monkeypatch)
     table = hodge_p0_table(ABELIAN.h10, ABELIAN.h20)
-    assert len(table.rows) == 1 and not table._packed and not table.by_parts
+    assert len(table.rows) == 1 and not table._packed
     partitions = [p for n in range(1, 11) for p in enumerate_partitions(n)]
     results: list = [None] * 4
 
@@ -834,5 +799,3 @@ def test_threads_share_a_fresh_hodge_p0_table(monkeypatch):
     rows = table.rows_upto(10)
     expected = [dense_kuenneth([rows[part] for part in a.parts]) for a in partitions]
     assert results == [expected] * len(results)
-    assert set(table.by_parts) == {a.parts for a in partitions}
-    assert all(table.by_parts[a.parts] == tuple(v) for a, v in zip(partitions, expected))

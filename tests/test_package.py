@@ -93,7 +93,7 @@ def test_every_imported_name_is_used():
                     marked = "# noqa: F401" in lines[alias.lineno - 1]
                     (kept if marked else unused).append(f"{path.name}:{name}")
     assert unused == []
-    assert kept == ["scanner.py:colored_count_tuple"]
+    assert kept == ["decision.py:hodge_p0_tuple_vector", "scanner.py:colored_count_tuple"]
 
 
 def test_every_private_helper_has_a_caller():

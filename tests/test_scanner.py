@@ -601,24 +601,37 @@ def test_conjecture_scan_memory_does_not_grow_with_the_k_set():
     assert peak({4, 5, 6}) <= 1.3 * peak({4})
 
 
-def test_wall_time_covers_the_walk_of_every_k(monkeypatch):
-    # a clock that moves 1.5 s per walk and not otherwise: the walks run
-    # between the two readings of the driver, and the report counts ms
+def tick_per_call(monkeypatch, name: str, seconds: float):
+    """Give the scanner a clock that moves ``seconds`` per call of
+    ``scanner.<name>`` and not otherwise; returns the real function."""
     clock = [0.0]
-    real = scanner._products_by_length
+    real = getattr(scanner, name)
 
-    def walk(n, c):
-        clock[0] += 1.5
-        return real(n, c)
+    def ticking(*args):
+        clock[0] += seconds
+        return real(*args)
 
     class Clock:
         @staticmethod
         def perf_counter():
             return clock[0]
 
-    monkeypatch.setattr(scanner, "_products_by_length", walk)
+    monkeypatch.setattr(scanner, name, ticking)
     monkeypatch.setattr(scanner, "time", Clock)
+    return real
+
+
+def test_wall_time_covers_the_walk_of_every_k(monkeypatch):
+    # the walks run between the two readings of the driver, and the report
+    # counts ms
+    tick_per_call(monkeypatch, "_products_by_length", 1.5)
     assert scan_conjecture({4, 5}, 9).wall_time_ms == 3000
+
+
+def test_wall_time_covers_the_majorization_certificate(monkeypatch):
+    # the certificate runs between the two readings of the driver
+    tick_per_call(monkeypatch, "_certified_upto", 1.0)
+    assert verify_majorization({3, 4, 5}, 9).wall_time_ms == 1000
 
 
 @pytest.mark.parametrize(
@@ -632,22 +645,9 @@ def test_wall_time_covers_the_walk_of_every_k(monkeypatch):
     ids=["diff_length", "same_length", "majorization", "conjecture"],
 )
 def test_wall_time_covers_the_pair_count_of_every_n(monkeypatch, scan, counter):
-    # a clock that moves 1 s per closed-form pair count and not otherwise:
-    # the nine counts of pairs_checked fall inside the report's wall time
-    clock = [0.0]
-    real = getattr(scanner, counter)
-
-    def pairs(n):
-        clock[0] += 1.0
-        return real(n)
-
-    class Clock:
-        @staticmethod
-        def perf_counter():
-            return clock[0]
-
-    monkeypatch.setattr(scanner, counter, pairs)
-    monkeypatch.setattr(scanner, "time", Clock)
+    # the nine closed-form counts of pairs_checked fall inside the report's
+    # wall time
+    real = tick_per_call(monkeypatch, counter, 1.0)
     report = scan()
     assert report.wall_time_ms == 9000
     assert report.pairs_checked == sum(map(real, range(1, 10)))

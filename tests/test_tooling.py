@@ -71,12 +71,13 @@ def test_a_tracer_installs_and_removes_every_trace_point():
 @pytest.mark.parametrize(
     "surface, a, b, invariant, tiers_run",
     [
-        # Euler separates: neither later tier runs
+        # Euler separates: the Betti tier does not run
         (("enriques", None), (1, 3), (2, 2), "euler_characteristic", 1),
-        # Betti separates at degree 3: the h^{p,0} tier does not run
+        # Betti separates at degree 3
         (("abelian", None), (2, 4), (3, 3), "betti", 2),
-        # P^2: every tier ties, so all three run and the verdict is unknown
-        (("del_pezzo", {"d": 9}), (1, 1), (2,), None, 3),
+        # P^2: both tiers tie and the verdict is unknown; decide has no
+        # h^{p,0} tier, so its span sees no call
+        (("del_pezzo", {"d": 9}), (1, 1), (2,), None, 2),
     ],
 )
 def test_the_decision_trace_points_see_each_tier_that_runs(surface, a, b, invariant, tiers_run):
