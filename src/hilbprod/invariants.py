@@ -62,22 +62,16 @@ __all__ = [
 # -- Poincare side -------------------------------------------------------------
 
 
-def poincare_series(
-    s: SurfaceInvariants, truncation: int, *, z_cap: int | None = None
-) -> TruncatedSeries:
+def poincare_series(s: SurfaceInvariants, truncation: int) -> TruncatedSeries:
     """Betti generating series of the surface's Hilbert schemes of points.
 
     The coefficient of ``z^k t^n`` is the k-th Betti number of the n-point
-    Hilbert scheme, for every n up to the truncation order.  ``z_cap``
-    (>= 0) optionally drops all z-degrees above the cap from the returned
-    terms; the surviving coefficients are exact.
+    Hilbert scheme, for every n up to the truncation order.
     """
     require_plain_ints(truncation=truncation)
-    if z_cap is not None:
-        require_plain_ints(z_cap=z_cap)
     if truncation < 1:
         raise UsageError(f"truncation must be >= 1, got {truncation}")
-    return betti_table(s.b0, s.b1, s.b2).series(truncation, cap=z_cap)
+    return betti_table(s.b0, s.b1, s.b2).series(truncation)
 
 
 def euler_series(chi: int, truncation: int) -> TruncatedSeries:

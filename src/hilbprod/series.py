@@ -35,8 +35,7 @@ it from its last row.  No table is ever replaced.
 ``GrowOnlyTable.series`` returns rows 0..N of a table as a
 ``TruncatedSeries``, the read-only result of ``poincare_series``,
 ``euler_series`` and ``hodge_p0_series``: a view of the rows' lines, one
-tuple per t-degree (capped in z on request, trailing zeros stripped),
-truncated in t only.  It is the one builder of series, so a series has one
+tuple per t-degree (trailing zeros stripped), truncated in t only.  It is the one builder of series, so a series has one
 form.  The package never multiplies series; the test oracle multiplies
 term maps.
 
@@ -234,23 +233,20 @@ class GrowOnlyTable:
         size = sum([len(rows[part]) for part in parts]) - len(parts) + 1
         return tuple(_unpack(value, size, w))
 
-    def series(self, truncation: int, *, cap: int | None = None) -> TruncatedSeries:
+    def series(self, truncation: int) -> TruncatedSeries:
         """Rows 0..truncation as a series.
 
-        The series holds each row's line as a tuple, cut after degree ``cap``
-        and stripped of trailing zeros; nothing is copied term by term.
+        The series holds each row's line as a tuple stripped of trailing
+        zeros; nothing is copied term by term.
         """
-        if cap is not None and cap < 0:
-            raise UsageError(f"degree cap must be >= 0, got {cap}")
         rows = self.rows_upto(truncation)
-        end = sys.maxsize if cap is None else cap + 1
-        lines = tuple([_stripped(rows[n], end) for n in range(truncation + 1)])
+        lines = tuple([_stripped(rows[n]) for n in range(truncation + 1)])
         return TruncatedSeries(truncation, self.aux_count, lines)
 
 
-def _stripped(line: list[int], end: int) -> tuple[int, ...]:
-    """``line[:end]`` as a tuple, without its trailing zeros (one copy of the line)."""
-    end = min(end, len(line))
+def _stripped(line: list[int]) -> tuple[int, ...]:
+    """``line`` as a tuple, without its trailing zeros (one copy of the line)."""
+    end = len(line)
     while end and not line[end - 1]:
         end -= 1
     return tuple(line) if end == len(line) else tuple(line[:end])

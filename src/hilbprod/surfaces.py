@@ -389,10 +389,6 @@ def load_catalog(path: str | Path | None = None) -> Catalog:
     return _catalog_from_dict(data, str(p))
 
 
-def catalog_lookup(
-    name: str,
-    params: Mapping[str, int] | None = None,
-    catalog: Catalog | None = None,
-) -> SurfaceInvariants:
-    """Look up a surface by catalog name, instantiating family parameters."""
-    return (catalog or load_catalog()).lookup(name, params)
+def catalog_lookup(name: str, params: Mapping[str, int] | None = None) -> SurfaceInvariants:
+    """Look up a surface in ``load_catalog()`` by name, instantiating family parameters."""
+    return load_catalog().lookup(name, params)

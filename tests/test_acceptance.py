@@ -79,7 +79,7 @@ def test_criterion_1_closed_forms_vs_series():
     assert len(surfaces) == len(catalog) + 45
     with criterion(1, "closed-form vs series oracle, n <= 25", 10.0):
         for b0, b1, b2 in numbers:
-            series = betti_table(b0, b1, b2).series(25, cap=2)
+            series = betti_table(b0, b1, b2).series(25)
             for n in range(1, 26):
                 assert series.coeff(Exponent(n, (0,))) == comb(
                     n + b0 - 1, b0 - 1

@@ -29,7 +29,7 @@ from hilbprod.partitions import Partition, colored_count, colored_count_tuple, e
 from hilbprod.series import Exponent, GrowOnlyTable, betti_table, euler_table, hodge_p0_table
 from hilbprod.surfaces import SurfaceInvariants, catalog_lookup, load_catalog
 from conftest import fresh_tables, race, synthetic, valid_only
-from product_oracle import dense_kuenneth
+from product_oracle import dense_kuenneth, poincare_product
 
 K3 = catalog_lookup("k3")
 ABELIAN = catalog_lookup("abelian")
@@ -81,14 +81,6 @@ def test_poincare_series_abelian_b1_stable():
         assert series.coeff(Exponent(n, (1,))) == 4
 
 
-def test_poincare_series_z_cap_is_exact():
-    full = poincare_series(ENRIQUES, 6)
-    capped = poincare_series(ENRIQUES, 6, z_cap=2)
-    for n in range(1, 7):
-        for k in range(3):
-            assert capped.coeff(Exponent(n, (k,))) == full.coeff(Exponent(n, (k,)))
-
-
 def test_betti_closed_examples():
     assert betti_closed(synthetic(3, 0, 3), 2, 0) == comb(4, 2) == 6
     for n in (1, 3, 7):
@@ -99,15 +91,20 @@ def test_betti_closed_examples():
 
 
 def test_betti_closed_vs_series_oracle():
+    # degrees 0..2 of the full series: the closed forms, and the direct
+    # expansion cut at z^2
     surfaces = load_catalog().representatives()
     for s in surfaces:
-        series = poincare_series(s, 20, z_cap=2)
+        lines = poincare_series(s, 20).lines
+        low = {(n, (j,)): c for n, line in enumerate(lines) for j, c in enumerate(line[:3]) if c}
+        assert low == poincare_product(s.b0, s.b1, s.b2, 20, 2), s.name
         for n in range(1, 21):
-            assert series.coeff(Exponent(n, (0,))) == betti_closed(s, n, 0), s.name
-            assert series.coeff(Exponent(n, (1,))) == betti_closed(s, n, 1), s.name
+            b0, b1, b2 = lines[n][:3]
+            assert b0 == betti_closed(s, n, 0), s.name
+            assert b1 == betti_closed(s, n, 1), s.name
             expected_b2 = betti_closed(s, n, 2)
             if expected_b2 is not None:
-                assert series.coeff(Exponent(n, (2,))) == expected_b2, s.name
+                assert b2 == expected_b2, s.name
 
 
 # -- Poincare polynomials of products --------------------------------------------
@@ -253,14 +250,6 @@ def test_hodge_p0_series_refuses_negative_hodge_numbers():
         with pytest.raises(DataError, match="h10 and h20 must be >= 0"):
             hodge_p0_series(h10, h20, 3)
     assert len(hodge_p0_series(0, 0, 3)) == 4  # zero is valid: 1 + t + t^2 + t^3
-
-
-def test_poincare_series_refuses_negative_z_cap():
-    # a negative cap used to return an empty series, without even the constant 1
-    for cap in (-1, -5):
-        with pytest.raises(UsageError, match="cap must be >= 0"):
-            poincare_series(K3, 4, z_cap=cap)
-    assert poincare_series(K3, 4, z_cap=0).coeff(Exponent(0, (0,))) == 1
 
 
 # the h^{n+1,0} gap between the m-point and n-point schemes, 1 <= n < m,

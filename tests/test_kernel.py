@@ -59,9 +59,6 @@ def test_betti_kernel_matches_oracle(b0, b1, b2):
     # most of these numbers belong to no valid surface, so the table is read directly
     table = series.betti_table(b0, b1, b2)
     assert term_map(table.series(6)) == poincare_product(b0, b1, b2, 6)
-    for cap in (0, 2, 5):
-        capped = table.series(6, cap=cap)
-        assert term_map(capped) == poincare_product(b0, b1, b2, 6, cap)
 
 
 @pytest.mark.parametrize("chi", [-6, -4, -1, 0, 1, 2, 3, 12, 24])
@@ -193,20 +190,20 @@ def test_the_series_module_keeps_only_its_tables():
     }
 
 
-def row_terms(table, truncation: int, cap: int | None = None) -> dict:
+def row_terms(table, truncation: int) -> dict:
     """The nonzero coefficients of rows 0..truncation as a term map."""
     return {
         (n, (j,)[:table.aux_count]): c
         for n in range(truncation + 1)
         for j, c in enumerate(table.rows_upto(n)[n])
-        if c and (cap is None or j <= cap)
+        if c
     }
 
 
-def assert_series_of(built, table, truncation: int, cap: int | None = None) -> None:
+def assert_series_of(built, table, truncation: int) -> None:
     """``built`` holds the rows' terms, in lines without trailing zeros."""
     assert (built.truncation, built.aux_count) == (truncation, table.aux_count)
-    assert term_map(built) == row_terms(table, truncation, cap)
+    assert term_map(built) == row_terms(table, truncation)
     assert len(built) == len(term_map(built))
     assert all(not line or line[-1] for line in built.lines)
 
@@ -217,9 +214,7 @@ def test_series_match_the_row_terms(truncation):
         assert_series_of(euler_series(chi, truncation), series.euler_table(chi), truncation)
     for s in CATALOG:
         table = series.betti_table(s.b0, s.b1, s.b2)
-        for cap in (None, 0, 3):
-            built = poincare_series(s, truncation, z_cap=cap)
-            assert_series_of(built, table, truncation, cap)
+        assert_series_of(poincare_series(s, truncation), table, truncation)
     for s in HODGE_SURFACES:
         built = hodge_p0_series(s.h10, s.h20, truncation)
         assert_series_of(built, series.hodge_p0_table(s.h10, s.h20), truncation)
@@ -499,7 +494,6 @@ def _outputs(order, s, diamond):
             colored_count(s.chi, n),
             hodge_p0_series(s.h10, s.h20, n),
             hodge_polynomial_full(diamond, n).entries(),
-            poincare_series(s, n, z_cap=3),
         )
     return out
 
@@ -558,7 +552,7 @@ def test_a_float_or_bool_argument_is_refused_by_a_warm_table(monkeypatch):
     fresh_tables(monkeypatch)
     a = Partition((2, 3))
     k3 = next(s for s in CATALOG if s.name == "k3")
-    poincare_series(k3, 3, z_cap=1)
+    poincare_series(k3, 3)
     assert (colored_count(1, 5), colored_count_tuple(1, a)) == (7, 6)
     euler_series(3, 4)
     hodge_p0_series(2, 1, 4)
@@ -574,9 +568,6 @@ def test_a_float_or_bool_argument_is_refused_by_a_warm_table(monkeypatch):
     for call, args in refused:
         with pytest.raises(UsageError, match="plain int"):
             call(*args)
-    for z_cap in (True, 2.0):
-        with pytest.raises(UsageError, match="plain int"):
-            poincare_series(k3, 3, z_cap=z_cap)
 
 
 def test_the_table_functions_check_their_keys_on_every_call(monkeypatch):

@@ -268,7 +268,7 @@ def test_custom_catalog_file(tmp_path, monkeypatch):
     }
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(custom))
-    s = catalog_lookup("my_surface", catalog=load_catalog(path))
+    s = load_catalog(path).lookup("my_surface")
     assert (s.b0, s.b1, s.b2, s.chi) == (1, 0, 4, 6)
     monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
     assert load_catalog().names() == ["my_surface"]
