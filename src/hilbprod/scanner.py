@@ -63,7 +63,10 @@ Each scan refuses, before any work, an input whose cost estimated in closed
 form exceeds a fixed budget (``_refuse_above``): the conjecture scan by
 p(n_max), the majorization scan by the counts p(m, r) it holds, and the
 lemma scans by 3 p_max violations per pair and by the 3 (p_max + 1)
-shift-product ints a bucket holds per partition.  No option lifts a budget.
+shift-product ints a bucket holds per partition.  The conjecture scan also
+counts, after its walks and before it makes any pair, the collisions it
+would list, exactly (``_count_collisions``), and refuses more than
+1,000,000 through the same ``_refuse_above``.  No option lifts a budget.
 
 A ``ScanReport`` refuses, when it is built, violations whose numbers are not
 plain ints or whose parts are not tuples; each of its three exports writes
@@ -75,6 +78,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from itertools import accumulate, chain, combinations, count, islice, product
 from math import comb, prod
 from pathlib import Path
@@ -604,27 +608,40 @@ def _conjecture_buckets(k_tuple: tuple[int, ...], n_max: int) -> Iterator[list[V
     them, of ``n_max - u``, does.  So each k's walk of ``n_max``
     (``_products_by_length``) is the only one, and its values are dropped
     before the next k's: a length bucket holding some value twice is
-    grouped into classes of equal value, and the pairs inside each class
-    are the collisions of ``n_max``, at positions i < j of the
-    lexicographic bucket.  Sorted by (length, i, j, k), the order of a loop
-    over each bucket's combinations, they name their parts tuples from
+    grouped into classes of equal value, and the class positions are kept,
+    with the collisions they give at each n counted by ``_count_collisions``.
+    A scan that would list more than ``_COLLISION_LIMIT`` of them is refused
+    there, before any pair is made.  Otherwise the pairs inside each class
+    are the collisions of ``n_max``, at positions i < j of the lexicographic
+    bucket.  Sorted by (length, i, j, k), the order of a loop over each
+    bucket's combinations, they name their parts tuples from
     ``parts_by_length(n_max)``, built only when there is a collision.  The
     collisions of ``n = n_max - u`` are those whose sides share u unit
     parts, with the parts sliced off: slicing u leading units keeps the
     order, and the value is recomputed over the sliced parts.
     """
-    found = []
+    classes = []  # (length, k, positions) of every class with two or more members
+    listed = [0] * (n_max + 1)  # the collisions the scan lists at each n
     for k in k_tuple:
         for r, values in enumerate(_products_by_length(n_max, _part_counts(k, n_max))):
             if len(set(values)) < len(values):
-                classes: dict[int, list[int]] = {}
+                by_value: dict[int, list[int]] = {}
                 for i, value in enumerate(values):
-                    classes.setdefault(value, []).append(i)
-                found += [
-                    (r, i, j, k)
-                    for members in classes.values()
-                    for i, j in combinations(members, 2)
-                ]
+                    by_value.setdefault(value, []).append(i)
+                shared = [members for members in by_value.values() if len(members) > 1]
+                _count_collisions(listed, n_max, r, shared)
+                classes += [(r, k, members) for members in shared]
+    _refuse_above(
+        n_max,
+        accumulate(listed[1:]),
+        _COLLISION_LIMIT,
+        "collisions({})",
+        f"the conjecture scan at n_max = {n_max} would list {{}} collisions, "
+        "collisions(n) its collisions up to n",
+    )
+    found = [
+        (r, i, j, k) for r, k, members in classes for i, j in combinations(members, 2)
+    ]
     by_n: list[list[Violation]] = [[] for _ in range(n_max + 1)]
     if found:
         buckets = parts_by_length(n_max)
@@ -644,6 +661,29 @@ def _conjecture_buckets(k_tuple: tuple[int, ...], n_max: int) -> Iterator[list[V
                     ))
                 )
     yield from by_n[1:]
+
+
+def _count_collisions(
+    listed: list[int], n_max: int, r: int, classes: list[list[int]]
+) -> None:
+    """Add to ``listed[n]`` the collisions the ``classes`` of length bucket r
+    of ``n_max`` give at each n, without making a pair.
+
+    The partitions of ``n_max`` with r parts, at least u of them units, are
+    ``(1^u)`` before a partition of ``n_max - u`` into r - u parts, so they
+    are the first ``p(n_max - u, r - u)`` of the lexicographic bucket.  A
+    class whose first c positions lie below that lists ``C(c, 2)`` pairs at
+    ``n = n_max - u``: two members share u unit parts exactly when both
+    have u.  c only falls as u grows, so each class stops at its first
+    c < 2.
+    """
+    firsts = [_length_counts(n_max - u)[r - u] for u in range(r + 1)]
+    for members in classes:
+        for u, first in enumerate(firsts):
+            c = bisect_left(members, first)
+            if c < 2:
+                break
+            listed[n_max - u] += c * (c - 1) // 2
 
 
 def _unit_tails(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -669,6 +709,10 @@ _VIOLATION_LIMIT = 10_000_000
 # partition of n: same_length just under it, at (n_max, p_max) = (4, 133,332),
 # (8, 30,300) and (10, 15,290), peaks at 113-118 MB in 0.7-2.8 s
 _HELD_LIMIT = 2_000_000
+# collisions the conjecture scan lists, one Violation each, counted after
+# the walk: k = 1 at n_max = 48 lists 953,780 and peaks at about 370 MB in
+# 11 s, k = 0 at n_max = 26 lists 718,576 at about 190 MB
+_COLLISION_LIMIT = 1_000_000
 
 
 def _refuse_above(
@@ -861,14 +905,18 @@ def scan_conjecture(k_set: Iterable[int], n_max: int) -> ScanReport:
     """Record coloured-count collisions on distinct same-length pairs.
 
     Purely exploratory: any k (including 1, 2, 3) is accepted and collisions
-    are reported as findings with full witnesses, never raised.
+    are reported as findings with full witnesses, never raised, up to the
+    collision limit below.
 
     Only the partitions of ``n_max`` are walked, once per k: two partitions
     of n collide exactly when they do with u unit parts added to both
     (``c_k(1) = k``), so each smaller n's collisions are those of ``n_max``
     with u = n_max - n shared unit parts sliced off.  An ``n_max`` with
     more than 5,000,000 partitions (``n_max > 71``) is refused before any
-    walk, with the count and the limit in the message.
+    walk, and a scan that would list more than 1,000,000 collisions after
+    the walk, before any pair is made (k = 0 above ``n_max = 26``, where
+    every same-length pair collides; k = 1 above 48); each message holds
+    the count and the limit.
     """
     require_plain_ints(n_max=n_max)
     k_tuple = _k_tuple(k_set)

@@ -555,6 +555,11 @@ def test_a_conjecture_scan_over_the_partition_limit_exits_1(capsys):
             "3 p_max pairs(3) = 12,000,000",
             "10,000,000 (p_max = 1000000 is too large",
         ),
+        (
+            ["--kind", "conjecture", "--n-max", "40", "--k-set", "0"],
+            "collisions(27) = 1,091,141",
+            "1,000,000 (n_max <= 26)",
+        ),
     ],
 )
 def test_a_scan_over_its_budget_exits_1(capsys, argv, estimate, limit):

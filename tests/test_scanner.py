@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import operator
+import time
 import tracemalloc
 from collections import Counter
 from math import comb, prod
@@ -665,6 +666,48 @@ def test_conjecture_scan_refuses_more_than_five_million_partitions(monkeypatch):
         scan_conjecture({4}, 72)
     with pytest.raises(UsageError, match=r"p\(10000000\) >= p\(72\) = 5,392,783"):
         scan_conjecture({4, 5}, 10**7)
+
+
+def test_conjecture_scan_refuses_more_than_a_million_collisions(monkeypatch):
+    # with k = 0 every same-length pair collides: 154,227,302 at n_max = 40;
+    # the count runs after the walk and the refusal makes no pair
+    def no_pairs(*args):
+        pytest.fail("the scan named the witnesses of a refused input")
+
+    monkeypatch.setattr(scanner, "parts_by_length", no_pairs)
+    start = time.perf_counter()
+    with pytest.raises(
+        UsageError,
+        match=r"n_max = 40 would list collisions\(40\) >= collisions\(27\) = 1,091,141 "
+        r"collisions, .* the limit is 1,000,000 \(n_max <= 26\)$",
+    ):
+        scan_conjecture({0}, 40)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(UsageError, match=r"collisions\(60\) >= collisions\(49\) = 1,229,553"):
+        scan_conjecture({1}, 60)
+
+
+# the collisions each scan lists, counted by the unit-part rule of
+# ``_count_collisions`` before any pair is made
+@pytest.mark.parametrize(
+    "k_set, n_max, listed",
+    [({1, 2}, 20, 693), ({0, 4}, 14, 2387), ({3}, 20, 4), ({1}, 30, 5019), ({-1, 1, 2}, 14, 1739)],
+)
+def test_the_collision_count_is_exact(monkeypatch, k_set, n_max, listed):
+    monkeypatch.setattr(scanner, "_COLLISION_LIMIT", listed - 1)
+    with pytest.raises(UsageError, match=rf"= {listed:,} collisions, .* limit is {listed - 1:,} "):
+        scan_conjecture(k_set, n_max)
+    monkeypatch.setattr(scanner, "_COLLISION_LIMIT", listed)
+    assert len(scan_conjecture(k_set, n_max).violations) == listed
+
+
+def test_a_scan_without_a_repeated_value_counts_nothing(monkeypatch):
+    # no length bucket of k = 4 or 5 repeats a value up to n_max = 22
+    def no_count(*args):
+        pytest.fail("the scan counted the collisions of a bucket without one")
+
+    monkeypatch.setattr(scanner, "_count_collisions", no_count)
+    assert scan_conjecture({4, 5}, 22).violations == ()
 
 
 def test_lemma_pair_counts_in_closed_form_match_the_oracle():
