@@ -276,12 +276,15 @@ def hodge_polynomial_full(d: HodgeDiamond, n: int) -> HodgeDiamond:
     Hodge polynomial of the n-point scheme: for each k >= 1 and each (p, q),
     a factor ``(1 + x^{p+k-1} y^{q+k-1} t^k)^{h^{p,q}}`` when p+q is odd and
     ``(1 - x^{p+k-1} y^{q+k-1} t^k)^{-h^{p,q}}`` when p+q is even
-    (``series.hodge_grid``).
+    (``series.hodge_grid``).  A diamond no connected surface has (size 2,
+    Hodge symmetry, Serre duality, ``h^{0,0} = 1``) is a DataError.
     """
     if d.size != 2:
         raise DataError(f"expected a surface diamond (size 2), got size {d.size}")
     if not d.is_symmetric():
         raise DataError("diamond is not Hodge-symmetric")
+    if any(d.h(2 - p, 2 - q) != h for (p, q), h in d.cells):
+        raise DataError("diamond fails Serre duality (h[p,q] = h[2-p,2-q])")
     if d.h(0, 0) != 1:
         raise DataError("expected a connected surface diamond (h[0,0] = 1)")
     require_plain_ints(n=n)

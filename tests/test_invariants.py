@@ -366,6 +366,14 @@ def test_hodge_polynomial_full_refuses_bad_diamonds():
     not_surface = HodgeDiamond(1, {(0, 0): 1, (1, 1): 1})
     with pytest.raises(DataError):
         hodge_polynomial_full(not_surface, 2)
+    # Hodge-symmetric, connected, but without h^{2,2} = h^{0,0}, or with
+    # h^{1,0} = 1 and h^{2,1} = 0
+    for cells in (
+        {(0, 0): 1, (1, 1): 1},
+        {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 3, (2, 2): 1},
+    ):
+        with pytest.raises(DataError, match="Serre duality"):
+            hodge_polynomial_full(HodgeDiamond(2, cells), 2)
 
 
 def test_hodge_diamond_rejects_negative_entries():
