@@ -631,6 +631,8 @@ def _conjecture_buckets(k_tuple: tuple[int, ...], n_max: int) -> Iterator[list[V
                 shared = [members for members in by_value.values() if len(members) > 1]
                 _count_collisions(listed, n_max, r, shared)
                 classes += [(r, k, members) for members in shared]
+        if sum(listed) > _COLLISION_LIMIT:
+            classes.clear()  # refused below: the later k's are only counted
     _refuse_above(
         n_max,
         accumulate(listed[1:]),
