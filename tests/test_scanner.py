@@ -602,6 +602,24 @@ def test_conjecture_scan_memory_does_not_grow_with_the_k_set():
     assert peak({4, 5, 6}) <= 1.3 * peak({4})
 
 
+def test_a_refused_conjecture_scan_drops_each_k_of_classes_over_the_limit():
+    # at n_max = 40 each of k = 0, -1 and -2, whose counts are mostly 0,
+    # alone lists more than the limit: each k's classes go once its count is
+    # in, so the peak of the three stays near one k's (2.6 times it if kept)
+    def peak(k_set):
+        with pytest.raises(UsageError):
+            scan_conjecture(k_set, 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError):
+                scan_conjecture(k_set, 40)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak({0, -1, -2}) <= 1.8 * peak({0})
+
+
 def tick_per_call(monkeypatch, name: str, seconds: float):
     """Give the scanner a clock that moves ``seconds`` per call of
     ``scanner.<name>`` and not otherwise; returns the real function."""
