@@ -35,9 +35,9 @@ it from its last row.  No table is ever replaced.
 ``GrowOnlyTable.series`` returns rows 0..N of a table as a
 ``TruncatedSeries``, the read-only result of ``poincare_series``,
 ``euler_series`` and ``hodge_p0_series``: a view of the rows' lines, one
-tuple per t-degree (trailing zeros stripped), truncated in t only.  It is the one builder of series, so a series has one
-form.  The package never multiplies series; the test oracle multiplies
-term maps.
+tuple per t-degree (trailing zeros stripped), truncated in t only.  It is
+the one builder of series, so a series has one form.  The package never
+multiplies series; the test oracle multiplies term maps.
 
 ``GrowOnlyTable.product`` multiplies rows of a table (Kuenneth), as one
 big-integer product of the rows packed one coefficient per fixed-width byte
